@@ -476,87 +476,61 @@ int main(int argc, char** argv) {
     exit_code = 1;
   }
 
-  std::string sizes_json;
+  hdc::bench::JsonWriter json;
+  json.object()
+      .field("bench", "bench_ann")
+      .field("dimensions", setup.experiment.extractor.dimensions)
+      .field("recall_at_1", recall_at_1)
+      .field("golden_pima_m_recall_at_1", pima.recall_at_1)
+      .field("golden_sylhet_recall_at_1", sylhet.recall_at_1)
+      .field("golden_rows", std::vector<std::size_t>{pima.rows, sylhet.rows})
+      .field("determinism_ok", determinism_ok)
+      .field("rows_max", largest.rows)
+      .field("word_ops_reduction", largest.word_ops_reduction);
+  json.key("sizes").array();
   for (const SizeResult& r : results) {
-    char buffer[640];
-    std::snprintf(
-        buffer, sizeof buffer,
-        "%s    {\"rows\": %zu, \"queries\": %zu, \"build_seconds\": %.4f, "
-        "\"recall_at_1\": %.6f, \"recall_at_5\": %.6f, "
-        "\"candidates_per_query\": %.1f, \"word_ops_exact\": %llu, "
-        "\"word_ops_ann\": %llu, \"word_ops_reduction\": %.3f, "
-        "\"exact_p50_us\": %.2f, \"exact_p99_us\": %.2f, "
-        "\"ann_p50_us\": %.2f, \"ann_p99_us\": %.2f}",
-        sizes_json.empty() ? "" : ",\n", r.rows, r.queries, r.build_seconds,
-        r.recall_at_1, r.recall_at_5, r.candidates_per_query,
-        static_cast<unsigned long long>(r.word_ops_exact),
-        static_cast<unsigned long long>(r.word_ops_ann),
-        r.word_ops_reduction, r.exact_p50_us, r.exact_p99_us, r.ann_p50_us,
-        r.ann_p99_us);
-    sizes_json += buffer;
+    json.object()
+        .field("rows", r.rows)
+        .field("queries", r.queries)
+        .field("build_seconds", r.build_seconds)
+        .field("recall_at_1", r.recall_at_1)
+        .field("recall_at_5", r.recall_at_5)
+        .field("candidates_per_query", r.candidates_per_query)
+        .field("word_ops_exact", r.word_ops_exact)
+        .field("word_ops_ann", r.word_ops_ann)
+        .field("word_ops_reduction", r.word_ops_reduction)
+        .field("exact_p50_us", r.exact_p50_us)
+        .field("exact_p99_us", r.exact_p99_us)
+        .field("ann_p50_us", r.ann_p50_us)
+        .field("ann_p99_us", r.ann_p99_us)
+        .end();
   }
-
-  std::string tiers_json;
+  json.end()
+      .field("streamed_rows", streamed.rows)
+      .field("streamed_build_identical", streamed.identical)
+      .field("build_bytes_peak", streamed.bytes_peak)
+      .field("build_bytes_budget", streamed.budget)
+      .field("build_bytes_within_budget", streamed.within_budget)
+      .field("build_shard_bytes_max", streamed.shard_bytes_max)
+      .field("build_index_bytes", streamed.index_bytes)
+      .field("database_bytes", streamed.database_bytes)
+      .field("sketch_scan_rows", kScanRows)
+      .field("sketch_scan_words", kScanWords)
+      .field("sketch_scan_tier", hdc::simd::tier_name(best_tier.tier))
+      .field("sketch_scan_speedup", best_tier.speedup);
+  json.key("sketch_tiers").array();
   for (const TierSketchResult& r : sketch_tiers) {
-    char buffer[192];
-    std::snprintf(buffer, sizeof buffer,
-                  "%s    {\"tier\": \"%s\", \"per_row_ns\": %.1f, "
-                  "\"scan_ns\": %.1f, \"speedup\": %.3f}",
-                  tiers_json.empty() ? "" : ",\n",
-                  hdc::simd::tier_name(r.tier), r.per_row_ns, r.scan_ns,
-                  r.speedup);
-    tiers_json += buffer;
+    json.object()
+        .field("tier", hdc::simd::tier_name(r.tier))
+        .field("per_row_ns", r.per_row_ns)
+        .field("scan_ns", r.scan_ns)
+        .field("speedup", r.speedup)
+        .end();
   }
-
-  std::FILE* out = std::fopen(out_path.c_str(), "w");
-  if (out == nullptr) {
-    std::fprintf(stderr, "FATAL: cannot write %s\n", out_path.c_str());
-    return 1;
-  }
-  std::fprintf(out,
-               "{\n"
-               "  \"bench\": \"bench_ann\",\n"
-               "  \"dimensions\": %zu,\n"
-               "  \"recall_at_1\": %.6f,\n"
-               "  \"golden_pima_m_recall_at_1\": %.6f,\n"
-               "  \"golden_sylhet_recall_at_1\": %.6f,\n"
-               "  \"golden_rows\": [%zu, %zu],\n"
-               "  \"determinism_ok\": %s,\n"
-               "  \"rows_max\": %zu,\n"
-               "  \"word_ops_reduction\": %.3f,\n"
-               "  \"sizes\": [\n%s\n  ],\n"
-               "  \"streamed_rows\": %zu,\n"
-               "  \"streamed_build_identical\": %s,\n"
-               "  \"build_bytes_peak\": %llu,\n"
-               "  \"build_bytes_budget\": %llu,\n"
-               "  \"build_bytes_within_budget\": %s,\n"
-               "  \"build_shard_bytes_max\": %llu,\n"
-               "  \"build_index_bytes\": %llu,\n"
-               "  \"database_bytes\": %llu,\n"
-               "  \"sketch_scan_rows\": %zu,\n"
-               "  \"sketch_scan_words\": %zu,\n"
-               "  \"sketch_scan_tier\": \"%s\",\n"
-               "  \"sketch_scan_speedup\": %.3f,\n"
-               "  \"sketch_tiers\": [\n%s\n  ],\n"
-               "  \"manifest\": %s\n"
-               "}\n",
-               setup.experiment.extractor.dimensions, recall_at_1,
-               pima.recall_at_1, sylhet.recall_at_1, pima.rows, sylhet.rows,
-               determinism_ok ? "true" : "false", largest.rows,
-               largest.word_ops_reduction, sizes_json.c_str(), streamed.rows,
-               streamed.identical ? "true" : "false",
-               static_cast<unsigned long long>(streamed.bytes_peak),
-               static_cast<unsigned long long>(streamed.budget),
-               streamed.within_budget ? "true" : "false",
-               static_cast<unsigned long long>(streamed.shard_bytes_max),
-               static_cast<unsigned long long>(streamed.index_bytes),
-               static_cast<unsigned long long>(streamed.database_bytes),
-               kScanRows, kScanWords, hdc::simd::tier_name(best_tier.tier),
-               best_tier.speedup, tiers_json.c_str(),
-               hdc::bench::manifest_json(setup.pima_m, "pima_m_synthetic",
-                                         setup.experiment)
-                   .c_str());
-  std::fclose(out);
-  std::printf("# wrote %s\n", out_path.c_str());
+  json.end()
+      .raw_field("manifest", hdc::bench::manifest_json(setup.pima_m, "pima_m_synthetic",
+                                                       setup.experiment))
+      .end();
+  if (!json.write(out_path)) return 1;
   return exit_code;
 }

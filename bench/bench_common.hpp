@@ -1,11 +1,16 @@
-// Shared scaffolding for the table-reproduction benches: the three datasets
-// of the paper (Pima R, Pima M, Sylhet) built from the synthetic generators,
-// plus CLI-controlled fidelity knobs.
+// Shared scaffolding for the benches: the three datasets of the paper
+// (Pima R, Pima M, Sylhet) built from the synthetic generators,
+// CLI-controlled fidelity knobs, and the one JSON writer every BENCH_*.json
+// artifact goes through.
 #pragma once
 
+#include <charconv>
+#include <cmath>
 #include <cstdio>
 #include <string>
 #include <string_view>
+#include <type_traits>
+#include <vector>
 
 #include "core/experiment.hpp"
 #include "core/manifest.hpp"
@@ -66,5 +71,158 @@ inline std::string manifest_json(const data::Dataset& ds,
                                  const core::ExperimentConfig& config) {
   return core::to_json(core::make_run_manifest(ds, dataset_name, config));
 }
+
+/// Streaming writer for the BENCH_*.json artifacts. Objects and arrays nest
+/// through object()/array() ... end(); commas, indentation and string
+/// escaping live here instead of in per-bench printf formats. Doubles are
+/// written in shortest round-trip form, and a non-finite double (a speedup
+/// over a zero time) becomes null, so the artifact always parses.
+///
+///   JsonWriter json;
+///   json.object().field("bench", "bench_x").key("tiers").array();
+///   for (...) json.object().field("tier", name).end();
+///   json.end().end();
+///   return json.write(out_path) ? 0 : 1;
+class JsonWriter {
+ public:
+  JsonWriter& object() { return open('{'); }
+  JsonWriter& array() { return open('['); }
+
+  /// Close the innermost open object or array.
+  JsonWriter& end() {
+    const Scope scope = stack_.back();
+    stack_.pop_back();
+    if (scope.members > 0) newline();
+    out_ += scope.open == '{' ? '}' : ']';
+    return *this;
+  }
+
+  /// Name the next value inside an object.
+  JsonWriter& key(std::string_view name) {
+    separate();
+    append_string(name);
+    out_ += ": ";
+    keyed_ = true;
+    return *this;
+  }
+
+  /// A string, bool, integer or floating-point value.
+  template <typename T>
+  JsonWriter& value(const T& v) {
+    separate();
+    if constexpr (std::is_same_v<T, bool>) {
+      out_ += v ? "true" : "false";
+    } else if constexpr (std::is_floating_point_v<T>) {
+      append_double(static_cast<double>(v));
+    } else if constexpr (std::is_integral_v<T>) {
+      out_ += std::to_string(v);
+    } else {
+      append_string(std::string_view(v));
+    }
+    return *this;
+  }
+
+  template <typename T>
+  JsonWriter& field(std::string_view name, const T& v) {
+    return key(name).value(v);
+  }
+
+  /// A JSON array of plain values.
+  template <typename T>
+  JsonWriter& field(std::string_view name, const std::vector<T>& values) {
+    key(name).array();
+    for (const T& v : values) value(v);
+    return end();
+  }
+
+  /// An already-serialized JSON value (manifest, obs snapshot), verbatim.
+  JsonWriter& raw_field(std::string_view name, std::string_view json) {
+    key(name);
+    separate();
+    out_ += json;
+    return *this;
+  }
+
+  /// Write the document (plus a trailing newline) to `path`; on failure
+  /// print a FATAL line to stderr and return false.
+  [[nodiscard]] bool write(const std::string& path) const {
+    std::FILE* out = std::fopen(path.c_str(), "w");
+    const bool ok =
+        out != nullptr &&
+        std::fwrite(out_.data(), 1, out_.size(), out) == out_.size() &&
+        std::fputc('\n', out) != EOF;
+    if (out != nullptr && std::fclose(out) != 0) return fail(path);
+    if (!ok) return fail(path);
+    std::printf("# wrote %s\n", path.c_str());
+    return true;
+  }
+
+ private:
+  struct Scope {
+    char open;
+    std::size_t members;
+  };
+
+  JsonWriter& open(char bracket) {
+    separate();
+    out_ += bracket;
+    stack_.push_back({bracket, 0});
+    return *this;
+  }
+
+  /// Comma + newline + indent before each member (skipped for the value
+  /// that follows a key()).
+  void separate() {
+    if (keyed_) {
+      keyed_ = false;
+      return;
+    }
+    if (stack_.empty()) return;
+    if (stack_.back().members++ > 0) out_ += ',';
+    newline();
+  }
+
+  void newline() {
+    out_ += '\n';
+    out_.append(2 * stack_.size(), ' ');
+  }
+
+  void append_double(double v) {
+    if (!std::isfinite(v)) {
+      out_ += "null";
+      return;
+    }
+    char buffer[32];
+    const auto result = std::to_chars(buffer, buffer + sizeof buffer, v);
+    out_.append(buffer, result.ptr);
+  }
+
+  void append_string(std::string_view text) {
+    out_ += '"';
+    for (const char c : text) {
+      if (c == '"' || c == '\\') {
+        out_ += '\\';
+        out_ += c;
+      } else if (static_cast<unsigned char>(c) < 0x20) {
+        char buffer[8];
+        std::snprintf(buffer, sizeof buffer, "\\u%04x",
+                      static_cast<unsigned>(c));
+        out_ += buffer;
+      } else {
+        out_ += c;
+      }
+    }
+    out_ += '"';
+  }
+
+  static bool fail(const std::string& path) {
+    std::fprintf(stderr, "FATAL: cannot write %s\n", path.c_str());
+    return false;
+  }
+
+  std::string out_;
+  std::vector<Scope> stack_;
+  bool keyed_ = false;
+};
 
 }  // namespace hdc::bench

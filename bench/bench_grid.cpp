@@ -157,57 +157,43 @@ int main(int argc, char** argv) {
   }
 
   const auto& last = samples.back().result.stats;
-  std::FILE* out = std::fopen(out_path.c_str(), "w");
-  if (out == nullptr) {
-    std::fprintf(stderr, "FATAL: cannot write %s\n", out_path.c_str());
-    return 1;
-  }
-  std::fprintf(out,
-               "{\n"
-               "  \"bench\": \"bench_grid\",\n"
-               "  \"datasets\": [\"pima_m_synthetic\", \"sylhet_synthetic\"],\n"
-               "  \"models\": %zu,\n"
-               "  \"kfold\": %zu,\n"
-               "  \"dimensions\": %zu,\n"
-               "  \"seed\": %llu,\n"
-               "  \"model_budget\": %.3f,\n"
-               "  \"reps\": %zu,\n"
-               "  \"hardware_threads\": %zu,\n"
-               "  \"serial_seconds\": %.6f,\n"
-               "  \"determinism_ok\": true,\n"
-               "  \"dedup_ratio\": %.3f,\n"
-               "  \"grid_speedup\": %.3f,\n"
-               "  \"speedup_ok\": %s,\n"
-               "  \"speedup_skipped_reason\": \"%s\",\n"
-               "  \"threads\": [\n",
-               serial.datasets.front().models.size(), config.kfold,
-               setup.experiment.extractor.dimensions,
-               static_cast<unsigned long long>(setup.experiment.seed),
-               setup.experiment.model_budget, reps, hw_threads, serial_seconds,
-               last.dedup_ratio, grid_speedup, speedup_ok ? "true" : "false",
-               skip_reason.c_str());
-  for (std::size_t i = 0; i < samples.size(); ++i) {
-    const ThreadSample& s = samples[i];
+  hdc::bench::JsonWriter json;
+  json.object()
+      .field("bench", "bench_grid")
+      .field("datasets",
+             std::vector<std::string>{"pima_m_synthetic", "sylhet_synthetic"})
+      .field("models", serial.datasets.front().models.size())
+      .field("kfold", config.kfold)
+      .field("dimensions", setup.experiment.extractor.dimensions)
+      .field("seed", setup.experiment.seed)
+      .field("model_budget", setup.experiment.model_budget)
+      .field("reps", reps)
+      .field("hardware_threads", hw_threads)
+      .field("serial_seconds", serial_seconds)
+      .field("determinism_ok", true)
+      .field("dedup_ratio", last.dedup_ratio)
+      .field("grid_speedup", grid_speedup)
+      .field("speedup_ok", speedup_ok)
+      .field("speedup_skipped_reason", skip_reason);
+  json.key("threads").array();
+  for (const ThreadSample& s : samples) {
     const auto& st = s.result.stats;
-    std::fprintf(
-        out,
-        "    {\"threads\": %zu, \"seconds\": %.6f, \"speedup_vs_serial\": "
-        "%.3f, \"tasks_executed\": %llu, \"steals\": %llu, \"cache_hits\": "
-        "%llu, \"cache_misses\": %llu, \"cache_evictions\": %llu, "
-        "\"cache_peak_entries\": %zu}%s\n",
-        s.threads, s.seconds, serial_seconds / s.seconds,
-        static_cast<unsigned long long>(st.tasks_executed),
-        static_cast<unsigned long long>(st.steals),
-        static_cast<unsigned long long>(st.cache_hits),
-        static_cast<unsigned long long>(st.cache_misses),
-        static_cast<unsigned long long>(st.cache_evictions),
-        st.cache_peak_entries, i + 1 < samples.size() ? "," : "");
+    json.object()
+        .field("threads", s.threads)
+        .field("seconds", s.seconds)
+        .field("speedup_vs_serial", serial_seconds / s.seconds)
+        .field("tasks_executed", st.tasks_executed)
+        .field("steals", st.steals)
+        .field("cache_hits", st.cache_hits)
+        .field("cache_misses", st.cache_misses)
+        .field("cache_evictions", st.cache_evictions)
+        .field("cache_peak_entries", st.cache_peak_entries)
+        .end();
   }
+  json.end();
   // Provenance from the grid itself: run_grid's combined manifest covers
   // both datasets (mixed hash, summed rows) at the last sample's threads.
-  std::fprintf(out, "  ],\n  \"manifest\": %s\n}\n",
-               hdc::core::to_json(samples.back().result.manifest).c_str());
-  std::fclose(out);
-  std::printf("# wrote %s\n", out_path.c_str());
-  return 0;
+  json.raw_field("manifest", hdc::core::to_json(samples.back().result.manifest))
+      .end();
+  return json.write(out_path) ? 0 : 1;
 }

@@ -166,58 +166,42 @@ int main(int argc, char** argv) {
   hdc::core::ExperimentConfig manifest_config;
   manifest_config.extractor = extractor_config;
   manifest_config.seed = seed;
-  const std::string manifest_json =
-      hdc::bench::manifest_json(ds, "pima_m_synthetic", manifest_config);
-
-  std::FILE* out = std::fopen(out_path.c_str(), "w");
-  if (out == nullptr) {
-    std::fprintf(stderr, "FATAL: cannot write %s\n", out_path.c_str());
-    return 1;
+  hdc::bench::JsonWriter json;
+  json.object()
+      .field("bench", "bench_kernels")
+      .field("dimensions", dim)
+      .field("words_per_vector", words)
+      .field("seed", seed)
+      .field("reps", reps)
+      .field("hamming_pairs", n_pairs)
+      .field("majority_bundle_rows", bundle_n)
+      .field("popcount_buffer_words", pop_words)
+      .field("active_tier", hdc::simd::tier_name(initial_tier));
+  json.key("tiers").array();
+  for (const TierResult& r : results) {
+    json.object().field("tier", hdc::simd::tier_name(r.tier));
+    json.key("hamming").object()
+        .field("ns_per_pair", r.hamming_ns_per_pair)
+        .field("gb_per_sec", r.hamming_gbps)
+        .end();
+    json.key("popcount").object().field("gb_per_sec", r.popcount_gbps).end();
+    json.key("majority").object()
+        .field("ns_per_bundle", r.majority_ns_per_bundle)
+        .field("gb_per_sec", r.majority_gbps)
+        .end();
+    json.key("encode").object().field("rows_per_sec", r.encode_rows_per_sec).end();
+    json.end();
   }
-  std::fprintf(out,
-               "{\n"
-               "  \"bench\": \"bench_kernels\",\n"
-               "  \"dimensions\": %zu,\n"
-               "  \"words_per_vector\": %zu,\n"
-               "  \"seed\": %llu,\n"
-               "  \"reps\": %zu,\n"
-               "  \"hamming_pairs\": %zu,\n"
-               "  \"majority_bundle_rows\": %zu,\n"
-               "  \"popcount_buffer_words\": %zu,\n"
-               "  \"active_tier\": \"%s\",\n"
-               "  \"tiers\": [\n",
-               dim, words, static_cast<unsigned long long>(seed), reps, n_pairs,
-               bundle_n, pop_words, hdc::simd::tier_name(initial_tier));
-  for (std::size_t i = 0; i < results.size(); ++i) {
-    const TierResult& r = results[i];
-    std::fprintf(
-        out,
-        "    {\"tier\": \"%s\",\n"
-        "     \"hamming\": {\"ns_per_pair\": %.2f, \"gb_per_sec\": %.3f},\n"
-        "     \"popcount\": {\"gb_per_sec\": %.3f},\n"
-        "     \"majority\": {\"ns_per_bundle\": %.1f, \"gb_per_sec\": %.3f},\n"
-        "     \"encode\": {\"rows_per_sec\": %.1f}}%s\n",
-        hdc::simd::tier_name(r.tier), r.hamming_ns_per_pair, r.hamming_gbps,
-        r.popcount_gbps, r.majority_ns_per_bundle, r.majority_gbps,
-        r.encode_rows_per_sec, i + 1 < results.size() ? "," : "");
-  }
-  std::fprintf(out,
-               "  ],\n"
-               "  \"speedup_best_vs_scalar\": {\n"
-               "    \"tier\": \"%s\",\n"
-               "    \"hamming\": %.3f,\n"
-               "    \"popcount\": %.3f,\n"
-               "    \"majority\": %.3f,\n"
-               "    \"encode\": %.3f\n"
-               "  },\n"
-               "  \"manifest\": %s\n}\n",
-               hdc::simd::tier_name(best.tier),
-               scalar.hamming_ns_per_pair / best.hamming_ns_per_pair,
-               best.popcount_gbps / scalar.popcount_gbps,
-               scalar.majority_ns_per_bundle / best.majority_ns_per_bundle,
-               best.encode_rows_per_sec / scalar.encode_rows_per_sec,
-               manifest_json.c_str());
-  std::fclose(out);
-  std::printf("# wrote %s\n", out_path.c_str());
-  return 0;
+  json.end();
+  json.key("speedup_best_vs_scalar").object()
+      .field("tier", hdc::simd::tier_name(best.tier))
+      .field("hamming", scalar.hamming_ns_per_pair / best.hamming_ns_per_pair)
+      .field("popcount", best.popcount_gbps / scalar.popcount_gbps)
+      .field("majority", scalar.majority_ns_per_bundle / best.majority_ns_per_bundle)
+      .field("encode", best.encode_rows_per_sec / scalar.encode_rows_per_sec)
+      .end();
+  json.raw_field("manifest", hdc::bench::manifest_json(ds, "pima_m_synthetic",
+                                                       manifest_config));
+  json.end();
+  return json.write(out_path) ? 0 : 1;
 }

@@ -2,9 +2,9 @@
 // BENCH_ml.json.
 //
 // Encodes the Pima protocol rows once (768 patients x --dim bits), then fits
-// every downstream model twice on the same labels: once from the dense
-// double matrix (HDC_ML_PACKED kill switch engaged) and once from the
-// bit-packed columnar BitMatrix (popcount kernels). Fit and predict are
+// every downstream model twice on the same labels: once with fit() on the
+// dense double matrix and once with fit_bits() on the bit-packed columnar
+// BitMatrix (popcount kernels). Fit and predict are
 // timed separately; the packed fit + predict is repeated on every supported
 // SIMD tier and its predictions are compared against the dense reference —
 // the "parity_ok" fields gate the packed path on bit-identical behaviour.
@@ -23,7 +23,6 @@
 #include "data/preprocess.hpp"
 #include "data/synthetic.hpp"
 #include "hv/bit_matrix.hpp"
-#include "ml/packed.hpp"
 #include "ml/zoo.hpp"
 #include "parallel/thread_pool.hpp"
 #include "simd/dispatch.hpp"
@@ -113,8 +112,7 @@ int main(int argc, char** argv) {
     ModelResult res;
     res.name = name;
 
-    // Dense reference: kill switch engaged so fit() takes the double path.
-    hdc::ml::set_packed_enabled(false);
+    // Dense reference: fit() on doubles runs the dense algorithm.
     std::vector<int> reference;
     {
       auto model = hdc::ml::make_model(name, budget);
@@ -128,7 +126,6 @@ int main(int argc, char** argv) {
 
     // Packed path, once per supported SIMD tier; parity against the dense
     // reference predictions at every tier.
-    hdc::ml::set_packed_enabled(true);
     for (const Tier tier : hdc::simd::supported_tiers()) {
       hdc::simd::set_tier(tier);
       TierRun run;
@@ -157,7 +154,6 @@ int main(int argc, char** argv) {
                 res.parity_ok() ? "ok" : "FAIL");
     results.push_back(std::move(res));
   }
-  hdc::ml::reset_packed_enabled();
 
   double hist_speedup = 0.0;
   bool all_parity = true;
@@ -166,65 +162,50 @@ int main(int argc, char** argv) {
     all_parity = all_parity && r.parity_ok();
   }
 
-  std::FILE* out = std::fopen(out_path.c_str(), "w");
-  if (out == nullptr) {
-    std::fprintf(stderr, "FATAL: cannot write %s\n", out_path.c_str());
-    return 1;
-  }
-  std::fprintf(out,
-               "{\n"
-               "  \"bench\": \"bench_ml\",\n"
-               "  \"rows\": %zu,\n"
-               "  \"dimensions\": %zu,\n"
-               "  \"seed\": %llu,\n"
-               "  \"reps\": %zu,\n"
-               "  \"model_budget\": %.3f,\n"
-               "  \"hardware_threads\": %zu,\n"
-               "  \"active_tier\": \"%s\",\n"
-               "  \"models\": [\n",
-               bits.rows(), dim, static_cast<unsigned long long>(seed), reps,
-               budget, hdc::parallel::hardware_threads(),
-               hdc::simd::tier_name(initial_tier));
-  for (std::size_t i = 0; i < results.size(); ++i) {
-    const ModelResult& r = results[i];
-    std::fprintf(out,
-                 "    {\"name\": \"%s\",\n"
-                 "     \"fit\": {\"dense_sec\": %.4f, \"packed_sec\": %.4f, "
-                 "\"speedup\": %.3f},\n"
-                 "     \"predict\": {\"dense_sec\": %.4f, \"packed_sec\": %.4f, "
-                 "\"speedup\": %.3f},\n"
-                 "     \"parity_ok\": %s,\n"
-                 "     \"tiers\": [",
-                 r.name.c_str(), r.fit_dense_sec, r.fit_packed_sec,
-                 r.fit_dense_sec / r.fit_packed_sec, r.predict_dense_sec,
-                 r.predict_packed_sec,
-                 r.predict_dense_sec / r.predict_packed_sec,
-                 r.parity_ok() ? "true" : "false");
-    for (std::size_t t = 0; t < r.tiers.size(); ++t) {
-      const TierRun& run = r.tiers[t];
-      std::fprintf(out,
-                   "%s\n      {\"tier\": \"%s\", \"fit_sec\": %.4f, "
-                   "\"predict_sec\": %.4f, \"parity_ok\": %s}",
-                   t == 0 ? "" : ",", hdc::simd::tier_name(run.tier),
-                   run.fit_sec, run.predict_sec,
-                   run.parity_ok ? "true" : "false");
+  hdc::bench::JsonWriter json;
+  json.object()
+      .field("bench", "bench_ml")
+      .field("rows", bits.rows())
+      .field("dimensions", dim)
+      .field("seed", seed)
+      .field("reps", reps)
+      .field("model_budget", budget)
+      .field("hardware_threads", hdc::parallel::hardware_threads())
+      .field("active_tier", hdc::simd::tier_name(initial_tier));
+  json.key("models").array();
+  for (const ModelResult& r : results) {
+    json.object().field("name", r.name);
+    json.key("fit").object()
+        .field("dense_sec", r.fit_dense_sec)
+        .field("packed_sec", r.fit_packed_sec)
+        .field("speedup", r.fit_dense_sec / r.fit_packed_sec)
+        .end();
+    json.key("predict").object()
+        .field("dense_sec", r.predict_dense_sec)
+        .field("packed_sec", r.predict_packed_sec)
+        .field("speedup", r.predict_dense_sec / r.predict_packed_sec)
+        .end();
+    json.field("parity_ok", r.parity_ok()).key("tiers").array();
+    for (const TierRun& run : r.tiers) {
+      json.object()
+          .field("tier", hdc::simd::tier_name(run.tier))
+          .field("fit_sec", run.fit_sec)
+          .field("predict_sec", run.predict_sec)
+          .field("parity_ok", run.parity_ok)
+          .end();
     }
-    std::fprintf(out, "]}%s\n", i + 1 < results.size() ? "," : "");
+    json.end().end();
   }
+  json.end();
   hdc::core::ExperimentConfig manifest_config;
   manifest_config.extractor = extractor_config;
   manifest_config.seed = seed;
   manifest_config.model_budget = budget;
-  std::fprintf(out,
-               "  ],\n"
-               "  \"hist_gbdt_fit_speedup\": %.3f,\n"
-               "  \"parity_ok\": %s,\n"
-               "  \"manifest\": %s\n"
-               "}\n",
-               hist_speedup, all_parity ? "true" : "false",
-               hdc::bench::manifest_json(ds, "pima_m_synthetic", manifest_config)
-                   .c_str());
-  std::fclose(out);
-  std::printf("# wrote %s\n", out_path.c_str());
+  json.field("hist_gbdt_fit_speedup", hist_speedup)
+      .field("parity_ok", all_parity)
+      .raw_field("manifest", hdc::bench::manifest_json(ds, "pima_m_synthetic",
+                                                       manifest_config))
+      .end();
+  if (!json.write(out_path)) return 1;
   return all_parity ? 0 : 1;
 }

@@ -161,7 +161,7 @@ int main(int argc, char** argv) {
   // the reference confusion matrix bit-exactly (kernels may only change
   // throughput, never results).
   const hdc::simd::Tier initial_tier = hdc::simd::active_tier();
-  std::string tiers_checked;
+  std::vector<std::string> tiers_checked;
   for (const hdc::simd::Tier tier : hdc::simd::supported_tiers()) {
     hdc::simd::set_tier(tier);
     const std::vector<hdc::hv::BitVector> tier_vectors = extractor.transform(ds);
@@ -177,85 +177,66 @@ int main(int argc, char** argv) {
                    hdc::simd::tier_name(tier));
       return 1;
     }
-    if (!tiers_checked.empty()) tiers_checked += ", ";
-    tiers_checked += std::string("\"") + hdc::simd::tier_name(tier) + "\"";
+    tiers_checked.emplace_back(hdc::simd::tier_name(tier));
   }
   hdc::simd::set_tier(initial_tier);
 
-  std::FILE* out = std::fopen(out_path.c_str(), "w");
-  if (out == nullptr) {
-    std::fprintf(stderr, "FATAL: cannot write %s\n", out_path.c_str());
-    return 1;
-  }
   const ThreadSample& base = samples.front();  // threads == 1
-  std::fprintf(out,
-               "{\n"
-               "  \"bench\": \"bench_runtime\",\n"
-               "  \"dataset\": \"pima_m_synthetic\",\n"
-               "  \"rows\": %zu,\n"
-               "  \"dimensions\": %zu,\n"
-               "  \"seed\": %llu,\n"
-               "  \"reps\": %zu,\n"
-               "  \"hardware_threads\": %zu,\n"
-               "  \"simd_tier\": \"%s\",\n"
-               "  \"simd_tiers_checked\": [%s],\n"
-               "  \"metrics\": {\"accuracy\": %.17g, \"f1\": %.17g, \"tp\": %zu, "
-               "\"tn\": %zu, \"fp\": %zu, \"fn\": %zu},\n"
-               "  \"metrics_identical_across_threads\": true,\n"
-               "  \"metrics_identical_across_tiers\": true,\n"
-               "  \"speedup_valid\": %s,\n"
-               "  \"speedup_skipped_reason\": \"%s\",\n"
-               "  \"threads\": [\n",
-               ds.n_rows(), dim, static_cast<unsigned long long>(seed), reps,
-               hw_threads, hdc::simd::tier_name(initial_tier),
-               tiers_checked.c_str(), base.metrics.accuracy,
-               base.metrics.f1, reference.tp, reference.tn, reference.fp,
-               reference.fn, speedup_valid ? "true" : "false",
-               speedup_skipped_reason);
-  for (std::size_t i = 0; i < samples.size(); ++i) {
-    const ThreadSample& s = samples[i];
-    std::fprintf(out,
-                 "    {\"threads\": %zu, \"encode_seconds\": %.6f, "
-                 "\"encode_rows_per_sec\": %.1f, \"loocv_seconds\": %.6f, "
-                 "\"encode_speedup\": %.3f, \"loocv_speedup\": %.3f}%s\n",
-                 s.threads, s.encode_seconds,
-                 static_cast<double>(ds.n_rows()) / s.encode_seconds,
-                 s.loocv_seconds, base.encode_seconds / s.encode_seconds,
-                 base.loocv_seconds / s.loocv_seconds,
-                 i + 1 < samples.size() ? "," : "");
+  hdc::bench::JsonWriter json;
+  json.object()
+      .field("bench", "bench_runtime")
+      .field("dataset", "pima_m_synthetic")
+      .field("rows", ds.n_rows())
+      .field("dimensions", dim)
+      .field("seed", seed)
+      .field("reps", reps)
+      .field("hardware_threads", hw_threads)
+      .field("simd_tier", hdc::simd::tier_name(initial_tier))
+      .field("simd_tiers_checked", tiers_checked);
+  json.key("metrics").object()
+      .field("accuracy", base.metrics.accuracy)
+      .field("f1", base.metrics.f1)
+      .field("tp", reference.tp)
+      .field("tn", reference.tn)
+      .field("fp", reference.fp)
+      .field("fn", reference.fn)
+      .end();
+  json.field("metrics_identical_across_threads", true)
+      .field("metrics_identical_across_tiers", true)
+      .field("speedup_valid", speedup_valid)
+      .field("speedup_skipped_reason", speedup_skipped_reason);
+  json.key("threads").array();
+  for (const ThreadSample& s : samples) {
+    json.object()
+        .field("threads", s.threads)
+        .field("encode_seconds", s.encode_seconds)
+        .field("encode_rows_per_sec",
+               static_cast<double>(ds.n_rows()) / s.encode_seconds)
+        .field("loocv_seconds", s.loocv_seconds)
+        .field("encode_speedup", base.encode_seconds / s.encode_seconds)
+        .field("loocv_speedup", base.loocv_seconds / s.loocv_seconds)
+        .end();
   }
+  json.end();
   // Self-describing obs section: headline derived stats + the full registry
   // snapshot from the (untimed) instrumented pass.
   const auto* encode_hist = obs_snapshot.histogram("hv.encode.chunk_seconds");
   const auto* search_hist = obs_snapshot.histogram("hv.search.chunk_seconds");
+  json.key("obs").object()
+      .field("encode_rows", obs_snapshot.counter_value("hv.encode.rows"))
+      .field("search_word_ops", obs_snapshot.counter_value("hv.search.word_ops"))
+      .field("pool_tasks_completed",
+             obs_snapshot.counter_value("pool.tasks_completed"))
+      .field("pool_queue_depth_peak", obs_snapshot.gauge_max("pool.queue_depth"))
+      .field("encode_stage_seconds", encode_hist != nullptr ? encode_hist->sum : 0.0)
+      .field("search_stage_seconds", search_hist != nullptr ? search_hist->sum : 0.0)
+      .raw_field("snapshot", hdc::obs::to_json(obs_snapshot))
+      .end();
   hdc::core::ExperimentConfig manifest_config;
   manifest_config.extractor = extractor_config;
   manifest_config.seed = seed;
-  std::fprintf(out,
-               "  ],\n"
-               "  \"obs\": {\n"
-               "    \"encode_rows\": %llu,\n"
-               "    \"search_word_ops\": %llu,\n"
-               "    \"pool_tasks_completed\": %llu,\n"
-               "    \"pool_queue_depth_peak\": %lld,\n"
-               "    \"encode_stage_seconds\": %.6f,\n"
-               "    \"search_stage_seconds\": %.6f,\n"
-               "    \"snapshot\": %s\n"
-               "  },\n"
-               "  \"manifest\": %s\n}\n",
-               static_cast<unsigned long long>(
-                   obs_snapshot.counter_value("hv.encode.rows")),
-               static_cast<unsigned long long>(
-                   obs_snapshot.counter_value("hv.search.word_ops")),
-               static_cast<unsigned long long>(
-                   obs_snapshot.counter_value("pool.tasks_completed")),
-               static_cast<long long>(obs_snapshot.gauge_max("pool.queue_depth")),
-               encode_hist != nullptr ? encode_hist->sum : 0.0,
-               search_hist != nullptr ? search_hist->sum : 0.0,
-               hdc::obs::to_json(obs_snapshot).c_str(),
-               hdc::bench::manifest_json(ds, "pima_m_synthetic", manifest_config)
-                   .c_str());
-  std::fclose(out);
-  std::printf("# wrote %s\n", out_path.c_str());
-  return 0;
+  json.raw_field("manifest", hdc::bench::manifest_json(ds, "pima_m_synthetic",
+                                                       manifest_config))
+      .end();
+  return json.write(out_path) ? 0 : 1;
 }

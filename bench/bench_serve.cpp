@@ -186,25 +186,6 @@ int main(int argc, char** argv) {
                  "serve path stopped recording latency telemetry\n");
     return 1;
   }
-  std::string bounds_json;
-  std::string counts_json;
-  for (std::size_t b = 0; b < windowed->bucket_counts.size(); ++b) {
-    if (b > 0) {
-      bounds_json += ", ";
-      counts_json += ", ";
-    }
-    char buffer[64];
-    if (b < windowed->bounds.size()) {
-      std::snprintf(buffer, sizeof buffer, "%.9g", windowed->bounds[b]);
-    } else {
-      std::snprintf(buffer, sizeof buffer, "\"+Inf\"");
-    }
-    bounds_json += buffer;
-    std::snprintf(buffer, sizeof buffer, "%llu",
-                  static_cast<unsigned long long>(windowed->bucket_counts[b]));
-    counts_json += buffer;
-  }
-
   // 5. Paired exact-vs-ann serve: the same bundle served with the ANN index
   // attached (ServeConfig::ann). Predictions are compared request-for-request
   // against the exact engine; with the default index parameters the golden
@@ -264,60 +245,40 @@ int main(int argc, char** argv) {
   std::printf("# determinism: %s\n", determinism_ok ? "ok" : "FAILED");
   if (!determinism_ok) return 1;
 
-  std::string ann_json;
-  {
-    char buffer[256];
-    if (ann_skipped_reason.empty()) {
-      std::snprintf(buffer, sizeof buffer,
-                    "  \"ann_p50_us\": %.3f,\n  \"ann_p99_us\": %.3f,\n"
-                    "  \"ann_qps\": %.1f,\n  \"ann_match_fraction\": %.6f,\n",
-                    ann_p50_us, ann_p99_us, ann_qps, ann_match_fraction);
-    } else {
-      std::snprintf(buffer, sizeof buffer, "  \"ann_skipped_reason\": \"%s\",\n",
-                    ann_skipped_reason.c_str());
-    }
-    ann_json = buffer;
+  hdc::bench::JsonWriter json;
+  json.object()
+      .field("bench", "bench_serve")
+      .field("dataset", "pima_m_synthetic")
+      .field("rows", n)
+      .field("dimensions", setup.experiment.extractor.dimensions)
+      .field("reps", reps)
+      .field("predictors", predictors.size())
+      .field("bundle_bytes", saved.str().size())
+      .field("p50_us", p50_us)
+      .field("p90_us", p90_us)
+      .field("p99_us", p99_us)
+      .field("qps", qps)
+      .field("coalesced_qps", coalesced_qps)
+      .field("windowed_p50_us", windowed->p50 * 1e6)
+      .field("windowed_p90_us", windowed->p90 * 1e6)
+      .field("windowed_p99_us", windowed->p99 * 1e6)
+      .field("windowed_requests", windowed->total_count);
+  // Bucket upper edges; the overflow bucket's edge is the string "+Inf".
+  json.key("latency_bucket_bounds").array();
+  for (const double bound : windowed->bounds) json.value(bound);
+  json.value("+Inf").end();
+  json.field("latency_bucket_counts", windowed->bucket_counts);
+  if (ann_skipped_reason.empty()) {
+    json.field("ann_p50_us", ann_p50_us)
+        .field("ann_p99_us", ann_p99_us)
+        .field("ann_qps", ann_qps)
+        .field("ann_match_fraction", ann_match_fraction);
+  } else {
+    json.field("ann_skipped_reason", ann_skipped_reason);
   }
-
-  std::FILE* out = std::fopen(out_path.c_str(), "w");
-  if (out == nullptr) {
-    std::fprintf(stderr, "FATAL: cannot write %s\n", out_path.c_str());
-    return 1;
-  }
-  std::fprintf(out,
-               "{\n"
-               "  \"bench\": \"bench_serve\",\n"
-               "  \"dataset\": \"pima_m_synthetic\",\n"
-               "  \"rows\": %zu,\n"
-               "  \"dimensions\": %zu,\n"
-               "  \"reps\": %zu,\n"
-               "  \"predictors\": %zu,\n"
-               "  \"bundle_bytes\": %zu,\n"
-               "  \"p50_us\": %.3f,\n"
-               "  \"p90_us\": %.3f,\n"
-               "  \"p99_us\": %.3f,\n"
-               "  \"qps\": %.1f,\n"
-               "  \"coalesced_qps\": %.1f,\n"
-               "  \"windowed_p50_us\": %.3f,\n"
-               "  \"windowed_p90_us\": %.3f,\n"
-               "  \"windowed_p99_us\": %.3f,\n"
-               "  \"windowed_requests\": %llu,\n"
-               "  \"latency_bucket_bounds\": [%s],\n"
-               "  \"latency_bucket_counts\": [%s],\n"
-               "%s"
-               "  \"determinism_ok\": true,\n"
-               "  \"manifest\": %s\n"
-               "}\n",
-               n, setup.experiment.extractor.dimensions, reps,
-               predictors.size(), saved.str().size(), p50_us, p90_us, p99_us,
-               qps, coalesced_qps, windowed->p50 * 1e6, windowed->p90 * 1e6,
-               windowed->p99 * 1e6,
-               static_cast<unsigned long long>(windowed->total_count),
-               bounds_json.c_str(), counts_json.c_str(), ann_json.c_str(),
-               hdc::bench::manifest_json(ds, "pima_m_synthetic",
-                                         setup.experiment)
-                   .c_str());
-  std::fclose(out);
-  std::printf("# wrote %s\n", out_path.c_str());
-  return 0;
+  json.field("determinism_ok", true)
+      .raw_field("manifest", hdc::bench::manifest_json(ds, "pima_m_synthetic",
+                                                       setup.experiment))
+      .end();
+  return json.write(out_path) ? 0 : 1;
 }

@@ -355,57 +355,34 @@ int main(int argc, char** argv) {
     exit_code = 1;
   }
 
-  std::string speedup_json;
-  if (multi_core) {
-    char buffer[96];
-    std::snprintf(buffer, sizeof buffer,
-                  "  \"speedup_valid\": true,\n"
-                  "  \"speedup_stream_vs_inmem\": %.3f,\n",
-                  stream.speedup_stream_vs_inmem);
-    speedup_json = buffer;
-  } else {
-    speedup_json = "  \"speedup_skipped_reason\": \"hardware_threads==1\",\n";
-  }
-
-  std::FILE* out = std::fopen(out_path.c_str(), "w");
-  if (out == nullptr) {
-    std::fprintf(stderr, "FATAL: cannot write %s\n", out_path.c_str());
-    return 1;
-  }
   hdc::core::ExperimentConfig manifest_config = setup.experiment;
   manifest_config.extractor = identity_config;
   manifest_config.max_resident_rows = shard_rows;
-  std::fprintf(out,
-               "{\n"
-               "  \"bench\": \"bench_shard\",\n"
-               "  \"rows_identity\": %zu,\n"
-               "  \"rows_stream\": %zu,\n"
-               "  \"shard_counts\": [1, 4, 8],\n"
-               "  \"models_checked\": %zu,\n"
-               "  \"shard_identity\": %s,\n"
-               "  \"encode_fingerprints_ok\": %s,\n"
-               "  \"shard_rows\": %zu,\n"
-               "  \"num_shards\": %zu,\n"
-               "  \"peak_resident_bytes\": %zu,\n"
-               "  \"resident_budget_bytes\": %zu,\n"
-               "  \"peak_within_budget\": %s,\n"
-               "  \"throughput_rows_per_s\": %.0f,\n"
-               "%s"
-               "  \"hist_merge_ops\": %llu,\n"
-               "  \"manifest\": %s\n"
-               "}\n",
-               identity.rows, stream.rows, identity.models_checked,
-               shard_identity ? "true" : "false",
-               identity.fingerprints_ok ? "true" : "false", stream.shard_rows,
-               stream.num_shards, stream.peak_resident_bytes,
-               stream.resident_budget_bytes,
-               stream.peak_within_budget ? "true" : "false",
-               stream.throughput_rows_per_s, speedup_json.c_str(),
-               static_cast<unsigned long long>(hist_merge_ops),
-               hdc::bench::manifest_json(setup.pima_m, "pima_m_synthetic",
-                                         manifest_config)
-                   .c_str());
-  std::fclose(out);
-  std::printf("# wrote %s\n", out_path.c_str());
+  hdc::bench::JsonWriter json;
+  json.object()
+      .field("bench", "bench_shard")
+      .field("rows_identity", identity.rows)
+      .field("rows_stream", stream.rows)
+      .field("shard_counts", std::vector<int>{1, 4, 8})
+      .field("models_checked", identity.models_checked)
+      .field("shard_identity", shard_identity)
+      .field("encode_fingerprints_ok", identity.fingerprints_ok)
+      .field("shard_rows", stream.shard_rows)
+      .field("num_shards", stream.num_shards)
+      .field("peak_resident_bytes", stream.peak_resident_bytes)
+      .field("resident_budget_bytes", stream.resident_budget_bytes)
+      .field("peak_within_budget", stream.peak_within_budget)
+      .field("throughput_rows_per_s", stream.throughput_rows_per_s);
+  if (multi_core) {
+    json.field("speedup_valid", true)
+        .field("speedup_stream_vs_inmem", stream.speedup_stream_vs_inmem);
+  } else {
+    json.field("speedup_skipped_reason", "hardware_threads==1");
+  }
+  json.field("hist_merge_ops", hist_merge_ops)
+      .raw_field("manifest", hdc::bench::manifest_json(setup.pima_m, "pima_m_synthetic",
+                                                       manifest_config))
+      .end();
+  if (!json.write(out_path)) return 1;
   return exit_code;
 }

@@ -11,6 +11,7 @@
 #include "core/extractor.hpp"
 #include "data/preprocess.hpp"
 #include "data/synthetic.hpp"
+#include "hv/bit_matrix.hpp"
 #include "ml/gbdt.hpp"
 #include "ml/hist_gbdt.hpp"
 #include "ml/knn.hpp"
@@ -27,19 +28,21 @@ using hdc::core::HdcFeatureExtractor;
 struct Workload {
   hdc::data::Dataset dataset;
   hdc::ml::Matrix features;
-  hdc::ml::Matrix hypervectors;
+  hdc::ml::Matrix hypervectors;  // dense 0/1 doubles, for the NN
+  hdc::hv::BitMatrix hypervector_bits;  // the same rows packed, for the zoo
 
   static const Workload& instance() {
     static const Workload w = [] {
       Workload out{hdc::data::impute_class_median(
                        hdc::data::make_pima({130, 70, true, 0.05, 7})),
-                   {}, {}};
+                   {}, {}, {}};
       out.features = out.dataset.feature_matrix();
       ExtractorConfig config;
       config.dimensions = 10000;
       HdcFeatureExtractor extractor(config);
       extractor.fit(out.dataset);
       out.hypervectors = extractor.transform_to_matrix(out.dataset);
+      out.hypervector_bits = extractor.transform_bits(out.dataset);
       return out;
     }();
     return w;
@@ -81,8 +84,19 @@ void BM_MajorityBundle(benchmark::State& state) {
 }
 BENCHMARK(BM_MajorityBundle);
 
-template <typename Model>
-void fit_benchmark(benchmark::State& state, const hdc::ml::Matrix& X,
+// The input type picks the algorithm, as in the library: fit() for dense
+// features, fit_bits() for packed hypervectors.
+void fit_on(hdc::ml::Classifier& model, const hdc::ml::Matrix& X,
+            const hdc::ml::Labels& y) {
+  model.fit(X, y);
+}
+void fit_on(hdc::ml::Classifier& model, const hdc::hv::BitMatrix& X,
+            const hdc::ml::Labels& y) {
+  model.fit_bits(X, y);
+}
+
+template <typename Model, typename Input>
+void fit_benchmark(benchmark::State& state, const Input& X,
                    const hdc::data::Dataset& ds) {
   for (auto _ : state) {
     Model model = [] {
@@ -102,7 +116,7 @@ void fit_benchmark(benchmark::State& state, const hdc::ml::Matrix& X,
         return Model();
       }
     }();
-    model.fit(X, ds.labels());
+    fit_on(model, X, ds.labels());
     benchmark::DoNotOptimize(model);
   }
 }
@@ -113,7 +127,7 @@ void BM_XgbFit_Features(benchmark::State& state) {
 }
 void BM_XgbFit_Hypervectors(benchmark::State& state) {
   const Workload& w = Workload::instance();
-  fit_benchmark<hdc::ml::GbdtClassifier>(state, w.hypervectors, w.dataset);
+  fit_benchmark<hdc::ml::GbdtClassifier>(state, w.hypervector_bits, w.dataset);
 }
 BENCHMARK(BM_XgbFit_Features)->Unit(benchmark::kMillisecond);
 BENCHMARK(BM_XgbFit_Hypervectors)->Unit(benchmark::kMillisecond);
@@ -124,7 +138,7 @@ void BM_LgbmFit_Features(benchmark::State& state) {
 }
 void BM_LgbmFit_Hypervectors(benchmark::State& state) {
   const Workload& w = Workload::instance();
-  fit_benchmark<hdc::ml::HistGbdtClassifier>(state, w.hypervectors, w.dataset);
+  fit_benchmark<hdc::ml::HistGbdtClassifier>(state, w.hypervector_bits, w.dataset);
 }
 BENCHMARK(BM_LgbmFit_Features)->Unit(benchmark::kMillisecond);
 BENCHMARK(BM_LgbmFit_Hypervectors)->Unit(benchmark::kMillisecond);
@@ -135,7 +149,7 @@ void BM_CatBoostFit_Features(benchmark::State& state) {
 }
 void BM_CatBoostFit_Hypervectors(benchmark::State& state) {
   const Workload& w = Workload::instance();
-  fit_benchmark<hdc::ml::OrderedGbdtClassifier>(state, w.hypervectors, w.dataset);
+  fit_benchmark<hdc::ml::OrderedGbdtClassifier>(state, w.hypervector_bits, w.dataset);
 }
 BENCHMARK(BM_CatBoostFit_Features)->Unit(benchmark::kMillisecond);
 BENCHMARK(BM_CatBoostFit_Hypervectors)->Unit(benchmark::kMillisecond);
@@ -167,7 +181,7 @@ BENCHMARK(BM_NnEpoch_Hypervectors)->Unit(benchmark::kMillisecond);
 void BM_KnnPredict_Hypervectors(benchmark::State& state) {
   const Workload& w = Workload::instance();
   hdc::ml::KnnClassifier model;
-  model.fit(w.hypervectors, w.dataset.labels());
+  model.fit_bits(w.hypervector_bits, w.dataset.labels());
   for (auto _ : state) {
     benchmark::DoNotOptimize(model.predict(w.hypervectors[0]));
   }

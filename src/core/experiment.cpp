@@ -8,7 +8,6 @@
 #include "data/split.hpp"
 #include "eval/metrics.hpp"
 #include "hv/bit_matrix.hpp"
-#include "ml/packed.hpp"
 #include "ml/sharded.hpp"
 #include "ml/zoo.hpp"
 #include "obs/trace.hpp"
@@ -38,7 +37,7 @@ FoldData materialize_fold(const data::Dataset& ds,
     obs::Span span("experiment.encode");
     HdcFeatureExtractor extractor(config.extractor);
     extractor.fit(train_ds);
-    if (allow_packed && config.packed_ml && ml::packed_enabled()) {
+    if (allow_packed) {
       if (config.max_resident_rows > 0) {
         // Shard-at-a-time encode: each block is produced independently, so
         // the peak bitplane working set tracks max_resident_rows, and the

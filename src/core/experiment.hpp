@@ -33,11 +33,6 @@ struct ExperimentConfig {
   /// process-wide pool. Results are bit-identical for every setting (the
   /// golden determinism test pins 1 vs hardware_threads()).
   std::size_t threads = 0;
-  /// Feed hypervector folds to the downstream models as bit-packed columnar
-  /// matrices (popcount kernels) instead of dense doubles. Splits and
-  /// predictions are bit-identical either way; only speed and memory change.
-  /// The HDC_ML_PACKED environment switch can still veto the packed path.
-  bool packed_ml = true;
   /// Encode and train fold bitplanes in shards of at most this many rows
   /// (0 = everything in one block, the classic path). Any positive value
   /// routes fitting through the models' fit_shards path — whose output is
@@ -48,11 +43,10 @@ struct ExperimentConfig {
 };
 
 /// Materialised (X, y) for one fold's train/test rows, in raw or
-/// hypervector space. On the packed route hypervector folds carry
-/// bit-packed matrices instead of dense doubles (train_X/test_X stay
-/// empty). Shared between the per-model CV drivers below and the grid
-/// runner's fold-encoding cache (core/grid), which must produce
-/// bit-identical folds.
+/// hypervector space. Packed hypervector folds carry bit-packed matrices
+/// instead of dense doubles (train_X/test_X stay empty). Shared between the
+/// per-model CV drivers below and the grid runner's fold-encoding cache
+/// (core/grid), which must produce bit-identical folds.
 struct FoldData {
   ml::Matrix train_X;
   ml::Labels train_y;

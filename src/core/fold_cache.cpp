@@ -1,33 +1,12 @@
 #include "core/fold_cache.hpp"
 
 #include <algorithm>
-#include <atomic>
-#include <cstdlib>
-#include <string_view>
 
 #include "obs/metrics.hpp"
-#include "util/log.hpp"
 
 namespace hdc::core {
 
 namespace {
-
-bool initial_enabled() {
-  const char* env = std::getenv("HDC_FOLD_CACHE");
-  if (env == nullptr || *env == '\0') return true;
-  const std::string_view value(env);
-  if (value == "1" || value == "on" || value == "true") return true;
-  if (value == "0" || value == "off" || value == "false") return false;
-  util::log_fields(util::LogLevel::kWarn,
-                   "HDC_FOLD_CACHE: unknown value, keeping fold cache enabled",
-                   {{"value", env}});
-  return true;
-}
-
-std::atomic<bool>& cache_state() {
-  static std::atomic<bool> state{initial_enabled()};
-  return state;
-}
 
 struct CacheMetrics {
   obs::Counter& hits = obs::counter("grid.cache_hits");
@@ -43,22 +22,10 @@ struct CacheMetrics {
 
 }  // namespace
 
-bool fold_cache_enabled() noexcept {
-  return cache_state().load(std::memory_order_relaxed);
-}
-
-void set_fold_cache_enabled(bool enabled) noexcept {
-  cache_state().store(enabled, std::memory_order_relaxed);
-}
-
-void reset_fold_cache_enabled() noexcept {
-  cache_state().store(initial_enabled(), std::memory_order_relaxed);
-}
-
 void FoldEncodingCache::put(const FoldKey& key,
                             std::shared_ptr<const FoldData> fold,
                             std::size_t expected_users) {
-  if (!fold_cache_enabled() || expected_users == 0) return;
+  if (expected_users == 0) return;
   std::lock_guard<std::mutex> lock(mutex_);
   Entry& entry = entries_[key];
   if (entry.fold == nullptr) {
@@ -71,12 +38,6 @@ void FoldEncodingCache::put(const FoldKey& key,
 }
 
 std::shared_ptr<const FoldData> FoldEncodingCache::acquire(const FoldKey& key) {
-  if (!fold_cache_enabled()) {
-    std::lock_guard<std::mutex> lock(mutex_);
-    ++stats_.misses;
-    if (obs::enabled()) CacheMetrics::get().misses.increment();
-    return nullptr;
-  }
   std::lock_guard<std::mutex> lock(mutex_);
   const auto it = entries_.find(key);
   if (it == entries_.end()) {

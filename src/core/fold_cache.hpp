@@ -4,8 +4,8 @@
 // the serial driver does that once per (model, fold) pair, so ten models
 // re-encode the identical fold partition ten times. The grid runner instead
 // encodes each (dataset, seed, fold, dim) exactly once into a FoldData
-// (bit-packed BitMatrix pair + labels, or the dense mirror in raw/unpacked
-// mode) and shares it across every model task through this cache.
+// (bit-packed BitMatrix pair + labels, or dense doubles for raw features)
+// and shares it across every model task through this cache.
 //
 // Entries are ref-counted by *expected consumers*: the producer inserts with
 // the number of model tasks that will read the fold, each consumer calls
@@ -13,12 +13,6 @@
 // the count hits zero — so peak memory is bounded by the folds actually in
 // flight, not the whole grid. shared_ptr keeps the payload alive for any
 // consumer still holding it past eviction.
-//
-// Kill switch: HDC_FOLD_CACHE=0 (or off/false) disables sharing — every
-// consumer then re-encodes its fold itself. Results are bit-identical either
-// way (materialize_fold is a pure function of its inputs); only wall-clock
-// and memory change. set_fold_cache_enabled() overrides programmatically for
-// tests, mirroring the HDC_ML_PACKED / HDC_SIMD conventions.
 #pragma once
 
 #include <cstddef>
@@ -36,7 +30,7 @@ namespace hdc::core {
 /// Identity of one encoded fold. The dataset name stands in for the dataset
 /// contents (grid callers name their datasets uniquely); everything else
 /// that changes the encoding — CV seed, fold index, dimensionality,
-/// extractor seed, input mode, packed route — is part of the key.
+/// extractor seed, input mode — is part of the key.
 struct FoldKey {
   std::string dataset;
   std::uint64_t cv_seed = 0;
@@ -44,44 +38,34 @@ struct FoldKey {
   std::uint64_t dimensions = 0;
   std::uint64_t extractor_seed = 0;
   InputMode mode = InputMode::kHypervectors;
-  bool packed = true;
 
   friend bool operator<(const FoldKey& a, const FoldKey& b) {
     const auto tie = [](const FoldKey& k) {
       return std::tie(k.dataset, k.cv_seed, k.fold, k.dimensions,
-                      k.extractor_seed, k.mode, k.packed);
+                      k.extractor_seed, k.mode);
     };
     return tie(a) < tie(b);
   }
 };
 
-/// Current state of the fold-cache switch (HDC_FOLD_CACHE, default on).
-[[nodiscard]] bool fold_cache_enabled() noexcept;
-
-/// Force the switch for this process (tests, benches).
-void set_fold_cache_enabled(bool enabled) noexcept;
-
-/// Drop any programmatic override and return to HDC_FOLD_CACHE / default.
-void reset_fold_cache_enabled() noexcept;
-
 class FoldEncodingCache {
  public:
   struct Stats {
     std::uint64_t hits = 0;       // acquire() served from the cache
-    std::uint64_t misses = 0;     // acquire() found nothing (or disabled)
+    std::uint64_t misses = 0;     // acquire() found nothing
     std::uint64_t insertions = 0;
     std::uint64_t evictions = 0;  // entries freed after their last release()
     std::size_t peak_entries = 0;
   };
 
   /// Store an encoding that `expected_users` consumers will acquire+release.
-  /// No-op when the cache is disabled. Inserting an existing key adds the
+  /// No-op when expected_users is 0. Inserting an existing key adds the
   /// users to the outstanding count (the payloads are interchangeable by
   /// construction).
   void put(const FoldKey& key, std::shared_ptr<const FoldData> fold,
            std::size_t expected_users);
 
-  /// The cached encoding, or nullptr on miss / disabled cache. Each
+  /// The cached encoding, or nullptr on miss. Each
   /// successful acquire must be paired with one release().
   [[nodiscard]] std::shared_ptr<const FoldData> acquire(const FoldKey& key);
 

@@ -8,7 +8,6 @@
 #include "core/fold_cache.hpp"
 #include "core/manifest.hpp"
 #include "data/split.hpp"
-#include "ml/packed.hpp"
 #include "ml/zoo.hpp"
 #include "obs/metrics.hpp"
 #include "parallel/task_graph.hpp"
@@ -71,8 +70,6 @@ GridResult run_grid_scheduled(std::span<const GridDatasetSpec> datasets,
   parallel::ThreadPool pool(workers);
   TaskGraph graph;
   FoldEncodingCache cache;
-  const bool cached = fold_cache_enabled();
-  const bool packed = config.experiment.packed_ml && ml::packed_enabled();
   const std::size_t k = config.kfold;
 
   // Fold partitions are a pure function of (labels, k, seed) — exactly the
@@ -107,28 +104,22 @@ GridResult run_grid_scheduled(std::span<const GridDatasetSpec> datasets,
     key.dimensions = config.experiment.extractor.dimensions;
     key.extractor_seed = config.experiment.extractor.seed;
     key.mode = config.mode;
-    key.packed = packed;
     return key;
   };
-  const auto materialize = [&](std::size_t d, std::size_t f) {
-    obs::counter("experiment.folds").increment();
-    return materialize_fold(*datasets[d].data, folds[d].train[f],
-                            folds[d].test[f], config.mode, config.experiment,
-                            /*allow_packed=*/true);
-  };
 
-  // encode(d, f) tasks — only worth a task when the cache can share them.
+  // encode(d, f) tasks: each fold is materialised once and shared.
   std::vector<std::vector<TaskGraph::TaskId>> encode_ids(datasets.size());
-  if (cached) {
-    for (std::size_t d = 0; d < datasets.size(); ++d) {
-      for (std::size_t f = 0; f < k; ++f) {
-        encode_ids[d].push_back(graph.add("grid.encode", [&, d, f] {
-          cache.put(fold_key(d, f),
-                    std::make_shared<const FoldData>(materialize(d, f)),
-                    models.size());
-        }));
-        ++result.stats.encode_tasks;
-      }
+  for (std::size_t d = 0; d < datasets.size(); ++d) {
+    for (std::size_t f = 0; f < k; ++f) {
+      encode_ids[d].push_back(graph.add("grid.encode", [&, d, f] {
+        obs::counter("experiment.folds").increment();
+        cache.put(fold_key(d, f),
+                  std::make_shared<const FoldData>(materialize_fold(
+                      *datasets[d].data, folds[d].train[f], folds[d].test[f],
+                      config.mode, config.experiment, /*allow_packed=*/true)),
+                  models.size());
+      }));
+      ++result.stats.encode_tasks;
     }
   }
 
@@ -141,20 +132,20 @@ GridResult run_grid_scheduled(std::span<const GridDatasetSpec> datasets,
       for (std::size_t f = 0; f < k; ++f) {
         const auto body = [&, d, m, f] {
           const FoldKey key = fold_key(d, f);
-          std::shared_ptr<const FoldData> fold = cache.acquire(key);
-          const bool from_cache = fold != nullptr;
-          if (!from_cache) {
-            fold = std::make_shared<const FoldData>(materialize(d, f));
+          const std::shared_ptr<const FoldData> fold = cache.acquire(key);
+          // The encode task this one depends on put the entry, and it is
+          // only evicted after this task's release().
+          if (fold == nullptr) {
+            throw std::logic_error("run_grid: fold missing from the cache");
           }
           const auto model =
               ml::make_model(models[m], config.experiment.model_budget);
           fit_fold_model(*model, *fold);
           scores[d][m][f] = fold_accuracy(*model, *fold);
-          if (from_cache) cache.release(key);
+          cache.release(key);
         };
         model_ids[d][m].push_back(
-            cached ? graph.add("grid.fit", body, {encode_ids[d][f]})
-                   : graph.add("grid.fit", body));
+            graph.add("grid.fit", body, {encode_ids[d][f]}));
         ++result.stats.model_tasks;
       }
     }
@@ -227,7 +218,7 @@ GridResult run_grid(std::span<const GridDatasetSpec> datasets,
   // Resolve every name eagerly: make_model throws on unknown names, and a
   // throw from inside a scheduled task would take down the pool instead.
   for (const std::string& model : models) {
-    ml::make_model(model, config.experiment.model_budget);
+    (void)ml::make_model(model, config.experiment.model_budget);
   }
   GridResult result = config.scheduled
                           ? run_grid_scheduled(datasets, config, models)

@@ -13,9 +13,8 @@
 //        |                               into the FoldEncodingCache
 //        v
 //   fit/eval(d, model m, fold f)         one task per (d, m, f); acquires
-//        |                               the cached fold (or re-encodes it
-//        |                               when HDC_FOLD_CACHE=0), fits a
-//        v                               fresh model, scores the test rows
+//        |                               the cached fold, fits a fresh
+//        v                               model, scores the test rows
 //   reduce(d, m)                         one task per (d, m); folds the k
 //                                        scores into a CvResult in fixed
 //                                        fold order via summarize_folds()
@@ -28,7 +27,7 @@
 // uses), tasks only communicate through their dependency edges, and reduces
 // read fold scores from a pre-indexed array in fold order — so the grid's
 // metrics are EXPECT_EQ-identical to the serial path for every worker
-// count, cache on or off.
+// count.
 #pragma once
 
 #include <cstddef>
@@ -81,7 +80,7 @@ struct GridDatasetResult {
 /// Scheduler / cache observability for one grid run. Purely informational —
 /// never feeds back into the metrics.
 struct GridStats {
-  std::size_t encode_tasks = 0;  // 0 when the fold cache is disabled
+  std::size_t encode_tasks = 0;
   std::size_t model_tasks = 0;
   std::size_t reduce_tasks = 0;
   std::size_t nn_tasks = 0;
@@ -89,7 +88,7 @@ struct GridStats {
   std::uint64_t cache_misses = 0;
   std::uint64_t cache_evictions = 0;
   std::size_t cache_peak_entries = 0;
-  /// Fold consumers per encode task (≈ model count when the cache is on).
+  /// Fold consumers per encode task (the model count).
   double dedup_ratio = 0.0;
   std::uint64_t tasks_executed = 0;
   std::uint64_t steals = 0;

@@ -3,7 +3,6 @@
 #include <stdexcept>
 
 #include "hv/bit_matrix.hpp"
-#include "ml/packed.hpp"
 
 namespace hdc::core {
 
@@ -19,15 +18,7 @@ void HybridModel::fit(const data::Dataset& train) {
   extractor_.fit(train);
   // Hypervector features are 0/1, so hand the downstream model the
   // bit-packed design matrix directly; it never sees a dense double copy.
-  // Predictions are bit-identical to the dense route (the packed kernels
-  // mirror the dense arithmetic exactly); HDC_ML_PACKED=0 restores it.
-  if (ml::packed_enabled()) {
-    const hv::BitMatrix X = extractor_.transform_bits(train);
-    downstream_->fit_bits(X, train.labels());
-  } else {
-    const ml::Matrix X = extractor_.transform_to_matrix(train);
-    downstream_->fit(X, train.labels());
-  }
+  downstream_->fit_bits(extractor_.transform_bits(train), train.labels());
   fitted_ = true;
 }
 
@@ -42,11 +33,7 @@ double HybridModel::predict_proba(std::span<const double> row) const {
 
 std::vector<int> HybridModel::predict_all(const data::Dataset& ds) const {
   if (!fitted_) throw std::logic_error("HybridModel: not fitted");
-  if (ml::packed_enabled()) {
-    return downstream_->predict_all_bits(extractor_.transform_bits(ds));
-  }
-  const ml::Matrix X = extractor_.transform_to_matrix(ds);
-  return downstream_->predict_all(X);
+  return downstream_->predict_all_bits(extractor_.transform_bits(ds));
 }
 
 eval::BinaryMetrics HybridModel::evaluate(const data::Dataset& test) const {

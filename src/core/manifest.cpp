@@ -4,9 +4,7 @@
 #include <sstream>
 
 #include "core/experiment.hpp"
-#include "core/fold_cache.hpp"
 #include "data/chunked.hpp"
-#include "ml/packed.hpp"
 #include "obs/export.hpp"
 #include "obs/metrics.hpp"
 #include "obs/trace.hpp"
@@ -93,8 +91,6 @@ RunManifest make_run_manifest(const data::Dataset& ds,
   m.simd_tier = simd::tier_name(simd::active_tier());
   m.threads = config.threads;
   m.hardware_threads = parallel::hardware_threads();
-  m.packed_ml = config.packed_ml && ml::packed_enabled();
-  m.fold_cache = fold_cache_enabled();
   m.obs_enabled = obs::enabled();
   m.trace_enabled = obs::trace_enabled();
   m.shard_rows = config.max_resident_rows;
@@ -117,10 +113,6 @@ std::string to_json(const RunManifest& manifest) {
   append_json_string(out, manifest.simd_tier);
   out += ",\"threads\":" + std::to_string(manifest.threads);
   out += ",\"hardware_threads\":" + std::to_string(manifest.hardware_threads);
-  out += ",\"packed_ml\":";
-  out += manifest.packed_ml ? "true" : "false";
-  out += ",\"fold_cache\":";
-  out += manifest.fold_cache ? "true" : "false";
   out += ",\"obs_enabled\":";
   out += manifest.obs_enabled ? "true" : "false";
   out += ",\"trace_enabled\":";
@@ -141,8 +133,9 @@ void save_manifest(std::ostream& out, const RunManifest& manifest) {
   w.tag("run").u64(manifest.dimensions).u64(manifest.extractor_seed)
       .u64(manifest.split_seed).str(manifest.simd_tier)
       .u64(manifest.threads).u64(manifest.hardware_threads).nl();
-  w.tag("flags").u64(manifest.packed_ml ? 1 : 0)
-      .u64(manifest.fold_cache ? 1 : 0).u64(manifest.obs_enabled ? 1 : 0)
+  // The first two flag slots are retired: written as 1 and ignored on load,
+  // so the row keeps its four-slot shape and older bundles still load.
+  w.tag("flags").u64(1).u64(1).u64(manifest.obs_enabled ? 1 : 0)
       .u64(manifest.trace_enabled ? 1 : 0).nl();
   w.tag("obs").str(manifest.obs_json).nl();
   w.tag("shards").u64(manifest.shard_rows).u64(manifest.num_shards).nl();
@@ -167,8 +160,8 @@ RunManifest load_manifest(std::istream& in) {
   m.threads = r.u64("threads");
   m.hardware_threads = r.u64("hardware threads");
   r.expect("flags", "flags header");
-  m.packed_ml = r.u64("packed_ml flag") != 0;
-  m.fold_cache = r.u64("fold_cache flag") != 0;
+  (void)r.u64("retired flag");
+  (void)r.u64("retired flag");
   m.obs_enabled = r.u64("obs_enabled flag") != 0;
   m.trace_enabled = r.u64("trace_enabled flag") != 0;
   r.expect("obs", "obs header");

@@ -3,8 +3,8 @@
 // A result (ExperimentResult, GridResult, ModelBundle, BENCH_*.json) is only
 // reproducible if it records exactly how it was produced: which dataset
 // bytes, which seeds and dimensions, which SIMD tier the dispatcher picked,
-// how many threads ran, and which fast-path switches (packed ML, fold cache)
-// were engaged. RunManifest captures all of that, plus the obs snapshot as
+// how many threads ran, and whether obs recording and tracing were on.
+// RunManifest captures all of that, plus the obs snapshot as
 // embedded JSON, at the moment a run finishes. The dataset fingerprint is a
 // streaming FNV-1a over the exact value bit patterns, labels, and column
 // specs — any edit to the data changes the hash.
@@ -35,8 +35,6 @@ struct RunManifest {
   std::string simd_tier;          // simd::tier_name(active_tier())
   std::uint64_t threads = 0;      // configured worker count (0 = global pool)
   std::uint64_t hardware_threads = 0;
-  bool packed_ml = false;         // config AND runtime switch
-  bool fold_cache = false;
   bool obs_enabled = false;
   bool trace_enabled = false;
   std::uint64_t shard_rows = 0;   // ExperimentConfig::max_resident_rows
@@ -53,7 +51,7 @@ struct RunManifest {
 [[nodiscard]] std::uint64_t mix_hash(std::uint64_t acc, std::uint64_t value) noexcept;
 
 /// Capture a manifest for a run over `ds` under `config`, including the
-/// current obs snapshot and runtime switch states.
+/// current obs snapshot and obs/trace states.
 [[nodiscard]] RunManifest make_run_manifest(const data::Dataset& ds,
                                             std::string_view dataset_name,
                                             const ExperimentConfig& config);

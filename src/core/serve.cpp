@@ -20,6 +20,16 @@ parallel::ThreadPool& resolve_pool(parallel::ThreadPool* pool) {
   return pool != nullptr ? *pool : parallel::ThreadPool::global();
 }
 
+/// Rows per drained batch: powers of two up to 4096, so every max_batch
+/// setting in use lands in a finite bucket (the default seconds ladder ends
+/// at ~8.4, below a 64-row batch).
+constexpr double kBatchSizeBounds[] = {1,   2,   4,    8,    16,   32,  64,
+                                       128, 256, 512, 1024, 2048, 4096};
+
+/// Fractions in [0, 1], in tenths.
+constexpr double kFractionBounds[] = {0.1, 0.2, 0.3, 0.4, 0.5,
+                                      0.6, 0.7, 0.8, 0.9, 1.0};
+
 /// Streaming per-request latency for live /metrics scrapes (p50/p90/p99
 /// over the retained windows). Registered once; record() is obs-gated.
 obs::WindowedHistogram& serve_latency() {
@@ -118,7 +128,7 @@ int ServeEngine::predict_encoded(const hv::BitVector& encoded) const {
           obs::counter("serve.ann.candidates").add(stats.candidates);
           obs::counter("serve.ann.probes").add(stats.probes);
           if (stats.candidates > 0) {
-            obs::histogram("serve.ann.rerank_fraction")
+            obs::histogram("serve.ann.rerank_fraction", kFractionBounds)
                 .record(static_cast<double>(stats.reranked) /
                         static_cast<double>(stats.candidates));
           }
@@ -263,7 +273,8 @@ void ServeEngine::drain() {
       }
     }
     obs::counter("serve.batches").add(1);
-    obs::histogram("serve.batch_size").record(static_cast<double>(batch.size()));
+    obs::histogram("serve.batch_size", kBatchSizeBounds)
+        .record(static_cast<double>(batch.size()));
     if (obs::enabled() && !batch.empty()) {
       // Per-request share of the batch's wall time: the coalesced analogue
       // of classify()'s latency sample.

@@ -1,8 +1,10 @@
 // Common interface for the from-scratch classical ML substrate.
 //
 // The paper feeds either raw features (8 / 16 columns) or 10,000-bit
-// hypervectors (as 0/1 columns) into scikit-learn style models. Every model
-// here therefore consumes a dense row-major double matrix and binary labels.
+// hypervectors (as 0/1 columns) into scikit-learn style models. The input
+// type picks the algorithm: fit() takes a dense row-major double matrix
+// (raw features), fit_bits() a bit-packed BitMatrix (hypervectors), and
+// fit_shards() a shard-at-a-time ShardSource; labels are binary throughout.
 #pragma once
 
 #include <iosfwd>

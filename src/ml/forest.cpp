@@ -5,7 +5,6 @@
 #include <stdexcept>
 
 #include "hv/bit_matrix.hpp"
-#include "ml/packed.hpp"
 #include "ml/sharded.hpp"
 #include "parallel/thread_pool.hpp"
 #include "util/rng.hpp"
@@ -18,12 +17,6 @@ RandomForest::RandomForest(ForestConfig config) : config_(config) {
 
 void RandomForest::fit(const Matrix& X, const Labels& y) {
   validate_training_data(X, y);
-  if (packed_enabled()) {
-    if (const std::optional<hv::BitMatrix> bits = try_pack(X)) {
-      fit_packed(*bits, y);
-      return;
-    }
-  }
   const ColumnTable table(X, y);
   const std::size_t n = table.n_rows();
 
@@ -50,15 +43,7 @@ void RandomForest::fit(const Matrix& X, const Labels& y) {
 }
 
 void RandomForest::fit_bits(const hv::BitMatrix& X, const Labels& y) {
-  if (!packed_enabled()) {
-    Classifier::fit_bits(X, y);  // kill switch covers fit_bits callers too
-    return;
-  }
   validate_training_bits(X, y);
-  fit_packed(X, y);
-}
-
-void RandomForest::fit_packed(const hv::BitMatrix& X, const Labels& y) {
   const std::size_t n = X.rows();
 
   TreeConfig tree_config = config_.tree;

@@ -43,8 +43,6 @@ class RandomForest final : public Classifier {
   [[nodiscard]] std::vector<double> feature_importances() const;
 
  private:
-  void fit_packed(const hv::BitMatrix& X, const Labels& y);
-
   ForestConfig config_;
   std::vector<DecisionTree> trees_;
 };

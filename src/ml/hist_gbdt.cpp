@@ -38,12 +38,6 @@ std::uint8_t HistGbdtClassifier::bin_of(std::size_t feature, double value) const
 
 void HistGbdtClassifier::fit(const Matrix& X, const Labels& y) {
   validate_training_data(X, y);
-  if (packed_enabled()) {
-    if (const std::optional<hv::BitMatrix> bits = try_pack(X)) {
-      fit_packed(*bits, y);
-      return;
-    }
-  }
   obs::Span span("ml.hist_gbdt.fit");
   const std::size_t n = X.size();
   const std::size_t d = X.front().size();
@@ -230,15 +224,6 @@ void HistGbdtClassifier::fit(const Matrix& X, const Labels& y) {
   obs::counter("ml.fit.boost_rounds").add(trees_.size());
 }
 
-void HistGbdtClassifier::fit_bits(const hv::BitMatrix& X, const Labels& y) {
-  if (!packed_enabled()) {
-    Classifier::fit_bits(X, y);  // kill switch covers fit_bits callers too
-    return;
-  }
-  validate_training_bits(X, y);
-  fit_packed(X, y);
-}
-
 namespace {
 
 /// Registry handles resolved once; every add() gates on obs::enabled().
@@ -270,8 +255,9 @@ double tree_output_bits(const Tree& tree, const std::uint64_t* row_bits) {
 
 }  // namespace
 
-void HistGbdtClassifier::fit_packed(const hv::BitMatrix& X, const Labels& y) {
-  obs::Span span("ml.hist_gbdt.fit_packed");
+void HistGbdtClassifier::fit_bits(const hv::BitMatrix& X, const Labels& y) {
+  obs::Span span("ml.hist_gbdt.fit_bits");
+  validate_training_bits(X, y);
   PackedFitMetrics& metrics = PackedFitMetrics::get();
   metrics.fits.increment();
   const std::size_t n = X.rows();
@@ -472,7 +458,7 @@ void HistGbdtClassifier::fit_shards(const ShardSource& src,
   constexpr double kScale = 2147483648.0;  // 2^31
 
   // Bin structure from whole-cohort popcounts, merged across shards as
-  // integer sums (same rule as fit_packed: mixed column -> edges {0.0}).
+  // integer sums (same rule as fit_bits: mixed column -> edges {0.0}).
   bin_edges_.assign(d, {});
   {
     std::vector<std::uint64_t> pop(d, 0);

@@ -26,6 +26,9 @@ class HistGbdtClassifier final : public Classifier {
   explicit HistGbdtClassifier(HistGbdtConfig config = {});
 
   void fit(const Matrix& X, const Labels& y) override;
+  /// Packed fit: split gains from per-node mask × column-bitplane popcount
+  /// reductions instead of per-row binning. Bit-identical to the dense fit
+  /// on any all-0/1 matrix (same accumulation order, same tie-breaks).
   void fit_bits(const hv::BitMatrix& X, const Labels& y) override;
   /// Data-parallel sharded fit (the LightGBM data-parallel learner shape):
   /// per-row gradients/hessians are quantized to int64 at a fixed scale, so
@@ -60,11 +63,6 @@ class HistGbdtClassifier final : public Classifier {
 
   [[nodiscard]] std::uint8_t bin_of(std::size_t feature, double value) const;
   [[nodiscard]] static double tree_output(const Tree& tree, std::span<const double> x);
-
-  /// Packed fit: split gains from per-node mask × column-bitplane popcount
-  /// reductions instead of per-row binning. Bit-identical to the dense fit
-  /// on any all-0/1 matrix (same accumulation order, same tie-breaks).
-  void fit_packed(const hv::BitMatrix& X, const Labels& y);
 
   HistGbdtConfig config_;
   std::vector<std::vector<double>> bin_edges_;  // per feature, ascending

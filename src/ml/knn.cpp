@@ -4,7 +4,6 @@
 #include <cmath>
 #include <stdexcept>
 
-#include "ml/packed.hpp"
 #include "ml/sharded.hpp"
 #include "simd/dispatch.hpp"
 
@@ -17,24 +16,12 @@ KnnClassifier::KnnClassifier(KnnConfig config) : config_(config) {
 void KnnClassifier::fit(const Matrix& X, const Labels& y) {
   validate_training_data(X, y);
   ann_.reset();  // a previous index indexed the previous training set
-  if (packed_enabled()) {
-    if (std::optional<hv::BitMatrix> bits = try_pack(X)) {
-      train_bits_ = std::move(*bits);
-      train_X_.clear();
-      train_y_ = y;
-      return;
-    }
-  }
   train_X_ = X;
   train_bits_ = hv::BitMatrix();
   train_y_ = y;
 }
 
 void KnnClassifier::fit_bits(const hv::BitMatrix& X, const Labels& y) {
-  if (!packed_enabled()) {
-    Classifier::fit_bits(X, y);  // kill switch covers fit_bits callers too
-    return;
-  }
   validate_training_bits(X, y);
   ann_.reset();
   train_bits_ = X;
@@ -52,8 +39,8 @@ void KnnClassifier::fit_shards(const ShardSource& src,
 void KnnClassifier::enable_ann(const hv::ann::Config& config) {
   if (train_bits_.empty()) {
     throw std::logic_error(
-        "KNN: ANN needs a packed (binary) training store — fit on binary "
-        "features with packing enabled first");
+        "KNN: ANN needs a packed (binary) training store — fit with "
+        "fit_bits() first");
   }
   ann_ = hv::ann::Index::build(train_bits_.row_major(), config);
 }

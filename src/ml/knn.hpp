@@ -1,10 +1,9 @@
 // K-nearest-neighbours classifier (Euclidean distance, majority vote).
 //
-// When the training matrix is binary (hypervector features) the rows are
-// retained bit-packed and squared Euclidean distance is answered as a
-// Hamming distance through the simd dispatch table — for 0/1 data the two
-// are the same exact integer, so neighbour sets and votes are bit-identical
-// to the dense path.
+// fit_bits() (hypervector features) retains the rows bit-packed, and squared
+// Euclidean distance is answered as a Hamming distance through the simd
+// dispatch table — for 0/1 data the two are the same exact integer, so
+// neighbour sets and votes are bit-identical to the dense path.
 #pragma once
 
 #include <optional>
@@ -41,8 +40,8 @@ class KnnClassifier final : public Classifier {
   void load_state(std::istream& in) override;
 
   /// Opt-in sub-linear neighbour search over the packed training rows (the
-  /// hv::ann coarse-filter / exact-rerank index). Requires a packed (binary)
-  /// training store. Off by default; not persisted by save_state — callers
+  /// hv::ann coarse-filter / exact-rerank index). Requires a fit_bits() /
+  /// fit_shards() training store. Off by default; not persisted by save_state — callers
   /// re-enable after load when they want it.
   void enable_ann(const hv::ann::Config& config = {});
   void disable_ann() noexcept { ann_.reset(); }

@@ -4,7 +4,6 @@
 #include <stdexcept>
 
 #include "hv/bit_matrix.hpp"
-#include "ml/packed.hpp"
 #include "ml/sharded.hpp"
 #include "obs/metrics.hpp"
 #include "obs/trace.hpp"
@@ -19,15 +18,85 @@ LogisticRegression::LogisticRegression(LogisticConfig config) : config_(config) 
   if (config_.c <= 0.0) throw std::invalid_argument("LogisticRegression: C <= 0");
 }
 
+LogisticRegression::BinaryZ LogisticRegression::binary_standardize(
+    std::span<const std::size_t> pop, std::size_t n) {
+  const std::size_t d = pop.size();
+  mean_.assign(d, 0.0);
+  inv_std_.assign(d, 1.0);
+  if (config_.standardize) {
+    // For 0/1 columns sum == sum_sq == popcount, and the dense row-order
+    // accumulation of +1.0 terms is integer-exact, so these moments are
+    // bit-identical to the dense pass.
+    for (std::size_t j = 0; j < d; ++j) {
+      const double sum = static_cast<double>(pop[j]);
+      mean_[j] = sum / static_cast<double>(n);
+      const double var = sum / static_cast<double>(n) - mean_[j] * mean_[j];
+      inv_std_[j] = var > 1e-12 ? 1.0 / std::sqrt(var) : 1.0;
+    }
+  }
+  // A 0/1 feature standardises to one of two constants per column, each
+  // equal to the dense (x - mean) * inv_std result exactly.
+  BinaryZ table;
+  table.z0.resize(d);
+  table.z1.resize(d);
+  for (std::size_t j = 0; j < d; ++j) {
+    table.z0[j] = (0.0 - mean_[j]) * inv_std_[j];
+    table.z1[j] = (1.0 - mean_[j]) * inv_std_[j];
+  }
+  return table;
+}
+
+void LogisticRegression::BinaryZ::expand(const std::uint64_t* row,
+                                         double* out) const {
+  for (std::size_t j = 0; j < z0.size(); ++j) {
+    out[j] = (row[j / 64] >> (j % 64)) & 1u ? z1[j] : z0[j];
+  }
+}
+
+template <typename ForEachRow>
+void LogisticRegression::run_gradient_descent(std::size_t n, std::size_t d,
+                                              const ForEachRow& for_each_row) {
+  w_.assign(d, 0.0);
+  b_ = 0.0;
+  std::vector<double> vel_w(d, 0.0);
+  double vel_b = 0.0;
+  const double lambda = 1.0 / (config_.c * static_cast<double>(n));
+  std::vector<double> grad(d);
+
+  std::size_t iters_run = 0;
+  for (std::size_t iter = 0; iter < config_.max_iter; ++iter) {
+    ++iters_run;
+    std::fill(grad.begin(), grad.end(), 0.0);
+    double grad_b = 0.0;
+    for_each_row([&](const double* zi, int label) {
+      double z = b_;
+      for (std::size_t j = 0; j < d; ++j) z += w_[j] * zi[j];
+      const double err = sigmoid(z) - static_cast<double>(label);
+      for (std::size_t j = 0; j < d; ++j) grad[j] += err * zi[j];
+      grad_b += err;
+    });
+    double norm_sq = grad_b * grad_b;
+    const double inv_n = 1.0 / static_cast<double>(n);
+    for (std::size_t j = 0; j < d; ++j) {
+      grad[j] = grad[j] * inv_n + lambda * w_[j];
+      norm_sq += grad[j] * grad[j];
+    }
+    grad_b *= inv_n;
+    if (norm_sq < config_.tol * config_.tol) break;
+
+    for (std::size_t j = 0; j < d; ++j) {
+      vel_w[j] = config_.momentum * vel_w[j] - config_.learning_rate * grad[j];
+      w_[j] += vel_w[j];
+    }
+    vel_b = config_.momentum * vel_b - config_.learning_rate * grad_b;
+    b_ += vel_b;
+  }
+  obs::counter("ml.fit.iterations").add(iters_run);
+}
+
 void LogisticRegression::fit(const Matrix& X, const Labels& y) {
   obs::Span span("ml.logistic.fit");
   validate_training_data(X, y);
-  if (packed_enabled()) {
-    if (const std::optional<hv::BitMatrix> bits = try_pack(X)) {
-      fit_packed(*bits, y);
-      return;
-    }
-  }
   const std::size_t n = X.size();
   const std::size_t d = X.front().size();
 
@@ -57,56 +126,32 @@ void LogisticRegression::fit(const Matrix& X, const Labels& y) {
       Z[i * d + j] = (X[i][j] - mean_[j]) * inv_std_[j];
     }
   }
-  run_gradient_descent(Z, y, n, d);
+  run_gradient_descent(n, d, [&](const auto& visit) {
+    for (std::size_t i = 0; i < n; ++i) visit(Z.data() + i * d, y[i]);
+  });
 }
 
 void LogisticRegression::fit_bits(const hv::BitMatrix& X, const Labels& y) {
-  if (!packed_enabled()) {
-    Classifier::fit_bits(X, y);  // kill switch covers fit_bits callers too
-    return;
-  }
+  obs::Span span("ml.logistic.fit_bits");
   validate_training_bits(X, y);
-  fit_packed(X, y);
-}
-
-void LogisticRegression::fit_packed(const hv::BitMatrix& X, const Labels& y) {
-  obs::Span span("ml.logistic.fit_packed");
   const std::size_t n = X.rows();
   const std::size_t d = X.cols();
-
-  mean_.assign(d, 0.0);
-  inv_std_.assign(d, 1.0);
+  std::vector<std::size_t> pop(d, 0);
   if (config_.standardize) {
-    // For 0/1 columns sum == sum_sq == popcount, and the dense row-order
-    // accumulation of +1.0 terms is integer-exact, so these moments are
-    // bit-identical to the dense pass.
-    for (std::size_t j = 0; j < d; ++j) {
-      const double sum = static_cast<double>(X.column_popcount(j));
-      mean_[j] = sum / static_cast<double>(n);
-      const double var = sum / static_cast<double>(n) - mean_[j] * mean_[j];
-      inv_std_[j] = var > 1e-12 ? 1.0 / std::sqrt(var) : 1.0;
-    }
+    for (std::size_t j = 0; j < d; ++j) pop[j] = X.column_popcount(j);
   }
+  const BinaryZ table = binary_standardize(pop, n);
 
-  // A 0/1 feature standardises to one of two constants per column; expand
-  // the packed rows through that 2-entry table. Each Z value matches the
-  // dense (x - mean) * inv_std result exactly, so the shared optimisation
-  // loop below sees bit-identical inputs.
-  std::vector<double> z0(d);
-  std::vector<double> z1(d);
-  for (std::size_t j = 0; j < d; ++j) {
-    z0[j] = (0.0 - mean_[j]) * inv_std_[j];
-    z1[j] = (1.0 - mean_[j]) * inv_std_[j];
-  }
+  // Expand the packed rows through the 2-entry table once: the optimisation
+  // loop then streams a contiguous n*d matrix, which is several times faster
+  // than re-expanding every row on every iteration.
   std::vector<double> Z(n * d);
   for (std::size_t i = 0; i < n; ++i) {
-    const std::uint64_t* row = X.row_bits(i);
-    double* zi = Z.data() + i * d;
-    for (std::size_t j = 0; j < d; ++j) {
-      zi[j] = (row[j / 64] >> (j % 64)) & 1u ? z1[j] : z0[j];
-    }
+    table.expand(X.row_bits(i), Z.data() + i * d);
   }
-  run_gradient_descent(Z, y, n, d);
+  run_gradient_descent(n, d, [&](const auto& visit) {
+    for (std::size_t i = 0; i < n; ++i) visit(Z.data() + i * d, y[i]);
+  });
 }
 
 void LogisticRegression::fit_shards(const ShardSource& src,
@@ -122,125 +167,34 @@ void LogisticRegression::fit_shards(const ShardSource& src,
     }
   }
 
-  mean_.assign(d, 0.0);
-  inv_std_.assign(d, 1.0);
+  // Integer popcounts merged across shards equal the whole-column popcount
+  // exactly, so these are the same moments fit_bits computes.
+  std::vector<std::size_t> pop(d, 0);
   if (config_.standardize) {
-    // Integer popcounts merged across shards equal the whole-column
-    // popcount exactly, so these are the same moments fit_packed computes.
-    std::vector<std::size_t> pop(d, 0);
     for (std::size_t s = 0; s < src.num_shards(); ++s) {
       const hv::BitMatrix& shard = src.shard(s);
       for (std::size_t j = 0; j < d; ++j) pop[j] += shard.column_popcount(j);
       note_hist_merge(d);
     }
-    for (std::size_t j = 0; j < d; ++j) {
-      const double sum = static_cast<double>(pop[j]);
-      mean_[j] = sum / static_cast<double>(n);
-      const double var = sum / static_cast<double>(n) - mean_[j] * mean_[j];
-      inv_std_[j] = var > 1e-12 ? 1.0 / std::sqrt(var) : 1.0;
-    }
   }
+  const BinaryZ table = binary_standardize(pop, n);
 
-  std::vector<double> z0(d);
-  std::vector<double> z1(d);
-  for (std::size_t j = 0; j < d; ++j) {
-    z0[j] = (0.0 - mean_[j]) * inv_std_[j];
-    z1[j] = (1.0 - mean_[j]) * inv_std_[j];
-  }
-
-  // The loop below is run_gradient_descent verbatim, except each row's
-  // standardised values are expanded on the fly from the resident shard
-  // instead of a precomputed n*d matrix. The gradient accumulators are
-  // carried across shard boundaries in ascending global row order, so the
-  // float op sequence — and therefore every iterate — is bit-identical to
-  // the unsharded pass regardless of where the boundaries fall.
-  w_.assign(d, 0.0);
-  b_ = 0.0;
-  std::vector<double> vel_w(d, 0.0);
-  double vel_b = 0.0;
-  const double lambda = 1.0 / (config_.c * static_cast<double>(n));
-  std::vector<double> grad(d);
+  // Each row's standardised values are expanded on the fly from the
+  // resident shard instead of a precomputed n*d matrix. Rows are visited in
+  // ascending global order, so the float op sequence — and therefore every
+  // iterate — is bit-identical to fit_bits regardless of where the shard
+  // boundaries fall.
   std::vector<double> zrow(d);
-
-  std::size_t iters_run = 0;
-  for (std::size_t iter = 0; iter < config_.max_iter; ++iter) {
-    ++iters_run;
-    std::fill(grad.begin(), grad.end(), 0.0);
-    double grad_b = 0.0;
+  run_gradient_descent(n, d, [&](const auto& visit) {
     for (std::size_t s = 0; s < src.num_shards(); ++s) {
       const hv::BitMatrix& shard = src.shard(s);
       const std::size_t begin = src.shard_begin(s);
       for (std::size_t i = 0; i < shard.rows(); ++i) {
-        const std::uint64_t* row = shard.row_bits(i);
-        for (std::size_t j = 0; j < d; ++j) {
-          zrow[j] = (row[j / 64] >> (j % 64)) & 1u ? z1[j] : z0[j];
-        }
-        double z = b_;
-        for (std::size_t j = 0; j < d; ++j) z += w_[j] * zrow[j];
-        const double err = sigmoid(z) - static_cast<double>(y[begin + i]);
-        for (std::size_t j = 0; j < d; ++j) grad[j] += err * zrow[j];
-        grad_b += err;
+        table.expand(shard.row_bits(i), zrow.data());
+        visit(zrow.data(), y[begin + i]);
       }
     }
-    double norm_sq = grad_b * grad_b;
-    const double inv_n = 1.0 / static_cast<double>(n);
-    for (std::size_t j = 0; j < d; ++j) {
-      grad[j] = grad[j] * inv_n + lambda * w_[j];
-      norm_sq += grad[j] * grad[j];
-    }
-    grad_b *= inv_n;
-    if (norm_sq < config_.tol * config_.tol) break;
-
-    for (std::size_t j = 0; j < d; ++j) {
-      vel_w[j] = config_.momentum * vel_w[j] - config_.learning_rate * grad[j];
-      w_[j] += vel_w[j];
-    }
-    vel_b = config_.momentum * vel_b - config_.learning_rate * grad_b;
-    b_ += vel_b;
-  }
-  obs::counter("ml.fit.iterations").add(iters_run);
-}
-
-void LogisticRegression::run_gradient_descent(const std::vector<double>& Z,
-                                              const Labels& y, std::size_t n,
-                                              std::size_t d) {
-  w_.assign(d, 0.0);
-  b_ = 0.0;
-  std::vector<double> vel_w(d, 0.0);
-  double vel_b = 0.0;
-  const double lambda = 1.0 / (config_.c * static_cast<double>(n));
-  std::vector<double> grad(d);
-
-  std::size_t iters_run = 0;
-  for (std::size_t iter = 0; iter < config_.max_iter; ++iter) {
-    ++iters_run;
-    std::fill(grad.begin(), grad.end(), 0.0);
-    double grad_b = 0.0;
-    for (std::size_t i = 0; i < n; ++i) {
-      const double* zi = Z.data() + i * d;
-      double z = b_;
-      for (std::size_t j = 0; j < d; ++j) z += w_[j] * zi[j];
-      const double err = sigmoid(z) - static_cast<double>(y[i]);
-      for (std::size_t j = 0; j < d; ++j) grad[j] += err * zi[j];
-      grad_b += err;
-    }
-    double norm_sq = grad_b * grad_b;
-    const double inv_n = 1.0 / static_cast<double>(n);
-    for (std::size_t j = 0; j < d; ++j) {
-      grad[j] = grad[j] * inv_n + lambda * w_[j];
-      norm_sq += grad[j] * grad[j];
-    }
-    grad_b *= inv_n;
-    if (norm_sq < config_.tol * config_.tol) break;
-
-    for (std::size_t j = 0; j < d; ++j) {
-      vel_w[j] = config_.momentum * vel_w[j] - config_.learning_rate * grad[j];
-      w_[j] += vel_w[j];
-    }
-    vel_b = config_.momentum * vel_b - config_.learning_rate * grad_b;
-    b_ += vel_b;
-  }
-  obs::counter("ml.fit.iterations").add(iters_run);
+  });
 }
 
 double LogisticRegression::predict_proba(std::span<const double> x) const {

@@ -3,6 +3,10 @@
 // well-conditioned second-order solver such as scikit-learn's lbfgs).
 #pragma once
 
+#include <cstdint>
+#include <span>
+#include <vector>
+
 #include "ml/classifier.hpp"
 
 namespace hdc::ml {
@@ -40,9 +44,24 @@ class LogisticRegression final : public Classifier {
   [[nodiscard]] double bias() const noexcept { return b_; }
 
  private:
-  void fit_packed(const hv::BitMatrix& X, const Labels& y);
-  void run_gradient_descent(const std::vector<double>& Z, const Labels& y,
-                            std::size_t n, std::size_t d);
+  /// Per-column standardised values of a 0 bit (z0) and a 1 bit (z1).
+  struct BinaryZ {
+    std::vector<double> z0;
+    std::vector<double> z1;
+    /// Standardised values of one packed row into out[0..d).
+    void expand(const std::uint64_t* row, double* out) const;
+  };
+
+  /// Set mean_/inv_std_ from per-column ones-counts over n rows (all-zero
+  /// counts when standardize is off) and return the 0/1 value table.
+  BinaryZ binary_standardize(std::span<const std::size_t> pop, std::size_t n);
+
+  /// Full-batch momentum descent over n rows of d standardised values.
+  /// for_each_row(visit) must call visit(const double* z_row, int label)
+  /// once per row in ascending row order.
+  template <typename ForEachRow>
+  void run_gradient_descent(std::size_t n, std::size_t d,
+                            const ForEachRow& for_each_row);
 
   LogisticConfig config_;
   std::vector<double> w_;

@@ -70,6 +70,11 @@ void NaiveBayesClassifier::fit(const Matrix& X, const Labels& y) {
   }
 }
 
+void NaiveBayesClassifier::fit_bits(const hv::BitMatrix& X, const Labels& y) {
+  validate_training_bits(X, y);
+  fit_shards(SingleShardSource(X, y), {});
+}
+
 void NaiveBayesClassifier::fit_shards(const ShardSource& src,
                                       const ShardedFitOptions& /*options*/) {
   const std::size_t n = src.rows();

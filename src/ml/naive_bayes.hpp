@@ -22,6 +22,9 @@ class NaiveBayesClassifier final : public Classifier {
   explicit NaiveBayesClassifier(NaiveBayesConfig config = {});
 
   void fit(const Matrix& X, const Labels& y) override;
+  /// One-shard fit_shards(): class-masked popcounts straight off the
+  /// bitplanes, no dense expansion.
+  void fit_bits(const hv::BitMatrix& X, const Labels& y) override;
   /// Exact sharded fit: per-class counts and per-feature ones-counts are
   /// integers (masked popcounts) merged across shards by addition, and on
   /// 0/1 data the dense path's sum / sum-of-squares accumulators are those

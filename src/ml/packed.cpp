@@ -1,67 +1,8 @@
 #include "ml/packed.hpp"
 
-#include <atomic>
 #include <bit>
-#include <cstdlib>
-#include <cstring>
-#include <string_view>
-
-#include "hv/search.hpp"
-#include "util/log.hpp"
 
 namespace hdc::ml {
-
-namespace {
-
-bool initial_enabled() {
-  const char* env = std::getenv("HDC_ML_PACKED");
-  if (env == nullptr || *env == '\0') return true;
-  const std::string_view value(env);
-  if (value == "1" || value == "on" || value == "true") return true;
-  if (value == "0" || value == "off" || value == "false") return false;
-  util::log_fields(util::LogLevel::kWarn,
-                   "HDC_ML_PACKED: unknown value, keeping packed path enabled",
-                   {{"value", env}});
-  return true;
-}
-
-std::atomic<bool>& packed_state() {
-  static std::atomic<bool> state{initial_enabled()};
-  return state;
-}
-
-}  // namespace
-
-bool packed_enabled() noexcept {
-  return packed_state().load(std::memory_order_relaxed);
-}
-
-void set_packed_enabled(bool enabled) noexcept {
-  packed_state().store(enabled, std::memory_order_relaxed);
-}
-
-void reset_packed_enabled() noexcept {
-  packed_state().store(initial_enabled(), std::memory_order_relaxed);
-}
-
-std::optional<hv::BitMatrix> try_pack(const Matrix& X) {
-  if (X.empty() || X.front().empty()) return std::nullopt;
-  const std::size_t d = X.front().size();
-  for (const auto& row : X) {
-    if (row.size() != d) return std::nullopt;
-    for (const double v : row) {
-      if (v != 0.0 && v != 1.0) return std::nullopt;
-    }
-  }
-  hv::PackedHVs rows(d, X.size());
-  for (std::size_t i = 0; i < X.size(); ++i) {
-    std::uint64_t* row = rows.row(i);
-    for (std::size_t j = 0; j < d; ++j) {
-      if (X[i][j] == 1.0) row[j >> 6] |= 1ULL << (j & 63);
-    }
-  }
-  return hv::BitMatrix::from_rows(std::move(rows));
-}
 
 hv::RowMask label_mask(const Labels& y) {
   hv::RowMask mask = hv::RowMask::none(y.size());

@@ -8,37 +8,18 @@
 // — same floating-point accumulation order, same tie-breaks, same RNG draw
 // sequence — so switching the path can never change a result, only its cost.
 //
-// Selection mirrors the HDC_SIMD convention:
-//   1. `HDC_ML_PACKED=0|1` (also off/on/false/true) environment override,
-//      read once at first use; unknown values warn and fall back;
-//   2. `set_packed_enabled()` — programmatic override for tests/benches;
-//   3. default: enabled.
-// The switch gates only the automatic Matrix -> BitMatrix promotion inside
-// fit(); callers invoking fit_bits() with the switch off fall back to the
-// dense code via row expansion, so the kill switch covers the whole path.
+// The packed route is chosen by the input type alone: fit_bits() takes a
+// BitMatrix and runs it, fit() takes doubles and runs the dense code.
+// tests/ml_packed_parity_test.cpp holds the two to each other.
 #pragma once
 
 #include <cstddef>
 #include <cstdint>
-#include <optional>
 
 #include "hv/bit_matrix.hpp"
 #include "ml/classifier.hpp"
 
 namespace hdc::ml {
-
-/// Current state of the packed-path switch.
-[[nodiscard]] bool packed_enabled() noexcept;
-
-/// Force the switch for this process (tests, benches).
-void set_packed_enabled(bool enabled) noexcept;
-
-/// Drop any programmatic override and return to HDC_ML_PACKED / default.
-void reset_packed_enabled() noexcept;
-
-/// Pack a dense matrix into column bitplanes when every value is exactly
-/// 0.0 or 1.0; nullopt (cheaply, first offending value) otherwise.
-[[nodiscard]] std::optional<hv::BitMatrix> try_pack(const Matrix& X);
 
 /// Rows with label 1 as a packed mask (padding bits zero).
 [[nodiscard]] hv::RowMask label_mask(const Labels& y);

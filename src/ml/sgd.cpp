@@ -6,7 +6,6 @@
 #include <stdexcept>
 
 #include "hv/bit_matrix.hpp"
-#include "ml/packed.hpp"
 #include "ml/sharded.hpp"
 #include "obs/metrics.hpp"
 #include "obs/trace.hpp"
@@ -22,12 +21,6 @@ SgdClassifier::SgdClassifier(SgdConfig config) : config_(config) {
 void SgdClassifier::fit(const Matrix& X, const Labels& y) {
   obs::Span span("ml.sgd.fit");
   validate_training_data(X, y);
-  if (packed_enabled()) {
-    if (const std::optional<hv::BitMatrix> bits = try_pack(X)) {
-      fit_packed(*bits, y);
-      return;
-    }
-  }
   const std::size_t n = X.size();
   const std::size_t d = X.front().size();
   w_.assign(d, 0.0);
@@ -73,16 +66,8 @@ void SgdClassifier::fit(const Matrix& X, const Labels& y) {
 }
 
 void SgdClassifier::fit_bits(const hv::BitMatrix& X, const Labels& y) {
-  if (!packed_enabled()) {
-    Classifier::fit_bits(X, y);  // kill switch covers fit_bits callers too
-    return;
-  }
+  obs::Span span("ml.sgd.fit_bits");
   validate_training_bits(X, y);
-  fit_packed(X, y);
-}
-
-void SgdClassifier::fit_packed(const hv::BitMatrix& X, const Labels& y) {
-  obs::Span span("ml.sgd.fit_packed");
   const std::size_t n = X.rows();
   const std::size_t d = X.cols();
   w_.assign(d, 0.0);

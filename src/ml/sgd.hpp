@@ -49,7 +49,6 @@ class SgdClassifier final : public Classifier {
   [[nodiscard]] double bias() const noexcept { return b_; }
 
  private:
-  void fit_packed(const hv::BitMatrix& X, const Labels& y);
   [[nodiscard]] double decision(std::span<const double> x) const;
 
   SgdConfig config_;

@@ -17,6 +17,16 @@ MaterializedShardSource::MaterializedShardSource(
   }
 }
 
+SingleShardSource::SingleShardSource(const hv::BitMatrix& bits,
+                                     std::span<const int> labels)
+    : bits_(&bits), labels_(labels) {
+  if (labels.size() != bits.rows()) {
+    throw std::invalid_argument(
+        "SingleShardSource: " + std::to_string(labels.size()) +
+        " labels for " + std::to_string(bits.rows()) + " rows");
+  }
+}
+
 std::vector<std::size_t> strided_subsample(std::size_t n, std::size_t cap) {
   std::vector<std::size_t> indices;
   if (n <= cap) {

@@ -62,6 +62,29 @@ class MaterializedShardSource final : public ShardSource {
   std::span<const int> labels_;
 };
 
+/// ShardSource over one resident BitMatrix (both borrowed): a single shard
+/// covering every row. Models whose fit_bits() is their sharded algorithm
+/// run it through this adapter.
+class SingleShardSource final : public ShardSource {
+ public:
+  SingleShardSource(const hv::BitMatrix& bits, std::span<const int> labels);
+
+  [[nodiscard]] std::size_t rows() const override { return bits_->rows(); }
+  [[nodiscard]] std::size_t cols() const override { return bits_->cols(); }
+  [[nodiscard]] std::size_t num_shards() const override { return 1; }
+  [[nodiscard]] std::size_t shard_begin(std::size_t /*s*/) const override {
+    return 0;
+  }
+  [[nodiscard]] const hv::BitMatrix& shard(std::size_t /*s*/) const override {
+    return *bits_;
+  }
+  [[nodiscard]] std::span<const int> labels() const override { return labels_; }
+
+ private:
+  const hv::BitMatrix* bits_;
+  std::span<const int> labels_;
+};
+
 /// Deterministic strided subsample: n <= cap selects every row; otherwise
 /// the cap indices i*n/cap — strictly ascending, distinct, and a pure
 /// function of (n, cap), so the selection is shard-count-invariant.

@@ -6,7 +6,6 @@
 #include <stdexcept>
 
 #include "hv/bit_matrix.hpp"
-#include "ml/packed.hpp"
 #include "ml/sharded.hpp"
 #include "obs/trace.hpp"
 #include "util/rng.hpp"
@@ -41,12 +40,6 @@ std::vector<double> SvcClassifier::standardized(std::span<const double> x) const
 
 void SvcClassifier::fit(const Matrix& X, const Labels& y) {
   validate_training_data(X, y);
-  if (packed_enabled()) {
-    if (const std::optional<hv::BitMatrix> bits = try_pack(X)) {
-      fit_packed(*bits, y);
-      return;
-    }
-  }
   const std::size_t n = X.size();
   const std::size_t d = X.front().size();
 
@@ -76,50 +69,12 @@ void SvcClassifier::fit(const Matrix& X, const Labels& y) {
 }
 
 void SvcClassifier::fit_bits(const hv::BitMatrix& X, const Labels& y) {
-  if (!packed_enabled()) {
-    Classifier::fit_bits(X, y);  // kill switch covers fit_bits callers too
-    return;
-  }
   validate_training_bits(X, y);
-  fit_packed(X, y);
-}
-
-void SvcClassifier::fit_packed(const hv::BitMatrix& X, const Labels& y) {
-  obs::Span span("ml.svc.fit_packed");
-  const std::size_t n = X.rows();
-  const std::size_t d = X.cols();
-
-  mean_.assign(d, 0.0);
-  inv_std_.assign(d, 1.0);
-  if (config_.standardize) {
-    // 0/1 columns: sum == sum_sq == popcount, and the dense accumulation of
-    // +1.0 terms is integer-exact, so the moments match the dense pass.
-    for (std::size_t j = 0; j < d; ++j) {
-      const double sum = static_cast<double>(X.column_popcount(j));
-      mean_[j] = sum / static_cast<double>(n);
-      const double var = sum / static_cast<double>(n) - mean_[j] * mean_[j];
-      inv_std_[j] = var > 1e-12 ? 1.0 / std::sqrt(var) : 1.0;
-    }
-  }
-  // Each 0/1 feature standardises to one of two constants; expanding through
-  // the 2-entry table reproduces the dense standardized() rows exactly.
-  std::vector<double> z0(d);
-  std::vector<double> z1(d);
-  for (std::size_t j = 0; j < d; ++j) {
-    z0[j] = (0.0 - mean_[j]) * inv_std_[j];
-    z1[j] = (1.0 - mean_[j]) * inv_std_[j];
-  }
-  train_X_.assign(n, std::vector<double>(d));
-  for (std::size_t i = 0; i < n; ++i) {
-    const std::uint64_t* row = X.row_bits(i);
-    std::vector<double>& out = train_X_[i];
-    for (std::size_t j = 0; j < d; ++j) {
-      out[j] = (row[j / 64] >> (j % 64)) & 1u ? z1[j] : z0[j];
-    }
-  }
-  targets_.resize(n);
-  for (std::size_t i = 0; i < n; ++i) targets_[i] = y[i] == 1 ? 1.0 : -1.0;
-  solve_smo(&X);
+  // One shard under a cap of every row: the sharded fit's subsample is the
+  // whole matrix, so this is the packed SMO over X.
+  ShardedFitOptions options;
+  options.subsample_cap = X.rows();
+  fit_shards(SingleShardSource(X, y), options);
 }
 
 void SvcClassifier::fit_shards(const ShardSource& src,
@@ -139,7 +94,7 @@ void SvcClassifier::fit_shards(const ShardSource& src,
   inv_std_.assign(d, 1.0);
   if (config_.standardize) {
     // Whole-cohort moments from integer popcounts merged across shards —
-    // exactly the values fit_packed computes on the concatenated matrix.
+    // the same values as a single-shard fit over the concatenated matrix.
     std::vector<std::size_t> pop(d, 0);
     for (std::size_t s = 0; s < src.num_shards(); ++s) {
       const hv::BitMatrix& shard = src.shard(s);

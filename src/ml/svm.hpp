@@ -31,6 +31,8 @@ class SvcClassifier final : public Classifier {
   explicit SvcClassifier(SvcConfig config = {});
 
   void fit(const Matrix& X, const Labels& y) override;
+  /// One-shard fit_shards() with every row kept, bit-identical to fit() on
+  /// the same 0/1 values.
   void fit_bits(const hv::BitMatrix& X, const Labels& y) override;
   /// Sharded fit: standardisation moments come from whole-cohort integer
   /// popcounts merged across shards; the SMO kernel matrix (inherently
@@ -51,7 +53,6 @@ class SvcClassifier final : public Classifier {
   [[nodiscard]] std::size_t support_vector_count() const noexcept;
 
  private:
-  void fit_packed(const hv::BitMatrix& X, const Labels& y);
   /// gamma heuristic + kernel matrix + SMO over the already-populated
   /// train_X_/targets_ members. `bits` (may be null) lets the RBF kernel
   /// matrix come from XOR bit-planes instead of dense row pairs.

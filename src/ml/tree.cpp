@@ -39,12 +39,6 @@ DecisionTree::DecisionTree(TreeConfig config) : config_(config) {
 
 void DecisionTree::fit(const Matrix& X, const Labels& y) {
   validate_training_data(X, y);
-  if (packed_enabled()) {
-    if (const std::optional<hv::BitMatrix> bits = try_pack(X)) {
-      fit_from_bits(*bits, y, {}, config_.seed);
-      return;
-    }
-  }
   const ColumnTable table(X, y);
   std::vector<std::uint32_t> rows(table.n_rows());
   std::iota(rows.begin(), rows.end(), 0u);
@@ -52,10 +46,6 @@ void DecisionTree::fit(const Matrix& X, const Labels& y) {
 }
 
 void DecisionTree::fit_bits(const hv::BitMatrix& X, const Labels& y) {
-  if (!packed_enabled()) {
-    Classifier::fit_bits(X, y);  // kill switch covers fit_bits callers too
-    return;
-  }
   validate_training_bits(X, y);
   fit_from_bits(X, y, {}, config_.seed);
 }

@@ -1,33 +1,11 @@
 #include "nn/matrix.hpp"
 
 #include <algorithm>
-#include <atomic>
-#include <cstdlib>
 #include <stdexcept>
-#include <string_view>
-
-#include "util/log.hpp"
 
 namespace hdc::nn {
 
 namespace {
-
-bool initial_blocked() {
-  const char* env = std::getenv("HDC_NN_BLOCKED");
-  if (env == nullptr || *env == '\0') return true;
-  const std::string_view value(env);
-  if (value == "1" || value == "on" || value == "true") return true;
-  if (value == "0" || value == "off" || value == "false") return false;
-  util::log_fields(util::LogLevel::kWarn,
-                   "HDC_NN_BLOCKED: unknown value, keeping blocked kernels",
-                   {{"value", env}});
-  return true;
-}
-
-std::atomic<bool>& blocked_state() {
-  static std::atomic<bool> state{initial_blocked()};
-  return state;
-}
 
 // Block sizes, fixed regardless of shape or thread count so the iteration
 // order — and with it every floating-point result — never depends on the
@@ -38,18 +16,6 @@ constexpr std::size_t kDepthBlock = 256;
 
 }  // namespace
 
-bool blocked_matmul_enabled() noexcept {
-  return blocked_state().load(std::memory_order_relaxed);
-}
-
-void set_blocked_matmul(bool enabled) noexcept {
-  blocked_state().store(enabled, std::memory_order_relaxed);
-}
-
-void reset_blocked_matmul() noexcept {
-  blocked_state().store(initial_blocked(), std::memory_order_relaxed);
-}
-
 // -- matmul: out(m x n) = this(m x k) * other(k x n) ---------------------
 
 Matrix Matrix::matmul(const Matrix& other) const {
@@ -57,27 +23,12 @@ Matrix Matrix::matmul(const Matrix& other) const {
   Matrix out(rows_, other.cols_);
   const std::size_t n = other.cols_;
 
-  if (!blocked_matmul_enabled()) {
-    // Naive reference: i-k-j with a zero-skip (hypervector inputs are ~50%
-    // zeros). Kept as the parity baseline for the blocked path.
-    for (std::size_t i = 0; i < rows_; ++i) {
-      const double* a = data_.data() + i * cols_;
-      double* o = out.data() + i * n;
-      for (std::size_t k = 0; k < cols_; ++k) {
-        const double av = a[k];
-        if (av == 0.0) continue;
-        const double* b = other.data() + k * n;
-        for (std::size_t j = 0; j < n; ++j) o[j] += av * b[j];
-      }
-    }
-    return out;
-  }
-
   // Blocked: k-panels of b stay cache-resident while a row-block of `a`
   // streams against them; within the block, row-quads reuse each b-row load.
   // Per output element the k index still ascends monotonically (panels in
   // order, k in order inside each panel, accumulation in place), and the
-  // zero-skip applies per (i, k) exactly as in the reference — bit-identical.
+  // zero-skip applies per (i, k) exactly as in the naive i-k-j loop, so the
+  // result is bit-identical to it.
   for (std::size_t ib = 0; ib < rows_; ib += kRowBlock) {
     const std::size_t ie = std::min(ib + kRowBlock, rows_);
     for (std::size_t kb = 0; kb < cols_; kb += kDepthBlock) {
@@ -136,24 +87,10 @@ Matrix Matrix::transposed_matmul(const Matrix& other) const {
   Matrix out(cols_, other.cols_);
   const std::size_t n = other.cols_;
 
-  if (!blocked_matmul_enabled()) {
-    for (std::size_t k = 0; k < rows_; ++k) {
-      const double* a = data_.data() + k * cols_;
-      const double* b = other.data() + k * n;
-      for (std::size_t i = 0; i < cols_; ++i) {
-        const double av = a[i];
-        if (av == 0.0) continue;
-        double* o = out.data() + i * n;
-        for (std::size_t j = 0; j < n; ++j) o[j] += av * b[j];
-      }
-    }
-    return out;
-  }
-
   // Blocked: restrict each sweep over k to a tile of output rows, so the
   // out-tile (kRowBlock x n doubles) stays hot instead of streaming the
   // whole (cols x n) gradient per k. k ascends per output element (outer
-  // k-panels, inner k), zero-skip per (k, i) — reference order exactly.
+  // k-panels, inner k), zero-skip per (k, i) — naive k-i-j order exactly.
   for (std::size_t ib = 0; ib < cols_; ib += kRowBlock) {
     const std::size_t ie = std::min(ib + kRowBlock, cols_);
     for (std::size_t kb = 0; kb < rows_; kb += kDepthBlock) {
@@ -181,18 +118,6 @@ Matrix Matrix::matmul_transposed(const Matrix& other) const {
   }
   Matrix out(rows_, other.rows_);
 
-  if (!blocked_matmul_enabled()) {
-    for (std::size_t i = 0; i < rows_; ++i) {
-      const double* a = data_.data() + i * cols_;
-      for (std::size_t j = 0; j < other.rows_; ++j) {
-        const double* b = other.data() + j * other.cols_;
-        double sum = 0.0;
-        for (std::size_t k = 0; k < cols_; ++k) sum += a[k] * b[k];
-        out.at(i, j) = sum;
-      }
-    }
-    return out;
-  }
 
   // Register-tiled: four independent dot products share each streamed a-row,
   // each accumulating its own sum over the full k range in ascending order

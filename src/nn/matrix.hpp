@@ -6,14 +6,10 @@
 // — crucially — a per-output-element accumulation order identical to the
 // naive triple loop (k strictly ascending, no partial-sum reassociation
 // across blocks, same zero-skip tests). Blocking therefore changes only the
-// memory traffic, never a bit of the result: Sequential NN training loss is
-// bit-identical with blocking on or off, and independent of thread count
+// memory traffic, never a bit of the result (tests/nn_matrix_test.cpp keeps
+// the naive loops as the oracle), and is independent of thread count
 // (the kernels are single-threaded by design — the experiment grid
 // parallelises across folds/models instead).
-//
-// Kill switch: HDC_NN_BLOCKED=0 (or off/false) falls back to the naive
-// loops; set_blocked_matmul() overrides programmatically (parity tests,
-// benches). Mirrors the HDC_ML_PACKED / HDC_SIMD switch conventions.
 #pragma once
 
 #include <cstddef>
@@ -21,15 +17,6 @@
 #include <vector>
 
 namespace hdc::nn {
-
-/// Current state of the blocked-kernel switch (HDC_NN_BLOCKED, default on).
-[[nodiscard]] bool blocked_matmul_enabled() noexcept;
-
-/// Force the switch for this process (tests, benches).
-void set_blocked_matmul(bool enabled) noexcept;
-
-/// Drop any programmatic override and return to HDC_NN_BLOCKED / default.
-void reset_blocked_matmul() noexcept;
 
 class Matrix {
  public:

@@ -3,8 +3,9 @@
 // are fitted on golden synthetic seeds, saved, loaded, and compared with
 // EXPECT_EQ — on re-serialized state (the save/load/save string oracle: any
 // lost or mutated field shows up as a byte diff) and on predict_all_bits
-// outputs. The packed-ML toggle is exercised both ways, and the suite runs
-// under the mlkernel label configs (sanitizers + HDC_DISABLE_SIMD).
+// outputs. Models fitted through dense fit() and packed fit_bits() both
+// round-trip, and the suite runs under the mlkernel label configs
+// (sanitizers + HDC_DISABLE_SIMD).
 #include <sstream>
 #include <string>
 #include <vector>
@@ -20,7 +21,6 @@
 #include "data/synthetic.hpp"
 #include "hv/bit_matrix.hpp"
 #include "hv/search.hpp"
-#include "ml/packed.hpp"
 #include "ml/zoo.hpp"
 #include "nn/sequential.hpp"
 
@@ -38,13 +38,6 @@ const std::vector<std::string> kModelNames = {
     "SGD",           "SVC",  "Logistic Regression", "LGBM",    "Naive Bayes"};
 
 constexpr double kBudget = 0.15;  // shrink the boosted models' round counts
-
-/// Restores the HDC_ML_PACKED-derived default on scope exit.
-class PackedGuard {
- public:
-  PackedGuard() = default;
-  ~PackedGuard() { hdc::ml::reset_packed_enabled(); }
-};
 
 struct Golden {
   hdc::data::Dataset ds;
@@ -92,12 +85,18 @@ std::string save_to_string(const hdc::ml::Classifier& model) {
   return out.str();
 }
 
-/// Fit `name` on the golden seed, round-trip it, and require (1) identical
-/// re-serialized state and (2) identical hard predictions on the training
-/// bits — the strongest equality the public interface can express.
-void expect_model_round_trips(const std::string& name, const Golden& g) {
+/// Fit `name` on the golden seed (packed fit_bits, or dense fit on the same
+/// 0/1 values), round-trip it, and require (1) identical re-serialized state
+/// and (2) identical hard predictions on the training bits — the strongest
+/// equality the public interface can express.
+void expect_model_round_trips(const std::string& name, const Golden& g,
+                              bool dense = false) {
   auto original = hdc::ml::make_model(name, kBudget);
-  original->fit_bits(g.bits, g.ds.labels());
+  if (dense) {
+    original->fit(g.extractor.transform_to_matrix(g.ds), g.ds.labels());
+  } else {
+    original->fit_bits(g.bits, g.ds.labels());
+  }
   const std::string saved = save_to_string(*original);
 
   auto loaded = hdc::ml::make_model(name, kBudget);
@@ -125,17 +124,15 @@ TEST(BundleZooRoundTrip, EveryModelOnSylhet) {
 
 TEST(BundleZooRoundTrip, PackedAndDenseConfigsBothRoundTrip) {
   // KNN persists its training store in whichever representation it was
-  // fitted with ("packed" vs "dense"); both must survive the trip, and the
-  // other models' state must be representation-independent.
-  PackedGuard guard;
-  for (const bool packed : {true, false}) {
-    hdc::ml::set_packed_enabled(packed);
-    SCOPED_TRACE(packed ? "packed" : "dense");
+  // fitted with (fit_bits -> "packed", fit -> "dense"); both must survive
+  // the trip, and the other models' state must be representation-independent.
+  for (const bool dense : {false, true}) {
+    SCOPED_TRACE(dense ? "dense" : "packed");
     for (const std::string& name : {std::string("KNN"),
                                     std::string("Logistic Regression"),
                                     std::string("Random Forest")}) {
       SCOPED_TRACE(name);
-      expect_model_round_trips(name, golden_pima());
+      expect_model_round_trips(name, golden_pima(), dense);
     }
   }
 }
@@ -320,8 +317,6 @@ TEST(BundleManifestRoundTrip, EveryFieldSurvives) {
   manifest.simd_tier = "avx2";
   manifest.threads = 4;
   manifest.hardware_threads = 8;
-  manifest.packed_ml = true;
-  manifest.fold_cache = true;
   manifest.obs_enabled = true;
   manifest.trace_enabled = false;
   manifest.shard_rows = 65536;
@@ -351,8 +346,6 @@ TEST(BundleManifestRoundTrip, EveryFieldSurvives) {
   EXPECT_EQ(m.simd_tier, manifest.simd_tier);
   EXPECT_EQ(m.threads, manifest.threads);
   EXPECT_EQ(m.hardware_threads, manifest.hardware_threads);
-  EXPECT_EQ(m.packed_ml, manifest.packed_ml);
-  EXPECT_EQ(m.fold_cache, manifest.fold_cache);
   EXPECT_EQ(m.obs_enabled, manifest.obs_enabled);
   EXPECT_EQ(m.trace_enabled, manifest.trace_enabled);
   EXPECT_EQ(m.shard_rows, manifest.shard_rows);
@@ -382,6 +375,30 @@ TEST(BundleManifestRoundTrip, PreShardManifestsStillLoad) {
   EXPECT_EQ(loaded.dataset, "pima_m");
   EXPECT_EQ(loaded.shard_rows, 0u);
   EXPECT_EQ(loaded.num_shards, 0u);
+}
+
+TEST(BundleManifestRoundTrip, RetiredFlagSlotsAreIgnoredOnLoad) {
+  // The flags row keeps four slots; the first two are retired, written as 1
+  // and ignored on load, so manifests that stored 0 there still load.
+  hdc::core::RunManifest manifest;
+  manifest.dataset = "pima_m";
+  manifest.simd_tier = "scalar";
+  manifest.obs_enabled = true;
+  std::ostringstream out;
+  hdc::core::save_manifest(out, manifest);
+  const std::string bytes = out.str();
+  const std::size_t flags_at = bytes.find("flags 1 1 1 0");
+  ASSERT_NE(flags_at, std::string::npos) << bytes;
+
+  std::string old_bytes = bytes;
+  old_bytes.replace(flags_at, 13, "flags 0 0 1 0");
+  std::istringstream in(old_bytes);
+  const hdc::core::RunManifest loaded = hdc::core::load_manifest(in);
+  EXPECT_TRUE(loaded.obs_enabled);
+  EXPECT_FALSE(loaded.trace_enabled);
+  std::ostringstream resaved;
+  hdc::core::save_manifest(resaved, loaded);
+  EXPECT_EQ(resaved.str(), bytes);
 }
 
 TEST(BundleManifestRoundTrip, CapturedManifestFingerprintsTheDataset) {

@@ -3,6 +3,7 @@
 #include <gtest/gtest.h>
 
 #include <cstddef>
+#include <memory>
 #include <vector>
 
 #include "core/fold_cache.hpp"
@@ -113,24 +114,36 @@ TEST(Grid, SerialCellMatchesKfoldDriver) {
             direct.stddev_accuracy);
 }
 
-TEST(Grid, CacheDisabledIsBitIdentical) {
-  // HDC_FOLD_CACHE=0 re-encodes per consumer; only wall-clock may differ.
-  const data::Dataset pima = small_pima();
-  const data::Dataset sylhet = small_sylhet();
-  const auto ds = specs(pima, sylhet);
-  GridConfig config = fast_grid();
-  config.threads = 2;
-  config.models = {"KNN", "Logistic Regression", "Decision Tree"};
+TEST(FoldCache, MissesUnknownKeysAndEvictsOnLastRelease) {
+  // The grid treats a miss after the fold's encode task as a logic error, so
+  // the cache must answer nullptr only for keys nobody put (or already
+  // evicted), and keep an entry until its last expected user releases it.
+  FoldEncodingCache cache;
+  FoldKey key;
+  key.dataset = "pima";
+  key.fold = 3;
+  FoldKey other = key;
+  other.fold = 4;
 
-  const GridResult cached = run_grid(ds, config);
-  set_fold_cache_enabled(false);
-  const GridResult uncached = run_grid(ds, config);
-  reset_fold_cache_enabled();
+  EXPECT_EQ(cache.acquire(key), nullptr);
+  cache.put(key, std::make_shared<const FoldData>(), 2);
+  cache.put(other, std::make_shared<const FoldData>(), 0);  // no users: no-op
+  EXPECT_EQ(cache.size(), 1u);
+  EXPECT_EQ(cache.acquire(other), nullptr);
 
-  expect_identical(cached, uncached);
-  EXPECT_GT(cached.stats.encode_tasks, 0u);
-  EXPECT_EQ(uncached.stats.encode_tasks, 0u);  // no tasks worth sharing
-  EXPECT_EQ(uncached.stats.cache_hits, 0u);
+  EXPECT_NE(cache.acquire(key), nullptr);
+  cache.release(key);
+  EXPECT_NE(cache.acquire(key), nullptr);
+  cache.release(key);
+  EXPECT_EQ(cache.size(), 0u);
+  EXPECT_EQ(cache.acquire(key), nullptr);
+
+  const FoldEncodingCache::Stats stats = cache.stats();
+  EXPECT_EQ(stats.hits, 2u);
+  EXPECT_EQ(stats.misses, 3u);
+  EXPECT_EQ(stats.insertions, 1u);
+  EXPECT_EQ(stats.evictions, 1u);
+  EXPECT_EQ(stats.peak_entries, 1u);
 }
 
 TEST(Grid, StatsReflectDagShapeAndDedup) {

@@ -21,6 +21,7 @@
 #include "data/synthetic.hpp"
 #include "hv/bit_matrix.hpp"
 #include "ml/zoo.hpp"
+#include "obs/metrics.hpp"
 #include "parallel/thread_pool.hpp"
 
 namespace {
@@ -241,6 +242,43 @@ TEST(ServeEngineTest, ConstructorRejectsBadConfigs) {
     bundle.models.clear();
     EXPECT_THROW(ServeEngine(std::move(bundle), {}), std::invalid_argument);
   }
+}
+
+// serve.batch_size counts rows and serve.ann.rerank_fraction is a fraction;
+// each must be registered with bounds that keep its values out of the
+// overflow bucket (the default latency bounds end at ~8.4).
+TEST(ServeEngineTest, BatchSizeAndRerankFractionLandInFiniteBuckets) {
+  hdc::obs::set_enabled(true);
+  {
+    hdc::parallel::ThreadPool pool(1);
+    ServeConfig config;
+    config.model = "hamming";
+    config.ann = true;
+    config.pool = &pool;
+    ServeEngine engine(load_world_bundle(), config);
+    std::vector<std::future<int>> futures;
+    for (std::size_t i = 0; i < 64; ++i) {
+      futures.push_back(engine.submit(row_copy(world().ds, i)));
+    }
+    for (std::future<int>& f : futures) (void)f.get();
+    (void)engine.classify(world().ds.row(0));
+  }
+  hdc::obs::set_enabled(false);
+
+  const hdc::obs::MetricsSnapshot snapshot = hdc::obs::snapshot();
+  const hdc::obs::HistogramSample* batch = snapshot.histogram("serve.batch_size");
+  const hdc::obs::HistogramSample* fraction =
+      snapshot.histogram("serve.ann.rerank_fraction");
+  ASSERT_NE(batch, nullptr);
+  ASSERT_NE(fraction, nullptr);
+  for (const hdc::obs::HistogramSample* h : {batch, fraction}) {
+    EXPECT_GT(h->count, 0u) << h->name;
+    EXPECT_EQ(h->bucket_counts.back(), 0u) << h->name << ": sample in overflow";
+  }
+  // The extremes stay finite too: a full 64-row batch, and a fraction of 1
+  // (on fraction bounds, not the seconds ladder).
+  EXPECT_GE(batch->bounds.back(), 64.0);
+  EXPECT_EQ(fraction->bounds.back(), 1.0);
 }
 
 TEST(ServeEngineTest, DefaultPredictorPrefersHamming) {

@@ -1,14 +1,16 @@
 // Bit-exactness tests for the packed (bitplane + popcount) ML path.
 //
-// The packed fast paths promise bit-identical models to the dense double
-// code on any all-0/1 design matrix: same splits, same weights, same
-// predictions, same RNG draw sequences. These tests fit every model both
-// ways on golden hypervector encodings of the Pima and Sylhet substitutes —
-// including ragged row counts that exercise partial trailing mask words —
-// and compare model internals with EXPECT_EQ, not tolerances.
+// The input type picks the algorithm: fit() on dense doubles runs the dense
+// code, fit_bits() on a BitMatrix runs the packed one. The packed paths
+// promise bit-identical models to the dense code on any all-0/1 design
+// matrix: same splits, same weights, same predictions, same RNG draw
+// sequences. The dense fit() is the oracle here: these tests fit every model
+// both ways on golden hypervector encodings of the Pima and Sylhet
+// substitutes — including ragged row counts that exercise partial trailing
+// mask words — and compare model internals with EXPECT_EQ, not tolerances.
 #include <algorithm>
-#include <cstdlib>
-#include <optional>
+#include <sstream>
+#include <string>
 #include <vector>
 
 #include <gtest/gtest.h>
@@ -24,10 +26,11 @@
 #include "ml/hist_gbdt.hpp"
 #include "ml/knn.hpp"
 #include "ml/logistic.hpp"
-#include "ml/packed.hpp"
+#include "ml/naive_bayes.hpp"
 #include "ml/sgd.hpp"
 #include "ml/svm.hpp"
 #include "ml/tree.hpp"
+#include "ml/zoo.hpp"
 #include "simd/dispatch.hpp"
 
 namespace {
@@ -35,13 +38,6 @@ namespace {
 using hdc::hv::BitMatrix;
 using hdc::ml::Labels;
 using hdc::ml::Matrix;
-
-/// Restores the HDC_ML_PACKED-derived default on scope exit.
-class PackedGuard {
- public:
-  PackedGuard() = default;
-  ~PackedGuard() { hdc::ml::reset_packed_enabled(); }
-};
 
 struct Encoded {
   Matrix X;       // dense 0/1 doubles
@@ -89,58 +85,33 @@ Encoded head(const Encoded& full, std::size_t n) {
   return out;
 }
 
-/// Fit `make()` dense (kill switch on) and packed (fit_bits), and require
+/// Fit `make()` dense (fit on doubles) and packed (fit_bits), and require
 /// identical predictions over the training rows from both routes.
 template <typename MakeFn, typename CheckFn>
 void expect_parity(const Encoded& data, const MakeFn& make, const CheckFn& check) {
-  PackedGuard guard;
-
-  hdc::ml::set_packed_enabled(false);
   auto dense = make();
   dense->fit(data.X, data.y);
   const std::vector<int> dense_pred = dense->predict_all(data.X);
 
-  hdc::ml::set_packed_enabled(true);
   auto packed = make();
   packed->fit_bits(data.bits, data.y);
   const std::vector<int> packed_pred = packed->predict_all_bits(data.bits);
   EXPECT_EQ(packed_pred, dense_pred);
 
-  // The auto-promoting fit(Matrix) entry must land on the same model too.
-  auto promoted = make();
-  promoted->fit(data.X, data.y);
-  EXPECT_EQ(promoted->predict_all(data.X), dense_pred);
-
   check(*dense, *packed);
+}
+
+std::string state_of(const hdc::ml::Classifier& model) {
+  std::ostringstream out;
+  model.save_state(out);
+  return out.str();
 }
 
 }  // namespace
 
 // ---------------------------------------------------------------------------
-// BitMatrix / try_pack plumbing
+// BitMatrix plumbing
 // ---------------------------------------------------------------------------
-
-TEST(PackedPlumbing, TryPackRejectsNonBinary) {
-  EXPECT_FALSE(hdc::ml::try_pack({{0.0, 1.0}, {1.0, 0.5}}).has_value());
-  EXPECT_FALSE(hdc::ml::try_pack({{2.0, 1.0}}).has_value());
-  EXPECT_FALSE(hdc::ml::try_pack({{-0.5, 0.0}}).has_value());
-}
-
-TEST(PackedPlumbing, TryPackRoundTripsValues) {
-  const Matrix X = {{0.0, 1.0, 1.0}, {1.0, 0.0, 1.0}, {1.0, 1.0, 0.0}};
-  const std::optional<BitMatrix> bits = hdc::ml::try_pack(X);
-  ASSERT_TRUE(bits.has_value());
-  EXPECT_EQ(bits->rows(), 3u);
-  EXPECT_EQ(bits->cols(), 3u);
-  for (std::size_t i = 0; i < 3; ++i) {
-    EXPECT_EQ(bits->row_doubles(i), X[i]);
-    for (std::size_t j = 0; j < 3; ++j) {
-      EXPECT_EQ(bits->get(i, j), X[i][j] == 1.0);
-    }
-  }
-  EXPECT_EQ(bits->column_popcount(0), 2u);
-  EXPECT_EQ(bits->valid().count(), 3u);
-}
 
 // Row counts that land on and straddle 64-bit mask-word boundaries: the
 // trailing partial word is where a padding-bit bug would show up.
@@ -251,6 +222,20 @@ TEST(PackedParity, SvcPima) {
           for (std::size_t i = 0; i < data.X.size(); i += 53) {
             EXPECT_EQ(d.decision(data.X[i]), p.decision(data.X[i]));
           }
+          EXPECT_EQ(state_of(p), state_of(d));
+        });
+  }
+}
+
+// Naive Bayes: fit_bits runs the one-shard popcount fit, which must land on
+// the dense Bernoulli fit's exact state (on 0/1 data the dense sum and
+// sum-of-squares accumulators are the same integer ones-counts).
+TEST(PackedParity, NaiveBayes) {
+  for (const Encoded& data : {encode_pima(), encode_sylhet()}) {
+    expect_parity(
+        data, [] { return std::make_unique<hdc::ml::NaiveBayesClassifier>(); },
+        [](const hdc::ml::Classifier& dense, const hdc::ml::Classifier& packed) {
+          EXPECT_EQ(state_of(packed), state_of(dense));
         });
   }
 }
@@ -318,52 +303,10 @@ TEST(PackedParity, RaggedRowCounts) {
 }
 
 // ---------------------------------------------------------------------------
-// Kill switch + env semantics
-// ---------------------------------------------------------------------------
-
-TEST(PackedSwitch, KillSwitchFallsBackToDense) {
-  PackedGuard guard;
-  const Encoded data = head(encode_pima(300), 150);
-
-  hdc::ml::set_packed_enabled(true);
-  hdc::ml::DecisionTree packed_tree;
-  packed_tree.fit_bits(data.bits, data.y);
-
-  // With the switch off, fit_bits must still work (row expansion) and give
-  // the same model; and fit() must not promote.
-  hdc::ml::set_packed_enabled(false);
-  EXPECT_FALSE(hdc::ml::packed_enabled());
-  hdc::ml::DecisionTree fallback_tree;
-  fallback_tree.fit_bits(data.bits, data.y);
-  EXPECT_EQ(fallback_tree.node_count(), packed_tree.node_count());
-  EXPECT_EQ(fallback_tree.feature_importances(), packed_tree.feature_importances());
-  EXPECT_EQ(fallback_tree.predict_all_bits(data.bits),
-            packed_tree.predict_all_bits(data.bits));
-
-  hdc::ml::reset_packed_enabled();
-}
-
-TEST(PackedSwitch, SetAndResetRoundTrip) {
-  PackedGuard guard;
-  hdc::ml::set_packed_enabled(false);
-  EXPECT_FALSE(hdc::ml::packed_enabled());
-  hdc::ml::set_packed_enabled(true);
-  EXPECT_TRUE(hdc::ml::packed_enabled());
-  hdc::ml::reset_packed_enabled();
-  // No HDC_ML_PACKED in the test environment (or a sane value): default on.
-  if (const char* env = std::getenv("HDC_ML_PACKED");
-      env == nullptr || std::string_view(env) != "0") {
-    EXPECT_TRUE(hdc::ml::packed_enabled());
-  }
-}
-
-// ---------------------------------------------------------------------------
 // KNN vs hv/search regression (the satellite: one Hamming implementation)
 // ---------------------------------------------------------------------------
 
 TEST(PackedKnn, MatchesSearchEngineNeighbors) {
-  PackedGuard guard;
-  hdc::ml::set_packed_enabled(true);
   const Encoded data = encode_pima(1000);
   const std::size_t n_db = 500;
   const std::size_t n_q = data.bits.rows() - n_db;
@@ -408,7 +351,6 @@ TEST(PackedKnn, MatchesSearchEngineNeighbors) {
 // ---------------------------------------------------------------------------
 
 TEST(PackedPipeline, KfoldAccuracyIdenticalPackedVsDense) {
-  PackedGuard guard;
   hdc::data::PimaConfig pima_config;
   pima_config.n_negative = 120;
   pima_config.n_positive = 60;
@@ -418,23 +360,28 @@ TEST(PackedPipeline, KfoldAccuracyIdenticalPackedVsDense) {
 
   hdc::core::ExperimentConfig config;
   config.extractor.dimensions = 600;
+  const hdc::core::InputMode mode = hdc::core::InputMode::kHypervectors;
 
-  hdc::ml::set_packed_enabled(false);
-  config.packed_ml = false;
-  const hdc::eval::CvResult dense = hdc::core::kfold_cv_accuracy(
-      ds, "Decision Tree", hdc::core::InputMode::kHypervectors, 5, config);
-
-  hdc::ml::set_packed_enabled(true);
-  config.packed_ml = true;
-  const hdc::eval::CvResult packed = hdc::core::kfold_cv_accuracy(
-      ds, "Decision Tree", hdc::core::InputMode::kHypervectors, 5, config);
+  // The driver hands every fold to fit_bits; the oracle re-runs the same
+  // folds on dense doubles (allow_packed=false) through fit().
+  const hdc::eval::CvResult packed =
+      hdc::core::kfold_cv_accuracy(ds, "Decision Tree", mode, 5, config);
+  const hdc::eval::CvResult dense = hdc::eval::kfold_run(
+      ds.labels(), 5, config.seed,
+      [&](std::span<const std::size_t> train, std::span<const std::size_t> test) {
+        const hdc::core::FoldData fold = hdc::core::materialize_fold(
+            ds, train, test, mode, config, /*allow_packed=*/false);
+        EXPECT_FALSE(fold.train_bits.has_value());
+        const auto model = hdc::ml::make_model("Decision Tree", config.model_budget);
+        hdc::core::fit_fold_model(*model, fold);
+        return hdc::core::fold_accuracy(*model, fold);
+      });
 
   EXPECT_EQ(packed.fold_accuracy, dense.fold_accuracy);
   EXPECT_EQ(packed.mean_accuracy, dense.mean_accuracy);
 }
 
 TEST(PackedPipeline, HybridModelIdenticalPackedVsDense) {
-  PackedGuard guard;
   hdc::data::PimaConfig pima_config;
   pima_config.n_negative = 100;
   pima_config.n_positive = 50;
@@ -444,13 +391,14 @@ TEST(PackedPipeline, HybridModelIdenticalPackedVsDense) {
   hdc::core::ExtractorConfig extractor_config;
   extractor_config.dimensions = 600;
 
-  hdc::ml::set_packed_enabled(false);
-  hdc::core::HybridModel dense(extractor_config,
-                               std::make_unique<hdc::ml::HistGbdtClassifier>());
-  dense.fit(ds);
-  const std::vector<int> dense_pred = dense.predict_all(ds);
+  // Oracle: the same extractor and model, fitted by hand on dense doubles.
+  hdc::core::HdcFeatureExtractor extractor(extractor_config);
+  extractor.fit(ds);
+  const Matrix X = extractor.transform_to_matrix(ds);
+  hdc::ml::HistGbdtClassifier dense;
+  dense.fit(X, ds.labels());
+  const std::vector<int> dense_pred = dense.predict_all(X);
 
-  hdc::ml::set_packed_enabled(true);
   hdc::core::HybridModel packed(extractor_config,
                                 std::make_unique<hdc::ml::HistGbdtClassifier>());
   packed.fit(ds);
@@ -460,8 +408,6 @@ TEST(PackedPipeline, HybridModelIdenticalPackedVsDense) {
 // Packed fits must be bit-identical on every SIMD tier (the popcount
 // reductions are integer-exact everywhere, so tier choice cannot matter).
 TEST(PackedPipeline, TierInvariantPackedFits) {
-  PackedGuard guard;
-  hdc::ml::set_packed_enabled(true);
   const Encoded data = head(encode_pima(500), 200);
 
   std::vector<int> reference;

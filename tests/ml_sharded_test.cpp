@@ -1,6 +1,6 @@
 // fit_shards contracts: every zoo model (plus Naive Bayes) must fit to
 // byte-identical state and predictions at any shard count; the models with
-// exact merge paths must additionally match their unsharded reference; the
+// exact merge paths must additionally match their fit_bits entry point; the
 // experiment pipeline's max_resident_rows knob must not change results; and
 // the ml.hist_merge_ops counter must account for the merges.
 #include <gtest/gtest.h>
@@ -171,7 +171,9 @@ TEST(ShardedFit, LogisticMatchesFitBitsExactly) {
   EXPECT_EQ(state_of(sharded), state_of(reference));
 }
 
-// Naive Bayes on 0/1 data: popcount merges equal the dense accumulators.
+// NB's fit_bits is a one-shard fit_shards: the 4-shard fit must land on the
+// same state as the public resident entry point (dense-vs-fit_bits parity
+// is PackedParity.NaiveBayes in ml_packed_parity_test).
 TEST(ShardedFit, NaiveBayesMatchesFitBitsExactly) {
   const Fixture& f = fixture();
   hdc::ml::NaiveBayesClassifier reference;
@@ -182,9 +184,9 @@ TEST(ShardedFit, NaiveBayesMatchesFitBitsExactly) {
   EXPECT_EQ(state_of(sharded), state_of(reference));
 }
 
-// SVC gathers a strided subsample capped at options.subsample_cap; when the
-// cohort fits under the cap the subsample is every row, so the sharded fit
-// equals fit_bits exactly.
+// SVC gathers a strided subsample capped at options.subsample_cap; fit_bits
+// is a one-shard fit_shards with the cap at every row, so when the cohort
+// fits under the default cap the 8-shard fit equals fit_bits exactly.
 TEST(ShardedFit, SvcMatchesFitBitsWhenUnderTheCap) {
   const Fixture& f = fixture();
   ASSERT_LE(kRows, hdc::ml::ShardedFitOptions{}.subsample_cap);

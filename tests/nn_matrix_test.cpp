@@ -32,10 +32,58 @@ Matrix patterned(std::size_t rows, std::size_t cols, std::uint64_t salt) {
   return m;
 }
 
-/// Restores the HDC_NN_BLOCKED-derived default on scope exit.
-struct BlockedGuard {
-  ~BlockedGuard() { reset_blocked_matmul(); }
-};
+// Naive reference kernels: the oracle the blocked production kernels must
+// reproduce bit for bit (same per-output-element accumulation order, same
+// zero-skips).
+
+/// out(m x n) = a(m x k) * b(k x n), i-k-j with a zero-skip.
+Matrix naive_matmul(const Matrix& a, const Matrix& b) {
+  Matrix out(a.rows(), b.cols());
+  const std::size_t n = b.cols();
+  for (std::size_t i = 0; i < a.rows(); ++i) {
+    const double* ar = a.data() + i * a.cols();
+    double* o = out.data() + i * n;
+    for (std::size_t k = 0; k < a.cols(); ++k) {
+      const double av = ar[k];
+      if (av == 0.0) continue;
+      const double* br = b.data() + k * n;
+      for (std::size_t j = 0; j < n; ++j) o[j] += av * br[j];
+    }
+  }
+  return out;
+}
+
+/// out(k x n) = a^T * b for a(rows x k), b(rows x n), k-i-j with a zero-skip.
+Matrix naive_transposed_matmul(const Matrix& a, const Matrix& b) {
+  Matrix out(a.cols(), b.cols());
+  const std::size_t n = b.cols();
+  for (std::size_t k = 0; k < a.rows(); ++k) {
+    const double* ar = a.data() + k * a.cols();
+    const double* br = b.data() + k * n;
+    for (std::size_t i = 0; i < a.cols(); ++i) {
+      const double av = ar[i];
+      if (av == 0.0) continue;
+      double* o = out.data() + i * n;
+      for (std::size_t j = 0; j < n; ++j) o[j] += av * br[j];
+    }
+  }
+  return out;
+}
+
+/// out(m x p) = a(m x k) * b^T for b(p x k), one ascending dot per element.
+Matrix naive_matmul_transposed(const Matrix& a, const Matrix& b) {
+  Matrix out(a.rows(), b.rows());
+  for (std::size_t i = 0; i < a.rows(); ++i) {
+    const double* ar = a.data() + i * a.cols();
+    for (std::size_t j = 0; j < b.rows(); ++j) {
+      const double* br = b.data() + j * b.cols();
+      double sum = 0.0;
+      for (std::size_t k = 0; k < a.cols(); ++k) sum += ar[k] * br[k];
+      out.at(i, j) = sum;
+    }
+  }
+  return out;
+}
 
 TEST(Matrix, ConstructionAndAccess) {
   Matrix m(2, 3, 1.5);
@@ -127,16 +175,6 @@ TEST(Matrix, MatmulTransposedShapeMismatchThrows) {
   EXPECT_THROW((void)a.matmul_transposed(b), std::invalid_argument);
 }
 
-TEST(MatrixBlocked, SwitchTogglesAndResets) {
-  BlockedGuard guard;
-  set_blocked_matmul(false);
-  EXPECT_FALSE(blocked_matmul_enabled());
-  set_blocked_matmul(true);
-  EXPECT_TRUE(blocked_matmul_enabled());
-  reset_blocked_matmul();
-  EXPECT_TRUE(blocked_matmul_enabled());  // default-on (HDC_NN_BLOCKED unset)
-}
-
 TEST(MatrixBlocked, AllKernelsMatchReferenceExactly) {
   // The blocked kernels keep the naive loops' per-output-element accumulation
   // order, so parity here is exact equality, not a tolerance. Shapes cover
@@ -148,7 +186,6 @@ TEST(MatrixBlocked, AllKernelsMatchReferenceExactly) {
   };
   const Shape shapes[] = {{1, 1, 1},    {17, 3, 4},   {33, 65, 7},
                           {768, 32, 33}, {130, 300, 5}, {64, 256, 32}};
-  BlockedGuard guard;
   for (const Shape& s : shapes) {
     SCOPED_TRACE(::testing::Message()
                  << "m=" << s.m << " k=" << s.k << " n=" << s.n);
@@ -157,12 +194,10 @@ TEST(MatrixBlocked, AllKernelsMatchReferenceExactly) {
     const Matrix c = patterned(s.m, s.n, 3);
     const Matrix bt = patterned(s.n, s.k, 4);
 
-    set_blocked_matmul(false);
-    const Matrix ref_mm = a.matmul(b);             // (m x n)
-    const Matrix ref_tm = a.transposed_matmul(c);  // (k x n)
-    const Matrix ref_mt = a.matmul_transposed(bt); // (m x n)
+    const Matrix ref_mm = naive_matmul(a, b);             // (m x n)
+    const Matrix ref_tm = naive_transposed_matmul(a, c);  // (k x n)
+    const Matrix ref_mt = naive_matmul_transposed(a, bt); // (m x n)
 
-    set_blocked_matmul(true);
     const Matrix blk_mm = a.matmul(b);
     const Matrix blk_tm = a.transposed_matmul(c);
     const Matrix blk_mt = a.matmul_transposed(bt);

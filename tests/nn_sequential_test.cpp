@@ -3,7 +3,6 @@
 #include <gtest/gtest.h>
 
 #include "data/synthetic.hpp"
-#include "nn/matrix.hpp"
 
 namespace hdc::nn {
 namespace {
@@ -84,33 +83,6 @@ TEST(Sequential, DeterministicPerSeed) {
   b.fit(ds.feature_matrix(), ds.labels());
   for (std::size_t i = 0; i < 10; ++i) {
     EXPECT_DOUBLE_EQ(a.predict_proba(ds.row(i)), b.predict_proba(ds.row(i)));
-  }
-}
-
-TEST(Sequential, TrainingBitIdenticalWithBlockedKernels) {
-  // The blocked GEMM preserves the reference kernels' accumulation order, so
-  // a full fixed-seed training run — every epoch's loss, and the resulting
-  // predictions — is bit-identical with blocking on or off.
-  const data::Dataset ds = data::make_two_gaussians(80, 6, 2.0, 91);
-  Sequential ref(fast_config());
-  Sequential blk(fast_config());
-  set_blocked_matmul(false);
-  ref.fit(ds.feature_matrix(), ds.labels());
-  set_blocked_matmul(true);
-  blk.fit(ds.feature_matrix(), ds.labels());
-  reset_blocked_matmul();
-
-  const TrainHistory& rh = ref.history();
-  const TrainHistory& bh = blk.history();
-  ASSERT_EQ(rh.train_loss.size(), bh.train_loss.size());
-  ASSERT_EQ(rh.val_loss.size(), bh.val_loss.size());
-  for (std::size_t e = 0; e < rh.train_loss.size(); ++e) {
-    EXPECT_EQ(rh.train_loss[e], bh.train_loss[e]) << "epoch " << e;
-    EXPECT_EQ(rh.val_loss[e], bh.val_loss[e]) << "epoch " << e;
-  }
-  EXPECT_EQ(rh.best_epoch, bh.best_epoch);
-  for (std::size_t i = 0; i < ds.n_rows(); ++i) {
-    EXPECT_EQ(ref.predict_proba(ds.row(i)), blk.predict_proba(ds.row(i)));
   }
 }
 
