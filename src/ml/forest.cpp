@@ -44,31 +44,7 @@ void RandomForest::fit(const Matrix& X, const Labels& y) {
 
 void RandomForest::fit_bits(const hv::BitMatrix& X, const Labels& y) {
   validate_training_bits(X, y);
-  const std::size_t n = X.rows();
-
-  TreeConfig tree_config = config_.tree;
-  if (tree_config.max_features == 0) {
-    tree_config.max_features = std::max<std::size_t>(
-        1, static_cast<std::size_t>(std::sqrt(static_cast<double>(X.cols()))));
-  }
-
-  trees_.assign(config_.n_trees, DecisionTree(tree_config));
-  parallel::parallel_for(0, config_.n_trees, [&](std::size_t t) {
-    const std::uint64_t tree_seed = util::mix_seed(config_.seed, t);
-    util::Rng rng(tree_seed);
-    // Same draw sequence as the dense bootstrap; the multiset of rows is
-    // carried as per-row multiplicities instead of an index list (draw
-    // order only ever feeds exact integer counts, so it cannot matter).
-    std::vector<std::uint32_t> multiplicity(n, 0);
-    if (config_.bootstrap) {
-      for (std::size_t i = 0; i < n; ++i) {
-        ++multiplicity[rng.below(n)];
-      }
-    } else {
-      multiplicity.assign(n, 1);
-    }
-    trees_[t].fit_from_bits(X, y, multiplicity, util::mix_seed(tree_seed, 0xf0));
-  });
+  fit_shards(SingleShardSource(X, y), {});
 }
 
 void RandomForest::fit_shards(const ShardSource& src,
@@ -84,12 +60,14 @@ void RandomForest::fit_shards(const ShardSource& src,
 
   // Sequential over trees: src.shard(s) returns a reference that the next
   // shard() call invalidates, so the source cannot be shared across the
-  // thread pool the in-memory fit uses.
+  // thread pool the dense fit uses.
   trees_.assign(config_.n_trees, DecisionTree(tree_config));
   for (std::size_t t = 0; t < config_.n_trees; ++t) {
     const std::uint64_t tree_seed = util::mix_seed(config_.seed, t);
     util::Rng rng(tree_seed);
-    // Same bootstrap draw sequence as the in-memory fits.
+    // Same bootstrap draw sequence as the dense fit; the multiset of rows
+    // is carried as per-row multiplicities instead of an index list (draw
+    // order only ever feeds exact integer counts, so it cannot matter).
     std::vector<std::uint32_t> multiplicity(n, 0);
     if (config_.bootstrap) {
       for (std::size_t i = 0; i < n; ++i) {
@@ -127,7 +105,7 @@ double RandomForest::predict_proba(std::span<const double> x) const {
 
 std::vector<int> RandomForest::predict_all_bits(const hv::BitMatrix& X) const {
   if (trees_.empty()) throw std::logic_error("RandomForest: not fitted");
-  if (X.cols() != trees_.front().feature_importances().size()) {
+  if (X.cols() != trees_.front().n_features()) {
     throw std::invalid_argument("RandomForest: query arity mismatch");
   }
   std::vector<int> out;
@@ -162,7 +140,13 @@ void RandomForest::load_state(std::istream& in) {
   const std::size_t n = r.count("tree count", 1ULL << 20);
   if (n == 0) throw r.error("empty forest");
   trees_.assign(n, DecisionTree(config_.tree));
-  for (DecisionTree& tree : trees_) tree.load_state(in);
+  for (DecisionTree& tree : trees_) {
+    tree.load_state(in);
+    // predict_all_bits checks the query arity against the first tree only.
+    if (tree.n_features() != trees_.front().n_features()) {
+      throw r.error("tree feature count differs from the first tree's");
+    }
+  }
 }
 
 }  // namespace hdc::ml

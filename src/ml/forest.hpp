@@ -1,6 +1,8 @@
 // Random forest: bagged CART trees with per-node feature subsampling.
-// Trees are trained in parallel; each tree derives its own RNG stream from
-// (seed, tree index), so results are independent of thread scheduling.
+// Each tree derives its bootstrap draw and candidate keys from (seed, tree
+// index), so results are independent of thread scheduling. The dense fit()
+// trains trees in parallel; packed input (fit_bits, a one-shard fit_shards)
+// trains them one after another over the shard source.
 #pragma once
 
 #include <memory>
@@ -21,10 +23,12 @@ class RandomForest final : public Classifier {
   explicit RandomForest(ForestConfig config = {});
 
   void fit(const Matrix& X, const Labels& y) override;
+  /// fit_shards over X as a single shard.
   void fit_bits(const hv::BitMatrix& X, const Labels& y) override;
-  /// Sharded fit: the same bootstrap draw sequence as fit_bits feeds each
-  /// tree's DecisionTree::fit_streamed, whose node statistics are integer
-  /// popcounts merged across shards — bit-identical at any shard count.
+  /// Sharded fit: the dense fit's bootstrap draw sequence, as per-row
+  /// multiplicities, feeds each tree's DecisionTree::fit_streamed, whose
+  /// node statistics are integer popcounts merged across shards —
+  /// bit-identical at any shard count and to fit() on the same 0/1 matrix.
   /// Trees are fitted sequentially (a ShardSource's current shard is
   /// invalidated by the next shard() call, so it is not shareable across
   /// worker threads).

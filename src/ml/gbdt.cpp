@@ -198,7 +198,8 @@ void GbdtClassifier::load_state(std::istream& in) {
     const std::size_t n = r.count("node count", 1ULL << 24);
     if (n == 0) throw r.error("empty tree");
     tree.assign(n, Node{});
-    for (Node& nd : tree) {
+    for (std::size_t i = 0; i < n; ++i) {
+      Node& nd = tree[i];
       nd.feature = static_cast<std::int32_t>(r.i64("node feature"));
       nd.threshold = r.f64("node threshold");
       nd.left = static_cast<std::int32_t>(r.i64("node left"));
@@ -208,7 +209,11 @@ void GbdtClassifier::load_state(std::istream& in) {
         if (static_cast<std::size_t>(nd.feature) >= n_features_) {
           throw r.error("node feature out of range");
         }
-        if (nd.left < 0 || nd.right < 0 ||
+        // Every builder appends children after their parent; a child at
+        // or before its own node is a back-link that would loop predict
+        // forever.
+        const auto self = static_cast<std::int64_t>(i);
+        if (nd.left <= self || nd.right <= self ||
             static_cast<std::size_t>(nd.left) >= n ||
             static_cast<std::size_t>(nd.right) >= n) {
           throw r.error("node child index out of range");

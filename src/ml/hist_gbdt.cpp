@@ -8,7 +8,6 @@
 #include <stdexcept>
 
 #include "hv/bit_matrix.hpp"
-#include "ml/packed.hpp"
 #include "ml/sharded.hpp"
 #include "obs/metrics.hpp"
 #include "obs/trace.hpp"
@@ -253,185 +252,39 @@ double tree_output_bits(const Tree& tree, const std::uint64_t* row_bits) {
   return tree[static_cast<std::size_t>(node)].value;
 }
 
+/// Continue the ascending-row sums (sum_a, sum_b) of a[r] and b[r] over the
+/// set bits of (col AND mask), or of (NOT col AND mask) — the bit==0 side of
+/// a binary split — when kBitZero. Carried across shards in ascending row
+/// order, the float op sequence equals one pass over the whole matrix.
+/// Kept out of line: inlined into the split-search column loop, the LGBM
+/// fit on a 691 x 10,000 matrix ran about 5% slower.
+template <bool kBitZero>
+[[gnu::noinline]] void continue_pair_sum(const std::uint64_t* col,
+                                         const std::uint64_t* mask,
+                                         std::size_t words, const double* a,
+                                         const double* b, double& sum_a,
+                                         double& sum_b) {
+  double sa = sum_a;
+  double sb = sum_b;
+  for (std::size_t w = 0; w < words; ++w) {
+    std::uint64_t bits = (kBitZero ? ~col[w] : col[w]) & mask[w];
+    while (bits != 0) {
+      const std::size_t r =
+          w * 64 + static_cast<std::size_t>(std::countr_zero(bits));
+      sa += a[r];
+      sb += b[r];
+      bits &= bits - 1;
+    }
+  }
+  sum_a = sa;
+  sum_b = sb;
+}
+
 }  // namespace
 
 void HistGbdtClassifier::fit_bits(const hv::BitMatrix& X, const Labels& y) {
-  obs::Span span("ml.hist_gbdt.fit_bits");
   validate_training_bits(X, y);
-  PackedFitMetrics& metrics = PackedFitMetrics::get();
-  metrics.fits.increment();
-  const std::size_t n = X.rows();
-  const std::size_t d = X.cols();
-  const std::size_t words = X.words_per_column();
-  n_features_ = d;
-  base_margin_ = 0.0;
-
-  // Bin structure on 0/1 data: a mixed column gets edges {0.0} (two bins),
-  // a constant column gets no edges (one bin — skipped by split search).
-  // Matches the dense quantile binning applied to a binary column exactly.
-  bin_edges_.assign(d, {});
-  for (std::size_t j = 0; j < d; ++j) {
-    const std::size_t ones = X.column_popcount(j);
-    if (ones > 0 && ones < n) bin_edges_[j] = {0.0};
-  }
-
-  std::vector<double> margin(n, base_margin_);
-  std::vector<double> grad(n);
-  std::vector<double> hess(n);
-  trees_.clear();
-  trees_.reserve(config_.n_rounds);
-
-  struct LeafCandidate {
-    std::int32_t node_id = -1;
-    std::vector<std::uint64_t> mask;  // rows in this leaf, packed
-    std::uint32_t count = 0;
-    double g_sum = 0.0;
-    double h_sum = 0.0;
-    double gain = -1.0;
-    std::int32_t feature = -1;
-    std::int32_t bin = -1;
-  };
-
-  // Per-column gains land in a flat array from parallel workers; the winner
-  // is then chosen in one sequential ascending-j scan that replicates the
-  // dense loop's running-best epsilon tie-break exactly (a column's gain
-  // never depends on the running best, so the two-phase split is lossless).
-  constexpr double kSkip = -std::numeric_limits<double>::infinity();
-  std::vector<double> gains(d);
-
-  const auto find_best_split = [&](LeafCandidate& leaf) {
-    leaf.gain = 0.0;
-    leaf.feature = -1;
-    const double parent_score =
-        leaf.g_sum * leaf.g_sum / (leaf.h_sum + config_.lambda);
-    const std::uint64_t* mask = leaf.mask.data();
-    parallel::parallel_for_chunks(0, d, [&](std::size_t lo, std::size_t hi) {
-      const simd::Kernels& kernels = simd::active();
-      for (std::size_t j = lo; j < hi; ++j) {
-        if (bin_edges_[j].empty()) {
-          gains[j] = kSkip;
-          continue;
-        }
-        const std::uint64_t* col = X.column(j);
-        // Left = rows with bit 0: count first (cheap popcount), gradient
-        // sums only when the count gate passes.
-        const std::uint32_t cl =
-            static_cast<std::uint32_t>(kernels.andnot_popcount(col, mask, words));
-        const std::uint32_t cr = leaf.count - cl;
-        if (cl < config_.min_data_in_leaf || cr < config_.min_data_in_leaf) {
-          gains[j] = kSkip;
-          continue;
-        }
-        double gl = 0.0;
-        double hl = 0.0;
-        masked_pair_sum_not(col, mask, words, grad.data(), hess.data(), gl, hl);
-        const double hr = leaf.h_sum - hl;
-        if (hl < config_.min_child_weight || hr < config_.min_child_weight) {
-          gains[j] = kSkip;
-          continue;
-        }
-        const double gr = leaf.g_sum - gl;
-        gains[j] = 0.5 * (gl * gl / (hl + config_.lambda) +
-                          gr * gr / (hr + config_.lambda) - parent_score);
-      }
-    });
-    metrics.node_popcounts.add(d);
-    metrics.word_ops.add(2 * d * words);
-    for (std::size_t j = 0; j < d; ++j) {
-      if (gains[j] > leaf.gain + 1e-12) {
-        leaf.gain = gains[j];
-        leaf.feature = static_cast<std::int32_t>(j);
-        leaf.bin = 0;
-      }
-    }
-  };
-
-  for (std::size_t round = 0; round < config_.n_rounds; ++round) {
-    for (std::size_t i = 0; i < n; ++i) {
-      const double p = sigmoid(margin[i]);
-      grad[i] = p - static_cast<double>(y[i]);
-      hess[i] = std::max(1e-16, p * (1.0 - p));
-    }
-
-    Tree tree;
-    std::vector<LeafCandidate> leaves;
-
-    LeafCandidate root;
-    root.node_id = 0;
-    root.mask.assign(X.valid().words(), X.valid().words() + words);
-    root.count = static_cast<std::uint32_t>(n);
-    for (std::size_t i = 0; i < n; ++i) {
-      root.g_sum += grad[i];
-      root.h_sum += hess[i];
-    }
-    tree.emplace_back();
-    tree[0].value = -root.g_sum / (root.h_sum + config_.lambda);
-    find_best_split(root);
-    leaves.push_back(std::move(root));
-
-    while (leaves.size() < config_.num_leaves) {
-      std::size_t best = leaves.size();
-      double best_gain = 1e-12;
-      for (std::size_t l = 0; l < leaves.size(); ++l) {
-        if (leaves[l].feature >= 0 && leaves[l].gain > best_gain) {
-          best_gain = leaves[l].gain;
-          best = l;
-        }
-      }
-      if (best == leaves.size()) break;  // nothing splittable
-
-      LeafCandidate leaf = std::move(leaves[best]);
-      leaves.erase(leaves.begin() + static_cast<std::ptrdiff_t>(best));
-
-      const std::size_t j = static_cast<std::size_t>(leaf.feature);
-      const std::uint64_t* col = X.column(j);
-      LeafCandidate left;
-      LeafCandidate right;
-      left.mask.resize(words);
-      right.mask.resize(words);
-      for (std::size_t w = 0; w < words; ++w) {
-        left.mask[w] = leaf.mask[w] & ~col[w];
-        right.mask[w] = leaf.mask[w] & col[w];
-      }
-      const simd::Kernels& kernels = simd::active();
-      left.count = static_cast<std::uint32_t>(
-          kernels.popcount(left.mask.data(), words));
-      right.count = leaf.count - left.count;
-      // Child gradient sums in ascending-row order, exactly as the dense
-      // split partition accumulates them.
-      masked_pair_sum_not(col, leaf.mask.data(), words, grad.data(),
-                          hess.data(), left.g_sum, left.h_sum);
-      masked_pair_sum(col, leaf.mask.data(), words, grad.data(), hess.data(),
-                      right.g_sum, right.h_sum);
-
-      const std::int32_t left_id = static_cast<std::int32_t>(tree.size());
-      tree.emplace_back();
-      tree.back().value = -left.g_sum / (left.h_sum + config_.lambda);
-      const std::int32_t right_id = static_cast<std::int32_t>(tree.size());
-      tree.emplace_back();
-      tree.back().value = -right.g_sum / (right.h_sum + config_.lambda);
-
-      Node& parent = tree[static_cast<std::size_t>(leaf.node_id)];
-      parent.feature = leaf.feature;
-      parent.bin = leaf.bin;
-      parent.threshold = bin_edges_[j][static_cast<std::size_t>(leaf.bin)];
-      parent.left = left_id;
-      parent.right = right_id;
-      left.node_id = left_id;
-      right.node_id = right_id;
-
-      find_best_split(left);
-      find_best_split(right);
-      leaves.push_back(std::move(left));
-      leaves.push_back(std::move(right));
-    }
-
-    for (std::size_t i = 0; i < n; ++i) {
-      margin[i] += config_.learning_rate * tree_output_bits(tree, X.row_bits(i));
-    }
-    trees_.push_back(std::move(tree));
-  }
-  obs::counter("ml.fit.boost_rounds").add(trees_.size());
+  fit_shards(SingleShardSource(X, y), {});
 }
 
 void HistGbdtClassifier::fit_shards(const ShardSource& src,
@@ -447,18 +300,15 @@ void HistGbdtClassifier::fit_shards(const ShardSource& src,
       throw std::invalid_argument("HistGBDT: labels must be 0/1");
     }
   }
+  PackedFitMetrics& metrics = PackedFitMetrics::get();
+  metrics.fits.increment();
   n_features_ = d;
   base_margin_ = 0.0;
 
-  // Fixed-point gradient scale. |grad| <= 1 and hess <= 0.25, so a per-row
-  // quantized value fits in 32 bits and a sum over 2^20 rows stays below
-  // 2^52 — far from int64 overflow. Every histogram cell is an integer, so
-  // per-shard partials merge by addition with no rounding: the merged
-  // histogram is *the same integer* at any shard count.
-  constexpr double kScale = 2147483648.0;  // 2^31
-
-  // Bin structure from whole-cohort popcounts, merged across shards as
-  // integer sums (same rule as fit_bits: mixed column -> edges {0.0}).
+  // Bin structure on 0/1 data: a mixed column gets edges {0.0} (two bins),
+  // a constant column gets no edges (one bin — skipped by split search).
+  // Matches the dense quantile binning applied to a binary column exactly.
+  // Column popcounts merge across shards as integer sums.
   bin_edges_.assign(d, {});
   {
     std::vector<std::uint64_t> pop(d, 0);
@@ -472,125 +322,137 @@ void HistGbdtClassifier::fit_shards(const ShardSource& src,
     }
   }
 
-  // Resident per-row state: the boosting margin and the id of the leaf the
-  // row currently sits in. Everything else lives in per-leaf integer
-  // histograms of size O(features), never O(rows).
+  // Resident per-row state: margin, gradient, hessian and the id of the
+  // leaf the row sits in. The design matrix is read one shard at a time.
   std::vector<double> margin(n, base_margin_);
+  std::vector<double> grad(n);
+  std::vector<double> hess(n);
   std::vector<std::int32_t> leaf_of(n, 0);
   trees_.clear();
   trees_.reserve(config_.n_rounds);
 
-  // Quantized gradient/hessian of a row — a pure function of (margin, y),
-  // so re-deriving it on every streaming pass within a round is exact.
-  const auto quantized = [&](std::size_t row, std::int64_t& gq, std::int64_t& hq) {
-    const double p = sigmoid(margin[row]);
-    gq = std::llround((p - static_cast<double>(y[row])) * kScale);
-    hq = std::llround(std::max(1e-16, p * (1.0 - p)) * kScale);
-  };
-
-  struct ShardLeaf {
+  struct LeafCandidate {
     std::int32_t node_id = -1;
-    std::uint64_t count = 0;
-    std::int64_t gq = 0;  // quantized gradient sum over the leaf
-    std::int64_t hq = 0;  // quantized hessian sum over the leaf
-    // Per-feature bit=1 side of the histogram; the bit=0 side is the exact
-    // integer difference from the leaf totals.
-    std::vector<std::uint64_t> cnt1;
-    std::vector<std::int64_t> gq1;
-    std::vector<std::int64_t> hq1;
+    std::size_t count = 0;
+    double g_sum = 0.0;
+    double h_sum = 0.0;
     double gain = -1.0;
     std::int32_t feature = -1;
     std::int32_t bin = -1;
   };
 
-  const auto make_leaf = [d](std::int32_t node_id) {
-    ShardLeaf leaf;
-    leaf.node_id = node_id;
-    leaf.cnt1.assign(d, 0);
-    leaf.gq1.assign(d, 0);
-    leaf.hq1.assign(d, 0);
-    return leaf;
-  };
+  std::vector<std::uint64_t> mask;  // shard-local rows of one leaf
 
-  // Add one row's quantized (g, h) to a leaf histogram, walking the set
-  // bits of its packed row.
-  const auto add_row = [](ShardLeaf& leaf, const std::uint64_t* row,
-                          std::size_t words, std::int64_t gq, std::int64_t hq) {
-    ++leaf.count;
-    leaf.gq += gq;
-    leaf.hq += hq;
-    for (std::size_t w = 0; w < words; ++w) {
-      std::uint64_t bits = row[w];
-      while (bits != 0) {
-        const std::size_t j = w * 64 + static_cast<std::size_t>(std::countr_zero(bits));
-        ++leaf.cnt1[j];
-        leaf.gq1[j] += gq;
-        leaf.hq1[j] += hq;
-        bits &= bits - 1;
-      }
-    }
-  };
+  // Per-column left-side statistics carried across shards: the integer
+  // count adds, the float (g, h) sums continue in ascending global row
+  // order, so the last shard sees exactly the one-pass values. Gains land
+  // in a flat array from parallel workers; the winner is then chosen in one
+  // sequential ascending-j scan with the dense loop's running-best epsilon
+  // tie-break (a column's gain never depends on the running best, so the
+  // two-phase split is lossless). Between shards, kSkip in gains[j] marks a
+  // column that can no longer pass the gates.
+  constexpr double kSkip = -std::numeric_limits<double>::infinity();
+  std::vector<std::size_t> left_count(d);
+  std::vector<double> left_g(d);
+  std::vector<double> left_h(d);
+  std::vector<double> gains(d);
+  const std::size_t min_data = config_.min_data_in_leaf;
 
-  // Split search is a pure scan of the merged integer histogram: dequantize
-  // once per cell and apply the same gain formula, gates and ascending-j
-  // epsilon tie-break as the other fit paths.
-  const auto find_best_split = [&](ShardLeaf& leaf) {
+  const auto find_best_split = [&](LeafCandidate& leaf) {
     leaf.gain = 0.0;
     leaf.feature = -1;
-    const double g_sum = static_cast<double>(leaf.gq) / kScale;
-    const double h_sum = static_cast<double>(leaf.hq) / kScale;
-    const double parent_score = g_sum * g_sum / (h_sum + config_.lambda);
+    const double parent_score =
+        leaf.g_sum * leaf.g_sum / (leaf.h_sum + config_.lambda);
+    std::size_t seen = 0;  // leaf rows in this and earlier shards
+    for (std::size_t s = 0; s < src.num_shards(); ++s) {
+      const hv::BitMatrix& shard = src.shard(s);
+      const std::size_t begin = src.shard_begin(s);
+      const std::size_t words = shard.words_per_column();
+      mask.assign(words, 0);
+      for (std::size_t i = 0; i < shard.rows(); ++i) {
+        if (leaf_of[begin + i] != leaf.node_id) continue;
+        mask[i >> 6] |= 1ULL << (i & 63);
+        ++seen;
+      }
+      const std::size_t later = leaf.count - seen;
+      const bool first = s == 0;
+      const bool last = s + 1 == src.num_shards();
+      const double* g = grad.data() + begin;
+      const double* h = hess.data() + begin;
+      const std::uint64_t* leaf_mask = mask.data();
+      parallel::parallel_for_chunks(0, d, [&](std::size_t lo, std::size_t hi) {
+        const simd::Kernels& kernels = simd::active();
+        for (std::size_t j = lo; j < hi; ++j) {
+          if (first ? bin_edges_[j].empty() : gains[j] == kSkip) {
+            gains[j] = kSkip;
+            continue;
+          }
+          const std::uint64_t* col = shard.column(j);
+          // Left = rows with bit 0: count first (cheap popcount), gradient
+          // sums only while the count gate can still pass — the final left
+          // count is cl plus at most `later`, the final right count at most
+          // leaf.count - cl. At the last shard the gate is exact.
+          const std::size_t cl = (first ? 0 : left_count[j]) +
+                                 kernels.andnot_popcount(col, leaf_mask, words);
+          if (cl + later < min_data || leaf.count - cl < min_data) {
+            gains[j] = kSkip;
+            continue;
+          }
+          double gl = first ? 0.0 : left_g[j];
+          double hl = first ? 0.0 : left_h[j];
+          continue_pair_sum<true>(col, leaf_mask, words, g, h, gl, hl);
+          if (!last) {
+            left_count[j] = cl;
+            left_g[j] = gl;
+            left_h[j] = hl;
+            gains[j] = 0.0;
+            continue;
+          }
+          const double hr = leaf.h_sum - hl;
+          if (hl < config_.min_child_weight || hr < config_.min_child_weight) {
+            gains[j] = kSkip;
+            continue;
+          }
+          const double gr = leaf.g_sum - gl;
+          gains[j] = 0.5 * (gl * gl / (hl + config_.lambda) +
+                            gr * gr / (hr + config_.lambda) - parent_score);
+        }
+      });
+      metrics.word_ops.add(2 * d * words);
+      note_hist_merge(d);
+    }
+    metrics.node_popcounts.add(d);
     for (std::size_t j = 0; j < d; ++j) {
-      if (bin_edges_[j].empty()) continue;
-      const std::uint64_t cr = leaf.cnt1[j];      // bit 1 -> right child
-      const std::uint64_t cl = leaf.count - cr;   // bit 0 -> left child
-      if (cl < config_.min_data_in_leaf || cr < config_.min_data_in_leaf) continue;
-      const double hl = static_cast<double>(leaf.hq - leaf.hq1[j]) / kScale;
-      const double hr = static_cast<double>(leaf.hq1[j]) / kScale;
-      if (hl < config_.min_child_weight || hr < config_.min_child_weight) continue;
-      const double gl = static_cast<double>(leaf.gq - leaf.gq1[j]) / kScale;
-      const double gr = static_cast<double>(leaf.gq1[j]) / kScale;
-      const double gain = 0.5 * (gl * gl / (hl + config_.lambda) +
-                                 gr * gr / (hr + config_.lambda) - parent_score);
-      if (gain > leaf.gain + 1e-12) {
-        leaf.gain = gain;
+      if (gains[j] > leaf.gain + 1e-12) {
+        leaf.gain = gains[j];
         leaf.feature = static_cast<std::int32_t>(j);
         leaf.bin = 0;
       }
     }
   };
 
-  const auto leaf_value = [&](const ShardLeaf& leaf) {
-    const double g_sum = static_cast<double>(leaf.gq) / kScale;
-    const double h_sum = static_cast<double>(leaf.hq) / kScale;
-    return -g_sum / (h_sum + config_.lambda);
-  };
-
   for (std::size_t round = 0; round < config_.n_rounds; ++round) {
+    for (std::size_t i = 0; i < n; ++i) {
+      const double p = sigmoid(margin[i]);
+      grad[i] = p - static_cast<double>(y[i]);
+      hess[i] = std::max(1e-16, p * (1.0 - p));
+    }
     std::fill(leaf_of.begin(), leaf_of.end(), 0);
 
-    // Root histogram: one streaming pass, shard partials merged by integer
-    // addition in ascending shard order.
-    ShardLeaf root = make_leaf(0);
-    for (std::size_t s = 0; s < src.num_shards(); ++s) {
-      const hv::BitMatrix& shard = src.shard(s);
-      const std::size_t begin = src.shard_begin(s);
-      const std::size_t words = shard.words_per_row();
-      for (std::size_t i = 0; i < shard.rows(); ++i) {
-        std::int64_t gq = 0;
-        std::int64_t hq = 0;
-        quantized(begin + i, gq, hq);
-        add_row(root, shard.row_bits(i), words, gq, hq);
-      }
-      note_hist_merge(3 * d);
-    }
-
     Tree tree;
+    std::vector<LeafCandidate> leaves;
+
+    LeafCandidate root;
+    root.node_id = 0;
+    root.count = n;
+    for (std::size_t i = 0; i < n; ++i) {
+      root.g_sum += grad[i];
+      root.h_sum += hess[i];
+    }
     tree.emplace_back();
-    tree[0].value = leaf_value(root);
+    tree[0].value = -root.g_sum / (root.h_sum + config_.lambda);
     find_best_split(root);
-    std::vector<ShardLeaf> leaves;
-    leaves.push_back(std::move(root));
+    leaves.push_back(root);
 
     while (leaves.size() < config_.num_leaves) {
       std::size_t best = leaves.size();
@@ -603,67 +465,57 @@ void HistGbdtClassifier::fit_shards(const ShardSource& src,
       }
       if (best == leaves.size()) break;  // nothing splittable
 
-      ShardLeaf leaf = std::move(leaves[best]);
+      const LeafCandidate leaf = leaves[best];
       leaves.erase(leaves.begin() + static_cast<std::ptrdiff_t>(best));
 
       const std::size_t j = static_cast<std::size_t>(leaf.feature);
-      const std::int32_t left_id = static_cast<std::int32_t>(tree.size());
-      tree.emplace_back();
-      const std::int32_t right_id = static_cast<std::int32_t>(tree.size());
-      tree.emplace_back();
-
-      // One streaming pass: route the parent's rows to their child and
-      // build the left-child histogram; the right child is the exact
-      // integer difference parent - left.
-      ShardLeaf left = make_leaf(left_id);
+      LeafCandidate left;
+      LeafCandidate right;
+      left.node_id = static_cast<std::int32_t>(tree.size());
+      right.node_id = left.node_id + 1;
+      // One pass: move the leaf's rows to their child and continue the
+      // children's gradient sums in ascending row order, exactly as the
+      // dense split partition accumulates them.
       for (std::size_t s = 0; s < src.num_shards(); ++s) {
         const hv::BitMatrix& shard = src.shard(s);
         const std::size_t begin = src.shard_begin(s);
+        const std::size_t words = shard.words_per_column();
         const std::uint64_t* col = shard.column(j);
-        const std::size_t words = shard.words_per_row();
+        mask.assign(words, 0);
         for (std::size_t i = 0; i < shard.rows(); ++i) {
-          const std::size_t row = begin + i;
-          if (leaf_of[row] != leaf.node_id) continue;
-          if ((col[i >> 6] >> (i & 63)) & 1ULL) {
-            leaf_of[row] = right_id;
-            continue;
-          }
-          leaf_of[row] = left_id;
-          std::int64_t gq = 0;
-          std::int64_t hq = 0;
-          quantized(row, gq, hq);
-          add_row(left, shard.row_bits(i), words, gq, hq);
+          std::int32_t& id = leaf_of[begin + i];
+          if (id != leaf.node_id) continue;
+          mask[i >> 6] |= 1ULL << (i & 63);
+          id = (col[i >> 6] >> (i & 63)) & 1ULL ? right.node_id : left.node_id;
         }
-        note_hist_merge(3 * d);
+        left.count += simd::active().andnot_popcount(col, mask.data(), words);
+        continue_pair_sum<true>(col, mask.data(), words, grad.data() + begin,
+                                hess.data() + begin, left.g_sum, left.h_sum);
+        continue_pair_sum<false>(col, mask.data(), words, grad.data() + begin,
+                                 hess.data() + begin, right.g_sum, right.h_sum);
       }
-
-      ShardLeaf right = make_leaf(right_id);
       right.count = leaf.count - left.count;
-      right.gq = leaf.gq - left.gq;
-      right.hq = leaf.hq - left.hq;
-      for (std::size_t f = 0; f < d; ++f) {
-        right.cnt1[f] = leaf.cnt1[f] - left.cnt1[f];
-        right.gq1[f] = leaf.gq1[f] - left.gq1[f];
-        right.hq1[f] = leaf.hq1[f] - left.hq1[f];
-      }
 
-      tree[static_cast<std::size_t>(left_id)].value = leaf_value(left);
-      tree[static_cast<std::size_t>(right_id)].value = leaf_value(right);
+      tree.emplace_back();
+      tree.back().value = -left.g_sum / (left.h_sum + config_.lambda);
+      tree.emplace_back();
+      tree.back().value = -right.g_sum / (right.h_sum + config_.lambda);
+
       Node& parent = tree[static_cast<std::size_t>(leaf.node_id)];
       parent.feature = leaf.feature;
       parent.bin = leaf.bin;
       parent.threshold = bin_edges_[j][static_cast<std::size_t>(leaf.bin)];
-      parent.left = left_id;
-      parent.right = right_id;
+      parent.left = left.node_id;
+      parent.right = right.node_id;
 
       find_best_split(left);
       find_best_split(right);
-      leaves.push_back(std::move(left));
-      leaves.push_back(std::move(right));
+      leaves.push_back(left);
+      leaves.push_back(right);
     }
 
-    // Every row already knows its leaf, so the margin update needs no
-    // tree routing and no shard access at all.
+    // Every row already knows its leaf — the one tree_output_bits would
+    // route it to — so the margin update needs no shard access.
     for (std::size_t i = 0; i < n; ++i) {
       margin[i] +=
           config_.learning_rate * tree[static_cast<std::size_t>(leaf_of[i])].value;
@@ -759,7 +611,8 @@ void HistGbdtClassifier::load_state(std::istream& in) {
     const std::size_t n = r.count("node count", 1ULL << 24);
     if (n == 0) throw r.error("empty tree");
     tree.assign(n, Node{});
-    for (Node& nd : tree) {
+    for (std::size_t i = 0; i < n; ++i) {
+      Node& nd = tree[i];
       nd.feature = static_cast<std::int32_t>(r.i64("node feature"));
       nd.bin = static_cast<std::int32_t>(r.i64("node bin"));
       nd.threshold = r.f64("node threshold");
@@ -770,7 +623,11 @@ void HistGbdtClassifier::load_state(std::istream& in) {
         if (static_cast<std::size_t>(nd.feature) >= n_features_) {
           throw r.error("node feature out of range");
         }
-        if (nd.left < 0 || nd.right < 0 ||
+        // Every builder appends children after their parent; a child at
+        // or before its own node is a back-link that would loop predict
+        // forever.
+        const auto self = static_cast<std::int64_t>(i);
+        if (nd.left <= self || nd.right <= self ||
             static_cast<std::size_t>(nd.left) >= n ||
             static_cast<std::size_t>(nd.right) >= n) {
           throw r.error("node child index out of range");

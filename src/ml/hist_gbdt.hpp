@@ -26,19 +26,16 @@ class HistGbdtClassifier final : public Classifier {
   explicit HistGbdtClassifier(HistGbdtConfig config = {});
 
   void fit(const Matrix& X, const Labels& y) override;
-  /// Packed fit: split gains from per-node mask × column-bitplane popcount
-  /// reductions instead of per-row binning. Bit-identical to the dense fit
-  /// on any all-0/1 matrix (same accumulation order, same tie-breaks).
+  /// fit_shards over X as a single shard.
   void fit_bits(const hv::BitMatrix& X, const Labels& y) override;
-  /// Data-parallel sharded fit (the LightGBM data-parallel learner shape):
-  /// per-row gradients/hessians are quantized to int64 at a fixed scale, so
-  /// every per-leaf, per-feature histogram is a vector of integers whose
-  /// per-shard partials merge by addition — *exactly* equal to single-shard
-  /// histograms by construction, making the fit bit-identical at any shard
-  /// count. Resident state is O(rows) scalars (margin + leaf id) plus one
-  /// shard of bitplanes; the full design matrix is never materialized.
-  /// Quantization means the fitted trees may differ from fit_bits() in the
-  /// last float bits — the identity contract here is across shard counts.
+  /// Packed fit, one shard resident at a time: split gains from leaf-mask ×
+  /// column-bitplane popcounts instead of per-row binning. Per leaf, each
+  /// column's left count adds across shards as an integer and its float
+  /// gradient/hessian sums continue in ascending global row order (only
+  /// while the min_data_in_leaf gate can still pass), so the fit is
+  /// bit-identical at any shard count and to the dense fit on any all-0/1
+  /// matrix (same accumulation order, same tie-breaks). Resident state is
+  /// O(rows) scalars (margin, gradient, hessian, leaf id) plus one shard.
   void fit_shards(const ShardSource& src,
                   const ShardedFitOptions& options) override;
   [[nodiscard]] double predict_proba(std::span<const double> x) const override;

@@ -15,7 +15,6 @@ KnnClassifier::KnnClassifier(KnnConfig config) : config_(config) {
 
 void KnnClassifier::fit(const Matrix& X, const Labels& y) {
   validate_training_data(X, y);
-  ann_.reset();  // a previous index indexed the previous training set
   train_X_ = X;
   train_bits_ = hv::BitMatrix();
   train_y_ = y;
@@ -23,7 +22,6 @@ void KnnClassifier::fit(const Matrix& X, const Labels& y) {
 
 void KnnClassifier::fit_bits(const hv::BitMatrix& X, const Labels& y) {
   validate_training_bits(X, y);
-  ann_.reset();
   train_bits_ = X;
   train_X_.clear();
   train_y_ = y;
@@ -34,15 +32,6 @@ void KnnClassifier::fit_shards(const ShardSource& src,
   std::vector<std::size_t> all(src.rows());
   for (std::size_t i = 0; i < all.size(); ++i) all[i] = i;
   fit_bits(gather_rows(src, all), gather_labels(src.labels(), all));
-}
-
-void KnnClassifier::enable_ann(const hv::ann::Config& config) {
-  if (train_bits_.empty()) {
-    throw std::logic_error(
-        "KNN: ANN needs a packed (binary) training store — fit with "
-        "fit_bits() first");
-  }
-  ann_ = hv::ann::Index::build(train_bits_.row_major(), config);
 }
 
 double KnnClassifier::vote(std::vector<std::pair<double, int>>& dist) const {
@@ -86,21 +75,6 @@ double KnnClassifier::predict_proba(std::span<const double> x) const {
       // distance (both sides integer-exact), so the (d2, label) pairs match
       // the dense loop bit for bit.
       const std::size_t words = train_bits_.words_per_row();
-      if (ann_) {
-        // Sub-linear path: the index returns the k nearest (exact
-        // distances), which is all vote() consumes.
-        hv::PackedHVs query(d, 1);
-        std::uint64_t* qbits = query.row(0);
-        for (std::size_t j = 0; j < d; ++j) {
-          if (x[j] == 1.0) qbits[j / 64] |= 1ULL << (j % 64);
-        }
-        const auto lists = ann_->top_k(query, train_bits_.row_major(),
-                                       std::min(config_.k, n));
-        for (const hv::Neighbor& nb : lists.front()) {
-          dist.emplace_back(static_cast<double>(nb.distance), train_y_[nb.index]);
-        }
-        return vote(dist);
-      }
       std::vector<std::uint64_t> q(words, 0);
       for (std::size_t j = 0; j < d; ++j) {
         if (x[j] == 1.0) q[j / 64] |= 1ULL << (j % 64);
@@ -152,18 +126,6 @@ std::vector<int> KnnClassifier::predict_all_bits(const hv::BitMatrix& X) const {
   std::vector<int> out;
   out.reserve(X.rows());
   std::vector<std::pair<double, int>> dist;
-  if (ann_) {
-    const auto lists = ann_->top_k(X.row_major(), train_bits_.row_major(),
-                                   std::min(config_.k, n));
-    for (const auto& list : lists) {
-      dist.clear();
-      for (const hv::Neighbor& nb : list) {
-        dist.emplace_back(static_cast<double>(nb.distance), train_y_[nb.index]);
-      }
-      out.push_back(vote(dist) >= 0.5 ? 1 : 0);
-    }
-    return out;
-  }
   for (std::size_t q = 0; q < X.rows(); ++q) {
     dist.clear();
     dist.reserve(n);
@@ -197,7 +159,6 @@ void KnnClassifier::save_state(std::ostream& out) const {
 
 void KnnClassifier::load_state(std::istream& in) {
   util::serde::Reader r(in, "load ml.knn");
-  ann_.reset();  // indexes are not persisted; re-enable after load if wanted
   r.expect("ml.knn", "model tag");
   r.expect("v1", "format version");
   config_.k = r.u64("k");

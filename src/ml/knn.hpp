@@ -6,9 +6,6 @@
 // neighbour sets and votes are bit-identical to the dense path.
 #pragma once
 
-#include <optional>
-
-#include "hv/ann.hpp"
 #include "hv/bit_matrix.hpp"
 #include "ml/classifier.hpp"
 
@@ -39,14 +36,6 @@ class KnnClassifier final : public Classifier {
   void save_state(std::ostream& out) const override;
   void load_state(std::istream& in) override;
 
-  /// Opt-in sub-linear neighbour search over the packed training rows (the
-  /// hv::ann coarse-filter / exact-rerank index). Requires a fit_bits() /
-  /// fit_shards() training store. Off by default; not persisted by save_state — callers
-  /// re-enable after load when they want it.
-  void enable_ann(const hv::ann::Config& config = {});
-  void disable_ann() noexcept { ann_.reset(); }
-  [[nodiscard]] bool ann_enabled() const noexcept { return ann_.has_value(); }
-
  private:
   [[nodiscard]] double vote(std::vector<std::pair<double, int>>& dist) const;
 
@@ -54,7 +43,6 @@ class KnnClassifier final : public Classifier {
   Matrix train_X_;             // dense store (non-binary training data)
   hv::BitMatrix train_bits_;   // packed store (binary training data)
   Labels train_y_;
-  std::optional<hv::ann::Index> ann_;  // opt-in, binary store only
 };
 
 }  // namespace hdc::ml

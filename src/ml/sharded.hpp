@@ -9,9 +9,9 @@
 // bitplanes.
 //
 // The sharded fit paths lean on two exact merge mechanisms:
-//   1. order-free integer addition — popcounts, class counts and quantized
-//      gradient histograms are integers, so per-shard partials merged in any
-//      order equal the single-shard statistic bit for bit;
+//   1. order-free integer addition — popcounts and class counts are
+//      integers, so per-shard partials merged in any order equal the
+//      single-shard statistic bit for bit;
 //   2. carried sequential accumulation — a float accumulator carried across
 //      shards in ascending global row order executes the identical IEEE op
 //      sequence regardless of where the shard boundaries fall.

@@ -7,9 +7,9 @@
 #include <stdexcept>
 
 #include "hv/bit_matrix.hpp"
-#include "ml/packed.hpp"
 #include "ml/sharded.hpp"
 #include "simd/dispatch.hpp"
+#include "util/rng.hpp"
 
 namespace hdc::ml {
 
@@ -30,6 +30,34 @@ struct BestSplit {
   double impurity_after = 0.0;
 };
 
+/// Key of a node's child on `side` (0 = left, 1 = right); the root's key is
+/// the tree seed. A node's key is a pure function of its path, so every
+/// growth order visits the same key at the same node.
+std::uint64_t child_key(std::uint64_t key, std::uint64_t side) noexcept {
+  return util::mix_seed(key, side);
+}
+
+/// Candidate features of the node keyed `key`: every column, or (random
+/// forest mode) max_features drawn from a fresh Rng seeded with the key.
+std::vector<std::size_t> draw_candidates(std::size_t d, std::size_t max_features,
+                                         std::uint64_t key) {
+  if (max_features == 0 || max_features >= d) {
+    std::vector<std::size_t> all(d);
+    std::iota(all.begin(), all.end(), std::size_t{0});
+    return all;
+  }
+  util::Rng rng(key);
+  return rng.sample_without_replacement(d, max_features);
+}
+
+void normalise(std::vector<double>& importances) {
+  double total = 0.0;
+  for (const double v : importances) total += v;
+  if (total > 0.0) {
+    for (double& v : importances) v /= total;
+  }
+}
+
 }  // namespace
 
 DecisionTree::DecisionTree(TreeConfig config) : config_(config) {
@@ -47,7 +75,7 @@ void DecisionTree::fit(const Matrix& X, const Labels& y) {
 
 void DecisionTree::fit_bits(const hv::BitMatrix& X, const Labels& y) {
   validate_training_bits(X, y);
-  fit_from_bits(X, y, {}, config_.seed);
+  fit_shards(SingleShardSource(X, y), {});
 }
 
 void DecisionTree::fit_from_table(const ColumnTable& table,
@@ -58,18 +86,13 @@ void DecisionTree::fit_from_table(const ColumnTable& table,
   depth_ = 0;
   n_features_ = table.n_cols();
   importances_.assign(n_features_, 0.0);
-  util::Rng rng(seed);
-  build(table, rows, 0, rng);
-  double total = 0.0;
-  for (const double v : importances_) total += v;
-  if (total > 0.0) {
-    for (double& v : importances_) v /= total;
-  }
+  build(table, rows, 0, seed);
+  normalise(importances_);
 }
 
 std::int32_t DecisionTree::build(const ColumnTable& table,
                                  std::vector<std::uint32_t>& rows, std::size_t depth,
-                                 util::Rng& rng) {
+                                 std::uint64_t key) {
   depth_ = std::max(depth_, depth);
   const std::size_t n = rows.size();
   std::size_t positives = 0;
@@ -85,14 +108,8 @@ std::int32_t DecisionTree::build(const ColumnTable& table,
     return node_id;
   }
 
-  // Candidate features: all, or a random subset (random forest mode).
-  std::vector<std::size_t> candidates;
-  if (config_.max_features == 0 || config_.max_features >= table.n_cols()) {
-    candidates.resize(table.n_cols());
-    std::iota(candidates.begin(), candidates.end(), std::size_t{0});
-  } else {
-    candidates = rng.sample_without_replacement(table.n_cols(), config_.max_features);
-  }
+  const std::vector<std::size_t> candidates =
+      draw_candidates(table.n_cols(), config_.max_features, key);
 
   const double parent_impurity =
       gini_weighted(static_cast<double>(n), static_cast<double>(positives));
@@ -168,178 +185,9 @@ std::int32_t DecisionTree::build(const ColumnTable& table,
 
   nodes_[node_id].feature = best.feature;
   nodes_[node_id].threshold = best.threshold;
-  const std::int32_t left = build(table, left_rows, depth + 1, rng);
+  const std::int32_t left = build(table, left_rows, depth + 1, child_key(key, 0));
   nodes_[node_id].left = left;
-  const std::int32_t right = build(table, right_rows, depth + 1, rng);
-  nodes_[node_id].right = right;
-  return node_id;
-}
-
-/// Fit context for the bitplane path: the design matrix, the per-row
-/// bootstrap multiplicity as bit-planes, and the positive-label mask.
-struct DecisionTree::PackedTable {
-  const hv::BitMatrix* X = nullptr;
-  std::size_t words = 0;
-  std::vector<std::vector<std::uint64_t>> planes;  // multiplicity bit k
-  std::vector<std::uint64_t> labels;               // rows with label 1
-};
-
-void DecisionTree::fit_from_bits(const hv::BitMatrix& X, const Labels& y,
-                                 std::span<const std::uint32_t> multiplicity,
-                                 std::uint64_t seed) {
-  if (X.rows() == 0 || X.cols() == 0) {
-    throw std::invalid_argument("DecisionTree: empty row set");
-  }
-  if (y.size() != X.rows()) {
-    throw std::invalid_argument("DecisionTree: X/y size mismatch");
-  }
-  const std::size_t words = X.words_per_column();
-  PackedTable table;
-  table.X = &X;
-  table.words = words;
-  if (multiplicity.empty()) {
-    table.planes.emplace_back(X.valid().words(), X.valid().words() + words);
-  } else {
-    if (multiplicity.size() != X.rows()) {
-      throw std::invalid_argument("DecisionTree: multiplicity size mismatch");
-    }
-    std::uint32_t max_mult = 0;
-    for (const std::uint32_t m : multiplicity) max_mult = std::max(max_mult, m);
-    const int k_planes = std::bit_width(max_mult);
-    if (k_planes == 0) throw std::invalid_argument("DecisionTree: empty row set");
-    table.planes.assign(static_cast<std::size_t>(k_planes),
-                        std::vector<std::uint64_t>(words, 0));
-    for (std::size_t r = 0; r < multiplicity.size(); ++r) {
-      for (int k = 0; k < k_planes; ++k) {
-        if ((multiplicity[r] >> k) & 1u) {
-          table.planes[static_cast<std::size_t>(k)][r >> 6] |= 1ULL << (r & 63);
-        }
-      }
-    }
-  }
-  const hv::RowMask positives = label_mask(y);
-  table.labels.assign(positives.words(), positives.words() + words);
-
-  // Root mask: every row drawn at least once (OR of the multiplicity bits).
-  std::vector<std::uint64_t> root(words, 0);
-  for (const auto& plane : table.planes) {
-    for (std::size_t w = 0; w < words; ++w) root[w] |= plane[w];
-  }
-
-  nodes_.clear();
-  depth_ = 0;
-  n_features_ = X.cols();
-  importances_.assign(n_features_, 0.0);
-  util::Rng rng(seed);
-  build_packed(table, root, 0, rng);
-  double total = 0.0;
-  for (const double v : importances_) total += v;
-  if (total > 0.0) {
-    for (double& v : importances_) v /= total;
-  }
-}
-
-std::int32_t DecisionTree::build_packed(const PackedTable& table,
-                                        std::vector<std::uint64_t>& mask,
-                                        std::size_t depth, util::Rng& rng) {
-  depth_ = std::max(depth_, depth);
-  const std::size_t words = table.words;
-  const std::size_t k_planes = table.planes.size();
-  const simd::Kernels& kernels = simd::active();
-
-  // Node-local multiplicity planes (and their label-1 intersections):
-  // weighted counts then read off as 2^k-scaled popcounts.
-  std::vector<std::uint64_t> node_planes(k_planes * words);
-  std::size_t n = 0;
-  std::size_t positives = 0;
-  for (std::size_t k = 0; k < k_planes; ++k) {
-    std::uint64_t* plane = node_planes.data() + k * words;
-    for (std::size_t w = 0; w < words; ++w) {
-      plane[w] = table.planes[k][w] & mask[w];
-    }
-    n += (std::size_t{1} << k) * kernels.popcount(plane, words);
-    positives += (std::size_t{1} << k) *
-                 kernels.and_popcount(plane, table.labels.data(), words);
-  }
-
-  const std::int32_t node_id = static_cast<std::int32_t>(nodes_.size());
-  nodes_.emplace_back();
-  nodes_[node_id].prob = static_cast<double>(positives) / static_cast<double>(n);
-
-  const std::size_t max_depth = config_.max_depth == 0 ? kDepthCap : config_.max_depth;
-  const bool pure = positives == 0 || positives == n;
-  if (pure || depth >= max_depth || n < config_.min_samples_split) {
-    return node_id;
-  }
-
-  // Same candidate draw (and rng stream position) as the dense build.
-  std::vector<std::size_t> candidates;
-  if (config_.max_features == 0 || config_.max_features >= table.X->cols()) {
-    candidates.resize(table.X->cols());
-    std::iota(candidates.begin(), candidates.end(), std::size_t{0});
-  } else {
-    candidates = rng.sample_without_replacement(table.X->cols(), config_.max_features);
-  }
-
-  const double parent_impurity =
-      gini_weighted(static_cast<double>(n), static_cast<double>(positives));
-  BestSplit best;
-  best.impurity_after = parent_impurity;
-  const double min_leaf = static_cast<double>(config_.min_samples_leaf);
-
-  for (const std::size_t j : candidates) {
-    const std::uint64_t* col = table.X->column(j);
-    // Left bucket = bit 0 rows: weighted count and weighted positives via
-    // ANDNOT popcounts against each multiplicity plane.
-    std::size_t weighted_left = 0;
-    std::size_t weighted_pos = 0;
-    for (std::size_t k = 0; k < k_planes; ++k) {
-      const std::uint64_t* plane = node_planes.data() + k * words;
-      weighted_left +=
-          (std::size_t{1} << k) * kernels.andnot_popcount(col, plane, words);
-    }
-    const double n_left = static_cast<double>(weighted_left);
-    const double n_right = static_cast<double>(n) - n_left;
-    if (n_left < min_leaf || n_right < min_leaf) continue;
-    for (std::size_t k = 0; k < k_planes; ++k) {
-      const std::uint64_t* plane = node_planes.data() + k * words;
-      std::size_t count = 0;
-      for (std::size_t w = 0; w < words; ++w) {
-        count += static_cast<std::size_t>(
-            std::popcount(~col[w] & plane[w] & table.labels[w]));
-      }
-      weighted_pos += (std::size_t{1} << k) * count;
-    }
-    const double pos_left = static_cast<double>(weighted_pos);
-    const double pos_right = static_cast<double>(positives) - pos_left;
-    const double after =
-        gini_weighted(n_left, pos_left) + gini_weighted(n_right, pos_right);
-    if (after + 1e-12 < best.impurity_after) {
-      best = {static_cast<std::int32_t>(j), 0.5, after};
-    }
-  }
-
-  if (best.feature < 0) return node_id;  // no useful split found
-  importances_[static_cast<std::size_t>(best.feature)] +=
-      parent_impurity - best.impurity_after;
-
-  const std::uint64_t* col = table.X->column(static_cast<std::size_t>(best.feature));
-  std::vector<std::uint64_t> left_mask(words);
-  std::vector<std::uint64_t> right_mask(words);
-  for (std::size_t w = 0; w < words; ++w) {
-    left_mask[w] = mask[w] & ~col[w];
-    right_mask[w] = mask[w] & col[w];
-  }
-  mask.clear();
-  mask.shrink_to_fit();
-  node_planes.clear();
-  node_planes.shrink_to_fit();
-
-  nodes_[node_id].feature = best.feature;
-  nodes_[node_id].threshold = best.threshold;
-  const std::int32_t left = build_packed(table, left_mask, depth + 1, rng);
-  nodes_[node_id].left = left;
-  const std::int32_t right = build_packed(table, right_mask, depth + 1, rng);
+  const std::int32_t right = build(table, right_rows, depth + 1, child_key(key, 1));
   nodes_[node_id].right = right;
   return node_id;
 }
@@ -381,7 +229,9 @@ void DecisionTree::fit_streamed(const ShardSource& src, std::span<const int> y,
   nodes_.clear();
   depth_ = 0;
   n_features_ = d;
-  importances_.assign(d, 0.0);
+  // Impurity decrease of each split node, summed into importances_ in
+  // depth-first preorder once the tree is grown — the dense builder's order.
+  std::vector<double> decrease;
 
   // Per-row resident state: the id of the node each (drawn) row sits in.
   std::vector<std::int32_t> node_of(n_rows);
@@ -389,6 +239,7 @@ void DecisionTree::fit_streamed(const ShardSource& src, std::span<const int> y,
 
   struct Open {
     std::int32_t node_id = 0;
+    std::uint64_t key = 0;  // path key (candidate draw)
     std::size_t depth = 0;
     std::uint64_t n = 0;    // weighted row count
     std::uint64_t pos = 0;  // weighted positives
@@ -409,7 +260,7 @@ void DecisionTree::fit_streamed(const ShardSource& src, std::span<const int> y,
   nodes_.emplace_back();
   nodes_[0].prob = static_cast<double>(root_pos) / static_cast<double>(root_n);
   std::vector<Open> level;
-  level.push_back({0, 0, root_n, root_pos});
+  level.push_back({0, seed, 0, root_n, root_pos});
 
   const std::size_t max_depth = config_.max_depth == 0 ? kDepthCap : config_.max_depth;
   const double min_leaf = static_cast<double>(config_.min_samples_leaf);
@@ -427,15 +278,7 @@ void DecisionTree::fit_streamed(const ShardSource& src, std::span<const int> y,
       }
       Eval eval;
       eval.open = o;
-      // Per-node candidate draw keyed on (seed, node id): independent of
-      // visit order and of shard geometry.
-      if (config_.max_features == 0 || config_.max_features >= d) {
-        eval.candidates.resize(d);
-        std::iota(eval.candidates.begin(), eval.candidates.end(), std::size_t{0});
-      } else {
-        util::Rng rng(util::mix_seed(seed, static_cast<std::uint64_t>(open.node_id)));
-        eval.candidates = rng.sample_without_replacement(d, config_.max_features);
-      }
+      eval.candidates = draw_candidates(d, config_.max_features, open.key);
       eval.left_n.assign(eval.candidates.size(), 0);
       eval.left_pos.assign(eval.candidates.size(), 0);
       evals.push_back(std::move(eval));
@@ -480,27 +323,25 @@ void DecisionTree::fit_streamed(const ShardSource& src, std::span<const int> y,
         }
 
         // Weighted left-bucket counts: ANDNOT popcounts against each
-        // multiplicity plane, exactly as build_packed — every term is an
+        // multiplicity plane and its label-1 rows — every term is an
         // integer, so the cross-shard sum is order-free and exact.
         std::vector<std::uint64_t> node_plane(words);
+        std::vector<std::uint64_t> pos_plane(words);
         for (std::size_t e = g0; e < g1; ++e) {
           Eval& eval = evals[e];
           const std::uint64_t* mask = masks[e - g0].data();
           for (std::size_t k = 0; k < k_planes; ++k) {
             for (std::size_t w = 0; w < words; ++w) {
               node_plane[w] = planes_local[k][w] & mask[w];
+              pos_plane[w] = node_plane[w] & labels_local[w];
             }
             const std::uint64_t weight = std::uint64_t{1} << k;
             for (std::size_t c = 0; c < eval.candidates.size(); ++c) {
               const std::uint64_t* col = shard.column(eval.candidates[c]);
               eval.left_n[c] +=
                   weight * kernels.andnot_popcount(col, node_plane.data(), words);
-              std::size_t count = 0;
-              for (std::size_t w = 0; w < words; ++w) {
-                count += static_cast<std::size_t>(
-                    std::popcount(~col[w] & node_plane[w] & labels_local[w]));
-              }
-              eval.left_pos[c] += weight * count;
+              eval.left_pos[c] +=
+                  weight * kernels.andnot_popcount(col, pos_plane.data(), words);
             }
           }
         }
@@ -534,7 +375,8 @@ void DecisionTree::fit_streamed(const ShardSource& src, std::span<const int> y,
         }
       }
       if (best.feature < 0) continue;  // no useful split: stays a leaf
-      importances_[static_cast<std::size_t>(best.feature)] +=
+      decrease.resize(nodes_.size());
+      decrease[static_cast<std::size_t>(open.node_id)] =
           parent_impurity - best.impurity_after;
 
       const std::uint64_t left_n = eval.left_n[best_c];
@@ -552,9 +394,9 @@ void DecisionTree::fit_streamed(const ShardSource& src, std::span<const int> y,
       parent.threshold = best.threshold;
       parent.left = left_id;
       parent.right = right_id;
-      next.push_back({left_id, open.depth + 1, left_n, left_pos});
-      next.push_back(
-          {right_id, open.depth + 1, open.n - left_n, open.pos - left_pos});
+      next.push_back({left_id, child_key(open.key, 0), open.depth + 1, left_n, left_pos});
+      next.push_back({right_id, child_key(open.key, 1), open.depth + 1,
+                      open.n - left_n, open.pos - left_pos});
       splits.push_back({open.node_id, static_cast<std::size_t>(best.feature),
                         left_id, right_id});
     }
@@ -584,11 +426,39 @@ void DecisionTree::fit_streamed(const ShardSource& src, std::span<const int> y,
     level = std::move(next);
   }
 
-  double total = 0.0;
-  for (const double v : importances_) total += v;
-  if (total > 0.0) {
-    for (double& v : importances_) v /= total;
+  // Renumber the nodes in depth-first preorder — the dense builder's
+  // numbering, which also keeps a parent next to its left child for
+  // predict — and sum importances in that order.
+  std::vector<std::int32_t> preorder;
+  preorder.reserve(nodes_.size());
+  std::vector<std::int32_t> stack{0};
+  while (!stack.empty()) {
+    const std::int32_t id = stack.back();
+    stack.pop_back();
+    preorder.push_back(id);
+    const Node& nd = nodes_[static_cast<std::size_t>(id)];
+    if (nd.feature < 0) continue;
+    stack.push_back(nd.right);  // popped after the whole left subtree
+    stack.push_back(nd.left);
   }
+  std::vector<std::int32_t> new_id(nodes_.size());
+  for (std::size_t p = 0; p < preorder.size(); ++p) {
+    new_id[static_cast<std::size_t>(preorder[p])] = static_cast<std::int32_t>(p);
+  }
+  std::vector<Node> grown = std::move(nodes_);
+  nodes_.clear();
+  importances_.assign(d, 0.0);
+  for (const std::int32_t id : preorder) {
+    Node nd = grown[static_cast<std::size_t>(id)];
+    if (nd.feature >= 0) {
+      importances_[static_cast<std::size_t>(nd.feature)] +=
+          decrease[static_cast<std::size_t>(id)];
+      nd.left = new_id[static_cast<std::size_t>(nd.left)];
+      nd.right = new_id[static_cast<std::size_t>(nd.right)];
+    }
+    nodes_.push_back(nd);
+  }
+  normalise(importances_);
 }
 
 double DecisionTree::predict_proba_bits(const std::uint64_t* row_bits) const {
@@ -658,7 +528,8 @@ void DecisionTree::load_state(std::istream& in) {
   const std::size_t n = r.count("node count", 1ULL << 24);
   if (n == 0) throw r.error("empty node list");
   nodes_.assign(n, Node{});
-  for (Node& nd : nodes_) {
+  for (std::size_t i = 0; i < n; ++i) {
+    Node& nd = nodes_[i];
     nd.feature = static_cast<std::int32_t>(r.i64("node feature"));
     nd.threshold = r.f64("node threshold");
     nd.left = static_cast<std::int32_t>(r.i64("node left"));
@@ -668,7 +539,10 @@ void DecisionTree::load_state(std::istream& in) {
       if (static_cast<std::size_t>(nd.feature) >= n_features_) {
         throw r.error("node feature out of range");
       }
-      if (nd.left < 0 || nd.right < 0 ||
+      // Every builder appends children after their parent; a child at or
+      // before its own node is a back-link that would loop predict forever.
+      const auto self = static_cast<std::int64_t>(i);
+      if (nd.left <= self || nd.right <= self ||
           static_cast<std::size_t>(nd.left) >= n ||
           static_cast<std::size_t>(nd.right) >= n) {
         throw r.error("node child index out of range");

@@ -1,14 +1,17 @@
 // CART classification tree (gini impurity, binary splits).
 //
-// Split search is exact: continuous columns are sorted per node; columns
-// whose values are all 0/1 (hypervector inputs) skip sorting and use a
-// two-bucket count, which keeps 10,000-column trees tractable.
+// Split search is exact. The dense fit() grows depth-first: continuous
+// columns are sorted per node, 0/1 columns use a two-bucket count. Packed
+// input (fit_bits, fit_shards) grows level-wise over a ShardSource with
+// integer popcount node statistics; fit_bits is a one-shard fit_shards.
+// Both growth orders key each node's candidate draw on its path, number the
+// nodes and sum importances in depth-first preorder, so they fit the same
+// tree.
 #pragma once
 
 #include <cstdint>
 
 #include "ml/classifier.hpp"
-#include "util/rng.hpp"
 
 namespace hdc::ml {
 
@@ -22,36 +25,28 @@ struct TreeConfig {
   std::uint64_t seed = 1;
 };
 
-/// A single fitted tree. Also exposes the internal fit-from-table entry point
-/// used by RandomForest (bootstrapped row sets, per-node feature sampling).
+/// A single fitted tree. Also exposes the weighted entry points RandomForest
+/// uses (bootstrapped row sets, per-node feature sampling).
 class DecisionTree final : public Classifier {
  public:
   explicit DecisionTree(TreeConfig config = {});
 
   void fit(const Matrix& X, const Labels& y) override;
+  /// fit_shards over X as a single shard.
   void fit_bits(const hv::BitMatrix& X, const Labels& y) override;
 
   /// Fit on a subset of a prepared table (rows may repeat = bootstrap).
   void fit_from_table(const ColumnTable& table, std::vector<std::uint32_t> rows,
                       std::uint64_t seed);
 
-  /// Packed analogue of fit_from_table: `multiplicity[r]` is row r's
-  /// bootstrap count (empty = every row once). Weighted node counts come
-  /// from multiplicity bit-planes — count = sum_k 2^k * popcount(plane_k &
-  /// mask) — so the fit is bit-identical to the dense fit on the
-  /// equivalent row multiset.
-  void fit_from_bits(const hv::BitMatrix& X, const Labels& y,
-                     std::span<const std::uint32_t> multiplicity,
-                     std::uint64_t seed);
-
-  /// Out-of-core analogue of fit_from_bits: level-wise growth over a
-  /// sharded source, with every node statistic (weighted counts and
-  /// weighted positives per candidate feature) an integer popcount summed
-  /// across shards — so the tree is bit-identical at any shard count.
-  /// Candidate features are drawn from a per-node RNG keyed on
-  /// (seed, node id); this is a different (still deterministic) stream
-  /// from fit_from_bits' single depth-first RNG, so the two entry points
-  /// agree only when max_features covers every column.
+  /// Packed analogue of fit_from_table: level-wise growth over a sharded
+  /// source. `multiplicity[r]` is row r's bootstrap count (empty = every
+  /// row once); weighted node counts come from multiplicity bit-planes —
+  /// count = sum_k 2^k * popcount(plane_k & mask) — summed across shards as
+  /// integers. The tree is bit-identical at any shard count and to
+  /// fit_from_table on the equivalent row multiset: same candidates,
+  /// splits, leaf probabilities and importances, and the nodes are
+  /// renumbered in depth-first preorder once grown.
   void fit_streamed(const ShardSource& src, std::span<const int> y,
                     std::span<const std::uint32_t> multiplicity,
                     std::uint64_t seed);
@@ -70,6 +65,7 @@ class DecisionTree final : public Classifier {
   void load_state(std::istream& in) override;
 
   [[nodiscard]] std::size_t node_count() const noexcept { return nodes_.size(); }
+  [[nodiscard]] std::size_t n_features() const noexcept { return n_features_; }
   [[nodiscard]] std::size_t depth() const noexcept { return depth_; }
 
   /// Gini importance per feature: total impurity decrease contributed by
@@ -90,12 +86,7 @@ class DecisionTree final : public Classifier {
   };
 
   std::int32_t build(const ColumnTable& table, std::vector<std::uint32_t>& rows,
-                     std::size_t depth, util::Rng& rng);
-
-  struct PackedTable;  // bitplane fit context, defined in tree.cpp
-  std::int32_t build_packed(const PackedTable& table,
-                            std::vector<std::uint64_t>& mask, std::size_t depth,
-                            util::Rng& rng);
+                     std::size_t depth, std::uint64_t key);
 
   TreeConfig config_;
   std::vector<Node> nodes_;

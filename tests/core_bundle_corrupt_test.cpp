@@ -282,6 +282,122 @@ TEST(BundleCorrupt, GarbageInputsRejected) {
   }
 }
 
+/// save_state body of zoo model `name` fitted on the golden bundle's data.
+std::string fitted_model_body(const std::string& name) {
+  const hdc::data::Dataset ds = hdc::data::make_sylhet({30, 40, 3});
+  hdc::core::ExtractorConfig config;
+  config.dimensions = 256;
+  config.seed = 7;
+  hdc::core::HdcFeatureExtractor extractor(config);
+  extractor.fit(ds);
+  auto model = hdc::ml::make_model(name, 0.2);
+  model->fit_bits(extractor.transform_bits(ds), ds.labels());
+  std::ostringstream body;
+  model->save_state(body);
+  return body.str();
+}
+
+std::vector<std::string> body_lines(const std::string& body) {
+  std::vector<std::string> lines;
+  std::istringstream in(body);
+  for (std::string line; std::getline(in, line);) lines.push_back(line);
+  return lines;
+}
+
+std::string join_lines(const std::vector<std::string>& lines) {
+  std::string body;
+  for (const std::string& line : lines) body += line + '\n';
+  return body;
+}
+
+/// Whitespace-separated token `k` of a serializer line.
+std::string token(const std::string& line, std::size_t k) {
+  std::istringstream in(line);
+  std::string tok;
+  for (std::size_t i = 0; i <= k; ++i) in >> tok;
+  return tok;
+}
+
+/// `line` with token `k` replaced by `value`.
+std::string with_token(const std::string& line, std::size_t k,
+                       const std::string& value) {
+  std::istringstream in(line);
+  std::string out;
+  std::size_t i = 0;
+  for (std::string tok; in >> tok; ++i) {
+    out += (out.empty() ? "" : " ") + (i == k ? value : tok);
+  }
+  return out;
+}
+
+/// A crafted (checksum-valid) model section must be rejected by load_bundle
+/// with the section named in the diagnostic.
+void expect_section_rejected(const std::string& model, const std::string& body,
+                             const std::string& what) {
+  const std::string section = "model:" + model;
+  std::istringstream in(craft_bundle({{section, body}}));
+  try {
+    (void)load_bundle(in);
+    ADD_FAILURE() << what << " accepted";
+  } catch (const std::runtime_error& e) {
+    EXPECT_NE(std::string(e.what()).find(section), std::string::npos) << e.what();
+  }
+}
+
+/// Point the left child of the split node on `lines[at]` back at itself
+/// (node 0): a cycle that would make predict walk forever.
+void make_self_loop(std::vector<std::string>& lines, std::size_t at,
+                    std::size_t left_token) {
+  ASSERT_NE(token(lines[at], 0), "-1") << "root is a leaf";
+  lines[at] = with_token(lines[at], left_token, "0");
+}
+
+TEST(BundleCorrupt, TreeSelfLoopRejected) {
+  // ml.tree: tag, config, n_features/depth, node count, then node 0 as
+  // "feature threshold left right prob".
+  std::vector<std::string> lines = body_lines(golden_model_body("Decision Tree"));
+  make_self_loop(lines, 4, 2);
+  expect_section_rejected("Decision Tree", join_lines(lines), "tree self-loop");
+}
+
+TEST(BundleCorrupt, GbdtSelfLoopRejected) {
+  // ml.gbdt: tag, config, n_features/base, round count, node count, then
+  // the first tree's node 0 as "feature threshold left right value".
+  std::vector<std::string> lines = body_lines(fitted_model_body("XGBoost"));
+  make_self_loop(lines, 5, 2);
+  expect_section_rejected("XGBoost", join_lines(lines), "XGBoost self-loop");
+}
+
+TEST(BundleCorrupt, HistGbdtSelfLoopRejected) {
+  // ml.hist_gbdt: tag, config, n_features/base, one bin-edge line per
+  // feature, round count, node count, then the first tree's node 0 as
+  // "feature bin threshold left right value".
+  std::vector<std::string> lines = body_lines(fitted_model_body("LGBM"));
+  const std::size_t features = std::stoul(token(lines[2], 0));
+  make_self_loop(lines, 5 + features, 3);
+  expect_section_rejected("LGBM", join_lines(lines), "LGBM self-loop");
+}
+
+TEST(BundleCorrupt, ForestWithWiderLaterTreeRejected) {
+  // ml.forest: tag, config, tree count, then ml.tree bodies. Widen the
+  // second tree to 512 features and split its root on feature 300 — past
+  // the 256-bit rows the first tree's arity admits to predict_all_bits.
+  std::vector<std::string> lines = body_lines(fitted_model_body("Random Forest"));
+  std::vector<std::size_t> trees;
+  for (std::size_t i = 0; i < lines.size(); ++i) {
+    if (lines[i] == "ml.tree v1") trees.push_back(i);
+  }
+  ASSERT_GE(trees.size(), 2u);
+  const std::size_t at = trees[1];
+  ASSERT_EQ(token(lines[at + 2], 0), "256");
+  lines[at + 2] = with_token(lines[at + 2], 0, "512");
+  ASSERT_NE(token(lines[at + 4], 0), "-1") << "root is a leaf";
+  lines[at + 4] = with_token(lines[at + 4], 0, "300");
+  // Importances may be empty; a 256-entry vector would not match 512.
+  lines[at + 4 + std::stoul(token(lines[at + 3], 0))] = "0";
+  expect_section_rejected("Random Forest", join_lines(lines), "wider later tree");
+}
+
 /// Raw body bytes of one named section, scanned straight out of an artifact
 /// (headers are `section ~name bytes checksum`, body follows the newline).
 std::string raw_section_body(const std::string& artifact,

@@ -1,8 +1,10 @@
 // fit_shards contracts: every zoo model (plus Naive Bayes) must fit to
-// byte-identical state and predictions at any shard count; the models with
-// exact merge paths must additionally match their fit_bits entry point; the
-// experiment pipeline's max_resident_rows knob must not change results; and
-// the ml.hist_merge_ops counter must account for the merges.
+// byte-identical state and predictions at any shard count; the models whose
+// fit_bits is a one-shard fit_shards (DT, RF, LGBM, NB, SVC under the cap)
+// or whose sharded fit carries its float sums in global row order (LR), and
+// KNN, must additionally match fit_bits byte for byte; the experiment
+// pipeline's max_resident_rows knob must not change results; and the
+// ml.hist_merge_ops counter must account for the merges.
 #include <gtest/gtest.h>
 
 #include <functional>
@@ -207,6 +209,77 @@ TEST(ShardedFit, KnnMatchesFitBitsExactly) {
   const MaterializedShardSource src(f.sharded[1], f.ds.labels());
   static_cast<Classifier&>(sharded).fit_shards(src);
   EXPECT_EQ(state_of(sharded), state_of(reference));
+}
+
+// DT's fit_bits is a one-shard fit_shards: level-wise growth with integer
+// popcount node statistics, so 4 shards land on the same tree.
+TEST(ShardedFit, DecisionTreeMatchesFitBitsExactly) {
+  const Fixture& f = fixture();
+  hdc::ml::DecisionTree reference;
+  reference.fit_bits(f.whole, f.ds.labels());
+  ASSERT_GT(reference.node_count(), 1u);
+  hdc::ml::DecisionTree sharded;
+  const MaterializedShardSource src(f.sharded[1], f.ds.labels());
+  static_cast<Classifier&>(sharded).fit_shards(src);
+  EXPECT_EQ(state_of(sharded), state_of(reference));
+}
+
+// RF: bootstrap multiplicities and path-keyed candidate draws feed the same
+// level-wise tree builder at any shard count.
+TEST(ShardedFit, RandomForestMatchesFitBitsExactly) {
+  const Fixture& f = fixture();
+  hdc::ml::ForestConfig config;
+  config.n_trees = 7;
+  hdc::ml::RandomForest reference(config);
+  reference.fit_bits(f.whole, f.ds.labels());
+  hdc::ml::RandomForest sharded(config);
+  const MaterializedShardSource src(f.sharded[2], f.ds.labels());
+  static_cast<Classifier&>(sharded).fit_shards(src);
+  EXPECT_EQ(state_of(sharded), state_of(reference));
+}
+
+// The level-wise packed builder renumbers its nodes in depth-first preorder
+// and keys candidates on the node's path, so a sharded DT or RF writes the
+// same bytes as the depth-first dense fit on the expanded 0/1 matrix.
+TEST(ShardedFit, TreeAndForestMatchDenseFitBytes) {
+  const Fixture& f = fixture();
+  hdc::ml::Matrix dense;
+  for (std::size_t i = 0; i < f.whole.rows(); ++i) {
+    dense.push_back(f.whole.row_doubles(i));
+  }
+  const MaterializedShardSource src(f.sharded[1], f.ds.labels());
+  hdc::ml::DecisionTree tree_dense;
+  tree_dense.fit(dense, f.ds.labels());
+  hdc::ml::DecisionTree tree_sharded;
+  static_cast<Classifier&>(tree_sharded).fit_shards(src);
+  EXPECT_EQ(state_of(tree_sharded), state_of(tree_dense));
+
+  hdc::ml::ForestConfig config;
+  config.n_trees = 7;
+  hdc::ml::RandomForest forest_dense(config);
+  forest_dense.fit(dense, f.ds.labels());
+  hdc::ml::RandomForest forest_sharded(config);
+  static_cast<Classifier&>(forest_sharded).fit_shards(src);
+  EXPECT_EQ(state_of(forest_sharded), state_of(forest_dense));
+}
+
+// LGBM carries its per-column (g, h) sums across shards in ascending row
+// order and gates them on the counts still reachable, so the 4- and 8-shard
+// fits equal the one-shard fit_bits in every float bit.
+TEST(ShardedFit, HistGbdtMatchesFitBitsExactly) {
+  const Fixture& f = fixture();
+  hdc::ml::HistGbdtConfig config;
+  config.n_rounds = 10;
+  config.num_leaves = 8;
+  hdc::ml::HistGbdtClassifier reference(config);
+  reference.fit_bits(f.whole, f.ds.labels());
+  for (const std::size_t v : {1u, 2u}) {
+    hdc::ml::HistGbdtClassifier sharded(config);
+    const MaterializedShardSource src(f.sharded[v], f.ds.labels());
+    static_cast<Classifier&>(sharded).fit_shards(src);
+    EXPECT_EQ(state_of(sharded), state_of(reference))
+        << f.sharded[v].num_shards() << " shards";
+  }
 }
 
 // The base-class fallback (XGBoost has no packed fast path) must still be
