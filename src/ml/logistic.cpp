@@ -1,12 +1,15 @@
 #include "ml/logistic.hpp"
 
+#include <algorithm>
 #include <cmath>
 #include <stdexcept>
+#include <string>
 
 #include "hv/bit_matrix.hpp"
 #include "ml/sharded.hpp"
 #include "obs/metrics.hpp"
 #include "obs/trace.hpp"
+#include "simd/dispatch.hpp"
 
 namespace hdc::ml {
 
@@ -46,16 +49,9 @@ LogisticRegression::BinaryZ LogisticRegression::binary_standardize(
   return table;
 }
 
-void LogisticRegression::BinaryZ::expand(const std::uint64_t* row,
-                                         double* out) const {
-  for (std::size_t j = 0; j < z0.size(); ++j) {
-    out[j] = (row[j / 64] >> (j % 64)) & 1u ? z1[j] : z0[j];
-  }
-}
-
-template <typename ForEachRow>
-void LogisticRegression::run_gradient_descent(std::size_t n, std::size_t d,
-                                              const ForEachRow& for_each_row) {
+template <typename AccumulateGradient>
+void LogisticRegression::run_gradient_descent(
+    std::size_t n, std::size_t d, const AccumulateGradient& accumulate) {
   w_.assign(d, 0.0);
   b_ = 0.0;
   std::vector<double> vel_w(d, 0.0);
@@ -68,13 +64,7 @@ void LogisticRegression::run_gradient_descent(std::size_t n, std::size_t d,
     ++iters_run;
     std::fill(grad.begin(), grad.end(), 0.0);
     double grad_b = 0.0;
-    for_each_row([&](const double* zi, int label) {
-      double z = b_;
-      for (std::size_t j = 0; j < d; ++j) z += w_[j] * zi[j];
-      const double err = sigmoid(z) - static_cast<double>(label);
-      for (std::size_t j = 0; j < d; ++j) grad[j] += err * zi[j];
-      grad_b += err;
-    });
+    accumulate(grad, grad_b);
     double norm_sq = grad_b * grad_b;
     const double inv_n = 1.0 / static_cast<double>(n);
     for (std::size_t j = 0; j < d; ++j) {
@@ -126,32 +116,21 @@ void LogisticRegression::fit(const Matrix& X, const Labels& y) {
       Z[i * d + j] = (X[i][j] - mean_[j]) * inv_std_[j];
     }
   }
-  run_gradient_descent(n, d, [&](const auto& visit) {
-    for (std::size_t i = 0; i < n; ++i) visit(Z.data() + i * d, y[i]);
+  run_gradient_descent(n, d, [&](std::vector<double>& grad, double& grad_b) {
+    for (std::size_t i = 0; i < n; ++i) {
+      const double* zi = Z.data() + i * d;
+      double z = b_;
+      for (std::size_t j = 0; j < d; ++j) z += w_[j] * zi[j];
+      const double err = sigmoid(z) - static_cast<double>(y[i]);
+      for (std::size_t j = 0; j < d; ++j) grad[j] += err * zi[j];
+      grad_b += err;
+    }
   });
 }
 
 void LogisticRegression::fit_bits(const hv::BitMatrix& X, const Labels& y) {
-  obs::Span span("ml.logistic.fit_bits");
   validate_training_bits(X, y);
-  const std::size_t n = X.rows();
-  const std::size_t d = X.cols();
-  std::vector<std::size_t> pop(d, 0);
-  if (config_.standardize) {
-    for (std::size_t j = 0; j < d; ++j) pop[j] = X.column_popcount(j);
-  }
-  const BinaryZ table = binary_standardize(pop, n);
-
-  // Expand the packed rows through the 2-entry table once: the optimisation
-  // loop then streams a contiguous n*d matrix, which is several times faster
-  // than re-expanding every row on every iteration.
-  std::vector<double> Z(n * d);
-  for (std::size_t i = 0; i < n; ++i) {
-    table.expand(X.row_bits(i), Z.data() + i * d);
-  }
-  run_gradient_descent(n, d, [&](const auto& visit) {
-    for (std::size_t i = 0; i < n; ++i) visit(Z.data() + i * d, y[i]);
-  });
+  fit_shards(SingleShardSource(X, y), {});
 }
 
 void LogisticRegression::fit_shards(const ShardSource& src,
@@ -179,19 +158,31 @@ void LogisticRegression::fit_shards(const ShardSource& src,
   }
   const BinaryZ table = binary_standardize(pop, n);
 
-  // Each row's standardised values are expanded on the fly from the
-  // resident shard instead of a precomputed n*d matrix. Rows are visited in
-  // ascending global order, so the float op sequence — and therefore every
-  // iterate — is bit-identical to fit_bits regardless of where the shard
-  // boundaries fall.
-  std::vector<double> zrow(d);
-  run_gradient_descent(n, d, [&](const auto& visit) {
+  // Each pass reads the resident shard's packed rows directly; the kernels
+  // turn every bit into table.z0[j] or table.z1[j] by a select. A block of
+  // up to kSelectMaxRows rows computes its logits as independent
+  // accumulator chains (each in column order, exactly the serial dot
+  // product), then adds its rows' terms into grad[j] in ascending row
+  // order. Blocks never span two shards, so the IEEE op sequence, and every
+  // iterate, is the same wherever the shard boundaries fall.
+  const simd::Kernels& kernels = simd::active();
+  double logit[simd::kSelectMaxRows];
+  double err[simd::kSelectMaxRows];
+  run_gradient_descent(n, d, [&](std::vector<double>& grad, double& grad_b) {
     for (std::size_t s = 0; s < src.num_shards(); ++s) {
       const hv::BitMatrix& shard = src.shard(s);
       const std::size_t begin = src.shard_begin(s);
-      for (std::size_t i = 0; i < shard.rows(); ++i) {
-        table.expand(shard.row_bits(i), zrow.data());
-        visit(zrow.data(), y[begin + i]);
+      for (std::size_t i = 0; i < shard.rows(); i += simd::kSelectMaxRows) {
+        const std::size_t block = std::min(simd::kSelectMaxRows, shard.rows() - i);
+        const std::uint64_t* rows = shard.row_bits(i);
+        kernels.select_dot(rows, block, d, table.z0.data(), table.z1.data(),
+                           w_.data(), b_, logit);
+        for (std::size_t k = 0; k < block; ++k) {
+          err[k] = sigmoid(logit[k]) - static_cast<double>(y[begin + i + k]);
+          grad_b += err[k];
+        }
+        kernels.select_axpy(rows, block, d, table.z0.data(), table.z1.data(),
+                            err, grad.data());
       }
     }
   });
@@ -239,6 +230,18 @@ void LogisticRegression::load_state(std::istream& in) {
   if (mean_.size() != w_.size() || inv_std_.size() != w_.size()) {
     throw r.error("mean/inv_std arity mismatch");
   }
+  // The fields are raw bit patterns: a NaN or infinity would load, then
+  // make predict_proba leave [0, 1] and predict answer class 0 silently.
+  const auto require_finite = [&](std::span<const double> values,
+                                  const char* field) {
+    for (const double v : values) {
+      if (!std::isfinite(v)) throw r.error(std::string("non-finite ") + field);
+    }
+  };
+  require_finite(w_, "weights");
+  require_finite({&b_, 1}, "bias");
+  require_finite(mean_, "mean");
+  require_finite(inv_std_, "inv_std");
 }
 
 }  // namespace hdc::ml

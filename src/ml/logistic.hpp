@@ -3,7 +3,6 @@
 // well-conditioned second-order solver such as scikit-learn's lbfgs).
 #pragma once
 
-#include <cstdint>
 #include <span>
 #include <vector>
 
@@ -24,13 +23,20 @@ class LogisticRegression final : public Classifier {
  public:
   explicit LogisticRegression(LogisticConfig config = {});
 
+  /// Dense reference algorithm: standardises into a resident n*d matrix
+  /// and runs one serial dot product and gradient row per sample. Raw
+  /// features (d = 8 or 16) train here, and it is the oracle the packed
+  /// path is tested against.
   void fit(const Matrix& X, const Labels& y) override;
+  /// One-shard fit_shards(): the same algorithm and bit-identical state.
   void fit_bits(const hv::BitMatrix& X, const Labels& y) override;
-  /// Exact sharded fit: moments come from integer popcounts merged across
-  /// shards, and each gradient pass streams the shards in ascending global
-  /// row order expanding rows through the same 2-entry z0/z1 table — the
-  /// identical IEEE op sequence as fit_bits() on the concatenated matrix,
-  /// so the result is bit-identical at any shard count.
+  /// Packed algorithm, straight from the bits: moments come from integer
+  /// popcounts merged across shards, and each gradient pass runs the
+  /// simd select_dot/select_axpy kernels over row blocks of the resident
+  /// shard, reading every 0/1 entry as its column's z0/z1 constant. Per
+  /// row the logit is the same serial chain and grad[j] takes the rows in
+  /// ascending order, so the result equals dense fit() on the same 0/1
+  /// values bit for bit, at any shard count and on every SIMD tier.
   void fit_shards(const ShardSource& src,
                   const ShardedFitOptions& options) override;
   [[nodiscard]] double predict_proba(std::span<const double> x) const override;
@@ -48,20 +54,18 @@ class LogisticRegression final : public Classifier {
   struct BinaryZ {
     std::vector<double> z0;
     std::vector<double> z1;
-    /// Standardised values of one packed row into out[0..d).
-    void expand(const std::uint64_t* row, double* out) const;
   };
 
   /// Set mean_/inv_std_ from per-column ones-counts over n rows (all-zero
   /// counts when standardize is off) and return the 0/1 value table.
   BinaryZ binary_standardize(std::span<const std::size_t> pop, std::size_t n);
 
-  /// Full-batch momentum descent over n rows of d standardised values.
-  /// for_each_row(visit) must call visit(const double* z_row, int label)
-  /// once per row in ascending row order.
-  template <typename ForEachRow>
+  /// Full-batch momentum descent over n rows of d standardised features.
+  /// accumulate(grad, grad_b) adds one iteration's unscaled loss gradient
+  /// into the zeroed grad[0..d) and grad_b, reading the current w_ and b_.
+  template <typename AccumulateGradient>
   void run_gradient_descent(std::size_t n, std::size_t d,
-                            const ForEachRow& for_each_row);
+                            const AccumulateGradient& accumulate);
 
   LogisticConfig config_;
   std::vector<double> w_;

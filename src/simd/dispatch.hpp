@@ -2,11 +2,14 @@
 //
 // The paper's pitch is that binary HDC reduces classification to XOR,
 // popcount, and majority voting — operations a CPU executes word-parallel.
-// This module takes that one step further: the three batch kernels behind
-// every hot path (Hamming reduction, bulk popcount, word-parallel majority
-// bundling) live in per-tier translation units compiled with the matching
+// This module takes that one step further: the batch kernels behind every
+// hot path live in per-tier translation units compiled with the matching
 // ISA flags, and a process-wide dispatch table picks the best tier the CPU
-// supports at runtime:
+// supports at runtime. The kernels are Hamming reduction, bulk and masked
+// popcounts, word-parallel majority bundling, the block Hamming scan behind
+// the ANN sketch filter, and the two select kernels that train logistic
+// regression straight from packed rows (each 0/1 entry read as one of two
+// per-column doubles):
 //
 //   * kScalar — portable std::popcount loops (always compiled, the
 //     bit-exactness reference for every other tier);
@@ -17,7 +20,12 @@
 //
 // Every tier is bit-exact with kScalar (property-tested across widths that
 // are not a multiple of any vector register), so dispatch never affects
-// results — only throughput. Selection order and overrides:
+// results — only throughput. For the floating-point kernels that rests on
+// one rule: no fused multiply-add. Each term is a rounded multiply followed
+// by a rounded add, in the documented order, so the SIMD tier translation
+// units are compiled with -ffp-contract=off (AVX-512F implies FMA, and a
+// contracted kernel changes logistic-regression weights). Selection order
+// and overrides:
 //
 //   1. `HDC_SIMD=scalar|avx2|avx512` environment variable (read once at
 //      first use; unsupported or unknown values log a warning and fall back
@@ -77,7 +85,27 @@ struct Kernels {
   void (*sketch_scan)(const std::uint64_t* query, const std::uint64_t* block,
                       std::size_t n, std::size_t words,
                       std::uint32_t* out) noexcept;
+
+  /// Blocked logits over bit-packed rows: `rows` holds `nrows` (1 to
+  /// kSelectMaxRows) contiguous rows of ceil(cols/64) words, and
+  ///   out[k] = bias + sum_j w[j] * (bit_kj ? z1[j] : z0[j])
+  /// with j ascending, each term a rounded multiply then a rounded add —
+  /// per row the same chain as a serial dot product over the expanded
+  /// doubles. Bits past `cols` are ignored.
+  void (*select_dot)(const std::uint64_t* rows, std::size_t nrows,
+                     std::size_t cols, const double* z0, const double* z1,
+                     const double* w, double bias, double* out) noexcept;
+
+  /// Blocked gradient update over the same row layout: for every column j,
+  ///   grad[j] = grad[j] + coef[k] * (bit_kj ? z1[j] : z0[j])
+  /// applied for k = 0, 1, ..., nrows-1 in that order (multiply, then add).
+  void (*select_axpy)(const std::uint64_t* rows, std::size_t nrows,
+                      std::size_t cols, const double* z0, const double* z1,
+                      const double* coef, double* grad) noexcept;
 };
+
+/// Largest row block select_dot/select_axpy accept.
+inline constexpr std::size_t kSelectMaxRows = 16;
 
 /// Lower-case tier name ("scalar", "avx2", "avx512").
 [[nodiscard]] const char* tier_name(Tier tier) noexcept;

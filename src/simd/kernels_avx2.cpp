@@ -10,6 +10,10 @@
 //
 // Majority uses the same bit-sliced ripple-carry counters as the scalar
 // tier, just 256 columns per step instead of 64.
+//
+// The logistic select kernels are floating point: every term is a separate
+// multiply and add in the scalar tier's order (this TU is compiled with
+// -ffp-contract=off), so results are bit-identical across tiers.
 #include <immintrin.h>
 
 #include <algorithm>
@@ -306,12 +310,111 @@ void sketch_scan_avx2(const std::uint64_t* query, const std::uint64_t* block,
   }
 }
 
+/// Row word `wi` of each row in the block, zero-filled to kSelectMaxRows.
+inline void load_row_words(const std::uint64_t* rows, std::size_t nrows,
+                           std::size_t words, std::size_t wi,
+                           std::uint64_t* out) noexcept {
+  for (std::size_t k = 0; k < kSelectMaxRows; ++k) {
+    out[k] = k < nrows ? rows[k * words + wi] : 0;
+  }
+}
+
+/// One row per lane, four 4-row vectors: each vector is an independent
+/// accumulator chain summing its rows' terms in column order. Column j's
+/// bit is shifted up to the sign bit, which is all BLENDVPD reads. Rows
+/// past nrows read as zero and their sums are discarded.
+void select_dot_avx2(const std::uint64_t* rows, std::size_t nrows,
+                     std::size_t cols, const double* z0, const double* z1,
+                     const double* w, double bias, double* out) noexcept {
+  constexpr std::size_t kVecs = kSelectMaxRows / 4;
+  const std::size_t words = (cols + 63) / 64;
+  __m256d acc[kVecs];
+  for (__m256d& a : acc) a = _mm256_set1_pd(bias);
+  alignas(32) std::uint64_t bits[kSelectMaxRows];
+  for (std::size_t wi = 0; wi < words; ++wi) {
+    load_row_words(rows, nrows, words, wi, bits);
+    __m256i t[kVecs];
+    for (std::size_t v = 0; v < kVecs; ++v) {
+      t[v] = _mm256_load_si256(reinterpret_cast<const __m256i*>(bits + 4 * v));
+    }
+    const std::size_t base = wi * 64;
+    const std::size_t width = std::min<std::size_t>(64, cols - base);
+    for (std::size_t b = 0; b < width; ++b) {
+      const std::size_t j = base + b;
+      const __m256d vz0 = _mm256_broadcast_sd(z0 + j);
+      const __m256d vz1 = _mm256_broadcast_sd(z1 + j);
+      const __m256d vw = _mm256_broadcast_sd(w + j);
+      const __m128i shift = _mm_cvtsi64_si128(static_cast<long long>(63 - b));
+      for (std::size_t v = 0; v < kVecs; ++v) {
+        const __m256d sign = _mm256_castsi256_pd(_mm256_sll_epi64(t[v], shift));
+        const __m256d sel = _mm256_blendv_pd(vz0, vz1, sign);
+        acc[v] = _mm256_add_pd(acc[v], _mm256_mul_pd(vw, sel));
+      }
+    }
+  }
+  alignas(32) double sums[kSelectMaxRows];
+  for (std::size_t v = 0; v < kVecs; ++v) _mm256_store_pd(sums + 4 * v, acc[v]);
+  for (std::size_t k = 0; k < nrows; ++k) out[k] = sums[k];
+}
+
+/// Lane masks for a 4-bit column group: entry m has lane i all-ones where
+/// bit i of m is set.
+alignas(32) constexpr std::int64_t kNibbleLanes[16][4] = {
+    {0, 0, 0, 0},   {-1, 0, 0, 0},   {0, -1, 0, 0},   {-1, -1, 0, 0},
+    {0, 0, -1, 0},  {-1, 0, -1, 0},  {0, -1, -1, 0},  {-1, -1, -1, 0},
+    {0, 0, 0, -1},  {-1, 0, 0, -1},  {0, -1, 0, -1},  {-1, -1, 0, -1},
+    {0, 0, -1, -1}, {-1, 0, -1, -1}, {0, -1, -1, -1}, {-1, -1, -1, -1}};
+
+/// One column per lane, 16 columns (four vectors) at a time: each lane's
+/// grad accumulator takes the rows' terms in row order. A row's 4-bit
+/// column slice picks its blend mask from kNibbleLanes. Columns of a
+/// partial 16-column group run the same multiply-then-add in scalar code.
+void select_axpy_avx2(const std::uint64_t* rows, std::size_t nrows,
+                      std::size_t cols, const double* z0, const double* z1,
+                      const double* coef, double* grad) noexcept {
+  const std::size_t words = (cols + 63) / 64;
+  std::uint64_t bits[kSelectMaxRows];
+  for (std::size_t wi = 0; wi < words; ++wi) {
+    load_row_words(rows, nrows, words, wi, bits);
+    const std::size_t base = wi * 64;
+    const std::size_t width = std::min<std::size_t>(64, cols - base);
+    std::size_t g = 0;
+    for (; g + 16 <= width; g += 16) {
+      const std::size_t j = base + g;
+      __m256d acc[4];
+      for (std::size_t v = 0; v < 4; ++v) acc[v] = _mm256_loadu_pd(grad + j + 4 * v);
+      for (std::size_t k = 0; k < nrows; ++k) {
+        const __m256d c = _mm256_set1_pd(coef[k]);
+        const std::uint64_t slice = bits[k] >> g;
+        for (std::size_t v = 0; v < 4; ++v) {
+          const __m256d mask = _mm256_castsi256_pd(_mm256_load_si256(
+              reinterpret_cast<const __m256i*>(kNibbleLanes[(slice >> (4 * v)) & 15u])));
+          const __m256d sel = _mm256_blendv_pd(_mm256_loadu_pd(z0 + j + 4 * v),
+                                               _mm256_loadu_pd(z1 + j + 4 * v), mask);
+          acc[v] = _mm256_add_pd(acc[v], _mm256_mul_pd(c, sel));
+        }
+      }
+      for (std::size_t v = 0; v < 4; ++v) _mm256_storeu_pd(grad + j + 4 * v, acc[v]);
+    }
+    for (; g < width; ++g) {
+      const std::size_t j = base + g;
+      const double pair[2] = {z0[j], z1[j]};
+      double sum = grad[j];
+      for (std::size_t k = 0; k < nrows; ++k) {
+        sum = sum + coef[k] * pair[(bits[k] >> g) & 1u];
+      }
+      grad[j] = sum;
+    }
+  }
+}
+
 }  // namespace
 
 const Kernels& avx2_kernels() noexcept {
-  static const Kernels table{hamming_avx2, popcount_avx2, and_popcount_avx2,
-                             andnot_popcount_avx2, majority_avx2,
-                             sketch_scan_avx2};
+  static const Kernels table{hamming_avx2,         popcount_avx2,
+                             and_popcount_avx2,    andnot_popcount_avx2,
+                             majority_avx2,        sketch_scan_avx2,
+                             select_dot_avx2,      select_axpy_avx2};
   return table;
 }
 

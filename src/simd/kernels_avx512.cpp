@@ -7,6 +7,10 @@
 // Majority is the bit-sliced ripple-carry counter scheme, 512 columns per
 // step, with the carry chain of the threshold test fused into single
 // VPTERNLOG majority ops.
+//
+// The logistic select kernels are floating point: every term is a separate
+// multiply and add in the scalar tier's order. -mavx512f implies FMA, so
+// this TU is compiled with -ffp-contract=off to keep GCC from fusing them.
 #include <immintrin.h>
 
 #include <algorithm>
@@ -254,12 +258,108 @@ void sketch_scan_avx512(const std::uint64_t* query, const std::uint64_t* block,
   }
 }
 
+/// One row per lane, two 8-row vectors: each vector is an independent
+/// accumulator chain summing its rows' terms in column order. Column j's
+/// blend mask is VPTESTMQ of the rows' words against bit j % 64. Rows past
+/// nrows read as zero and their sums are discarded.
+void select_dot_avx512(const std::uint64_t* rows, std::size_t nrows,
+                       std::size_t cols, const double* z0, const double* z1,
+                       const double* w, double bias, double* out) noexcept {
+  const std::size_t words = (cols + 63) / 64;
+  __m512d acc0 = _mm512_set1_pd(bias);
+  __m512d acc1 = acc0;
+  alignas(64) std::uint64_t bits[kSelectMaxRows];
+  for (std::size_t wi = 0; wi < words; ++wi) {
+    for (std::size_t k = 0; k < kSelectMaxRows; ++k) {
+      bits[k] = k < nrows ? rows[k * words + wi] : 0;
+    }
+    const __m512i t0 = _mm512_load_si512(bits);
+    const __m512i t1 = _mm512_load_si512(bits + 8);
+    __m512i bit = _mm512_set1_epi64(1);
+    const std::size_t base = wi * 64;
+    const std::size_t width = std::min<std::size_t>(64, cols - base);
+    for (std::size_t b = 0; b < width; ++b) {
+      const std::size_t j = base + b;
+      const __m512d vz0 = _mm512_set1_pd(z0[j]);
+      const __m512d vz1 = _mm512_set1_pd(z1[j]);
+      const __m512d vw = _mm512_set1_pd(w[j]);
+      const __m512d sel0 =
+          _mm512_mask_blend_pd(_mm512_test_epi64_mask(t0, bit), vz0, vz1);
+      const __m512d sel1 =
+          _mm512_mask_blend_pd(_mm512_test_epi64_mask(t1, bit), vz0, vz1);
+      acc0 = _mm512_add_pd(acc0, _mm512_mul_pd(vw, sel0));
+      acc1 = _mm512_add_pd(acc1, _mm512_mul_pd(vw, sel1));
+      bit = _mm512_add_epi64(bit, bit);  // next column's bit
+    }
+  }
+  alignas(64) double sums[kSelectMaxRows];
+  _mm512_store_pd(sums, acc0);
+  _mm512_store_pd(sums + 8, acc1);
+  for (std::size_t k = 0; k < nrows; ++k) out[k] = sums[k];
+}
+
+/// select_axpy over V 8-column vectors of row word `wi`, starting at vector
+/// v0 of that word: one column per lane, each lane's grad accumulator takes
+/// the rows' terms in row order, and a row's 8-bit column slice is the
+/// blend mask directly. `live` marks the word's in-range columns.
+template <std::size_t V>
+inline void select_axpy_vectors(const std::uint64_t* rows, std::size_t nrows,
+                                std::size_t words, std::size_t wi,
+                                std::size_t v0, std::uint64_t live,
+                                const double* z0, const double* z1,
+                                const double* coef, double* grad) noexcept {
+  const std::size_t base = wi * 64 + 8 * v0;
+  __mmask8 lanes[V];
+  __m512d acc[V];
+  __m512d vz0[V];
+  __m512d vz1[V];
+  for (std::size_t v = 0; v < V; ++v) {
+    lanes[v] = static_cast<__mmask8>(live >> (8 * (v0 + v)));
+    acc[v] = _mm512_maskz_loadu_pd(lanes[v], grad + base + 8 * v);
+    vz0[v] = _mm512_maskz_loadu_pd(lanes[v], z0 + base + 8 * v);
+    vz1[v] = _mm512_maskz_loadu_pd(lanes[v], z1 + base + 8 * v);
+  }
+  for (std::size_t k = 0; k < nrows; ++k) {
+    const __m512d c = _mm512_set1_pd(coef[k]);
+    const std::uint64_t slice = rows[k * words + wi] >> (8 * v0);
+    for (std::size_t v = 0; v < V; ++v) {
+      const __m512d sel = _mm512_mask_blend_pd(
+          static_cast<__mmask8>(slice >> (8 * v)), vz0[v], vz1[v]);
+      acc[v] = _mm512_add_pd(acc[v], _mm512_mul_pd(c, sel));
+    }
+  }
+  for (std::size_t v = 0; v < V; ++v) {
+    _mm512_mask_storeu_pd(grad + base + 8 * v, lanes[v], acc[v]);
+  }
+}
+
+/// A whole 64-column word (eight vectors, 24 live registers) per pass; the
+/// ragged last word goes one masked vector at a time, so no access starts
+/// past `cols`.
+void select_axpy_avx512(const std::uint64_t* rows, std::size_t nrows,
+                        std::size_t cols, const double* z0, const double* z1,
+                        const double* coef, double* grad) noexcept {
+  const std::size_t words = (cols + 63) / 64;
+  for (std::size_t wi = 0; wi < words; ++wi) {
+    const std::size_t width = std::min<std::size_t>(64, cols - wi * 64);
+    if (width == 64) {
+      select_axpy_vectors<8>(rows, nrows, words, wi, 0, ~0ULL, z0, z1, coef, grad);
+      continue;
+    }
+    const std::uint64_t live = (1ULL << width) - 1u;
+    for (std::size_t v0 = 0; 8 * v0 < width; ++v0) {
+      select_axpy_vectors<1>(rows, nrows, words, wi, v0, live, z0, z1, coef, grad);
+    }
+  }
+}
+
 }  // namespace
 
 const Kernels& avx512_kernels() noexcept {
-  static const Kernels table{hamming_avx512, popcount_avx512,
+  static const Kernels table{hamming_avx512,      popcount_avx512,
                              and_popcount_avx512, andnot_popcount_avx512,
-                             majority_avx512, sketch_scan_avx512};
+                             majority_avx512,     sketch_scan_avx512,
+                             select_dot_avx512,   select_axpy_avx512};
   return table;
 }
 

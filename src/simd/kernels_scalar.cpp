@@ -1,5 +1,6 @@
 // Scalar kernel tier: portable std::popcount loops. Always compiled; every
 // SIMD tier is property-tested bit-exact against these implementations.
+#include <algorithm>
 #include <bit>
 #include <cstddef>
 #include <cstdint>
@@ -118,12 +119,90 @@ void sketch_scan_scalar(const std::uint64_t* query, const std::uint64_t* block,
   }
 }
 
+/// Rows per select_dot pass: enough independent accumulator chains to hide
+/// the add latency, few enough to stay in registers.
+constexpr std::size_t kDotGroup = 8;
+
+/// The selects index a 2-entry {z0[j], z1[j]} pair by the row's low bit
+/// and shift the word: branch-free, where a per-element ternary compiles
+/// to mispredicted branches on random bits.
+void select_dot_scalar(const std::uint64_t* rows, std::size_t nrows,
+                       std::size_t cols, const double* z0, const double* z1,
+                       const double* w, double bias, double* out) noexcept {
+  const std::size_t words = (cols + 63) / 64;
+  for (std::size_t k0 = 0; k0 < nrows; k0 += kDotGroup) {
+    const std::size_t group = std::min(kDotGroup, nrows - k0);
+    double acc[kDotGroup];
+    for (double& a : acc) a = bias;
+    for (std::size_t wi = 0; wi < words; ++wi) {
+      // Rows past the group's end read as zero; their sums are discarded.
+      std::uint64_t bits[kDotGroup] = {};
+      for (std::size_t k = 0; k < group; ++k) bits[k] = rows[(k0 + k) * words + wi];
+      const std::size_t end = std::min(cols, (wi + 1) * 64);
+      for (std::size_t j = wi * 64; j < end; ++j) {
+        const double pair[2] = {z0[j], z1[j]};
+        for (std::size_t k = 0; k < kDotGroup; ++k) {
+          acc[k] = acc[k] + w[j] * pair[bits[k] & 1u];
+          bits[k] >>= 1;
+        }
+      }
+    }
+    for (std::size_t k = 0; k < group; ++k) out[k0 + k] = acc[k];
+  }
+}
+
+/// grad[j0 .. j0+C) for one row word: C independent column chains, each
+/// taking the rows' terms in row order. `b` is column j0's bit position.
+template <std::size_t C>
+inline void select_axpy_columns(const std::uint64_t* bits, std::size_t nrows,
+                                std::size_t j0, unsigned b, const double* z0,
+                                const double* z1, const double* coef,
+                                double* grad) noexcept {
+  double pair[C][2];
+  double g[C];
+  for (std::size_t c = 0; c < C; ++c) {
+    pair[c][0] = z0[j0 + c];
+    pair[c][1] = z1[j0 + c];
+    g[c] = grad[j0 + c];
+  }
+  for (std::size_t k = 0; k < nrows; ++k) {
+    const std::uint64_t slice = bits[k] >> b;
+    for (std::size_t c = 0; c < C; ++c) {
+      g[c] = g[c] + coef[k] * pair[c][(slice >> c) & 1u];
+    }
+  }
+  for (std::size_t c = 0; c < C; ++c) grad[j0 + c] = g[c];
+}
+
+void select_axpy_scalar(const std::uint64_t* rows, std::size_t nrows,
+                        std::size_t cols, const double* z0, const double* z1,
+                        const double* coef, double* grad) noexcept {
+  constexpr std::size_t kColumnGroup = 8;
+  const std::size_t words = (cols + 63) / 64;
+  std::uint64_t bits[kSelectMaxRows];
+  for (std::size_t wi = 0; wi < words; ++wi) {
+    for (std::size_t k = 0; k < nrows; ++k) bits[k] = rows[k * words + wi];
+    const std::size_t base = wi * 64;
+    const std::size_t end = std::min(cols, base + 64);
+    std::size_t j = base;
+    for (; j + kColumnGroup <= end; j += kColumnGroup) {
+      select_axpy_columns<kColumnGroup>(bits, nrows, j, static_cast<unsigned>(j - base),
+                                        z0, z1, coef, grad);
+    }
+    for (; j < end; ++j) {
+      select_axpy_columns<1>(bits, nrows, j, static_cast<unsigned>(j - base), z0,
+                             z1, coef, grad);
+    }
+  }
+}
+
 }  // namespace
 
 const Kernels& scalar_kernels() noexcept {
-  static const Kernels table{hamming_scalar, popcount_scalar,
+  static const Kernels table{hamming_scalar,      popcount_scalar,
                              and_popcount_scalar, andnot_popcount_scalar,
-                             majority_scalar, sketch_scan_scalar};
+                             majority_scalar,     sketch_scan_scalar,
+                             select_dot_scalar,   select_axpy_scalar};
   return table;
 }
 

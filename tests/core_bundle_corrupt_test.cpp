@@ -398,6 +398,27 @@ TEST(BundleCorrupt, ForestWithWiderLaterTreeRejected) {
   expect_section_rejected("Random Forest", join_lines(lines), "wider later tree");
 }
 
+TEST(BundleCorrupt, LogisticNonFiniteWeightRejected) {
+  // ml.logistic: tag, config, then "count w0 w1 ..." as f64 bit patterns.
+  // A quiet NaN there is checksum-valid and parses as a double; it must be
+  // rejected with the section and the field named, not loaded into a model
+  // whose predict_proba leaves [0, 1].
+  std::vector<std::string> lines =
+      body_lines(golden_model_body("Logistic Regression"));
+  ASSERT_EQ(lines[0], "ml.logistic v1");
+  lines[2] = with_token(lines[2], 1, "7ff8000000000000");
+  std::istringstream in(
+      craft_bundle({{"model:Logistic Regression", join_lines(lines)}}));
+  try {
+    (void)load_bundle(in);
+    FAIL() << "NaN logistic weight accepted";
+  } catch (const std::runtime_error& e) {
+    const std::string what = e.what();
+    EXPECT_NE(what.find("model:Logistic Regression"), std::string::npos) << what;
+    EXPECT_NE(what.find("weights"), std::string::npos) << what;
+  }
+}
+
 /// Raw body bytes of one named section, scanned straight out of an artifact
 /// (headers are `section ~name bytes checksum`, body follows the newline).
 std::string raw_section_body(const std::string& artifact,

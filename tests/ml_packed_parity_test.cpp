@@ -22,16 +22,19 @@
 #include "data/synthetic.hpp"
 #include "hv/bit_matrix.hpp"
 #include "hv/search.hpp"
+#include "hv/sharded_bits.hpp"
 #include "ml/forest.hpp"
 #include "ml/hist_gbdt.hpp"
 #include "ml/knn.hpp"
 #include "ml/logistic.hpp"
 #include "ml/naive_bayes.hpp"
 #include "ml/sgd.hpp"
+#include "ml/sharded.hpp"
 #include "ml/svm.hpp"
 #include "ml/tree.hpp"
 #include "ml/zoo.hpp"
 #include "simd/dispatch.hpp"
+#include "util/rng.hpp"
 
 namespace {
 
@@ -280,6 +283,73 @@ TEST(PackedParity, ForestAndLogisticSylhet) {
         EXPECT_EQ(dynamic_cast<const hdc::ml::LogisticRegression&>(dense).weights(),
                   dynamic_cast<const hdc::ml::LogisticRegression&>(packed).weights());
       });
+}
+
+/// Random n x width 0/1 design (padding bits zero) with random labels.
+Encoded random_bits(std::size_t n, std::size_t width, hdc::util::Rng& rng) {
+  hdc::hv::PackedHVs rows(width, n);
+  for (std::size_t i = 0; i < n; ++i) {
+    std::uint64_t* words = rows.row(i);
+    for (std::size_t w = 0; w < rows.words_per_row(); ++w) words[w] = rng();
+    if (width % 64 != 0) words[rows.words_per_row() - 1] &= (1ULL << (width % 64)) - 1;
+  }
+  Encoded out;
+  out.bits = BitMatrix::from_rows(std::move(rows));
+  for (std::size_t i = 0; i < n; ++i) {
+    out.X.push_back(out.bits.row_doubles(i));
+    out.y.push_back(rng.bernoulli(0.5) ? 1 : 0);
+  }
+  return out;
+}
+
+/// `bits` cut into consecutive shards of `shard_rows` rows (the last one
+/// ragged).
+hdc::hv::ShardedBitMatrix shard_by(const BitMatrix& bits, std::size_t shard_rows) {
+  hdc::hv::ShardedBitMatrix sharded;
+  for (std::size_t begin = 0; begin < bits.rows(); begin += shard_rows) {
+    std::vector<std::size_t> idx;
+    for (std::size_t i = begin; i < std::min(bits.rows(), begin + shard_rows); ++i) {
+      idx.push_back(i);
+    }
+    sharded.append_shard(bits.subset(idx));
+  }
+  return sharded;
+}
+
+// The packed logistic fit runs the select kernels over blocks of up to 16
+// rows that never span a shard: row counts around the block size, shard
+// sizes that cut blocks short, and widths around the 64-bit word and the
+// vector widths must all land on the dense fit()'s exact state, on every
+// SIMD tier.
+TEST(PackedParity, LogisticRaggedBlocksEveryTier) {
+  hdc::util::Rng rng(1515);
+  hdc::ml::LogisticConfig config;
+  config.max_iter = 25;
+  const hdc::simd::Tier initial = hdc::simd::active_tier();
+  for (const std::size_t n : {1u, 15u, 16u, 17u, 33u, 100u}) {
+    for (const std::size_t width : {1u, 63u, 64u, 65u, 130u, 1000u}) {
+      const Encoded data = random_bits(n, width, rng);
+      hdc::ml::LogisticRegression dense(config);
+      dense.fit(data.X, data.y);
+      const std::string expected = state_of(dense);
+      for (const hdc::simd::Tier tier : hdc::simd::supported_tiers()) {
+        hdc::simd::set_tier(tier);
+        const std::string where = std::string("tier=") + hdc::simd::tier_name(tier) +
+                                  " n=" + std::to_string(n) +
+                                  " width=" + std::to_string(width);
+        hdc::ml::LogisticRegression packed(config);
+        packed.fit_bits(data.bits, data.y);
+        EXPECT_EQ(state_of(packed), expected) << where;
+        for (const std::size_t shard_rows : {1u, 5u, 16u, 17u}) {
+          const hdc::hv::ShardedBitMatrix sharded = shard_by(data.bits, shard_rows);
+          hdc::ml::LogisticRegression model(config);
+          model.fit_shards(hdc::ml::MaterializedShardSource(sharded, data.y), {});
+          EXPECT_EQ(state_of(model), expected) << where << " shard_rows=" << shard_rows;
+        }
+      }
+    }
+  }
+  hdc::simd::set_tier(initial);
 }
 
 // Non-multiple-of-64 row counts drive partial trailing words through every

@@ -1,8 +1,7 @@
 // fit_shards contracts: every zoo model (plus Naive Bayes) must fit to
 // byte-identical state and predictions at any shard count; the models whose
-// fit_bits is a one-shard fit_shards (DT, RF, LGBM, NB, SVC under the cap)
-// or whose sharded fit carries its float sums in global row order (LR), and
-// KNN, must additionally match fit_bits byte for byte; the experiment
+// fit_bits is a one-shard fit_shards (DT, RF, LGBM, NB, SVC under the cap,
+// LR), and KNN, must additionally match fit_bits byte for byte; the experiment
 // pipeline's max_resident_rows knob must not change results; and the
 // ml.hist_merge_ops counter must account for the merges.
 #include <gtest/gtest.h>
@@ -159,8 +158,10 @@ TEST(ShardedFit, EveryModelIsShardCountInvariant) {
   }
 }
 
-// Logistic's sharded fit carries its accumulators across shards in global
-// row order, so it must equal the unsharded fit_bits bit for bit.
+// Logistic's fit_bits is a one-shard fit_shards, and its row blocks never
+// span a shard while every float accumulator is carried across shards in
+// global row order, so the 8-shard fit must equal fit_bits bit for bit
+// (ragged blocks and tiers: PackedParity.LogisticRaggedBlocksEveryTier).
 TEST(ShardedFit, LogisticMatchesFitBitsExactly) {
   const Fixture& f = fixture();
   hdc::ml::LogisticConfig config;

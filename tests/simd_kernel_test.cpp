@@ -9,6 +9,7 @@
 #include <algorithm>
 #include <bit>
 #include <cstdint>
+#include <cstring>
 #include <vector>
 
 #include <gtest/gtest.h>
@@ -267,6 +268,95 @@ TEST(SimdKernels, MajorityMatchesNaiveAcrossTiers) {
               << "tier=" << hdc::simd::tier_name(t) << " n=" << n
               << " words=" << words << " tie=" << tie_to_one;
         }
+      }
+    }
+  }
+}
+
+// The select kernels are floating point: every tier must reproduce the
+// naive multiply-then-add loops below to the last bit (memcmp, so -0.0 and
+// NaN payloads count too). A fused multiply-add anywhere in a tier changes
+// low bits and fails these.
+const std::size_t kSelectCols[] = {1, 7, 8, 63, 64, 65, 130, 10000};
+
+struct SelectCase {
+  std::size_t words = 0;
+  std::vector<std::uint64_t> rows;  // kSelectMaxRows rows, padding bits zero
+  std::vector<double> z0, z1, w;
+};
+
+SelectCase random_select_case(std::size_t cols, hdc::util::Rng& rng) {
+  SelectCase c;
+  c.words = (cols + 63) / 64;
+  c.rows = random_words(hdc::simd::kSelectMaxRows * c.words, rng);
+  if (cols % 64 != 0) {
+    for (std::size_t k = 0; k < hdc::simd::kSelectMaxRows; ++k) {
+      c.rows[k * c.words + c.words - 1] &= (1ULL << (cols % 64)) - 1;
+    }
+  }
+  for (std::size_t j = 0; j < cols; ++j) {
+    c.z0.push_back(rng.uniform(-2.0, 2.0));
+    c.z1.push_back(rng.uniform(-2.0, 2.0));
+    c.w.push_back(rng.uniform(-1.0, 1.0));
+  }
+  return c;
+}
+
+double naive_select(const SelectCase& c, std::size_t k, std::size_t j) {
+  const bool bit = (c.rows[k * c.words + j / 64] >> (j % 64)) & 1u;
+  return bit ? c.z1[j] : c.z0[j];
+}
+
+TEST(SimdKernels, SelectDotMatchesNaiveAcrossTiers) {
+  hdc::util::Rng rng(5151);
+  for (const std::size_t cols : kSelectCols) {
+    const SelectCase c = random_select_case(cols, rng);
+    const double bias = rng.uniform(-1.0, 1.0);
+    for (std::size_t nrows = 1; nrows <= hdc::simd::kSelectMaxRows; ++nrows) {
+      std::vector<double> expected(nrows);
+      for (std::size_t k = 0; k < nrows; ++k) {
+        double acc = bias;
+        for (std::size_t j = 0; j < cols; ++j) {
+          const double term = c.w[j] * naive_select(c, k, j);
+          acc = acc + term;
+        }
+        expected[k] = acc;
+      }
+      for (const Tier t : hdc::simd::supported_tiers()) {
+        std::vector<double> out(nrows, -1.0);
+        hdc::simd::kernels(t).select_dot(c.rows.data(), nrows, cols, c.z0.data(),
+                                         c.z1.data(), c.w.data(), bias, out.data());
+        EXPECT_EQ(std::memcmp(out.data(), expected.data(), nrows * sizeof(double)), 0)
+            << "tier=" << hdc::simd::tier_name(t) << " cols=" << cols
+            << " nrows=" << nrows;
+      }
+    }
+  }
+}
+
+TEST(SimdKernels, SelectAxpyMatchesNaiveAcrossTiers) {
+  hdc::util::Rng rng(6262);
+  for (const std::size_t cols : kSelectCols) {
+    const SelectCase c = random_select_case(cols, rng);
+    std::vector<double> coef(hdc::simd::kSelectMaxRows);
+    for (double& v : coef) v = rng.uniform(-1.0, 1.0);
+    std::vector<double> start(cols);
+    for (double& v : start) v = rng.uniform(-3.0, 3.0);
+    for (std::size_t nrows = 1; nrows <= hdc::simd::kSelectMaxRows; ++nrows) {
+      std::vector<double> expected = start;
+      for (std::size_t k = 0; k < nrows; ++k) {
+        for (std::size_t j = 0; j < cols; ++j) {
+          const double term = coef[k] * naive_select(c, k, j);
+          expected[j] = expected[j] + term;
+        }
+      }
+      for (const Tier t : hdc::simd::supported_tiers()) {
+        std::vector<double> grad = start;
+        hdc::simd::kernels(t).select_axpy(c.rows.data(), nrows, cols, c.z0.data(),
+                                          c.z1.data(), coef.data(), grad.data());
+        EXPECT_EQ(std::memcmp(grad.data(), expected.data(), cols * sizeof(double)), 0)
+            << "tier=" << hdc::simd::tier_name(t) << " cols=" << cols
+            << " nrows=" << nrows;
       }
     }
   }
