@@ -117,7 +117,7 @@ class BitMatrix {
   std::size_t rows_ = 0;
   std::size_t cols_ = 0;
   std::size_t wpc_ = 0;
-  std::vector<std::uint64_t> planes_;  // cols_ * wpc_ words, column-major
+  PackedWords planes_;  // cols_ * wpc_ words, column-major
   PackedHVs row_major_;
   RowMask valid_;
 };

@@ -20,6 +20,7 @@
 #include <vector>
 
 #include "hv/bitvector.hpp"
+#include "hv/page_allocator.hpp"
 
 namespace hdc::parallel {
 class ThreadPool;
@@ -61,7 +62,7 @@ class PackedHVs {
   std::size_t bits_ = 0;
   std::size_t words_per_row_ = 0;
   std::size_t rows_ = 0;
-  std::vector<std::uint64_t> words_;
+  PackedWords words_;  // large blocks mapped directly (hv/page_allocator.hpp)
 };
 
 /// Hamming distance between two packed rows of `words` 64-bit words.

@@ -3,15 +3,14 @@
 #include <algorithm>
 #include <bit>
 #include <cmath>
-#include <limits>
 #include <numeric>
 #include <stdexcept>
+#include <string>
 
 #include "hv/bit_matrix.hpp"
 #include "ml/sharded.hpp"
 #include "obs/metrics.hpp"
 #include "obs/trace.hpp"
-#include "parallel/thread_pool.hpp"
 #include "simd/dispatch.hpp"
 
 namespace hdc::ml {
@@ -255,15 +254,12 @@ double tree_output_bits(const Tree& tree, const std::uint64_t* row_bits) {
 /// Continue the ascending-row sums (sum_a, sum_b) of a[r] and b[r] over the
 /// set bits of (col AND mask), or of (NOT col AND mask) — the bit==0 side of
 /// a binary split — when kBitZero. Carried across shards in ascending row
-/// order, the float op sequence equals one pass over the whole matrix.
-/// Kept out of line: inlined into the split-search column loop, the LGBM
-/// fit on a 691 x 10,000 matrix ran about 5% slower.
+/// order, the float op sequence equals one pass over the whole matrix. The
+/// partition step uses it for the two children's sums.
 template <bool kBitZero>
-[[gnu::noinline]] void continue_pair_sum(const std::uint64_t* col,
-                                         const std::uint64_t* mask,
-                                         std::size_t words, const double* a,
-                                         const double* b, double& sum_a,
-                                         double& sum_b) {
+void continue_pair_sum(const std::uint64_t* col, const std::uint64_t* mask,
+                       std::size_t words, const double* a, const double* b,
+                       double& sum_a, double& sum_b) {
   double sa = sum_a;
   double sb = sum_b;
   for (std::size_t w = 0; w < words; ++w) {
@@ -341,90 +337,79 @@ void HistGbdtClassifier::fit_shards(const ShardSource& src,
     std::int32_t bin = -1;
   };
 
-  std::vector<std::uint64_t> mask;  // shard-local rows of one leaf
-
-  // Per-column left-side statistics carried across shards: the integer
-  // count adds, the float (g, h) sums continue in ascending global row
-  // order, so the last shard sees exactly the one-pass values. Gains land
-  // in a flat array from parallel workers; the winner is then chosen in one
-  // sequential ascending-j scan with the dense loop's running-best epsilon
-  // tie-break (a column's gain never depends on the running best, so the
-  // two-phase split is lossless). Between shards, kSkip in gains[j] marks a
-  // column that can no longer pass the gates.
-  constexpr double kSkip = -std::numeric_limits<double>::infinity();
+  // Split-search scratch for one leaf and one shard: its rows (ascending,
+  // shard-local) with their gradients and hessians compacted alongside,
+  // and its row mask for the column-plane counts. Per column, the left
+  // (bit 0) side's count adds across shards as an integer, and its (g, h)
+  // sums are the zero_bit_sums accumulators, which continue across shards
+  // in ascending global row order, so the last shard leaves exactly the
+  // one-pass values.
+  std::vector<std::uint32_t> leaf_rows;
+  std::vector<double> leaf_g;
+  std::vector<double> leaf_h;
+  std::vector<std::uint64_t> mask;
   std::vector<std::size_t> left_count(d);
   std::vector<double> left_g(d);
   std::vector<double> left_h(d);
-  std::vector<double> gains(d);
   const std::size_t min_data = config_.min_data_in_leaf;
 
   const auto find_best_split = [&](LeafCandidate& leaf) {
     leaf.gain = 0.0;
     leaf.feature = -1;
-    const double parent_score =
-        leaf.g_sum * leaf.g_sum / (leaf.h_sum + config_.lambda);
-    std::size_t seen = 0;  // leaf rows in this and earlier shards
+    // Both children need min_data rows, so a smaller leaf has no split
+    // that passes the count gate: skipping its search is exact.
+    if (leaf.count < 2 * min_data) return;
+    const simd::Kernels& kernels = simd::active();
+    std::fill(left_count.begin(), left_count.end(), 0);
+    std::fill(left_g.begin(), left_g.end(), 0.0);
+    std::fill(left_h.begin(), left_h.end(), 0.0);
     for (std::size_t s = 0; s < src.num_shards(); ++s) {
       const hv::BitMatrix& shard = src.shard(s);
       const std::size_t begin = src.shard_begin(s);
       const std::size_t words = shard.words_per_column();
+      leaf_rows.clear();
+      leaf_g.clear();
+      leaf_h.clear();
       mask.assign(words, 0);
       for (std::size_t i = 0; i < shard.rows(); ++i) {
         if (leaf_of[begin + i] != leaf.node_id) continue;
+        leaf_rows.push_back(static_cast<std::uint32_t>(i));
+        leaf_g.push_back(grad[begin + i]);
+        leaf_h.push_back(hess[begin + i]);
         mask[i >> 6] |= 1ULL << (i & 63);
-        ++seen;
       }
-      const std::size_t later = leaf.count - seen;
-      const bool first = s == 0;
-      const bool last = s + 1 == src.num_shards();
-      const double* g = grad.data() + begin;
-      const double* h = hess.data() + begin;
-      const std::uint64_t* leaf_mask = mask.data();
-      parallel::parallel_for_chunks(0, d, [&](std::size_t lo, std::size_t hi) {
-        const simd::Kernels& kernels = simd::active();
-        for (std::size_t j = lo; j < hi; ++j) {
-          if (first ? bin_edges_[j].empty() : gains[j] == kSkip) {
-            gains[j] = kSkip;
-            continue;
-          }
-          const std::uint64_t* col = shard.column(j);
-          // Left = rows with bit 0: count first (cheap popcount), gradient
-          // sums only while the count gate can still pass — the final left
-          // count is cl plus at most `later`, the final right count at most
-          // leaf.count - cl. At the last shard the gate is exact.
-          const std::size_t cl = (first ? 0 : left_count[j]) +
-                                 kernels.andnot_popcount(col, leaf_mask, words);
-          if (cl + later < min_data || leaf.count - cl < min_data) {
-            gains[j] = kSkip;
-            continue;
-          }
-          double gl = first ? 0.0 : left_g[j];
-          double hl = first ? 0.0 : left_h[j];
-          continue_pair_sum<true>(col, leaf_mask, words, g, h, gl, hl);
-          if (!last) {
-            left_count[j] = cl;
-            left_g[j] = gl;
-            left_h[j] = hl;
-            gains[j] = 0.0;
-            continue;
-          }
-          const double hr = leaf.h_sum - hl;
-          if (hl < config_.min_child_weight || hr < config_.min_child_weight) {
-            gains[j] = kSkip;
-            continue;
-          }
-          const double gr = leaf.g_sum - gl;
-          gains[j] = 0.5 * (gl * gl / (hl + config_.lambda) +
-                            gr * gr / (hr + config_.lambda) - parent_score);
-        }
-      });
-      metrics.word_ops.add(2 * d * words);
+      if (leaf_rows.empty()) continue;
+      kernels.zero_bit_sums(shard.row_bits(0), shard.words_per_row(),
+                            leaf_rows.data(), leaf_rows.size(), d, leaf_g.data(),
+                            leaf_h.data(), left_g.data(), left_h.data());
+      std::size_t counted = 0;
+      for (std::size_t j = 0; j < d; ++j) {
+        if (bin_edges_[j].empty()) continue;
+        left_count[j] += kernels.andnot_popcount(shard.column(j), mask.data(), words);
+        ++counted;
+      }
+      metrics.word_ops.add(leaf_rows.size() * shard.words_per_row() +
+                           counted * words);
       note_hist_merge(d);
     }
     metrics.node_popcounts.add(d);
+    // Gates, gains and the dense loop's running-best epsilon tie-break, in
+    // ascending j.
+    const double parent_score =
+        leaf.g_sum * leaf.g_sum / (leaf.h_sum + config_.lambda);
     for (std::size_t j = 0; j < d; ++j) {
-      if (gains[j] > leaf.gain + 1e-12) {
-        leaf.gain = gains[j];
+      if (bin_edges_[j].empty()) continue;
+      const std::size_t cl = left_count[j];
+      if (cl < min_data || leaf.count - cl < min_data) continue;
+      const double hl = left_h[j];
+      const double hr = leaf.h_sum - hl;
+      if (hl < config_.min_child_weight || hr < config_.min_child_weight) continue;
+      const double gl = left_g[j];
+      const double gr = leaf.g_sum - gl;
+      const double gain = 0.5 * (gl * gl / (hl + config_.lambda) +
+                                 gr * gr / (hr + config_.lambda) - parent_score);
+      if (gain > leaf.gain + 1e-12) {
+        leaf.gain = gain;
         leaf.feature = static_cast<std::int32_t>(j);
         leaf.bin = 0;
       }
@@ -590,19 +575,26 @@ void HistGbdtClassifier::load_state(std::istream& in) {
   util::serde::Reader r(in, "load ml.hist_gbdt");
   r.expect("ml.hist_gbdt", "model tag");
   r.expect("v1", "format version");
+  // A NaN or infinite parameter parses as a double but turns every
+  // prediction into NaN (or routes rows by a meaningless threshold).
+  const auto finite = [&](double value, const char* field) {
+    if (!std::isfinite(value)) throw r.error(std::string("non-finite ") + field);
+    return value;
+  };
   config_.n_rounds = r.u64("n_rounds");
-  config_.learning_rate = r.f64("learning_rate");
+  config_.learning_rate = finite(r.f64("learning_rate"), "learning_rate");
   config_.num_leaves = r.u64("num_leaves");
   config_.max_bins = r.u64("max_bins");
-  config_.lambda = r.f64("lambda");
-  config_.min_child_weight = r.f64("min_child_weight");
+  config_.lambda = finite(r.f64("lambda"), "lambda");
+  config_.min_child_weight = finite(r.f64("min_child_weight"), "min_child_weight");
   config_.min_data_in_leaf = r.u64("min_data_in_leaf");
   n_features_ = r.count("n_features", 1ULL << 24);
   if (n_features_ == 0) throw r.error("zero features");
-  base_margin_ = r.f64("base_margin");
+  base_margin_ = finite(r.f64("base_margin"), "base_margin");
   bin_edges_.assign(n_features_, {});
   for (std::vector<double>& edges : bin_edges_) {
     edges = r.vec_f64("bin edges", 1ULL << 20);
+    for (const double edge : edges) finite(edge, "bin edge");
   }
   const std::size_t rounds = r.count("round count", 1ULL << 20);
   if (rounds == 0) throw r.error("empty ensemble");
@@ -615,10 +607,10 @@ void HistGbdtClassifier::load_state(std::istream& in) {
       Node& nd = tree[i];
       nd.feature = static_cast<std::int32_t>(r.i64("node feature"));
       nd.bin = static_cast<std::int32_t>(r.i64("node bin"));
-      nd.threshold = r.f64("node threshold");
+      nd.threshold = finite(r.f64("node threshold"), "node threshold");
       nd.left = static_cast<std::int32_t>(r.i64("node left"));
       nd.right = static_cast<std::int32_t>(r.i64("node right"));
-      nd.value = r.f64("node value");
+      nd.value = finite(r.f64("node value"), "node value");
       if (nd.feature >= 0) {
         if (static_cast<std::size_t>(nd.feature) >= n_features_) {
           throw r.error("node feature out of range");

@@ -28,14 +28,18 @@ class HistGbdtClassifier final : public Classifier {
   void fit(const Matrix& X, const Labels& y) override;
   /// fit_shards over X as a single shard.
   void fit_bits(const hv::BitMatrix& X, const Labels& y) override;
-  /// Packed fit, one shard resident at a time: split gains from leaf-mask ×
-  /// column-bitplane popcounts instead of per-row binning. Per leaf, each
-  /// column's left count adds across shards as an integer and its float
-  /// gradient/hessian sums continue in ascending global row order (only
-  /// while the min_data_in_leaf gate can still pass), so the fit is
+  /// Packed fit, one shard resident at a time, split gains from counts and
+  /// sums over the bits instead of per-row binning. Per leaf, each column's
+  /// left (bit 0) count is a leaf-mask × column-bitplane popcount that adds
+  /// across shards as an integer, and its float gradient/hessian sums come
+  /// from one row-major simd zero_bit_sums pass over the leaf's rows,
+  /// continued across shards in ascending global row order. So the fit is
   /// bit-identical at any shard count and to the dense fit on any all-0/1
-  /// matrix (same accumulation order, same tie-breaks). Resident state is
-  /// O(rows) scalars (margin, gradient, hessian, leaf id) plus one shard.
+  /// matrix (same accumulation order, same tie-breaks). A leaf with fewer
+  /// than 2 * min_data_in_leaf rows is not searched, since no split can
+  /// pass the count gate. There is no internal parallel loop: callers
+  /// parallelise across fits. Resident state is O(rows) scalars (margin,
+  /// gradient, hessian, leaf id) plus one shard.
   void fit_shards(const ShardSource& src,
                   const ShardedFitOptions& options) override;
   [[nodiscard]] double predict_proba(std::span<const double> x) const override;

@@ -154,15 +154,27 @@ void parallel_for_chunks(std::size_t begin, std::size_t end,
   const std::size_t chunks = std::min(workers * 4, n);
   const std::size_t base = n / chunks;
   const std::size_t rem = n % chunks;
+  // Wait for this call's chunks only: pool->wait_idle() would also wait for
+  // every unrelated task on a shared pool (another thread's loop, a serve
+  // drain). The last chunk notifies while holding the lock, so `done` is
+  // still alive when it does.
+  std::mutex done_mutex;
+  std::condition_variable done;
+  std::size_t pending = chunks;
   std::size_t cursor = begin;
   for (std::size_t c = 0; c < chunks; ++c) {
     const std::size_t len = base + (c < rem ? 1 : 0);
     const std::size_t lo = cursor;
     const std::size_t hi = cursor + len;
     cursor = hi;
-    pool->submit([&fn, lo, hi] { fn(lo, hi); });
+    pool->submit([&fn, &done_mutex, &done, &pending, lo, hi] {
+      fn(lo, hi);
+      const std::lock_guard<std::mutex> lock(done_mutex);
+      if (--pending == 0) done.notify_all();
+    });
   }
-  pool->wait_idle();
+  std::unique_lock<std::mutex> lock(done_mutex);
+  done.wait(lock, [&pending] { return pending == 0; });
 }
 
 void parallel_for(std::size_t begin, std::size_t end,

@@ -81,10 +81,12 @@ class ThreadPool {
 };
 
 /// Invoke fn(i) for i in [begin, end). Splits the range into contiguous
-/// chunks, one per worker. Blocks until complete. `fn` must be thread-safe
-/// for distinct indices. Grain below which the loop runs inline: 256.
-/// Called from inside a worker of `pool` itself, the loop runs inline on the
-/// calling thread (same results, no nested wait_idle()).
+/// chunks, one per worker. Blocks until this call's chunks are complete —
+/// not until the pool is idle, so other threads' tasks on a shared pool do
+/// not hold it up. `fn` must be thread-safe for distinct indices. Grain
+/// below which the loop runs inline: 256. Called from inside a worker of
+/// `pool` itself, the loop runs inline on the calling thread (same results,
+/// no nested wait).
 void parallel_for(std::size_t begin, std::size_t end,
                   const std::function<void(std::size_t)>& fn,
                   ThreadPool* pool = nullptr);

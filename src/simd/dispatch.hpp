@@ -7,9 +7,10 @@
 // ISA flags, and a process-wide dispatch table picks the best tier the CPU
 // supports at runtime. The kernels are Hamming reduction, bulk and masked
 // popcounts, word-parallel majority bundling, the block Hamming scan behind
-// the ANN sketch filter, and the two select kernels that train logistic
+// the ANN sketch filter, the two select kernels that train logistic
 // regression straight from packed rows (each 0/1 entry read as one of two
-// per-column doubles):
+// per-column doubles), and the zero-bit column sums behind the LGBM split
+// search (a masked add per row, so untouched columns keep their bits):
 //
 //   * kScalar — portable std::popcount loops (always compiled, the
 //     bit-exactness reference for every other tier);
@@ -102,6 +103,20 @@ struct Kernels {
   void (*select_axpy)(const std::uint64_t* rows, std::size_t nrows,
                       std::size_t cols, const double* z0, const double* z1,
                       const double* coef, double* grad) noexcept;
+
+  /// Per-column sums over the zero bits of selected rows. `base` holds
+  /// row-major packed rows of `words_per_row` words; for k = 0, 1, ...,
+  /// nrows-1 in that order and every column j < cols whose bit is 0 in row
+  /// rows[k],
+  ///   sum_a[j] = sum_a[j] + a[k],   sum_b[j] = sum_b[j] + b[k].
+  /// Columns whose bit is 1 keep their exact value, so each column takes
+  /// the same rounded adds, in the same order, as a serial loop over its
+  /// zero-bit rows. Bits past `cols` are ignored. The left-side gradient
+  /// sums of every binary column in one row-major pass (LGBM split search).
+  void (*zero_bit_sums)(const std::uint64_t* base, std::size_t words_per_row,
+                        const std::uint32_t* rows, std::size_t nrows,
+                        std::size_t cols, const double* a, const double* b,
+                        double* sum_a, double* sum_b) noexcept;
 };
 
 /// Largest row block select_dot/select_axpy accept.

@@ -13,7 +13,9 @@
 //
 // The logistic select kernels are floating point: every term is a separate
 // multiply and add in the scalar tier's order (this TU is compiled with
-// -ffp-contract=off), so results are bit-identical across tiers.
+// -ffp-contract=off), so results are bit-identical across tiers. The
+// zero_bit_sums kernel adds and then blends the old value back into lanes
+// whose column bit is 1, which leaves those lanes bit-exact.
 #include <immintrin.h>
 
 #include <algorithm>
@@ -408,13 +410,68 @@ void select_axpy_avx2(const std::uint64_t* rows, std::size_t nrows,
   }
 }
 
+/// One column per lane, 16 columns (four vectors per sum) per pass over
+/// the rows. AVX2 has no masked add: each lane computes acc + a and
+/// BLENDVPD keeps the old acc where the column bit is 1, so those lanes
+/// keep their exact bits. The mask comes from the row's complemented 4-bit
+/// column slice via kNibbleLanes. Columns of a partial 16-column group run
+/// the same adds in scalar code.
+void zero_bit_sums_avx2(const std::uint64_t* base, std::size_t words_per_row,
+                        const std::uint32_t* rows, std::size_t nrows,
+                        std::size_t cols, const double* a, const double* b,
+                        double* sum_a, double* sum_b) noexcept {
+  const std::size_t words = (cols + 63) / 64;
+  for (std::size_t wi = 0; wi < words; ++wi) {
+    const std::size_t width = std::min<std::size_t>(64, cols - wi * 64);
+    std::size_t g = 0;
+    for (; g + 16 <= width; g += 16) {
+      const std::size_t j = wi * 64 + g;
+      __m256d acc_a[4];
+      __m256d acc_b[4];
+      for (std::size_t v = 0; v < 4; ++v) {
+        acc_a[v] = _mm256_loadu_pd(sum_a + j + 4 * v);
+        acc_b[v] = _mm256_loadu_pd(sum_b + j + 4 * v);
+      }
+      for (std::size_t k = 0; k < nrows; ++k) {
+        const std::uint64_t zeros = ~base[rows[k] * words_per_row + wi] >> g;
+        const __m256d va = _mm256_broadcast_sd(a + k);
+        const __m256d vb = _mm256_broadcast_sd(b + k);
+        for (std::size_t v = 0; v < 4; ++v) {
+          const __m256d mask = _mm256_castsi256_pd(_mm256_load_si256(
+              reinterpret_cast<const __m256i*>(kNibbleLanes[(zeros >> (4 * v)) & 15u])));
+          acc_a[v] = _mm256_blendv_pd(acc_a[v], _mm256_add_pd(acc_a[v], va), mask);
+          acc_b[v] = _mm256_blendv_pd(acc_b[v], _mm256_add_pd(acc_b[v], vb), mask);
+        }
+      }
+      for (std::size_t v = 0; v < 4; ++v) {
+        _mm256_storeu_pd(sum_a + j + 4 * v, acc_a[v]);
+        _mm256_storeu_pd(sum_b + j + 4 * v, acc_b[v]);
+      }
+    }
+    for (; g < width; ++g) {
+      const std::size_t j = wi * 64 + g;
+      double sa = sum_a[j];
+      double sb = sum_b[j];
+      for (std::size_t k = 0; k < nrows; ++k) {
+        if (((base[rows[k] * words_per_row + wi] >> g) & 1u) == 0) {
+          sa = sa + a[k];
+          sb = sb + b[k];
+        }
+      }
+      sum_a[j] = sa;
+      sum_b[j] = sb;
+    }
+  }
+}
+
 }  // namespace
 
 const Kernels& avx2_kernels() noexcept {
   static const Kernels table{hamming_avx2,         popcount_avx2,
                              and_popcount_avx2,    andnot_popcount_avx2,
                              majority_avx2,        sketch_scan_avx2,
-                             select_dot_avx2,      select_axpy_avx2};
+                             select_dot_avx2,      select_axpy_avx2,
+                             zero_bit_sums_avx2};
   return table;
 }
 

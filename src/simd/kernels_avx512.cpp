@@ -11,6 +11,8 @@
 // The logistic select kernels are floating point: every term is a separate
 // multiply and add in the scalar tier's order. -mavx512f implies FMA, so
 // this TU is compiled with -ffp-contract=off to keep GCC from fusing them.
+// zero_bit_sums is one masked VADDPD per 8 columns and row: a lane whose
+// column bit is 1 is not written, so it keeps its exact value.
 #include <immintrin.h>
 
 #include <algorithm>
@@ -353,13 +355,75 @@ void select_axpy_avx512(const std::uint64_t* rows, std::size_t nrows,
   }
 }
 
+/// zero_bit_sums over V 8-column vectors of row word `wi`, starting at
+/// vector v0 of that word: one column per lane, and the 2V accumulators stay
+/// in registers over all selected rows. A row's complemented 8-bit column
+/// slice is the add mask directly; unmasked lanes keep their exact bits.
+/// `live` marks the word's in-range columns.
+template <std::size_t V>
+inline void zero_bit_sums_vectors(const std::uint64_t* base,
+                                  std::size_t words_per_row,
+                                  const std::uint32_t* rows, std::size_t nrows,
+                                  std::size_t wi, std::size_t v0,
+                                  std::uint64_t live, const double* a,
+                                  const double* b, double* sum_a,
+                                  double* sum_b) noexcept {
+  const std::size_t j0 = wi * 64 + 8 * v0;
+  __mmask8 lanes[V];
+  __m512d acc_a[V];
+  __m512d acc_b[V];
+  for (std::size_t v = 0; v < V; ++v) {
+    lanes[v] = static_cast<__mmask8>(live >> (8 * (v0 + v)));
+    acc_a[v] = _mm512_maskz_loadu_pd(lanes[v], sum_a + j0 + 8 * v);
+    acc_b[v] = _mm512_maskz_loadu_pd(lanes[v], sum_b + j0 + 8 * v);
+  }
+  for (std::size_t k = 0; k < nrows; ++k) {
+    const std::uint64_t zeros = ~base[rows[k] * words_per_row + wi] >> (8 * v0);
+    const __m512d va = _mm512_set1_pd(a[k]);
+    const __m512d vb = _mm512_set1_pd(b[k]);
+    for (std::size_t v = 0; v < V; ++v) {
+      const __mmask8 m = static_cast<__mmask8>(zeros >> (8 * v));
+      acc_a[v] = _mm512_mask_add_pd(acc_a[v], m, acc_a[v], va);
+      acc_b[v] = _mm512_mask_add_pd(acc_b[v], m, acc_b[v], vb);
+    }
+  }
+  for (std::size_t v = 0; v < V; ++v) {
+    _mm512_mask_storeu_pd(sum_a + j0 + 8 * v, lanes[v], acc_a[v]);
+    _mm512_mask_storeu_pd(sum_b + j0 + 8 * v, lanes[v], acc_b[v]);
+  }
+}
+
+/// A whole 64-column word (16 accumulators) per pass over the rows; the
+/// ragged last word goes one masked vector at a time, so no access starts
+/// past `cols`.
+void zero_bit_sums_avx512(const std::uint64_t* base, std::size_t words_per_row,
+                          const std::uint32_t* rows, std::size_t nrows,
+                          std::size_t cols, const double* a, const double* b,
+                          double* sum_a, double* sum_b) noexcept {
+  const std::size_t words = (cols + 63) / 64;
+  for (std::size_t wi = 0; wi < words; ++wi) {
+    const std::size_t width = std::min<std::size_t>(64, cols - wi * 64);
+    if (width == 64) {
+      zero_bit_sums_vectors<8>(base, words_per_row, rows, nrows, wi, 0, ~0ULL,
+                               a, b, sum_a, sum_b);
+      continue;
+    }
+    const std::uint64_t live = (1ULL << width) - 1u;
+    for (std::size_t v0 = 0; 8 * v0 < width; ++v0) {
+      zero_bit_sums_vectors<1>(base, words_per_row, rows, nrows, wi, v0, live,
+                               a, b, sum_a, sum_b);
+    }
+  }
+}
+
 }  // namespace
 
 const Kernels& avx512_kernels() noexcept {
   static const Kernels table{hamming_avx512,      popcount_avx512,
                              and_popcount_avx512, andnot_popcount_avx512,
                              majority_avx512,     sketch_scan_avx512,
-                             select_dot_avx512,   select_axpy_avx512};
+                             select_dot_avx512,   select_axpy_avx512,
+                             zero_bit_sums_avx512};
   return table;
 }
 

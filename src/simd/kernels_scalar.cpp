@@ -196,13 +196,41 @@ void select_axpy_scalar(const std::uint64_t* rows, std::size_t nrows,
   }
 }
 
+/// One 64-column row word at a time, so that word's 128 sums stay in L1
+/// while every selected row passes over it; within a row only the zero
+/// bits are visited.
+void zero_bit_sums_scalar(const std::uint64_t* base, std::size_t words_per_row,
+                          const std::uint32_t* rows, std::size_t nrows,
+                          std::size_t cols, const double* a, const double* b,
+                          double* sum_a, double* sum_b) noexcept {
+  const std::size_t words = (cols + 63) / 64;
+  for (std::size_t wi = 0; wi < words; ++wi) {
+    const std::size_t width = std::min<std::size_t>(64, cols - wi * 64);
+    const std::uint64_t live = width == 64 ? ~0ULL : (1ULL << width) - 1;
+    double* sa = sum_a + wi * 64;
+    double* sb = sum_b + wi * 64;
+    for (std::size_t k = 0; k < nrows; ++k) {
+      std::uint64_t zeros = ~base[rows[k] * words_per_row + wi] & live;
+      const double ak = a[k];
+      const double bk = b[k];
+      while (zeros != 0) {
+        const int j = std::countr_zero(zeros);
+        sa[j] = sa[j] + ak;
+        sb[j] = sb[j] + bk;
+        zeros &= zeros - 1;
+      }
+    }
+  }
+}
+
 }  // namespace
 
 const Kernels& scalar_kernels() noexcept {
   static const Kernels table{hamming_scalar,      popcount_scalar,
                              and_popcount_scalar, andnot_popcount_scalar,
                              majority_scalar,     sketch_scan_scalar,
-                             select_dot_scalar,   select_axpy_scalar};
+                             select_dot_scalar,   select_axpy_scalar,
+                             zero_bit_sums_scalar};
   return table;
 }
 

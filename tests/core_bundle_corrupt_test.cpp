@@ -378,6 +378,48 @@ TEST(BundleCorrupt, HistGbdtSelfLoopRejected) {
   expect_section_rejected("LGBM", join_lines(lines), "LGBM self-loop");
 }
 
+TEST(BundleCorrupt, HistGbdtNonFiniteRejected) {
+  // ml.hist_gbdt line layout as in HistGbdtSelfLoopRejected. Each double a
+  // prediction reads — the config's learning_rate, lambda and
+  // min_child_weight, the base margin, a bin edge, and a split node's
+  // threshold and value — set to NaN, +Inf or -Inf in a checksum-valid
+  // section must be rejected with the section and the field named.
+  const std::vector<std::string> pristine = body_lines(fitted_model_body("LGBM"));
+  ASSERT_EQ(pristine[0], "ml.hist_gbdt v1");
+  const std::size_t features = std::stoul(token(pristine[2], 0));
+  std::size_t edge_line = 0;
+  for (std::size_t i = 3; i < 3 + features && edge_line == 0; ++i) {
+    if (token(pristine[i], 0) != "0") edge_line = i;
+  }
+  ASSERT_NE(edge_line, 0u) << "no feature has a bin edge";
+  const std::size_t root = 5 + features;
+  ASSERT_NE(token(pristine[root], 0), "-1") << "root is a leaf";
+  struct Field {
+    std::size_t line;
+    std::size_t tok;
+    const char* name;
+  };
+  const Field fields[] = {{1, 1, "learning_rate"},    {1, 4, "lambda"},
+                          {1, 5, "min_child_weight"}, {2, 1, "base_margin"},
+                          {edge_line, 1, "bin edge"}, {root, 2, "node threshold"},
+                          {root, 5, "node value"}};
+  for (const Field& field : fields) {
+    for (const char* bad : {"7ff8000000000000", "7ff0000000000000", "fff0000000000000"}) {
+      std::vector<std::string> lines = pristine;
+      lines[field.line] = with_token(lines[field.line], field.tok, bad);
+      std::istringstream in(craft_bundle({{"model:LGBM", join_lines(lines)}}));
+      try {
+        (void)load_bundle(in);
+        ADD_FAILURE() << field.name << " = " << bad << " accepted";
+      } catch (const std::runtime_error& e) {
+        const std::string what = e.what();
+        EXPECT_NE(what.find("model:LGBM"), std::string::npos) << what;
+        EXPECT_NE(what.find(field.name), std::string::npos) << what;
+      }
+    }
+  }
+}
+
 TEST(BundleCorrupt, ForestWithWiderLaterTreeRejected) {
   // ml.forest: tag, config, tree count, then ml.tree bodies. Widen the
   // second tree to 512 features and split its root on feature 300 — past

@@ -10,9 +10,11 @@
 #include <vector>
 
 #include "hv/batch_encoder.hpp"
+#include "hv/bit_matrix.hpp"
 #include "hv/bitvector.hpp"
 #include "hv/encoders.hpp"
 #include "hv/ops.hpp"
+#include "hv/page_allocator.hpp"
 #include "hv/search.hpp"
 #include "parallel/thread_pool.hpp"
 #include "util/rng.hpp"
@@ -261,6 +263,69 @@ TEST(BatchEncoderProperty, MatchesRowAtATimeEncoding) {
   const BatchEncoder serial(encoder, {&one});
   const BatchEncoder wide(encoder, {&three});
   EXPECT_EQ(serial.encode_rows(rows, row_of), wide.encode_rows(rows, row_of));
+}
+
+/// Word i of a recognisable fill pattern.
+std::uint64_t pattern_word(std::size_t i) {
+  return (i + 1) * 0x9E3779B97F4A7C15ULL;
+}
+
+bool holds_pattern(const PackedWords& v, std::size_t n) {
+  if (v.size() < n) return false;
+  for (std::size_t i = 0; i < n; ++i) {
+    if (v[i] != pattern_word(i)) return false;
+  }
+  return true;
+}
+
+// PageAllocator maps blocks of at least kDirectMapBytes and leaves smaller
+// ones to operator new. Contents must survive every copy, move and
+// reallocation that crosses that edge in either direction.
+TEST(PageAllocator, ContentsSurviveCopyMoveAndResizeAcrossMapEdge) {
+  const std::size_t edge = kDirectMapBytes / sizeof(std::uint64_t);
+  for (const std::size_t n : {edge - 1, edge, edge + 1}) {
+    PackedWords v(n);
+    for (std::size_t i = 0; i < n; ++i) v[i] = pattern_word(i);
+    const PackedWords copy = v;
+    EXPECT_TRUE(holds_pattern(copy, n)) << n;
+    PackedWords moved = std::move(v);
+    EXPECT_TRUE(holds_pattern(moved, n)) << n;
+    PackedWords assigned(3, 7);
+    assigned = moved;
+    EXPECT_TRUE(holds_pattern(assigned, n)) << n;
+  }
+
+  // Grow from an operator-new block into a mapped one: the old words move
+  // over and the new ones are zero.
+  const std::size_t small = edge - 100;
+  PackedWords grow(small);
+  for (std::size_t i = 0; i < small; ++i) grow[i] = pattern_word(i);
+  grow.resize(edge + 100);
+  EXPECT_TRUE(holds_pattern(grow, small));
+  for (std::size_t i = small; i < grow.size(); ++i) ASSERT_EQ(grow[i], 0u) << i;
+
+  // Shrink from a mapped block back into an operator-new one.
+  for (std::size_t i = 0; i < grow.size(); ++i) grow[i] = pattern_word(i);
+  grow.resize(small);
+  grow.shrink_to_fit();
+  EXPECT_TRUE(holds_pattern(grow, small));
+
+  // The packed containers on both sides of the edge: 10,000-bit rows are
+  // 157 words, so 100 rows sit below it and 110 rows above it.
+  util::Rng rng(77);
+  for (const std::size_t rows : {100u, 110u}) {
+    const std::vector<BitVector> vectors = random_vectors(rows, 10000, rng);
+    PackedHVs packed = PackedHVs::pack(vectors);
+    const PackedHVs copy = packed;
+    const BitMatrix matrix = BitMatrix::from_rows(std::move(packed));
+    const BitMatrix matrix_copy = matrix;
+    for (std::size_t i = 0; i < rows; i += 9) {
+      EXPECT_EQ(copy.unpack_row(i), vectors[i]) << rows << " row " << i;
+      for (std::size_t j = 0; j < 10000; j += 997) {
+        EXPECT_EQ(matrix_copy.get(i, j), vectors[i].get(j)) << rows << " " << i << "," << j;
+      }
+    }
+  }
 }
 
 INSTANTIATE_TEST_SUITE_P(

@@ -352,6 +352,43 @@ TEST(PackedParity, LogisticRaggedBlocksEveryTier) {
   hdc::simd::set_tier(initial);
 }
 
+// The packed LGBM split search sums each leaf's gradients with the
+// zero_bit_sums kernel, continued across shards, and skips leaves with
+// fewer than 2 * min_data_in_leaf rows. With the default min_data_in_leaf
+// of 20, root sizes 39/40/41 sit on both sides of that rule; widths hit
+// the ragged last row word on every tier. fit_bits and fit_shards must
+// land on the dense fit()'s exact state.
+TEST(PackedParity, HistGbdtRaggedEveryTier) {
+  hdc::util::Rng rng(1616);
+  hdc::ml::HistGbdtConfig config;
+  config.n_rounds = 25;
+  const hdc::simd::Tier initial = hdc::simd::active_tier();
+  for (const std::size_t n : {39u, 40u, 41u, 100u, 300u}) {
+    for (const std::size_t width : {1u, 63u, 64u, 65u, 130u}) {
+      const Encoded data = random_bits(n, width, rng);
+      hdc::ml::HistGbdtClassifier dense(config);
+      dense.fit(data.X, data.y);
+      const std::string expected = state_of(dense);
+      for (const hdc::simd::Tier tier : hdc::simd::supported_tiers()) {
+        hdc::simd::set_tier(tier);
+        const std::string where = std::string("tier=") + hdc::simd::tier_name(tier) +
+                                  " n=" + std::to_string(n) +
+                                  " width=" + std::to_string(width);
+        hdc::ml::HistGbdtClassifier packed(config);
+        packed.fit_bits(data.bits, data.y);
+        EXPECT_EQ(state_of(packed), expected) << where;
+        for (const std::size_t shard_rows : {1u, 5u, 17u, 64u}) {
+          const hdc::hv::ShardedBitMatrix sharded = shard_by(data.bits, shard_rows);
+          hdc::ml::HistGbdtClassifier model(config);
+          model.fit_shards(hdc::ml::MaterializedShardSource(sharded, data.y), {});
+          EXPECT_EQ(state_of(model), expected) << where << " shard_rows=" << shard_rows;
+        }
+      }
+    }
+  }
+  hdc::simd::set_tier(initial);
+}
+
 // Non-multiple-of-64 row counts drive partial trailing words through every
 // mask/plane reduction in the tree and boosting split searches.
 TEST(PackedParity, RaggedRowCounts) {

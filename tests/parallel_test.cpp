@@ -5,6 +5,7 @@
 #include <atomic>
 #include <chrono>
 #include <cstdint>
+#include <latch>
 #include <numeric>
 #include <stdexcept>
 #include <thread>
@@ -188,6 +189,37 @@ TEST(ParallelFor, InsideWorkerRunsInline) {
   });
   pool.wait_idle();
   EXPECT_TRUE(finished.load());
+  for (std::size_t i = 0; i < kN; ++i) EXPECT_EQ(visits[i].load(), 1) << i;
+}
+
+TEST(ParallelFor, DoesNotWaitForUnrelatedTasks) {
+  // One worker of a shared 2-worker pool is held by an unrelated task. A
+  // parallel_for from another thread must finish on the free worker instead
+  // of waiting for the whole pool to go idle.
+  ThreadPool pool(2);
+  std::latch release(1);
+  std::atomic<bool> blocker_running{false};
+  pool.submit([&] {
+    blocker_running.store(true);
+    release.wait();
+  });
+  while (!blocker_running.load()) std::this_thread::yield();
+
+  constexpr std::size_t kN = 4096;  // above the inline grain
+  std::vector<std::atomic<int>> visits(kN);
+  std::atomic<bool> loop_done{false};
+  std::thread caller([&] {
+    parallel_for(0, kN, [&](std::size_t i) { visits[i].fetch_add(1); }, &pool);
+    loop_done.store(true);
+  });
+  const auto deadline = std::chrono::steady_clock::now() + std::chrono::seconds(5);
+  while (!loop_done.load() && std::chrono::steady_clock::now() < deadline) {
+    std::this_thread::sleep_for(std::chrono::milliseconds(1));
+  }
+  EXPECT_TRUE(loop_done.load()) << "parallel_for waited for an unrelated task";
+  release.count_down();
+  caller.join();
+  pool.wait_idle();
   for (std::size_t i = 0; i < kN; ++i) EXPECT_EQ(visits[i].load(), 1) << i;
 }
 

@@ -362,6 +362,63 @@ TEST(SimdKernels, SelectAxpyMatchesNaiveAcrossTiers) {
   }
 }
 
+// zero_bit_sums on a scattered, ascending row selection from a 320-row
+// block: every tier must reproduce a serial loop that visits each column's
+// zero-bit rows in selection order. Start sums are random and a/b are
+// signed, so a lane that adds when it should keep (or drops a term) shows
+// up in memcmp.
+TEST(SimdKernels, ZeroBitSumsMatchesNaiveAcrossTiers) {
+  hdc::util::Rng rng(7373);
+  constexpr std::size_t kBlockRows = 320;
+  for (const std::size_t cols : kSelectCols) {
+    // Row words wider than the columns, with garbage padding bits, so a
+    // kernel that reads past `cols` or ignores words_per_row fails.
+    const std::size_t words_per_row = (cols + 63) / 64 + 1;
+    const std::vector<std::uint64_t> block =
+        random_words(kBlockRows * words_per_row, rng);
+    for (const std::size_t nrows : {0u, 1u, 17u, 39u, 40u, 41u, 300u}) {
+      std::vector<std::uint32_t> rows;
+      for (std::uint32_t r = 0; rows.size() < nrows; ++r) {
+        if (kBlockRows - r == nrows - rows.size() ||
+            rng.bernoulli(static_cast<double>(nrows) / kBlockRows)) {
+          rows.push_back(r);
+        }
+      }
+      std::vector<double> a(nrows);
+      std::vector<double> b(nrows);
+      for (double& v : a) v = rng.uniform(-1.0, 1.0);
+      for (double& v : b) v = rng.uniform(-1.0, 1.0);
+      std::vector<double> start_a(cols);
+      std::vector<double> start_b(cols);
+      for (double& v : start_a) v = rng.uniform(-3.0, 3.0);
+      for (double& v : start_b) v = rng.uniform(-3.0, 3.0);
+      std::vector<double> expected_a = start_a;
+      std::vector<double> expected_b = start_b;
+      for (std::size_t k = 0; k < nrows; ++k) {
+        const std::uint64_t* row = block.data() + rows[k] * words_per_row;
+        for (std::size_t j = 0; j < cols; ++j) {
+          if (((row[j / 64] >> (j % 64)) & 1u) != 0) continue;
+          expected_a[j] = expected_a[j] + a[k];
+          expected_b[j] = expected_b[j] + b[k];
+        }
+      }
+      for (const Tier t : hdc::simd::supported_tiers()) {
+        std::vector<double> sum_a = start_a;
+        std::vector<double> sum_b = start_b;
+        hdc::simd::kernels(t).zero_bit_sums(block.data(), words_per_row,
+                                            rows.data(), nrows, cols, a.data(),
+                                            b.data(), sum_a.data(), sum_b.data());
+        EXPECT_EQ(std::memcmp(sum_a.data(), expected_a.data(), cols * sizeof(double)), 0)
+            << "tier=" << hdc::simd::tier_name(t) << " cols=" << cols
+            << " nrows=" << nrows;
+        EXPECT_EQ(std::memcmp(sum_b.data(), expected_b.data(), cols * sizeof(double)), 0)
+            << "tier=" << hdc::simd::tier_name(t) << " cols=" << cols
+            << " nrows=" << nrows;
+      }
+    }
+  }
+}
+
 // End-to-end dispatch-tier invariance: the full encode + LOOCV pipeline must
 // produce bit-identical hypervectors and confusion matrices on every tier —
 // the dispatch-layer extension of the thread-count determinism gate.
