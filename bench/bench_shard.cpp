@@ -39,6 +39,7 @@
 #include "bench_common.hpp"
 #include "core/extractor.hpp"
 #include "core/shard_source.hpp"
+#include "core/manifest.hpp"
 #include "data/chunked.hpp"
 #include "data/synthetic.hpp"
 #include "hv/bit_matrix.hpp"
@@ -357,7 +358,11 @@ int main(int argc, char** argv) {
 
   hdc::core::ExperimentConfig manifest_config = setup.experiment;
   manifest_config.extractor = identity_config;
-  manifest_config.max_resident_rows = shard_rows;
+  hdc::core::RunManifest manifest = hdc::core::make_run_manifest(
+      setup.pima_m, "pima_m_synthetic", manifest_config);
+  manifest.shard_rows = shard_rows;
+  manifest.num_shards =
+      hdc::data::make_shard_plan(setup.pima_m.n_rows(), shard_rows).size();
   hdc::bench::JsonWriter json;
   json.object()
       .field("bench", "bench_shard")
@@ -380,8 +385,7 @@ int main(int argc, char** argv) {
     json.field("speedup_skipped_reason", "hardware_threads==1");
   }
   json.field("hist_merge_ops", hist_merge_ops)
-      .raw_field("manifest", hdc::bench::manifest_json(setup.pima_m, "pima_m_synthetic",
-                                                       manifest_config))
+      .raw_field("manifest", hdc::core::to_json(manifest))
       .end();
   if (!json.write(out_path)) return 1;
   return exit_code;

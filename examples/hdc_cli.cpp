@@ -1,22 +1,23 @@
 // hdc_cli — command-line workflow over CSV files, the "no code" entry point:
 //
 //   hdc_cli describe data.csv                      # dataset summary
-//   hdc_cli train data.csv model.hdc               # fit extractor + Hamming 1-NN
-//   hdc_cli train data.csv model.hdc --stream --shard-rows N
-//                                                  # same model, out-of-core:
+//   hdc_cli bundle data.csv model.bundle           # fit + save a model bundle
+//   hdc_cli bundle data.csv model.bundle --stream --shard-rows N
+//                                                  # same bundle, out-of-core:
 //                                                  # CSV is read and encoded in
 //                                                  # N-row shards, never fully
 //                                                  # resident as dense doubles
-//   hdc_cli evaluate data.csv model.hdc            # accuracy report on a CSV
-//   hdc_cli predict data.csv model.hdc             # per-row predictions
+//   hdc_cli train ...                              # alias of bundle
+//   hdc_cli evaluate data.csv model.bundle         # accuracy report on a CSV
+//   hdc_cli predict data.csv model.bundle          # per-row predictions
+//   hdc_cli serve data.csv model.bundle            # serve rows from a bundle
 //   hdc_cli experiment data.csv                    # Hamming LOOCV + model fit
 //   hdc_cli grid a.csv [b.csv ...]                 # scheduled model-zoo CV grid
-//   hdc_cli bundle data.csv model.bundle           # fit + save a model bundle
-//   hdc_cli serve data.csv model.bundle            # serve rows from a bundle
 //
-// The model file holds the serialized extractor followed by the serialized
-// Hamming classifier; --label <column> selects the label column (default:
-// last), --dim / --seed control the encoding.
+// Every model file is a checksummed core/bundle. `evaluate` and `predict`
+// answer with its extractor + Hamming 1-NN sections and fail, naming the
+// section, when either is missing. --label <column> selects the label column
+// (default: last), --dim / --seed control the encoding.
 //
 // `grid` runs the paper's evaluation sweep (every zoo model under stratified
 // k-fold CV, per dataset) through the work-stealing task-graph scheduler and
@@ -26,8 +27,8 @@
 // --trace-out the Chrome trace shows the grid.encode / grid.fit /
 // grid.reduce scheduler spans.
 //
-// `bundle` fits the extractor + Hamming classifier and, with --models
-// a,b,c / --with-nn, zoo models and the Sequential NN on the encoded
+// `bundle` (or `train`) fits the extractor + Hamming classifier and, with
+// --models a,b,c / --with-nn, zoo models and the Sequential NN on the encoded
 // hypervectors, then writes one checksummed bundle file (core/bundle).
 // `serve` loads a bundle and classifies every row of the CSV ("-" = stdin)
 // through core/serve — --model picks the predictor ("hamming", "nn", or a
@@ -48,7 +49,6 @@
 #include <algorithm>
 #include <chrono>
 #include <cstdio>
-#include <fstream>
 #include <future>
 #include <iostream>
 #include <iterator>
@@ -60,7 +60,6 @@
 #include "core/extractor.hpp"
 #include "core/grid.hpp"
 #include "core/hamming_classifier.hpp"
-#include "core/serialize.hpp"
 #include "core/serve.hpp"
 #include "core/shard_source.hpp"
 #include "ml/zoo.hpp"
@@ -93,32 +92,7 @@ int cmd_describe(const hdc::data::Dataset& ds) {
   return 0;
 }
 
-int cmd_train(const hdc::data::Dataset& ds, const std::string& model_path,
-              const hdc::util::Cli& cli) {
-  hdc::core::ExtractorConfig config;
-  config.dimensions = static_cast<std::size_t>(cli.get_int("--dim", 10000));
-  config.seed = cli.get_uint("--seed", 2023);
-  hdc::core::HdcFeatureExtractor extractor(config);
-  extractor.fit(ds);
-
-  hdc::core::HammingClassifier model(
-      hdc::core::HammingMode::kNearestNeighbor,
-      static_cast<std::size_t>(cli.get_int("--k", 1)));
-  model.fit(extractor.transform(ds), ds.labels());
-
-  std::ofstream out(model_path);
-  if (!out) {
-    std::fprintf(stderr, "cannot open %s for writing\n", model_path.c_str());
-    return 1;
-  }
-  hdc::core::save_extractor(out, extractor);
-  hdc::core::save_hamming(out, model);
-  std::printf("trained on %zu patients (%zu features), wrote %s\n", ds.n_rows(),
-              ds.n_cols(), model_path.c_str());
-  return 0;
-}
-
-// Pass-1 of every --stream command: fold per-chunk column stats into the
+// Pass 1 of `bundle --stream`: fold per-chunk column stats into the
 // extractor ranges, one chunk resident at a time. The folded ranges equal
 // the whole-file ranges exactly (min/max are order-free), so the fitted
 // extractor is identical to an in-memory fit() over the same rows.
@@ -162,83 +136,24 @@ std::optional<hdc::core::HdcFeatureExtractor> fit_extractor_streamed(
   return extractor;
 }
 
-// Out-of-core variant of cmd_train: the CSV is consumed in row-range shards
-// (data::CsvStreamChunks re-reads each range from disk), so the dense double
-// matrix of the full cohort is never resident. Pass 1 folds per-chunk column
-// stats into the extractor ranges; pass 2 encodes shard-at-a-time. The
-// written model file is byte-identical to the in-memory train on the same
-// CSV: row i's encoding is a pure function of (row, extractor).
-int cmd_train_stream(const std::string& csv_path, const std::string& model_path,
-                     const hdc::util::Cli& cli) {
-  if (csv_path == "-") {
-    std::fprintf(stderr, "--stream needs a seekable CSV file, not stdin\n");
-    return 2;
+// evaluate / predict answer from a bundle's extractor + Hamming sections.
+hdc::core::ModelBundle load_hamming_bundle(const std::string& path) {
+  hdc::core::ModelBundle bundle = hdc::core::load_bundle_file(path);
+  if (!bundle.extractor) {
+    throw std::runtime_error(path + ": bundle has no 'extractor' section");
   }
-  hdc::data::CsvOptions options;
-  options.label_column = cli.get_string("--label", "");
-  const hdc::data::CsvStreamChunks chunks(csv_path, options);
-  const std::size_t shard_rows =
-      static_cast<std::size_t>(cli.get_int("--shard-rows", 4096));
-  const std::vector<hdc::data::ChunkRange> plan =
-      hdc::data::make_shard_plan(chunks.n_rows(), shard_rows);
-
-  std::optional<hdc::core::HdcFeatureExtractor> fitted =
-      fit_extractor_streamed(chunks, plan, cli);
-  if (!fitted) return 1;
-  hdc::core::HdcFeatureExtractor extractor = std::move(*fitted);
-
-  // Pass 2: encode shard-at-a-time. Only the packed patient hypervectors
-  // accumulate (dimensions/8 bytes per row).
-  std::vector<hdc::hv::BitVector> vectors;
-  std::vector<int> labels;
-  vectors.reserve(chunks.n_rows());
-  labels.reserve(chunks.n_rows());
-  for (const hdc::data::ChunkRange& range : plan) {
-    const hdc::data::Dataset chunk = chunks.chunk(range.begin, range.end);
-    std::vector<hdc::hv::BitVector> encoded = extractor.transform(chunk);
-    std::move(encoded.begin(), encoded.end(), std::back_inserter(vectors));
-    const std::vector<int>& y = chunk.labels();
-    labels.insert(labels.end(), y.begin(), y.end());
+  if (!bundle.hamming) {
+    throw std::runtime_error(path + ": bundle has no 'hamming' section");
   }
-
-  hdc::core::HammingClassifier model(
-      hdc::core::HammingMode::kNearestNeighbor,
-      static_cast<std::size_t>(cli.get_int("--k", 1)));
-  model.fit(std::move(vectors), labels);
-
-  std::ofstream out(model_path);
-  if (!out) {
-    std::fprintf(stderr, "cannot open %s for writing\n", model_path.c_str());
-    return 1;
-  }
-  hdc::core::save_extractor(out, extractor);
-  hdc::core::save_hamming(out, model);
-  std::printf(
-      "streamed %zu patients (%zu features) in %zu shards of <= %zu rows, "
-      "wrote %s\n",
-      chunks.n_rows(), chunks.n_cols(), plan.size(),
-      shard_rows == 0 ? chunks.n_rows() : shard_rows, model_path.c_str());
-  return 0;
-}
-
-struct LoadedModel {
-  hdc::core::HdcFeatureExtractor extractor;
-  hdc::core::HammingClassifier classifier;
-};
-
-LoadedModel load_model(const std::string& path) {
-  std::ifstream in(path);
-  if (!in) throw std::runtime_error("cannot open model file " + path);
-  LoadedModel m{hdc::core::load_extractor(in), hdc::core::load_hamming(in)};
-  return m;
+  return bundle;
 }
 
 int cmd_evaluate(const hdc::data::Dataset& ds, const std::string& model_path) {
-  const LoadedModel m = load_model(model_path);
+  const hdc::core::ModelBundle m = load_hamming_bundle(model_path);
   std::vector<int> predictions;
   predictions.reserve(ds.n_rows());
   for (std::size_t i = 0; i < ds.n_rows(); ++i) {
-    predictions.push_back(m.classifier.predict(m.extractor.encode_row(ds.row(i))));
+    predictions.push_back(m.hamming->predict(m.extractor->encode_row(ds.row(i))));
   }
   const hdc::eval::BinaryMetrics metrics =
       hdc::eval::compute_metrics(ds.labels(), predictions);
@@ -336,12 +251,12 @@ int cmd_grid(const std::vector<std::string>& csv_paths,
 }
 
 int cmd_predict(const hdc::data::Dataset& ds, const std::string& model_path) {
-  const LoadedModel m = load_model(model_path);
+  const hdc::core::ModelBundle m = load_hamming_bundle(model_path);
   std::printf("row,prediction,score\n");
   for (std::size_t i = 0; i < ds.n_rows(); ++i) {
-    const hdc::hv::BitVector encoded = m.extractor.encode_row(ds.row(i));
-    std::printf("%zu,%d,%.4f\n", i, m.classifier.predict(encoded),
-                m.classifier.predict_score(encoded));
+    const hdc::hv::BitVector encoded = m.extractor->encode_row(ds.row(i));
+    std::printf("%zu,%d,%.4f\n", i, m.hamming->predict(encoded),
+                m.hamming->predict_score(encoded));
   }
   return 0;
 }
@@ -581,8 +496,7 @@ int run_command(const hdc::util::Cli& cli) {
       std::fprintf(stderr, "%s needs an output path\n", command.c_str());
       return 2;
     }
-    return command == "train" ? cmd_train_stream(args[1], args[2], cli)
-                              : cmd_bundle_stream(args[1], args[2], cli);
+    return cmd_bundle_stream(args[1], args[2], cli);
   }
   const hdc::data::Dataset ds = load(args[1], cli);
   if (command == "describe") return cmd_describe(ds);
@@ -591,10 +505,11 @@ int run_command(const hdc::util::Cli& cli) {
     std::fprintf(stderr, "%s needs a model path\n", command.c_str());
     return 2;
   }
-  if (command == "train") return cmd_train(ds, args[2], cli);
+  if (command == "train" || command == "bundle") {
+    return cmd_bundle(ds, args[1], args[2], cli);
+  }
   if (command == "evaluate") return cmd_evaluate(ds, args[2]);
   if (command == "predict") return cmd_predict(ds, args[2]);
-  if (command == "bundle") return cmd_bundle(ds, args[1], args[2], cli);
   if (command == "serve") return cmd_serve(ds, args[2], cli);
   std::fprintf(stderr, "unknown command '%s'\n", command.c_str());
   return 2;
@@ -629,16 +544,13 @@ int main(int argc, char** argv) {
   const auto& args = cli.positional();
   if (args.size() < 2) {
     std::fprintf(stderr,
-                 "usage: hdc_cli <describe|train|evaluate|predict|experiment> "
-                 "<data.csv> [model.hdc] [--label COL] [--dim N] [--seed S] "
-                 "[--k K] [--model NAME] [--threads T] [--metrics-out FILE] "
-                 "[--trace-out FILE]\n"
-                 "       hdc_cli train <data.csv> <model.hdc> --stream "
-                 "[--shard-rows N] [--label COL] [--dim N] [--seed S] [--k K]\n"
-                 "       hdc_cli bundle <data.csv> <out.bundle> [--models "
+                 "usage: hdc_cli <describe|evaluate|predict|experiment> "
+                 "<data.csv> [model.bundle] [--label COL] [--dim N] [--seed S] "
+                 "[--model NAME] [--threads T]\n"
+                 "       hdc_cli <bundle|train> <data.csv> <out.bundle> [--models "
                  "a,b,c] [--with-nn] [--dim N] [--seed S] [--k K] [--ann "
                  "[--cells C] [--nprobe P]]\n"
-                 "       hdc_cli bundle <data.csv> <out.bundle> --stream "
+                 "       hdc_cli <bundle|train> <data.csv> <out.bundle> --stream "
                  "[--shard-rows N] [--ann [--cells C] [--nprobe P]] [--models "
                  "a,b,c] [--dim N] [--seed S] [--k K]\n"
                  "       hdc_cli serve <data.csv|-> <model.bundle> [--model "

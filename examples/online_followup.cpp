@@ -33,7 +33,7 @@ int main(int argc, char** argv) {
               initial.n_rows(), model.updates_per_epoch().size());
 
   // Ship the encoder: the extractor round-trips through its text format
-  // (here an in-memory stream; use save_extractor_file for a real file).
+  // (here an in-memory stream; a file ships it as a core/bundle section).
   std::stringstream wire;
   hdc::core::save_extractor(wire, extractor);
   const hdc::core::HdcFeatureExtractor clinic_extractor =

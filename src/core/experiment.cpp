@@ -8,7 +8,6 @@
 #include "data/split.hpp"
 #include "eval/metrics.hpp"
 #include "hv/bit_matrix.hpp"
-#include "ml/sharded.hpp"
 #include "ml/zoo.hpp"
 #include "obs/trace.hpp"
 #include "parallel/thread_pool.hpp"
@@ -38,18 +37,8 @@ FoldData materialize_fold(const data::Dataset& ds,
     HdcFeatureExtractor extractor(config.extractor);
     extractor.fit(train_ds);
     if (allow_packed) {
-      if (config.max_resident_rows > 0) {
-        // Shard-at-a-time encode: each block is produced independently, so
-        // the peak bitplane working set tracks max_resident_rows, and the
-        // shard set is byte-identical to the unsharded encode row for row.
-        fold.train_shards =
-            extractor.transform_bits_chunked(train_ds, config.max_resident_rows);
-        fold.test_shards =
-            extractor.transform_bits_chunked(test_ds, config.max_resident_rows);
-      } else {
-        fold.train_bits = extractor.transform_bits(train_ds);
-        fold.test_bits = extractor.transform_bits(test_ds);
-      }
+      fold.train_bits = extractor.transform_bits(train_ds);
+      fold.test_bits = extractor.transform_bits(test_ds);
     } else {
       fold.train_X = extractor.transform_to_matrix(train_ds);
       fold.test_X = extractor.transform_to_matrix(test_ds);
@@ -61,10 +50,7 @@ FoldData materialize_fold(const data::Dataset& ds,
 }
 
 void fit_fold_model(ml::Classifier& model, const FoldData& fold) {
-  if (fold.train_shards) {
-    const ml::MaterializedShardSource src(*fold.train_shards, fold.train_y);
-    model.fit_shards(src);
-  } else if (fold.train_bits) {
+  if (fold.train_bits) {
     model.fit_bits(*fold.train_bits, fold.train_y);
   } else {
     model.fit(fold.train_X, fold.train_y);
@@ -72,15 +58,6 @@ void fit_fold_model(ml::Classifier& model, const FoldData& fold) {
 }
 
 double fold_accuracy(const ml::Classifier& model, const FoldData& fold) {
-  if (fold.test_shards) {
-    const ml::MaterializedShardSource src(*fold.test_shards, fold.test_y);
-    const std::vector<int> pred = model.predict_all_shards(src);
-    std::size_t hits = 0;
-    for (std::size_t i = 0; i < pred.size(); ++i) {
-      if (pred[i] == fold.test_y[i]) ++hits;
-    }
-    return static_cast<double>(hits) / static_cast<double>(pred.size());
-  }
   return fold.test_bits ? model.accuracy_bits(*fold.test_bits, fold.test_y)
                         : model.accuracy(fold.test_X, fold.test_y);
 }
@@ -119,10 +96,6 @@ eval::BinaryMetrics holdout_metrics(const data::Dataset& ds,
     fit_fold_model(*model, fold);
   }
   obs::Span eval_span("experiment.eval");
-  if (fold.test_shards) {
-    const ml::MaterializedShardSource src(*fold.test_shards, fold.test_y);
-    return eval::compute_metrics(fold.test_y, model->predict_all_shards(src));
-  }
   return eval::compute_metrics(fold.test_y,
                                fold.test_bits
                                    ? model->predict_all_bits(*fold.test_bits)

@@ -14,7 +14,7 @@
 #include "eval/cross_validation.hpp"
 #include "eval/metrics.hpp"
 #include "hv/bit_matrix.hpp"
-#include "hv/sharded_bits.hpp"
+#include "ml/classifier.hpp"
 #include "nn/sequential.hpp"
 #include "obs/metrics.hpp"
 
@@ -33,13 +33,6 @@ struct ExperimentConfig {
   /// process-wide pool. Results are bit-identical for every setting (the
   /// golden determinism test pins 1 vs hardware_threads()).
   std::size_t threads = 0;
-  /// Encode and train fold bitplanes in shards of at most this many rows
-  /// (0 = everything in one block, the classic path). Any positive value
-  /// routes fitting through the models' fit_shards path — whose output is
-  /// invariant to the actual value, because even a single shard takes the
-  /// same code path — so the knob trades peak memory for extra passes
-  /// without changing results.
-  std::size_t max_resident_rows = 0;
 };
 
 /// Materialised (X, y) for one fold's train/test rows, in raw or
@@ -54,10 +47,6 @@ struct FoldData {
   ml::Labels test_y;
   std::optional<hv::BitMatrix> train_bits;
   std::optional<hv::BitMatrix> test_bits;
-  // Sharded variants (config.max_resident_rows > 0): per-shard bitplane
-  // blocks instead of one concatenated matrix.
-  std::optional<hv::ShardedBitMatrix> train_shards;
-  std::optional<hv::ShardedBitMatrix> test_shards;
 };
 
 /// Build a FoldData for the given row subsets. In hypervector mode the

@@ -4,7 +4,6 @@
 #include <sstream>
 
 #include "core/experiment.hpp"
-#include "data/chunked.hpp"
 #include "obs/export.hpp"
 #include "obs/metrics.hpp"
 #include "obs/trace.hpp"
@@ -93,8 +92,7 @@ RunManifest make_run_manifest(const data::Dataset& ds,
   m.hardware_threads = parallel::hardware_threads();
   m.obs_enabled = obs::enabled();
   m.trace_enabled = obs::trace_enabled();
-  m.shard_rows = config.max_resident_rows;
-  m.num_shards = data::make_shard_plan(ds.n_rows(), config.max_resident_rows).size();
+  m.num_shards = ds.n_rows() == 0 ? 0 : 1;  // resident: one block, shard_rows 0
   m.obs_json = obs::to_json(obs::snapshot());
   return m;
 }

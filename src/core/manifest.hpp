@@ -37,8 +37,8 @@ struct RunManifest {
   std::uint64_t hardware_threads = 0;
   bool obs_enabled = false;
   bool trace_enabled = false;
-  std::uint64_t shard_rows = 0;   // ExperimentConfig::max_resident_rows
-  std::uint64_t num_shards = 0;   // shard plan size over `rows`
+  std::uint64_t shard_rows = 0;   // rows per shard of a streamed build; 0 = resident
+  std::uint64_t num_shards = 0;   // shard count over `rows` (1 when resident)
   std::string obs_json;           // obs::to_json(snapshot()) at capture time
 };
 

@@ -1,6 +1,5 @@
 #include "core/serialize.hpp"
 
-#include <fstream>
 #include <sstream>
 #include <stdexcept>
 
@@ -25,12 +24,6 @@ std::string expect_line(std::istream& in, const char* what) {
 long long expect_int(std::istream& in, const char* what) {
   const auto value = util::parse_int(expect_line(in, what));
   if (!value) throw std::runtime_error(std::string("load: bad integer for ") + what);
-  return *value;
-}
-
-double expect_double(std::istream& in, const char* what) {
-  const auto value = util::parse_double(expect_line(in, what));
-  if (!value) throw std::runtime_error(std::string("load: bad number for ") + what);
   return *value;
 }
 
@@ -215,41 +208,6 @@ HammingClassifier load_hamming(std::istream& in) {
   HammingClassifier model(mode);
   model.fit(std::move(vectors), std::move(labels));
   return model;
-}
-
-namespace {
-template <typename Saver, typename Value>
-void save_to_file(const std::string& path, const Value& value, Saver saver) {
-  std::ofstream out(path);
-  if (!out) throw std::runtime_error("save: cannot open " + path);
-  saver(out, value);
-  if (!out) throw std::runtime_error("save: write failed for " + path);
-}
-}  // namespace
-
-void save_extractor_file(const std::string& path, const HdcFeatureExtractor& extractor) {
-  save_to_file(path, extractor,
-               [](std::ostream& out, const HdcFeatureExtractor& e) {
-                 save_extractor(out, e);
-               });
-}
-
-HdcFeatureExtractor load_extractor_file(const std::string& path) {
-  std::ifstream in(path);
-  if (!in) throw std::runtime_error("load: cannot open " + path);
-  return load_extractor(in);
-}
-
-void save_hamming_file(const std::string& path, const HammingClassifier& model) {
-  save_to_file(path, model, [](std::ostream& out, const HammingClassifier& m) {
-    save_hamming(out, m);
-  });
-}
-
-HammingClassifier load_hamming_file(const std::string& path) {
-  std::ifstream in(path);
-  if (!in) throw std::runtime_error("load: cannot open " + path);
-  return load_hamming(in);
 }
 
 }  // namespace hdc::core

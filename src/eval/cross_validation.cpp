@@ -39,29 +39,6 @@ CvResult kfold_run(
   return summarize_folds(std::move(fold_accuracy));
 }
 
-CvResult kfold_accuracy(const ModelFactory& factory, const ml::Matrix& X,
-                        const ml::Labels& y, std::size_t k, std::uint64_t seed) {
-  return kfold_run(y, k, seed,
-                   [&](std::span<const std::size_t> train,
-                       std::span<const std::size_t> test) {
-                     ml::Matrix train_X;
-                     ml::Labels train_y;
-                     train_X.reserve(train.size());
-                     for (const std::size_t i : train) {
-                       train_X.push_back(X[i]);
-                       train_y.push_back(y[i]);
-                     }
-                     const auto model = factory();
-                     model->fit(train_X, train_y);
-                     std::size_t hits = 0;
-                     for (const std::size_t i : test) {
-                       if (model->predict(X[i]) == y[i]) ++hits;
-                     }
-                     return static_cast<double>(hits) /
-                            static_cast<double>(test.size());
-                   });
-}
-
 LoocvResult hamming_loocv(const std::vector<hv::BitVector>& vectors,
                           const std::vector<int>& labels,
                           parallel::ThreadPool* pool) {

@@ -7,21 +7,17 @@
 
 #include <cstdint>
 #include <functional>
-#include <memory>
 #include <span>
 #include <vector>
 
 #include "eval/metrics.hpp"
 #include "hv/bitvector.hpp"
-#include "ml/classifier.hpp"
 
 namespace hdc::parallel {
 class ThreadPool;
 }
 
 namespace hdc::eval {
-
-using ModelFactory = std::function<std::unique_ptr<ml::Classifier>()>;
 
 struct CvResult {
   std::vector<double> fold_accuracy;
@@ -41,11 +37,6 @@ struct CvResult {
     const std::vector<int>& labels, std::size_t k, std::uint64_t seed,
     const std::function<double(std::span<const std::size_t>,
                                std::span<const std::size_t>)>& run_fold);
-
-/// Plain k-fold accuracy of a model family on a fixed feature matrix.
-[[nodiscard]] CvResult kfold_accuracy(const ModelFactory& factory,
-                                      const ml::Matrix& X, const ml::Labels& y,
-                                      std::size_t k, std::uint64_t seed);
 
 struct LoocvResult {
   std::vector<int> predictions;  // per-row 1-NN label among all other rows

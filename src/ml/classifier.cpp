@@ -35,25 +35,14 @@ double Classifier::accuracy_bits(const hv::BitMatrix& X, const Labels& y) const 
   return static_cast<double>(hits) / static_cast<double>(predictions.size());
 }
 
-void Classifier::fit_shards(const ShardSource& src,
-                            const ShardedFitOptions& options) {
+void Classifier::fit_shards(const ShardSource& src) {
   // Fallback for models without an exact merge path: gather a deterministic
   // strided subsample (a pure function of rows and the cap, so identical
   // for every shard count) and train on it resident.
   const std::vector<std::size_t> indices =
-      strided_subsample(src.rows(), options.subsample_cap);
+      strided_subsample(src.rows(), kShardSubsampleRows);
   const hv::BitMatrix sample = gather_rows(src, indices);
   fit_bits(sample, gather_labels(src.labels(), indices));
-}
-
-std::vector<int> Classifier::predict_all_shards(const ShardSource& src) const {
-  std::vector<int> out;
-  out.reserve(src.rows());
-  for (std::size_t s = 0; s < src.num_shards(); ++s) {
-    const std::vector<int> block = predict_all_bits(src.shard(s));
-    out.insert(out.end(), block.begin(), block.end());
-  }
-  return out;
 }
 
 void Classifier::save_state(std::ostream& out) const {

@@ -4,7 +4,8 @@
 // hypervectors (as 0/1 columns) into scikit-learn style models. The input
 // type picks the algorithm: fit() takes a dense row-major double matrix
 // (raw features), fit_bits() a bit-packed BitMatrix (hypervectors), and
-// fit_shards() a shard-at-a-time ShardSource; labels are binary throughout.
+// fit_shards() a shard-at-a-time ShardSource (the streamed bundle build);
+// labels are binary throughout. No option or config field re-routes them.
 #pragma once
 
 #include <iosfwd>
@@ -27,19 +28,6 @@ using Matrix = std::vector<std::vector<double>>;
 using Labels = std::vector<int>;
 
 class ShardSource;  // ml/sharded.hpp — shard-at-a-time training input
-
-/// Tuning for fit_shards(). Never affects which rows exist — only how
-/// models that need a resident subset or a batch schedule choose it, and
-/// every choice is a pure function of (rows, option values), so fitted
-/// results stay invariant to the shard count.
-struct ShardedFitOptions {
-  /// Row cap for models that must materialize a training subset (SVC's
-  /// kernel matrix, the default fallback). Chosen by deterministic striding.
-  std::size_t subsample_cap = 2048;
-  /// Mini-batch length for SgdClassifier's fixed-schedule path. Batch
-  /// boundaries fall at global row multiples, never at shard boundaries.
-  std::size_t batch_rows = 256;
-};
 
 class Classifier {
  public:
@@ -91,15 +79,11 @@ class Classifier {
   /// invariance: for a fixed row sequence, fitting through 1, 4 or 8 shards
   /// produces bit-identical parameters and predictions. Models with exact
   /// merge paths (integer popcount histograms, carried accumulators)
-  /// override this; the default gathers a deterministic strided subsample
-  /// of options.subsample_cap rows and defers to fit_bits() — still
-  /// shard-count invariant, but subsampled.
-  virtual void fit_shards(const ShardSource& src,
-                          const ShardedFitOptions& options = {});
-
-  /// Hard predictions over a sharded source, one shard resident at a time
-  /// (the concatenation of per-shard predict_all_bits).
-  [[nodiscard]] std::vector<int> predict_all_shards(const ShardSource& src) const;
+  /// override this; the default (SGD, XGBoost, CatBoost) gathers a
+  /// deterministic strided subsample of kShardSubsampleRows rows and defers
+  /// to fit_bits() — still shard-count invariant, and equal to fit_bits()
+  /// whenever rows <= kShardSubsampleRows.
+  virtual void fit_shards(const ShardSource& src);
 
   /// Serialize everything predict_proba() needs — hyper-parameters plus the
   /// fitted state — as a util::serde token stream, restorable bit-identically

@@ -44,11 +44,10 @@ void RandomForest::fit(const Matrix& X, const Labels& y) {
 
 void RandomForest::fit_bits(const hv::BitMatrix& X, const Labels& y) {
   validate_training_bits(X, y);
-  fit_shards(SingleShardSource(X, y), {});
+  fit_shards(SingleShardSource(X, y));
 }
 
-void RandomForest::fit_shards(const ShardSource& src,
-                              const ShardedFitOptions& /*options*/) {
+void RandomForest::fit_shards(const ShardSource& src) {
   const std::size_t n = src.rows();
   if (n == 0) throw std::invalid_argument("RandomForest: empty row set");
 

@@ -32,8 +32,7 @@ class RandomForest final : public Classifier {
   /// Trees are fitted sequentially (a ShardSource's current shard is
   /// invalidated by the next shard() call, so it is not shareable across
   /// worker threads).
-  void fit_shards(const ShardSource& src,
-                  const ShardedFitOptions& options) override;
+  void fit_shards(const ShardSource& src) override;
   [[nodiscard]] double predict_proba(std::span<const double> x) const override;
   [[nodiscard]] std::vector<int> predict_all_bits(const hv::BitMatrix& X) const override;
   [[nodiscard]] std::string name() const override { return "Random Forest"; }

@@ -182,15 +182,15 @@ void GbdtClassifier::load_state(std::istream& in) {
   r.expect("ml.gbdt", "model tag");
   r.expect("v1", "format version");
   config_.n_rounds = r.u64("n_rounds");
-  config_.learning_rate = r.f64("learning_rate");
+  config_.learning_rate = r.finite_f64("learning_rate");
   config_.max_depth = r.u64("max_depth");
-  config_.lambda = r.f64("lambda");
-  config_.gamma = r.f64("gamma");
-  config_.min_child_weight = r.f64("min_child_weight");
-  config_.base_score = r.f64("base_score");
+  config_.lambda = r.finite_f64("lambda");
+  config_.gamma = r.finite_f64("gamma");
+  config_.min_child_weight = r.finite_f64("min_child_weight");
+  config_.base_score = r.finite_f64("base_score");
   n_features_ = r.count("n_features", 1ULL << 24);
   if (n_features_ == 0) throw r.error("zero features");
-  base_margin_ = r.f64("base_margin");
+  base_margin_ = r.finite_f64("base_margin");
   const std::size_t rounds = r.count("round count", 1ULL << 20);
   if (rounds == 0) throw r.error("empty ensemble");
   trees_.assign(rounds, Tree{});
@@ -201,10 +201,10 @@ void GbdtClassifier::load_state(std::istream& in) {
     for (std::size_t i = 0; i < n; ++i) {
       Node& nd = tree[i];
       nd.feature = static_cast<std::int32_t>(r.i64("node feature"));
-      nd.threshold = r.f64("node threshold");
+      nd.threshold = r.finite_f64("node threshold");
       nd.left = static_cast<std::int32_t>(r.i64("node left"));
       nd.right = static_cast<std::int32_t>(r.i64("node right"));
-      nd.value = r.f64("node value");
+      nd.value = r.finite_f64("node value");
       if (nd.feature >= 0) {
         if (static_cast<std::size_t>(nd.feature) >= n_features_) {
           throw r.error("node feature out of range");

@@ -280,11 +280,10 @@ void continue_pair_sum(const std::uint64_t* col, const std::uint64_t* mask,
 
 void HistGbdtClassifier::fit_bits(const hv::BitMatrix& X, const Labels& y) {
   validate_training_bits(X, y);
-  fit_shards(SingleShardSource(X, y), {});
+  fit_shards(SingleShardSource(X, y));
 }
 
-void HistGbdtClassifier::fit_shards(const ShardSource& src,
-                                    const ShardedFitOptions& /*options*/) {
+void HistGbdtClassifier::fit_shards(const ShardSource& src) {
   obs::Span span("ml.hist_gbdt.fit_shards");
   const std::size_t n = src.rows();
   const std::size_t d = src.cols();
@@ -577,24 +576,19 @@ void HistGbdtClassifier::load_state(std::istream& in) {
   r.expect("v1", "format version");
   // A NaN or infinite parameter parses as a double but turns every
   // prediction into NaN (or routes rows by a meaningless threshold).
-  const auto finite = [&](double value, const char* field) {
-    if (!std::isfinite(value)) throw r.error(std::string("non-finite ") + field);
-    return value;
-  };
   config_.n_rounds = r.u64("n_rounds");
-  config_.learning_rate = finite(r.f64("learning_rate"), "learning_rate");
+  config_.learning_rate = r.finite_f64("learning_rate");
   config_.num_leaves = r.u64("num_leaves");
   config_.max_bins = r.u64("max_bins");
-  config_.lambda = finite(r.f64("lambda"), "lambda");
-  config_.min_child_weight = finite(r.f64("min_child_weight"), "min_child_weight");
+  config_.lambda = r.finite_f64("lambda");
+  config_.min_child_weight = r.finite_f64("min_child_weight");
   config_.min_data_in_leaf = r.u64("min_data_in_leaf");
   n_features_ = r.count("n_features", 1ULL << 24);
   if (n_features_ == 0) throw r.error("zero features");
-  base_margin_ = finite(r.f64("base_margin"), "base_margin");
+  base_margin_ = r.finite_f64("base_margin");
   bin_edges_.assign(n_features_, {});
   for (std::vector<double>& edges : bin_edges_) {
-    edges = r.vec_f64("bin edges", 1ULL << 20);
-    for (const double edge : edges) finite(edge, "bin edge");
+    edges = r.vec_finite_f64("bin edges", 1ULL << 20);
   }
   const std::size_t rounds = r.count("round count", 1ULL << 20);
   if (rounds == 0) throw r.error("empty ensemble");
@@ -607,10 +601,10 @@ void HistGbdtClassifier::load_state(std::istream& in) {
       Node& nd = tree[i];
       nd.feature = static_cast<std::int32_t>(r.i64("node feature"));
       nd.bin = static_cast<std::int32_t>(r.i64("node bin"));
-      nd.threshold = finite(r.f64("node threshold"), "node threshold");
+      nd.threshold = r.finite_f64("node threshold");
       nd.left = static_cast<std::int32_t>(r.i64("node left"));
       nd.right = static_cast<std::int32_t>(r.i64("node right"));
-      nd.value = finite(r.f64("node value"), "node value");
+      nd.value = r.finite_f64("node value");
       if (nd.feature >= 0) {
         if (static_cast<std::size_t>(nd.feature) >= n_features_) {
           throw r.error("node feature out of range");

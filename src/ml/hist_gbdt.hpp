@@ -40,8 +40,7 @@ class HistGbdtClassifier final : public Classifier {
   /// pass the count gate. There is no internal parallel loop: callers
   /// parallelise across fits. Resident state is O(rows) scalars (margin,
   /// gradient, hessian, leaf id) plus one shard.
-  void fit_shards(const ShardSource& src,
-                  const ShardedFitOptions& options) override;
+  void fit_shards(const ShardSource& src) override;
   [[nodiscard]] double predict_proba(std::span<const double> x) const override;
   [[nodiscard]] std::vector<int> predict_all_bits(const hv::BitMatrix& X) const override;
   [[nodiscard]] std::string name() const override { return "LGBM"; }

@@ -27,8 +27,7 @@ void KnnClassifier::fit_bits(const hv::BitMatrix& X, const Labels& y) {
   train_y_ = y;
 }
 
-void KnnClassifier::fit_shards(const ShardSource& src,
-                               const ShardedFitOptions& /*options*/) {
+void KnnClassifier::fit_shards(const ShardSource& src) {
   std::vector<std::size_t> all(src.rows());
   for (std::size_t i = 0; i < all.size(); ++i) all[i] = i;
   fit_bits(gather_rows(src, all), gather_labels(src.labels(), all));

@@ -27,8 +27,7 @@ class KnnClassifier final : public Classifier {
   /// shard's rows in global order and stores them packed — trivially
   /// shard-count invariant, but inherently O(n) resident (excluded from
   /// the out-of-core streaming phase for that reason).
-  void fit_shards(const ShardSource& src,
-                  const ShardedFitOptions& options) override;
+  void fit_shards(const ShardSource& src) override;
   [[nodiscard]] double predict_proba(std::span<const double> x) const override;
   [[nodiscard]] std::vector<int> predict_all_bits(const hv::BitMatrix& X) const override;
   [[nodiscard]] std::string name() const override { return "KNN"; }

@@ -130,11 +130,10 @@ void LogisticRegression::fit(const Matrix& X, const Labels& y) {
 
 void LogisticRegression::fit_bits(const hv::BitMatrix& X, const Labels& y) {
   validate_training_bits(X, y);
-  fit_shards(SingleShardSource(X, y), {});
+  fit_shards(SingleShardSource(X, y));
 }
 
-void LogisticRegression::fit_shards(const ShardSource& src,
-                                    const ShardedFitOptions& /*options*/) {
+void LogisticRegression::fit_shards(const ShardSource& src) {
   obs::Span span("ml.logistic.fit_shards");
   const std::size_t n = src.rows();
   const std::size_t d = src.cols();
@@ -222,26 +221,16 @@ void LogisticRegression::load_state(std::istream& in) {
   config_.momentum = r.f64("momentum");
   config_.tol = r.f64("tol");
   config_.standardize = r.u64("standardize") != 0;
-  w_ = r.vec_f64("weights", 1ULL << 24);
-  b_ = r.f64("bias");
-  mean_ = r.vec_f64("mean", 1ULL << 24);
-  inv_std_ = r.vec_f64("inv_std", 1ULL << 24);
+  // The fields are raw bit patterns: a NaN or infinity would load, then
+  // make predict_proba leave [0, 1] and predict answer class 0 silently.
+  w_ = r.vec_finite_f64("weights", 1ULL << 24);
+  b_ = r.finite_f64("bias");
+  mean_ = r.vec_finite_f64("mean", 1ULL << 24);
+  inv_std_ = r.vec_finite_f64("inv_std", 1ULL << 24);
   if (w_.empty()) throw r.error("empty weight vector");
   if (mean_.size() != w_.size() || inv_std_.size() != w_.size()) {
     throw r.error("mean/inv_std arity mismatch");
   }
-  // The fields are raw bit patterns: a NaN or infinity would load, then
-  // make predict_proba leave [0, 1] and predict answer class 0 silently.
-  const auto require_finite = [&](std::span<const double> values,
-                                  const char* field) {
-    for (const double v : values) {
-      if (!std::isfinite(v)) throw r.error(std::string("non-finite ") + field);
-    }
-  };
-  require_finite(w_, "weights");
-  require_finite({&b_, 1}, "bias");
-  require_finite(mean_, "mean");
-  require_finite(inv_std_, "inv_std");
 }
 
 }  // namespace hdc::ml

@@ -37,8 +37,7 @@ class LogisticRegression final : public Classifier {
   /// row the logit is the same serial chain and grad[j] takes the rows in
   /// ascending order, so the result equals dense fit() on the same 0/1
   /// values bit for bit, at any shard count and on every SIMD tier.
-  void fit_shards(const ShardSource& src,
-                  const ShardedFitOptions& options) override;
+  void fit_shards(const ShardSource& src) override;
   [[nodiscard]] double predict_proba(std::span<const double> x) const override;
   [[nodiscard]] std::string name() const override { return "Logistic Regression"; }
 

@@ -72,11 +72,10 @@ void NaiveBayesClassifier::fit(const Matrix& X, const Labels& y) {
 
 void NaiveBayesClassifier::fit_bits(const hv::BitMatrix& X, const Labels& y) {
   validate_training_bits(X, y);
-  fit_shards(SingleShardSource(X, y), {});
+  fit_shards(SingleShardSource(X, y));
 }
 
-void NaiveBayesClassifier::fit_shards(const ShardSource& src,
-                                      const ShardedFitOptions& /*options*/) {
+void NaiveBayesClassifier::fit_shards(const ShardSource& src) {
   const std::size_t n = src.rows();
   const std::size_t d = src.cols();
   const std::span<const int> y = src.labels();
@@ -204,11 +203,22 @@ void NaiveBayesClassifier::load_state(std::istream& in) {
   bernoulli_.assign(bernoulli.begin(), bernoulli.end());
   log_prior_[0] = r.f64("log_prior");
   log_prior_[1] = r.f64("log_prior");
+  // predict_proba indexes every table up to n_features - 1, and both fits
+  // write exactly that many entries.
+  const auto table = [&](const char* what) {
+    std::vector<double> values = r.vec_f64(what, n_features_);
+    if (values.size() != n_features_) {
+      throw r.error(std::string(what) + " table has " +
+                    std::to_string(values.size()) + " entries, expected " +
+                    std::to_string(n_features_));
+    }
+    return values;
+  };
   for (int c = 0; c < 2; ++c) {
-    mean_[c] = r.vec_f64("mean", n_features_);
-    var_[c] = r.vec_f64("var", n_features_);
-    log_p_one_[c] = r.vec_f64("log_p_one", n_features_);
-    log_p_zero_[c] = r.vec_f64("log_p_zero", n_features_);
+    mean_[c] = table("mean");
+    var_[c] = table("var");
+    log_p_one_[c] = table("log_p_one");
+    log_p_zero_[c] = table("log_p_zero");
   }
 }
 

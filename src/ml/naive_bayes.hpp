@@ -29,8 +29,7 @@ class NaiveBayesClassifier final : public Classifier {
   /// integers (masked popcounts) merged across shards by addition, and on
   /// 0/1 data the dense path's sum / sum-of-squares accumulators are those
   /// same integers — so this matches fit() bit for bit at any shard count.
-  void fit_shards(const ShardSource& src,
-                  const ShardedFitOptions& options) override;
+  void fit_shards(const ShardSource& src) override;
   [[nodiscard]] double predict_proba(std::span<const double> x) const override;
   [[nodiscard]] std::string name() const override { return "Naive Bayes"; }
 

@@ -235,16 +235,16 @@ void OrderedGbdtClassifier::load_state(std::istream& in) {
   r.expect("ml.ordered_gbdt", "model tag");
   r.expect("v1", "format version");
   config_.n_rounds = r.u64("n_rounds");
-  config_.learning_rate = r.f64("learning_rate");
+  config_.learning_rate = r.finite_f64("learning_rate");
   config_.depth = r.u64("depth");
-  config_.lambda = r.f64("lambda");
+  config_.lambda = r.finite_f64("lambda");
   config_.max_bins = r.u64("max_bins");
-  config_.min_child_weight = r.f64("min_child_weight");
+  config_.min_child_weight = r.finite_f64("min_child_weight");
   n_features_ = r.count("n_features", 1ULL << 24);
   if (n_features_ == 0) throw r.error("zero features");
   bin_edges_.assign(n_features_, {});
   for (std::vector<double>& edges : bin_edges_) {
-    edges = r.vec_f64("bin edges", 1ULL << 20);
+    edges = r.vec_finite_f64("bin edges", 1ULL << 20);
   }
   const std::size_t rounds = r.count("round count", 1ULL << 20);
   if (rounds == 0) throw r.error("empty ensemble");
@@ -258,8 +258,8 @@ void OrderedGbdtClassifier::load_state(std::istream& in) {
         throw r.error("level feature out of range");
       }
     }
-    tree.thresholds = r.vec_f64("level thresholds", 64);
-    tree.leaf_values = r.vec_f64("leaf values", 1ULL << 20);
+    tree.thresholds = r.vec_finite_f64("level thresholds", 64);
+    tree.leaf_values = r.vec_finite_f64("leaf values", 1ULL << 20);
     if (tree.thresholds.size() != levels) throw r.error("threshold count mismatch");
     if (tree.leaf_values.size() != (1ULL << levels)) {
       throw r.error("leaf table size mismatch");

@@ -6,7 +6,6 @@
 #include <stdexcept>
 
 #include "hv/bit_matrix.hpp"
-#include "ml/sharded.hpp"
 #include "obs/metrics.hpp"
 #include "obs/trace.hpp"
 #include "util/rng.hpp"
@@ -122,85 +121,6 @@ void SgdClassifier::fit_bits(const hv::BitMatrix& X, const Labels& y) {
         b_ -= eta * g;
       }
     }
-  }
-  obs::counter("ml.fit.epochs").add(config_.epochs);
-}
-
-void SgdClassifier::fit_shards(const ShardSource& src,
-                               const ShardedFitOptions& options) {
-  obs::Span span("ml.sgd.fit_shards");
-  const std::size_t n = src.rows();
-  const std::size_t d = src.cols();
-  const std::span<const int> y = src.labels();
-  if (n == 0 || d == 0) throw std::invalid_argument("fit: empty training set");
-  for (const int label : y) {
-    if (label != 0 && label != 1) {
-      throw std::invalid_argument("fit: labels must be 0/1");
-    }
-  }
-  const std::size_t m = options.batch_rows == 0 ? 1 : options.batch_rows;
-  w_.assign(d, 0.0);
-  b_ = 0.0;
-
-  // Mini-batch state, carried across shard boundaries: a batch closes when
-  // the *global* row index hits a multiple of m (or the epoch ends), so the
-  // batch schedule is a pure function of (n, m) and never of the sharding.
-  std::vector<double> acc(d, 0.0);
-  double acc_b = 0.0;
-  std::size_t batch_count = 0;
-  std::size_t t = 0;  // batch counter driving the eta schedule
-
-  const auto apply_batch = [&]() {
-    ++t;
-    const double eta = config_.eta0 / (1.0 + config_.alpha * config_.eta0 *
-                                                 static_cast<double>(t));
-    const double shrink = 1.0 - eta * config_.alpha;
-    const double scale = eta / static_cast<double>(batch_count);
-    for (std::size_t j = 0; j < d; ++j) w_[j] = w_[j] * shrink - scale * acc[j];
-    b_ -= scale * acc_b;
-    std::fill(acc.begin(), acc.end(), 0.0);
-    acc_b = 0.0;
-    batch_count = 0;
-  };
-
-  for (std::size_t epoch = 0; epoch < config_.epochs; ++epoch) {
-    for (std::size_t s = 0; s < src.num_shards(); ++s) {
-      const hv::BitMatrix& shard = src.shard(s);
-      const std::size_t begin = src.shard_begin(s);
-      const std::size_t words = shard.words_per_row();
-      for (std::size_t i = 0; i < shard.rows(); ++i) {
-        const std::uint64_t* xi = shard.row_bits(i);
-        const double target = y[begin + i] == 1 ? 1.0 : -1.0;
-        double z = b_;
-        for (std::size_t w = 0; w < words; ++w) {
-          std::uint64_t bits = xi[w];
-          while (bits != 0) {
-            z += w_[w * 64 + static_cast<std::size_t>(std::countr_zero(bits))];
-            bits &= bits - 1;
-          }
-        }
-
-        double g = 0.0;
-        if (config_.loss == SgdLoss::kHinge) {
-          if (target * z < 1.0) g = -target;
-        } else {
-          g = 1.0 / (1.0 + std::exp(-z)) - (target > 0.0 ? 1.0 : 0.0);
-        }
-        if (g != 0.0) {
-          for (std::size_t w = 0; w < words; ++w) {
-            std::uint64_t bits = xi[w];
-            while (bits != 0) {
-              acc[w * 64 + static_cast<std::size_t>(std::countr_zero(bits))] += g;
-              bits &= bits - 1;
-            }
-          }
-          acc_b += g;
-        }
-        ++batch_count;
-        if ((begin + i + 1) % m == 0) apply_batch();
-      }
-    }
-    if (batch_count > 0) apply_batch();  // epoch tail; same rows every epoch
   }
   obs::counter("ml.fit.epochs").add(config_.epochs);
 }

@@ -30,15 +30,10 @@ class SgdClassifier final : public Classifier {
   explicit SgdClassifier(SgdConfig config = {});
 
   void fit(const Matrix& X, const Labels& y) override;
+  /// The same shuffled epoch loop over the set bits, bit-identical to fit().
+  /// fit_shards() is the Classifier default: this loop on a strided
+  /// subsample of at most kShardSubsampleRows rows.
   void fit_bits(const hv::BitMatrix& X, const Labels& y) override;
-  /// Fixed-schedule mini-batch SGD: no shuffle — rows are visited in
-  /// ascending global order and batch boundaries fall at global row-index
-  /// multiples of options.batch_rows, never at shard boundaries. Every
-  /// accumulator is carried across shards, so the update sequence (and the
-  /// fitted model) is IEEE bit-identical for any shard count. This is a
-  /// deliberately different schedule from fit()'s shuffled per-row path.
-  void fit_shards(const ShardSource& src,
-                  const ShardedFitOptions& options) override;
   [[nodiscard]] double predict_proba(std::span<const double> x) const override;
   [[nodiscard]] std::string name() const override { return "SGD"; }
 

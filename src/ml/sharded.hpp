@@ -24,7 +24,7 @@
 #include <vector>
 
 #include "hv/sharded_bits.hpp"
-#include "ml/classifier.hpp"  // ShardedFitOptions + the fit_shards entry point
+#include "ml/classifier.hpp"  // the fit_shards entry point
 
 namespace hdc::ml {
 
@@ -84,6 +84,10 @@ class SingleShardSource final : public ShardSource {
   const hv::BitMatrix* bits_;
   std::span<const int> labels_;
 };
+
+/// Row cap for fit_shards() paths that must train on a resident subset
+/// (SVC's kernel matrix, the Classifier default).
+inline constexpr std::size_t kShardSubsampleRows = 2048;
 
 /// Deterministic strided subsample: n <= cap selects every row; otherwise
 /// the cap indices i*n/cap — strictly ascending, distinct, and a pure

@@ -70,15 +70,16 @@ void SvcClassifier::fit(const Matrix& X, const Labels& y) {
 
 void SvcClassifier::fit_bits(const hv::BitMatrix& X, const Labels& y) {
   validate_training_bits(X, y);
-  // One shard under a cap of every row: the sharded fit's subsample is the
-  // whole matrix, so this is the packed SMO over X.
-  ShardedFitOptions options;
-  options.subsample_cap = X.rows();
-  fit_shards(SingleShardSource(X, y), options);
+  // One shard under a cap of every row: the subsample is the whole matrix,
+  // so this is the packed SMO over X.
+  fit_subsample(SingleShardSource(X, y), X.rows());
 }
 
-void SvcClassifier::fit_shards(const ShardSource& src,
-                               const ShardedFitOptions& options) {
+void SvcClassifier::fit_shards(const ShardSource& src) {
+  fit_subsample(src, kShardSubsampleRows);
+}
+
+void SvcClassifier::fit_subsample(const ShardSource& src, std::size_t cap) {
   obs::Span span("ml.svc.fit_shards");
   const std::size_t n = src.rows();
   const std::size_t d = src.cols();
@@ -111,8 +112,7 @@ void SvcClassifier::fit_shards(const ShardSource& src,
 
   // The kernel matrix is O(rows^2): train the SMO on a deterministic
   // strided subsample (every row when n <= cap).
-  const std::vector<std::size_t> indices =
-      strided_subsample(n, options.subsample_cap);
+  const std::vector<std::size_t> indices = strided_subsample(n, cap);
   const hv::BitMatrix sample = gather_rows(src, indices);
 
   std::vector<double> z0(d);

@@ -37,11 +37,10 @@ class SvcClassifier final : public Classifier {
   /// Sharded fit: standardisation moments come from whole-cohort integer
   /// popcounts merged across shards; the SMO kernel matrix (inherently
   /// O(rows^2)) is built over a deterministic strided subsample of
-  /// options.subsample_cap rows. Both choices are pure functions of the row
+  /// kShardSubsampleRows rows. Both choices are pure functions of the row
   /// sequence, so the fit is bit-identical at any shard count — and equals
-  /// fit_bits() exactly whenever rows <= subsample_cap.
-  void fit_shards(const ShardSource& src,
-                  const ShardedFitOptions& options) override;
+  /// fit_bits() exactly whenever rows <= kShardSubsampleRows.
+  void fit_shards(const ShardSource& src) override;
   [[nodiscard]] double predict_proba(std::span<const double> x) const override;
   [[nodiscard]] std::string name() const override { return "SVC"; }
 
@@ -57,6 +56,9 @@ class SvcClassifier final : public Classifier {
   /// train_X_/targets_ members. `bits` (may be null) lets the RBF kernel
   /// matrix come from XOR bit-planes instead of dense row pairs.
   void solve_smo(const hv::BitMatrix* bits);
+  /// Whole-source moments, then the SMO over a strided subsample of at
+  /// most `cap` rows (fit_bits passes every row).
+  void fit_subsample(const ShardSource& src, std::size_t cap);
   [[nodiscard]] double kernel(std::span<const double> a,
                               std::span<const double> b) const;
   [[nodiscard]] std::vector<double> standardized(std::span<const double> x) const;

@@ -75,7 +75,7 @@ void DecisionTree::fit(const Matrix& X, const Labels& y) {
 
 void DecisionTree::fit_bits(const hv::BitMatrix& X, const Labels& y) {
   validate_training_bits(X, y);
-  fit_shards(SingleShardSource(X, y), {});
+  fit_shards(SingleShardSource(X, y));
 }
 
 void DecisionTree::fit_from_table(const ColumnTable& table,
@@ -192,8 +192,7 @@ std::int32_t DecisionTree::build(const ColumnTable& table,
   return node_id;
 }
 
-void DecisionTree::fit_shards(const ShardSource& src,
-                              const ShardedFitOptions& /*options*/) {
+void DecisionTree::fit_shards(const ShardSource& src) {
   fit_streamed(src, src.labels(), {}, config_.seed);
 }
 
@@ -531,10 +530,10 @@ void DecisionTree::load_state(std::istream& in) {
   for (std::size_t i = 0; i < n; ++i) {
     Node& nd = nodes_[i];
     nd.feature = static_cast<std::int32_t>(r.i64("node feature"));
-    nd.threshold = r.f64("node threshold");
+    nd.threshold = r.finite_f64("node threshold");
     nd.left = static_cast<std::int32_t>(r.i64("node left"));
     nd.right = static_cast<std::int32_t>(r.i64("node right"));
-    nd.prob = r.f64("node prob");
+    nd.prob = r.finite_f64("node prob");
     if (nd.feature >= 0) {
       if (static_cast<std::size_t>(nd.feature) >= n_features_) {
         throw r.error("node feature out of range");
@@ -549,7 +548,7 @@ void DecisionTree::load_state(std::istream& in) {
       }
     }
   }
-  importances_ = r.vec_f64("importances", 1ULL << 24);
+  importances_ = r.vec_finite_f64("importances", 1ULL << 24);
   if (!importances_.empty() && importances_.size() != n_features_) {
     throw r.error("importance arity mismatch");
   }

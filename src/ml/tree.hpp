@@ -52,8 +52,7 @@ class DecisionTree final : public Classifier {
                     std::uint64_t seed);
 
   /// fit_streamed over all rows once (no bootstrap).
-  void fit_shards(const ShardSource& src,
-                  const ShardedFitOptions& options) override;
+  void fit_shards(const ShardSource& src) override;
 
   [[nodiscard]] double predict_proba(std::span<const double> x) const override;
   [[nodiscard]] std::vector<int> predict_all_bits(const hv::BitMatrix& X) const override;

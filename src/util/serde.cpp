@@ -2,6 +2,7 @@
 
 #include <bit>
 #include <charconv>
+#include <cmath>
 #include <istream>
 #include <ostream>
 #include <stdexcept>
@@ -231,6 +232,12 @@ double Reader::f64(const char* what) {
   return std::bit_cast<double>(word(what));
 }
 
+double Reader::finite_f64(const char* what) {
+  const double value = f64(what);
+  if (!std::isfinite(value)) throw error(std::string("non-finite ") + what);
+  return value;
+}
+
 std::string Reader::str(const char* what) {
   const std::string tok = token(what);
   if (tok.empty() || tok.front() != '~') {
@@ -257,6 +264,14 @@ std::vector<double> Reader::vec_f64(const char* what, std::uint64_t max) {
   std::vector<double> out;
   out.reserve(n);
   for (std::uint64_t i = 0; i < n; ++i) out.push_back(f64(what));
+  return out;
+}
+
+std::vector<double> Reader::vec_finite_f64(const char* what, std::uint64_t max) {
+  const std::uint64_t n = count(what, max);
+  std::vector<double> out;
+  out.reserve(n);
+  for (std::uint64_t i = 0; i < n; ++i) out.push_back(finite_f64(what));
   return out;
 }
 

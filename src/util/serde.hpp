@@ -73,6 +73,8 @@ class Reader {
   [[nodiscard]] std::uint64_t u64(const char* what);
   [[nodiscard]] std::int64_t i64(const char* what);
   [[nodiscard]] double f64(const char* what);
+  /// f64 that must be finite: a NaN or ±Inf throws "non-finite <what>".
+  [[nodiscard]] double finite_f64(const char* what);
   [[nodiscard]] std::string str(const char* what);
   /// u64 with an upper bound — guards container reserves against corrupted
   /// counts (throws instead of attempting a huge allocation).
@@ -81,6 +83,7 @@ class Reader {
   [[nodiscard]] std::uint64_t word(const char* what);
 
   [[nodiscard]] std::vector<double> vec_f64(const char* what, std::uint64_t max);
+  [[nodiscard]] std::vector<double> vec_finite_f64(const char* what, std::uint64_t max);
   [[nodiscard]] std::vector<std::int64_t> vec_i64(const char* what, std::uint64_t max);
   [[nodiscard]] std::vector<int> vec_int(const char* what, std::uint64_t max);
   [[nodiscard]] std::vector<std::uint32_t> vec_u32(const char* what, std::uint64_t max);

@@ -378,6 +378,53 @@ TEST(BundleCorrupt, HistGbdtSelfLoopRejected) {
   expect_section_rejected("LGBM", join_lines(lines), "LGBM self-loop");
 }
 
+/// One f64 token of a serializer body: token `tok` of line `line`, read by
+/// the loader under the field name `name`.
+struct Field {
+  std::size_t line;
+  std::size_t tok;
+  const char* name;
+};
+
+/// Each field of `pristine` (model section `model`), set to each of the f64
+/// bit patterns in `bads` in a checksum-valid section, must be rejected with
+/// the section and the field named.
+void expect_fields_rejected(const std::string& model,
+                            const std::vector<std::string>& pristine,
+                            const std::vector<Field>& fields,
+                            const std::vector<const char*>& bads) {
+  const std::string section = "model:" + model;
+  for (const Field& field : fields) {
+    for (const char* bad : bads) {
+      std::vector<std::string> lines = pristine;
+      lines[field.line] = with_token(lines[field.line], field.tok, bad);
+      std::istringstream in(craft_bundle({{section, join_lines(lines)}}));
+      try {
+        (void)load_bundle(in);
+        ADD_FAILURE() << model << ' ' << field.name << " = " << bad << " accepted";
+      } catch (const std::runtime_error& e) {
+        const std::string what = e.what();
+        EXPECT_NE(what.find(section), std::string::npos) << what;
+        EXPECT_NE(what.find(field.name), std::string::npos) << what;
+      }
+    }
+  }
+}
+
+constexpr const char* kNaN = "7ff8000000000000";
+constexpr const char* kPosInf = "7ff0000000000000";
+constexpr const char* kNegInf = "fff0000000000000";
+
+/// Index of the first of `count` vec_f64 lines from `first` with at least
+/// one entry (0 when all are empty).
+std::size_t first_nonempty_vec(const std::vector<std::string>& lines,
+                               std::size_t first, std::size_t count) {
+  for (std::size_t i = first; i < first + count; ++i) {
+    if (token(lines[i], 0) != "0") return i;
+  }
+  return 0;
+}
+
 TEST(BundleCorrupt, HistGbdtNonFiniteRejected) {
   // ml.hist_gbdt line layout as in HistGbdtSelfLoopRejected. Each double a
   // prediction reads — the config's learning_rate, lambda and
@@ -387,35 +434,113 @@ TEST(BundleCorrupt, HistGbdtNonFiniteRejected) {
   const std::vector<std::string> pristine = body_lines(fitted_model_body("LGBM"));
   ASSERT_EQ(pristine[0], "ml.hist_gbdt v1");
   const std::size_t features = std::stoul(token(pristine[2], 0));
-  std::size_t edge_line = 0;
-  for (std::size_t i = 3; i < 3 + features && edge_line == 0; ++i) {
-    if (token(pristine[i], 0) != "0") edge_line = i;
-  }
+  const std::size_t edge_line = first_nonempty_vec(pristine, 3, features);
   ASSERT_NE(edge_line, 0u) << "no feature has a bin edge";
   const std::size_t root = 5 + features;
   ASSERT_NE(token(pristine[root], 0), "-1") << "root is a leaf";
-  struct Field {
-    std::size_t line;
-    std::size_t tok;
-    const char* name;
+  expect_fields_rejected("LGBM", pristine,
+                         {{1, 1, "learning_rate"},
+                          {1, 4, "lambda"},
+                          {1, 5, "min_child_weight"},
+                          {2, 1, "base_margin"},
+                          {edge_line, 1, "bin edge"},
+                          {root, 2, "node threshold"},
+                          {root, 5, "node value"}},
+                         {kNaN, kPosInf, kNegInf});
+}
+
+TEST(BundleCorrupt, TreeFamilyNonFiniteRejected) {
+  // Decision Tree (whose loader Random Forest reuses), XGBoost and CatBoost:
+  // every double their predictions read, set to NaN or +Inf in a
+  // checksum-valid section, must be rejected with the section and the
+  // field named.
+  struct Case {
+    std::string model;
+    std::vector<std::string> pristine;
+    std::vector<Field> fields;
   };
-  const Field fields[] = {{1, 1, "learning_rate"},    {1, 4, "lambda"},
-                          {1, 5, "min_child_weight"}, {2, 1, "base_margin"},
-                          {edge_line, 1, "bin edge"}, {root, 2, "node threshold"},
-                          {root, 5, "node value"}};
-  for (const Field& field : fields) {
-    for (const char* bad : {"7ff8000000000000", "7ff0000000000000", "fff0000000000000"}) {
-      std::vector<std::string> lines = pristine;
-      lines[field.line] = with_token(lines[field.line], field.tok, bad);
-      std::istringstream in(craft_bundle({{"model:LGBM", join_lines(lines)}}));
-      try {
-        (void)load_bundle(in);
-        ADD_FAILURE() << field.name << " = " << bad << " accepted";
-      } catch (const std::runtime_error& e) {
-        const std::string what = e.what();
-        EXPECT_NE(what.find("model:LGBM"), std::string::npos) << what;
-        EXPECT_NE(what.find(field.name), std::string::npos) << what;
-      }
+  std::vector<Case> cases;
+  {
+    // ml.tree: tag, config, n_features/depth, node count, node 0 as
+    // "feature threshold left right prob", ..., importances last.
+    const std::vector<std::string> lines = body_lines(fitted_model_body("Decision Tree"));
+    ASSERT_NE(token(lines[4], 0), "-1") << "tree root is a leaf";
+    ASSERT_NE(token(lines.back(), 0), "0") << "no importances";
+    ASSERT_EQ(lines[0], "ml.tree v1");
+    cases.push_back({"Decision Tree", lines,
+                     {{4, 1, "node threshold"},
+                      {4, 4, "node prob"},
+                      {lines.size() - 1, 1, "importances"}}});
+  }
+  {
+    // ml.gbdt: tag, "n_rounds learning_rate max_depth lambda gamma
+    // min_child_weight base_score", "n_features base_margin", round count,
+    // node count, then the first tree's node 0 as
+    // "feature threshold left right value".
+    const std::vector<std::string> lines = body_lines(fitted_model_body("XGBoost"));
+    ASSERT_NE(token(lines[5], 0), "-1") << "XGBoost root is a leaf";
+    ASSERT_EQ(lines[0], "ml.gbdt v1");
+    cases.push_back({"XGBoost", lines,
+                     {{1, 1, "learning_rate"},
+                      {1, 3, "lambda"},
+                      {1, 4, "gamma"},
+                      {1, 5, "min_child_weight"},
+                      {1, 6, "base_score"},
+                      {2, 1, "base_margin"},
+                      {5, 1, "node threshold"},
+                      {5, 4, "node value"}}});
+  }
+  {
+    // ml.ordered_gbdt: tag, "n_rounds learning_rate depth lambda max_bins
+    // min_child_weight", n_features, one bin-edge line per feature, round
+    // count, then per tree: level count, level features, level thresholds,
+    // leaf values.
+    const std::vector<std::string> lines = body_lines(fitted_model_body("CatBoost"));
+    const std::size_t features = std::stoul(token(lines[2], 0));
+    const std::size_t edge_line = first_nonempty_vec(lines, 3, features);
+    ASSERT_NE(edge_line, 0u) << "no CatBoost feature has a bin edge";
+    const std::size_t tree = 4 + features;
+    ASSERT_NE(token(lines[tree], 0), "0") << "CatBoost tree has no levels";
+    ASSERT_EQ(lines[0], "ml.ordered_gbdt v1");
+    cases.push_back({"CatBoost", lines,
+                     {{1, 1, "learning_rate"},
+                      {1, 3, "lambda"},
+                      {1, 5, "min_child_weight"},
+                      {edge_line, 1, "bin edges"},
+                      {tree + 2, 1, "level thresholds"},
+                      {tree + 3, 1, "leaf values"}}});
+  }
+  for (const Case& c : cases) {
+    std::istringstream in(craft_bundle({{"model:" + c.model, join_lines(c.pristine)}}));
+    ASSERT_NO_THROW((void)load_bundle(in)) << c.model << " pristine";
+    expect_fields_rejected(c.model, c.pristine, c.fields, {kNaN, kPosInf});
+  }
+}
+
+TEST(BundleCorrupt, NaiveBayesShortTableRejected) {
+  // ml.naive_bayes: tag, config, n_features, bernoulli flags, log priors,
+  // then per class the mean, var, log_p_one and log_p_zero tables, each a
+  // "count v0 v1 ..." line. predict_proba reads n_features entries of every
+  // table, so a one-entry table in a checksum-valid section must be
+  // rejected with the section and the table named.
+  const std::vector<std::string> pristine = body_lines(fitted_model_body("Naive Bayes"));
+  ASSERT_EQ(pristine[0], "ml.naive_bayes v1");
+  ASSERT_EQ(pristine.size(), 13u);
+  const std::string features = token(pristine[2], 0);
+  const char* tables[] = {"mean", "var", "log_p_one", "log_p_zero"};
+  for (std::size_t t = 0; t < 8; ++t) {
+    const std::size_t line = 5 + t;
+    ASSERT_EQ(token(pristine[line], 0), features) << tables[t % 4];
+    std::vector<std::string> lines = pristine;
+    lines[line] = "1 " + token(pristine[line], 1);
+    std::istringstream in(craft_bundle({{"model:Naive Bayes", join_lines(lines)}}));
+    try {
+      (void)load_bundle(in);
+      ADD_FAILURE() << "one-entry " << tables[t % 4] << " table accepted";
+    } catch (const std::runtime_error& e) {
+      const std::string what = e.what();
+      EXPECT_NE(what.find("model:Naive Bayes"), std::string::npos) << what;
+      EXPECT_NE(what.find(tables[t % 4]), std::string::npos) << what;
     }
   }
 }

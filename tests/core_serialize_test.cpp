@@ -4,6 +4,7 @@
 
 #include <sstream>
 
+#include "core/bundle.hpp"
 #include "data/synthetic.hpp"
 #include "util/rng.hpp"
 
@@ -205,19 +206,22 @@ TEST(SerializeHamming, ShortReadThrows) {
   EXPECT_THROW((void)load_hamming(truncated), std::runtime_error);
 }
 
+// Files carry the extractor as a checksummed bundle section (core/bundle);
+// serialize is only the section body codec.
 TEST(SerializeFiles, ExtractorFileRoundTrip) {
   const data::Dataset ds = data::make_sylhet({20, 20, 7});
-  HdcFeatureExtractor original;
-  original.fit(ds);
-  const std::string path = ::testing::TempDir() + "/extractor.hdc";
-  save_extractor_file(path, original);
-  const HdcFeatureExtractor loaded = load_extractor_file(path);
-  EXPECT_EQ(loaded.encode_row(ds.row(0)), original.encode_row(ds.row(0)));
+  ModelBundle bundle;
+  bundle.extractor.emplace().fit(ds);
+  const std::string path = ::testing::TempDir() + "/extractor.bundle";
+  save_bundle_file(path, bundle);
+  const ModelBundle loaded = load_bundle_file(path);
+  ASSERT_TRUE(loaded.extractor.has_value());
+  EXPECT_EQ(loaded.extractor->encode_row(ds.row(0)),
+            bundle.extractor->encode_row(ds.row(0)));
 }
 
 TEST(SerializeFiles, MissingFileThrows) {
-  EXPECT_THROW((void)load_extractor_file("/no/such/file.hdc"), std::runtime_error);
-  EXPECT_THROW((void)load_hamming_file("/no/such/file.hdc"), std::runtime_error);
+  EXPECT_THROW((void)load_bundle_file("/no/such/file.bundle"), std::runtime_error);
 }
 
 }  // namespace

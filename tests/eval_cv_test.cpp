@@ -2,11 +2,8 @@
 
 #include <gtest/gtest.h>
 
+#include <cmath>
 #include <set>
-
-#include "data/synthetic.hpp"
-#include "ml/knn.hpp"
-#include "ml/logistic.hpp"
 
 namespace hdc::eval {
 namespace {
@@ -54,35 +51,6 @@ TEST(KfoldRun, FoldsAreDisjointAcrossCalls) {
                     return 0.0;
                   });
   EXPECT_EQ(seen.size(), 30u);
-}
-
-TEST(KfoldAccuracy, EvaluatesModelOnHeldOutFolds) {
-  const data::Dataset ds = data::make_two_gaussians(60, 3, 5.0, 91);
-  const CvResult result = kfold_accuracy(
-      [] { return std::make_unique<ml::KnnClassifier>(); }, ds.feature_matrix(),
-      ds.labels(), 5, 4);
-  EXPECT_GT(result.mean_accuracy, 0.95);
-}
-
-TEST(KfoldAccuracy, HardProblemScoresLower) {
-  const data::Dataset easy = data::make_two_gaussians(60, 3, 5.0, 92);
-  const data::Dataset hard = data::make_two_gaussians(60, 3, 0.3, 93);
-  const auto factory = [] { return std::make_unique<ml::LogisticRegression>(); };
-  const double easy_acc =
-      kfold_accuracy(factory, easy.feature_matrix(), easy.labels(), 5, 5)
-          .mean_accuracy;
-  const double hard_acc =
-      kfold_accuracy(factory, hard.feature_matrix(), hard.labels(), 5, 5)
-          .mean_accuracy;
-  EXPECT_GT(easy_acc, hard_acc);
-}
-
-TEST(KfoldAccuracy, DeterministicPerSeed) {
-  const data::Dataset ds = data::make_two_gaussians(40, 2, 2.0, 94);
-  const auto factory = [] { return std::make_unique<ml::KnnClassifier>(); };
-  const auto a = kfold_accuracy(factory, ds.feature_matrix(), ds.labels(), 4, 6);
-  const auto b = kfold_accuracy(factory, ds.feature_matrix(), ds.labels(), 4, 6);
-  EXPECT_EQ(a.fold_accuracy, b.fold_accuracy);
 }
 
 }  // namespace

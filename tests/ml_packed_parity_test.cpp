@@ -343,7 +343,7 @@ TEST(PackedParity, LogisticRaggedBlocksEveryTier) {
         for (const std::size_t shard_rows : {1u, 5u, 16u, 17u}) {
           const hdc::hv::ShardedBitMatrix sharded = shard_by(data.bits, shard_rows);
           hdc::ml::LogisticRegression model(config);
-          model.fit_shards(hdc::ml::MaterializedShardSource(sharded, data.y), {});
+          model.fit_shards(hdc::ml::MaterializedShardSource(sharded, data.y));
           EXPECT_EQ(state_of(model), expected) << where << " shard_rows=" << shard_rows;
         }
       }
@@ -380,7 +380,7 @@ TEST(PackedParity, HistGbdtRaggedEveryTier) {
         for (const std::size_t shard_rows : {1u, 5u, 17u, 64u}) {
           const hdc::hv::ShardedBitMatrix sharded = shard_by(data.bits, shard_rows);
           hdc::ml::HistGbdtClassifier model(config);
-          model.fit_shards(hdc::ml::MaterializedShardSource(sharded, data.y), {});
+          model.fit_shards(hdc::ml::MaterializedShardSource(sharded, data.y));
           EXPECT_EQ(state_of(model), expected) << where << " shard_rows=" << shard_rows;
         }
       }

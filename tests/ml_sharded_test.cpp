@@ -1,9 +1,10 @@
 // fit_shards contracts: every zoo model (plus Naive Bayes) must fit to
-// byte-identical state and predictions at any shard count; the models whose
-// fit_bits is a one-shard fit_shards (DT, RF, LGBM, NB, SVC under the cap,
-// LR), and KNN, must additionally match fit_bits byte for byte; the experiment
-// pipeline's max_resident_rows knob must not change results; and the
-// ml.hist_merge_ops counter must account for the merges.
+// byte-identical state and predictions at any shard count, and — with the
+// cohort under kShardSubsampleRows — to the same state and predictions as
+// its resident fit_bits; LR, NB, SVC and KNN are also checked one by one,
+// and DT, RF and LGBM at their own configs; the streamed-build manifest
+// records its shard geometry; and the ml.hist_merge_ops counter must
+// account for the merges.
 #include <gtest/gtest.h>
 
 #include <functional>
@@ -14,6 +15,8 @@
 
 #include "core/experiment.hpp"
 #include "core/extractor.hpp"
+#include "core/manifest.hpp"
+#include "data/chunked.hpp"
 #include "data/synthetic.hpp"
 #include "hv/bit_matrix.hpp"
 #include "hv/sharded_bits.hpp"
@@ -133,27 +136,26 @@ std::vector<ModelSpec> zoo() {
 }
 
 // The central contract: 1-shard, 4-shard and 8-shard fits are
-// byte-identical in state and prediction for every model.
+// byte-identical in state and prediction for every model, and equal the
+// resident fit_bits on the whole matrix (kRows is under the subsample cap,
+// so even the subsampling fallback keeps every row).
 TEST(ShardedFit, EveryModelIsShardCountInvariant) {
   const Fixture& f = fixture();
+  ASSERT_LE(kRows, hdc::ml::kShardSubsampleRows);
   for (const ModelSpec& spec : zoo()) {
-    std::string base_state;
-    std::vector<int> base_pred;
-    for (std::size_t v = 0; v < f.sharded.size(); ++v) {
+    const std::unique_ptr<Classifier> resident = spec.make();
+    resident->fit_bits(f.whole, f.ds.labels());
+    const std::string base_state = state_of(*resident);
+    const std::vector<int> base_pred = resident->predict_all_bits(f.test_bits);
+    for (const hdc::hv::ShardedBitMatrix& sharded : f.sharded) {
       const std::unique_ptr<Classifier> model = spec.make();
-      const MaterializedShardSource src(f.sharded[v], f.ds.labels());
+      const MaterializedShardSource src(sharded, f.ds.labels());
       model->fit_shards(src);
-      if (v == 0) {
-        base_state = state_of(*model);
-        base_pred = model->predict_all_bits(f.test_bits);
-      } else {
-        EXPECT_EQ(state_of(*model), base_state)
-            << spec.name << " state at " << f.sharded[v].num_shards()
-            << " shards";
-        EXPECT_EQ(model->predict_all_bits(f.test_bits), base_pred)
-            << spec.name << " predictions at " << f.sharded[v].num_shards()
-            << " shards";
-      }
+      EXPECT_EQ(state_of(*model), base_state)
+          << spec.name << " state at " << sharded.num_shards() << " shards";
+      EXPECT_EQ(model->predict_all_bits(f.test_bits), base_pred)
+          << spec.name << " predictions at " << sharded.num_shards()
+          << " shards";
     }
   }
 }
@@ -187,12 +189,12 @@ TEST(ShardedFit, NaiveBayesMatchesFitBitsExactly) {
   EXPECT_EQ(state_of(sharded), state_of(reference));
 }
 
-// SVC gathers a strided subsample capped at options.subsample_cap; fit_bits
-// is a one-shard fit_shards with the cap at every row, so when the cohort
-// fits under the default cap the 8-shard fit equals fit_bits exactly.
+// SVC gathers a strided subsample capped at kShardSubsampleRows; fit_bits
+// keeps every row, so when the cohort fits under the cap the 8-shard fit
+// equals fit_bits exactly.
 TEST(ShardedFit, SvcMatchesFitBitsWhenUnderTheCap) {
   const Fixture& f = fixture();
-  ASSERT_LE(kRows, hdc::ml::ShardedFitOptions{}.subsample_cap);
+  ASSERT_LE(kRows, hdc::ml::kShardSubsampleRows);
   hdc::ml::SvcClassifier reference;
   reference.fit_bits(f.whole, f.ds.labels());
   hdc::ml::SvcClassifier sharded;
@@ -315,49 +317,25 @@ TEST(ShardedFit, HistMergeOpsCounterAccountsForMerges) {
   EXPECT_GT(after, before);
 }
 
-// The pipeline knob: any positive max_resident_rows routes folds through
-// fit_shards, and the result must not depend on the actual value.
-TEST(ShardedFit, ExperimentIsInvariantToMaxResidentRows) {
-  const hdc::data::Dataset ds = hdc::data::make_synthetic_cohort(240, 33);
-  hdc::core::ExperimentConfig base;
-  base.extractor.dimensions = kDim;
-  base.extractor.seed = 3;
-  base.seed = 7;
-
-  hdc::core::ExperimentConfig small_shards = base;
-  small_shards.max_resident_rows = 50;
-  hdc::core::ExperimentConfig one_shard = base;
-  one_shard.max_resident_rows = 1u << 20;
-
-  for (const std::string model : {"Naive Bayes", "Logistic Regression"}) {
-    const hdc::eval::CvResult a = hdc::core::kfold_cv_accuracy(
-        ds, model, hdc::core::InputMode::kHypervectors, 4, small_shards);
-    const hdc::eval::CvResult b = hdc::core::kfold_cv_accuracy(
-        ds, model, hdc::core::InputMode::kHypervectors, 4, one_shard);
-    EXPECT_EQ(a.fold_accuracy, b.fold_accuracy) << model;
-  }
-
-  // Logistic's sharded path is bit-identical to the unsharded one, so the
-  // knob being off entirely must also agree.
-  const hdc::eval::CvResult sharded = hdc::core::kfold_cv_accuracy(
-      ds, "Logistic Regression", hdc::core::InputMode::kHypervectors, 4,
-      small_shards);
-  const hdc::eval::CvResult unsharded = hdc::core::kfold_cv_accuracy(
-      ds, "Logistic Regression", hdc::core::InputMode::kHypervectors, 4, base);
-  EXPECT_EQ(sharded.fold_accuracy, unsharded.fold_accuracy);
-}
-
+// Streamed builds (hdc_cli bundle --stream, bench_shard) set the shard
+// geometry on the manifest themselves; a resident run records one block.
 TEST(ShardedFit, ManifestRecordsShardGeometry) {
   const hdc::data::Dataset ds = hdc::data::make_synthetic_cohort(100, 1);
-  hdc::core::ExperimentConfig config;
-  config.max_resident_rows = 30;
-  const hdc::core::RunManifest m =
-      hdc::core::make_run_manifest(ds, "cohort", config);
-  EXPECT_EQ(m.shard_rows, 30u);
+  const hdc::core::ExperimentConfig config;
+  hdc::core::RunManifest m = hdc::core::make_run_manifest(ds, "cohort", config);
+  EXPECT_EQ(m.shard_rows, 0u);
+  EXPECT_EQ(m.num_shards, 1u);
+  m.shard_rows = 30;
+  m.num_shards = hdc::data::make_shard_plan(ds.n_rows(), 30).size();
   EXPECT_EQ(m.num_shards, 4u);  // 30 + 30 + 30 + 10
   const std::string json = hdc::core::to_json(m);
   EXPECT_NE(json.find("\"shard_rows\":30"), std::string::npos);
   EXPECT_NE(json.find("\"num_shards\":4"), std::string::npos);
+  std::stringstream stream;
+  hdc::core::save_manifest(stream, m);
+  const hdc::core::RunManifest loaded = hdc::core::load_manifest(stream);
+  EXPECT_EQ(loaded.shard_rows, 30u);
+  EXPECT_EQ(loaded.num_shards, 4u);
 }
 
 }  // namespace
