@@ -6,7 +6,6 @@
 
 #include "core/extractor.hpp"
 #include "core/online.hpp"
-#include "core/serialize.hpp"
 #include "data/split.hpp"
 #include "data/synthetic.hpp"
 #include "util/cli.hpp"
@@ -32,12 +31,12 @@ int main(int argc, char** argv) {
               "epochs\n",
               initial.n_rows(), model.updates_per_epoch().size());
 
-  // Ship the encoder: the extractor round-trips through its text format
+  // Ship the encoder: the extractor round-trips through its token format
   // (here an in-memory stream; a file ships it as a core/bundle section).
   std::stringstream wire;
-  hdc::core::save_extractor(wire, extractor);
+  extractor.save(wire);
   const hdc::core::HdcFeatureExtractor clinic_extractor =
-      hdc::core::load_extractor(wire);
+      hdc::core::HdcFeatureExtractor::load(wire);
   std::printf("encoder serialized: %zu bytes\n", wire.str().size());
 
   // Years 1..n: each follow-up visit scores the patient, then — once the lab

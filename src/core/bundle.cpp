@@ -4,7 +4,6 @@
 #include <sstream>
 #include <stdexcept>
 
-#include "core/serialize.hpp"
 #include "ml/zoo.hpp"
 #include "util/serde.hpp"
 #include "util/str.hpp"
@@ -130,11 +129,10 @@ void save_bundle(std::ostream& out, const ModelBundle& bundle) {
   };
 
   if (bundle.extractor) {
-    add("extractor",
-        [&](std::ostream& o) { save_extractor(o, *bundle.extractor); });
+    add("extractor", [&](std::ostream& o) { bundle.extractor->save(o); });
   }
   if (bundle.hamming) {
-    add("hamming", [&](std::ostream& o) { save_hamming(o, *bundle.hamming); });
+    add("hamming", [&](std::ostream& o) { bundle.hamming->save(o); });
     if (const hv::ann::Index* ann = bundle.hamming->ann_index()) {
       // The prebuilt ANN index rides along so serve start-up skips the
       // build; load re-verifies its fingerprint against the hamming rows.
@@ -177,12 +175,14 @@ ModelBundle load_bundle(std::istream& in) {
   ModelBundle bundle;
   std::optional<hv::ann::Index> ann_section;
   for (RawSection& section : read_sections(in)) {
-    std::istringstream body(section.body);
+    // The stream takes the body over, so a section's bytes are held once
+    // and released as soon as its parser returns.
+    std::istringstream body(std::move(section.body));
     try {
       if (section.name == "extractor") {
-        bundle.extractor = load_extractor(body);
+        bundle.extractor = HdcFeatureExtractor::load(body);
       } else if (section.name == "hamming") {
-        bundle.hamming = load_hamming(body);
+        bundle.hamming = HammingClassifier::load(body);
       } else if (section.name == "ann") {
         // Attached after the loop: section order in the file is not a
         // contract, and the index must verify against the hamming rows.
@@ -214,6 +214,14 @@ ModelBundle load_bundle(std::istream& in) {
     } catch (const std::invalid_argument& e) {
       fail("section '" + section.name + "': " + e.what());
     }
+  }
+  if (bundle.extractor && bundle.hamming &&
+      bundle.hamming->packed_vectors().bits() != bundle.extractor->dimensions()) {
+    // Every classify() would otherwise fail in the search kernel.
+    fail("section 'hamming': rows are " +
+         std::to_string(bundle.hamming->packed_vectors().bits()) +
+         " bits wide, but section 'extractor' encodes " +
+         std::to_string(bundle.extractor->dimensions()) + " bits");
   }
   if (ann_section) {
     if (!bundle.hamming) {

@@ -8,9 +8,10 @@
 //   ...
 //   end
 //
-// Each section body is itself a self-describing serialized object (the
-// extractor / hamming text formats of core/serialize, or the util::serde
-// token streams of the ml / nn / scaler / online serializers). The section
+// Each section body is one util::serde token stream, written and read by
+// its own type's serializer (HdcFeatureExtractor::save, HammingClassifier::
+// save, hv::ann::Index::save, the ml / nn / scaler / online / manifest
+// serializers), with its own magic and version. The section
 // header carries the body's byte count and FNV-1a 64 checksum; the loader
 // verifies the checksum *before* parsing the body, so any corruption —
 // truncation, bit flips, version skew — is reported as a diagnostic
@@ -26,7 +27,9 @@
 //   model:<name>     fitted zoo model, <name> = ml::Classifier::name()
 //   manifest         core::RunManifest of the producing training run
 //
-// Every section is optional; duplicates and unknown names are errors.
+// Every section is optional; duplicates and unknown names are errors, and
+// `ann` needs `hamming`. When both `extractor` and `hamming` are present the
+// hamming rows must be extractor.dimensions() bits wide.
 #pragma once
 
 #include <iosfwd>

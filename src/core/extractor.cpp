@@ -5,6 +5,7 @@
 #include "hv/batch_encoder.hpp"
 #include "parallel/thread_pool.hpp"
 #include "util/rng.hpp"
+#include "util/serde.hpp"
 
 namespace hdc::core {
 
@@ -171,6 +172,82 @@ ml::Matrix HdcFeatureExtractor::transform_to_matrix(const data::Dataset& ds) con
   out.reserve(vectors.size());
   for (const hv::BitVector& v : vectors) out.push_back(v.to_doubles());
   return out;
+}
+
+namespace {
+
+constexpr const char* kExtractorMagic = "hdc-extractor";
+constexpr const char* kExtractorVersion = "v2";
+/// Far above any real table; together they bound the encoder memory
+/// (~5 bytes per bit per level-encoded column) a corrupted body can ask for.
+constexpr std::uint64_t kMaxColumns = 1ULL << 16;
+constexpr std::uint64_t kMaxEncoderBits = 1ULL << 28;
+
+const char* kind_name(data::ColumnKind kind) {
+  switch (kind) {
+    case data::ColumnKind::kBinary: return "binary";
+    case data::ColumnKind::kCategorical: return "categorical";
+    default: return "continuous";
+  }
+}
+
+}  // namespace
+
+void HdcFeatureExtractor::save(std::ostream& out) const {
+  if (!fitted()) {
+    throw std::invalid_argument("HdcFeatureExtractor::save: extractor is not fitted");
+  }
+  util::serde::Writer w(out);
+  w.tag(kExtractorMagic).tag(kExtractorVersion).nl();
+  w.u64(config_.dimensions).u64(config_.seed).nl();
+  w.u64(config_.tie == hv::TiePolicy::kZero ? 0 : 1)
+      .u64(config_.missing_as_min ? 1 : 0).nl();
+  w.u64(columns_.size()).nl();
+  for (const ColumnEncoding& column : columns_) {
+    w.tag(kind_name(column.kind)).f64(column.lo).f64(column.hi).str(column.name).nl();
+  }
+}
+
+HdcFeatureExtractor HdcFeatureExtractor::load(std::istream& in) {
+  util::serde::Reader r(in, "load hdc-extractor");
+  r.expect(kExtractorMagic, "magic");
+  r.expect(kExtractorVersion, "format version");
+  ExtractorConfig config;
+  config.dimensions = r.count("dimensions", hv::kMaxPackedBits);
+  config.seed = r.u64("seed");
+  config.tie = r.count("tie", 1) == 0 ? hv::TiePolicy::kZero : hv::TiePolicy::kOne;
+  config.missing_as_min = r.count("missing_as_min", 1) != 0;
+  const std::uint64_t n_columns = r.count("column count", kMaxColumns);
+  if (n_columns == 0) throw r.error("no columns");
+  if (config.dimensions * n_columns > kMaxEncoderBits) {
+    throw r.error("dimensions x column count out of range");
+  }
+
+  std::vector<ColumnEncoding> columns(n_columns);
+  for (ColumnEncoding& column : columns) {
+    const std::string kind = r.token("column kind");
+    if (kind == "binary") {
+      column.kind = data::ColumnKind::kBinary;
+    } else if (kind == "categorical") {
+      column.kind = data::ColumnKind::kCategorical;
+    } else if (kind == "continuous") {
+      column.kind = data::ColumnKind::kContinuous;
+    } else {
+      throw r.error("unknown column kind '" + kind + "'");
+    }
+    column.lo = r.finite_f64("column lo");
+    column.hi = r.finite_f64("column hi");
+    column.name = r.str("column name");
+  }
+
+  try {
+    HdcFeatureExtractor extractor(config);
+    extractor.fit_from_columns(std::move(columns));
+    return extractor;
+  } catch (const std::invalid_argument& e) {
+    // Dimensions not a positive multiple of 4, or a column with lo > hi.
+    throw r.error(e.what());
+  }
 }
 
 }  // namespace hdc::core

@@ -9,6 +9,7 @@
 #pragma once
 
 #include <cstdint>
+#include <iosfwd>
 #include <memory>
 #include <vector>
 
@@ -35,7 +36,7 @@ struct ExtractorConfig {
 };
 
 /// What the extractor learned about one column: enough to rebuild its
-/// feature encoder without the training data (used by core/serialize).
+/// feature encoder without the training data (what save() persists).
 struct ColumnEncoding {
   std::string name;
   data::ColumnKind kind = data::ColumnKind::kContinuous;
@@ -100,6 +101,14 @@ class HdcFeatureExtractor {
 
   /// The underlying per-feature encoders (introspection / tests).
   [[nodiscard]] const hv::RecordEncoder& record_encoder() const;
+
+  /// `hdc-extractor v2` token stream (util::serde): dimensions, seed, tie and
+  /// missing-as-min flags, then per column its kind, finite lo/hi and name.
+  /// The bundle's `extractor` section. load throws std::runtime_error on
+  /// malformed input, including fields that parse but break the
+  /// extractor's or an encoder's own rules (dimensions % 4, lo > hi).
+  void save(std::ostream& out) const;
+  [[nodiscard]] static HdcFeatureExtractor load(std::istream& in);
 
  private:
   ExtractorConfig config_;

@@ -2,15 +2,29 @@
 
 #include <algorithm>
 #include <stdexcept>
+#include <string>
 
 #include "eval/cross_validation.hpp"
 #include "parallel/thread_pool.hpp"
+#include "util/serde.hpp"
 
 namespace hdc::core {
 
+namespace {
+constexpr const char* kHammingMagic = "hdc-hamming";
+constexpr const char* kHammingVersion = "v3";
+}  // namespace
+
 void HammingClassifier::fit(std::vector<hv::BitVector> vectors,
                             std::vector<int> labels) {
-  if (vectors.empty() || vectors.size() != labels.size()) {
+  if (vectors.size() != labels.size()) {
+    throw std::invalid_argument("HammingClassifier: bad training data");
+  }
+  store(hv::PackedHVs::pack(vectors), std::move(labels));
+}
+
+void HammingClassifier::store(hv::PackedHVs rows, std::vector<int> labels) {
+  if (rows.empty() || rows.rows() != labels.size()) {
     throw std::invalid_argument("HammingClassifier: bad training data");
   }
   for (const int y : labels) {
@@ -18,16 +32,15 @@ void HammingClassifier::fit(std::vector<hv::BitVector> vectors,
       throw std::invalid_argument("HammingClassifier: labels must be 0/1");
     }
   }
-  vectors_ = std::move(vectors);
-  packed_ = hv::PackedHVs::pack(vectors_);
+  packed_ = std::move(rows);
   labels_ = std::move(labels);
   ann_.reset();  // any attached index was built over the previous database
 
   if (mode_ == HammingMode::kPrototype) {
-    hv::BitAccumulator acc[2] = {hv::BitAccumulator(vectors_.front().size()),
-                                 hv::BitAccumulator(vectors_.front().size())};
-    for (std::size_t i = 0; i < vectors_.size(); ++i) {
-      acc[static_cast<std::size_t>(labels_[i])].add(vectors_[i]);
+    hv::BitAccumulator acc[2] = {hv::BitAccumulator(packed_.bits()),
+                                 hv::BitAccumulator(packed_.bits())};
+    for (std::size_t i = 0; i < packed_.rows(); ++i) {
+      acc[static_cast<std::size_t>(labels_[i])].add(packed_.unpack_row(i));
     }
     for (int c : {0, 1}) {
       if (acc[c].total() == 0) {
@@ -36,6 +49,49 @@ void HammingClassifier::fit(std::vector<hv::BitVector> vectors,
       prototypes_[c] = acc[c].to_majority();
     }
   }
+}
+
+void HammingClassifier::save(std::ostream& out) const {
+  if (!fitted()) {
+    throw std::invalid_argument("HammingClassifier::save: model is not fitted");
+  }
+  util::serde::Writer w(out);
+  w.tag(kHammingMagic).tag(kHammingVersion).nl();
+  w.tag(mode_ == HammingMode::kPrototype ? "prototype" : "nearest").u64(k_).nl();
+  w.vec_int(labels_).nl();
+  hv::write_packed(w, packed_);
+}
+
+HammingClassifier HammingClassifier::load(std::istream& in) {
+  util::serde::Reader r(in, "load hdc-hamming");
+  r.expect(kHammingMagic, "magic");
+  r.expect(kHammingVersion, "format version");
+  const std::string mode_name = r.token("mode");
+  HammingMode mode = HammingMode::kNearestNeighbor;
+  if (mode_name == "prototype") {
+    mode = HammingMode::kPrototype;
+  } else if (mode_name != "nearest") {
+    throw r.error("unknown mode '" + mode_name + "'");
+  }
+  const std::uint64_t k = r.count("k", hv::kMaxPackedRows);
+  if (k == 0) throw r.error("k must be >= 1");
+  std::vector<int> labels = r.vec_int("labels", hv::kMaxPackedRows);
+  // Capped at the label count, so a corrupted row count cannot allocate
+  // more rows than the body has labels for.
+  hv::PackedHVs rows = hv::read_packed(r, "rows", labels.size());
+  if (rows.rows() != labels.size()) {
+    throw r.error("row count " + std::to_string(rows.rows()) +
+                  " does not match label count " + std::to_string(labels.size()));
+  }
+  if (rows.bits() == 0) throw r.error("zero-width rows");
+  HammingClassifier model(mode, k);
+  try {
+    model.store(std::move(rows), std::move(labels));
+  } catch (const std::invalid_argument& e) {
+    // No rows, a label outside {0, 1}, or a prototype-mode class missing.
+    throw r.error(e.what());
+  }
+  return model;
 }
 
 int HammingClassifier::predict(const hv::BitVector& query,
@@ -56,7 +112,7 @@ double HammingClassifier::predict_score(const hv::BitVector& query,
   // neighbour is positive). Distance ties resolve toward the earliest
   // training row; both kernels guarantee (distance, index) ordering, and
   // the ANN path preserves it over its reranked candidate set.
-  const std::size_t k = std::min(k_, vectors_.size());
+  const std::size_t k = std::min(k_, labels_.size());
   const hv::PackedHVs packed_query = hv::PackedHVs::pack({&query, 1});
   if (ann_) {
     hv::ann::SearchOptions options;

@@ -5,6 +5,7 @@
 // queries snap to the nearer prototype.
 #pragma once
 
+#include <iosfwd>
 #include <optional>
 #include <vector>
 
@@ -37,7 +38,8 @@ class HammingClassifier {
 
   [[nodiscard]] std::size_t k() const noexcept { return k_; }
 
-  /// Store (and, in prototype mode, bundle) the training hypervectors.
+  /// Pack and store (and, in prototype mode, bundle) the training
+  /// hypervectors; the packed rows are the only copy kept.
   void fit(std::vector<hv::BitVector> vectors, std::vector<int> labels);
 
   [[nodiscard]] bool fitted() const noexcept { return !labels_.empty(); }
@@ -82,19 +84,24 @@ class HammingClassifier {
   /// Class prototypes (prototype mode only).
   [[nodiscard]] const hv::BitVector& prototype(int label) const;
 
-  /// Stored training data (for serialization).
-  [[nodiscard]] const std::vector<hv::BitVector>& training_vectors() const noexcept {
-    return vectors_;
-  }
   [[nodiscard]] const std::vector<int>& training_labels() const noexcept {
     return labels_;
   }
 
+  /// `hdc-hamming v3` token stream (util::serde): mode, k, labels and the
+  /// packed training rows (hv::write_packed). The bundle's `hamming` section.
+  /// save(load(save(x))) is byte-identical; load throws std::runtime_error
+  /// on malformed input.
+  void save(std::ostream& out) const;
+  [[nodiscard]] static HammingClassifier load(std::istream& in);
+
  private:
+  /// Adopt packed training rows (fit and load share it).
+  void store(hv::PackedHVs rows, std::vector<int> labels);
+
   HammingMode mode_;
   std::size_t k_ = 1;
-  std::vector<hv::BitVector> vectors_;
-  hv::PackedHVs packed_;  // training vectors packed for the search kernel
+  hv::PackedHVs packed_;  // the training vectors, packed for the search kernel
   std::vector<int> labels_;
   hv::BitVector prototypes_[2];
   std::optional<hv::ann::Index> ann_;  // opt-in sub-linear k-NN path

@@ -7,6 +7,7 @@
 #include "obs/trace.hpp"
 #include "parallel/thread_pool.hpp"
 #include "simd/dispatch.hpp"
+#include "util/serde.hpp"
 #include "util/timer.hpp"
 
 namespace hdc::hv {
@@ -33,15 +34,41 @@ void PackedHVs::set_row(std::size_t i, const BitVector& v) {
 
 BitVector PackedHVs::unpack_row(std::size_t i) const {
   BitVector out(bits_);
-  const std::uint64_t* src = row(i);
-  for (std::size_t w = 0; w < words_per_row_; ++w) {
-    for (std::size_t b = 0; b < 64; ++b) {
-      const std::size_t bit = w * 64 + b;
-      if (bit >= bits_) break;
-      if ((src[w] >> b) & 1ULL) out.set(bit, true);
+  std::copy(row(i), row(i) + words_per_row_, out.word_data());
+  return out;
+}
+
+void write_packed(util::serde::Writer& out, const PackedHVs& rows) {
+  out.u64(rows.rows()).u64(rows.bits()).nl();
+  for (std::size_t i = 0; i < rows.rows(); ++i) {
+    out.words({rows.row(i), rows.words_per_row()}).nl();
+  }
+}
+
+PackedHVs read_packed(util::serde::Reader& in, const char* what,
+                      std::uint64_t max_rows) {
+  constexpr std::uint64_t kMaxPackedWords = 1ULL << 30;
+  const std::uint64_t rows = in.count(what, max_rows);
+  const std::uint64_t bits = in.count(what, kMaxPackedBits);
+  const std::uint64_t wpr = (bits + 63) / 64;
+  if (rows * wpr > kMaxPackedWords) {
+    throw in.error(std::string(what) + ": packed rows too large");
+  }
+  // Padding bits past `bits` must stay zero (the PackedHVs invariant the
+  // search kernels rely on).
+  const std::uint64_t pad_mask = bits % 64 == 0 ? 0 : ~0ULL << (bits % 64);
+  PackedHVs packed(bits, rows);
+  for (std::uint64_t i = 0; i < rows; ++i) {
+    if (in.count(what, wpr) != wpr) {
+      throw in.error(std::string(what) + ": packed row word-count mismatch");
+    }
+    std::uint64_t* dst = packed.row(i);
+    for (std::uint64_t w = 0; w < wpr; ++w) dst[w] = in.word(what);
+    if (wpr > 0 && (dst[wpr - 1] & pad_mask) != 0) {
+      throw in.error(std::string(what) + ": nonzero padding bits in packed row");
     }
   }
-  return out;
+  return packed;
 }
 
 std::size_t hamming_words(const std::uint64_t* a, const std::uint64_t* b,

@@ -26,6 +26,11 @@ namespace hdc::parallel {
 class ThreadPool;
 }
 
+namespace hdc::util::serde {
+class Reader;
+class Writer;
+}  // namespace hdc::util::serde
+
 namespace hdc::hv {
 
 /// Row-major packed matrix of equally-sized hypervectors. Rows are stored
@@ -64,6 +69,24 @@ class PackedHVs {
   std::size_t rows_ = 0;
   PackedWords words_;  // large blocks mapped directly (hv/page_allocator.hpp)
 };
+
+/// Caps read_packed() applies to counts from an untrusted stream (with at
+/// most 2^30 words in all): a corrupted header throws before any allocation
+/// is attempted.
+inline constexpr std::uint64_t kMaxPackedRows = 1ULL << 24;
+inline constexpr std::uint64_t kMaxPackedBits = 1ULL << 26;
+
+/// Token codec for packed rows — the one format every bundle section that
+/// stores hypervectors uses (the hamming memory, KNN's training bits):
+/// "<rows> <bits>", then per row a length-prefixed list of hex16 words.
+void write_packed(util::serde::Writer& out, const PackedHVs& rows);
+
+/// Inverse of write_packed(). Throws (via `in`, naming `what`) when the row
+/// count exceeds `max_rows`, the width exceeds kMaxPackedBits, the total
+/// exceeds 2^30 words, a row has the wrong word count or a bad hex word, or
+/// a row sets a padding bit past `bits`.
+[[nodiscard]] PackedHVs read_packed(util::serde::Reader& in, const char* what,
+                                    std::uint64_t max_rows = kMaxPackedRows);
 
 /// Hamming distance between two packed rows of `words` 64-bit words.
 [[nodiscard]] std::size_t hamming_words(const std::uint64_t* a, const std::uint64_t* b,

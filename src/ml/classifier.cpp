@@ -57,8 +57,8 @@ void Classifier::load_state(std::istream& in) {
 
 namespace {
 // Caps applied to counts read from untrusted streams. A corrupted length
-// field throws before any allocation is attempted. kMaxCells bounds both
-// matrix cells and packed words; kMaxDim bounds row/column arities.
+// field throws before any allocation is attempted. kMaxCells bounds matrix
+// cells; kMaxDim bounds row/column arities.
 constexpr std::uint64_t kMaxDim = 1ULL << 24;
 constexpr std::uint64_t kMaxCells = 1ULL << 30;
 }  // namespace
@@ -81,40 +81,6 @@ Matrix read_matrix(util::serde::Reader& in, const char* what) {
     }
   }
   return X;
-}
-
-void write_bit_matrix(util::serde::Writer& out, const hv::BitMatrix& X) {
-  const hv::PackedHVs& rows = X.row_major();
-  out.u64(X.rows()).u64(X.cols()).nl();
-  for (std::size_t i = 0; i < X.rows(); ++i) {
-    out.words({rows.row(i), rows.words_per_row()}).nl();
-  }
-}
-
-hv::BitMatrix read_bit_matrix(util::serde::Reader& in, const char* what) {
-  const std::uint64_t rows = in.count(what, kMaxDim);
-  const std::uint64_t cols = in.count(what, kMaxDim);
-  const std::uint64_t wpr = (cols + 63) / 64;
-  if (rows * wpr > kMaxCells) {
-    throw in.error(std::string(what) + ": bit matrix too large");
-  }
-  hv::PackedHVs packed(cols, rows);
-  for (std::uint64_t i = 0; i < rows; ++i) {
-    const std::vector<std::uint64_t> row_words = in.read_words(what, wpr);
-    if (row_words.size() != wpr) {
-      throw in.error(std::string(what) + ": bit matrix row word-count mismatch");
-    }
-    std::uint64_t* dst = packed.row(i);
-    for (std::uint64_t w = 0; w < wpr; ++w) dst[w] = row_words[w];
-    // Trailing padding bits must stay zero (BitMatrix invariant).
-    if (cols % 64 != 0 && wpr > 0) {
-      const std::uint64_t pad_mask = ~0ULL << (cols % 64);
-      if ((dst[wpr - 1] & pad_mask) != 0) {
-        throw in.error(std::string(what) + ": nonzero padding bits in bit matrix");
-      }
-    }
-  }
-  return hv::BitMatrix::from_rows(std::move(packed));
 }
 
 void validate_training_bits(const hv::BitMatrix& X, const Labels& y) {

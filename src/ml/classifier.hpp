@@ -100,8 +100,6 @@ class Classifier {
 /// Shared helpers for the save_state/load_state implementations.
 void write_matrix(util::serde::Writer& out, const Matrix& X);
 [[nodiscard]] Matrix read_matrix(util::serde::Reader& in, const char* what);
-void write_bit_matrix(util::serde::Writer& out, const hv::BitMatrix& X);
-[[nodiscard]] hv::BitMatrix read_bit_matrix(util::serde::Reader& in, const char* what);
 
 /// Validated view of training inputs plus a column-major copy used by the
 /// tree-based models (cache-friendly split searches).

@@ -149,7 +149,7 @@ void KnnClassifier::save_state(std::ostream& out) const {
   w.u64(config_.k).u64(config_.distance_weighted ? 1 : 0).nl();
   w.tag(packed ? "packed" : "dense").nl();
   if (packed) {
-    write_bit_matrix(w, train_bits_);
+    hv::write_packed(w, train_bits_.row_major());
   } else {
     write_matrix(w, train_X_);
   }
@@ -166,7 +166,7 @@ void KnnClassifier::load_state(std::istream& in) {
   const std::string store = r.token("training store kind");
   std::size_t n = 0;
   if (store == "packed") {
-    train_bits_ = read_bit_matrix(r, "training bits");
+    train_bits_ = hv::BitMatrix::from_rows(hv::read_packed(r, "training bits"));
     train_X_.clear();
     n = train_bits_.rows();
   } else if (store == "dense") {

@@ -4,6 +4,7 @@
 #include <charconv>
 #include <cmath>
 #include <istream>
+#include <limits>
 #include <ostream>
 #include <stdexcept>
 
@@ -287,7 +288,14 @@ std::vector<int> Reader::vec_int(const char* what, std::uint64_t max) {
   const std::uint64_t n = count(what, max);
   std::vector<int> out;
   out.reserve(n);
-  for (std::uint64_t i = 0; i < n; ++i) out.push_back(static_cast<int>(i64(what)));
+  for (std::uint64_t i = 0; i < n; ++i) {
+    const std::int64_t value = i64(what);
+    if (value < std::numeric_limits<int>::min() ||
+        value > std::numeric_limits<int>::max()) {
+      throw error(std::string("int out of range for ") + what);
+    }
+    out.push_back(static_cast<int>(value));
+  }
   return out;
 }
 

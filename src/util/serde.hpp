@@ -85,6 +85,7 @@ class Reader {
   [[nodiscard]] std::vector<double> vec_f64(const char* what, std::uint64_t max);
   [[nodiscard]] std::vector<double> vec_finite_f64(const char* what, std::uint64_t max);
   [[nodiscard]] std::vector<std::int64_t> vec_i64(const char* what, std::uint64_t max);
+  /// Each value must fit an int.
   [[nodiscard]] std::vector<int> vec_int(const char* what, std::uint64_t max);
   [[nodiscard]] std::vector<std::uint32_t> vec_u32(const char* what, std::uint64_t max);
   [[nodiscard]] std::vector<std::uint64_t> vec_u64(const char* what, std::uint64_t max);

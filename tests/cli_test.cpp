@@ -103,6 +103,16 @@ TEST(Cli, TrainStreamAndBundleWriteIdenticalSections) {
   EXPECT_EQ(sections_of(bundled), expected);
 }
 
+TEST(Cli, BundleKeepsK) {
+  const std::string csv = write_cohort();
+  const std::string model = scratch("k3.bundle");
+  const CliRun bundle = run_cli("bundle " + csv + " " + model + " --dim 512 --k 3");
+  ASSERT_EQ(bundle.status, 0) << bundle.output;
+  const hdc::core::ModelBundle loaded = hdc::core::load_bundle_file(model);
+  ASSERT_TRUE(loaded.hamming.has_value());
+  EXPECT_EQ(loaded.hamming->k(), 3u);
+}
+
 TEST(Cli, EvaluateRejectsAFileThatIsNotABundle) {
   const std::string csv = write_cohort();
   const std::string bogus = scratch("model.hdc");

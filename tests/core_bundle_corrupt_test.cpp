@@ -586,6 +586,88 @@ TEST(BundleCorrupt, LogisticNonFiniteWeightRejected) {
   }
 }
 
+/// The golden bundle's extractor section body, one entry per line.
+std::vector<std::string> golden_extractor_lines() {
+  std::istringstream in(golden_bundle());
+  const ModelBundle loaded = load_bundle(in);
+  std::ostringstream body;
+  loaded.extractor->save(body);
+  return body_lines(body.str());
+}
+
+TEST(BundleCorrupt, ExtractorFieldsRejected) {
+  // hdc-extractor v2: tag, "dimensions seed", "tie missing_as_min", column
+  // count, then one "kind lo hi ~name" line per column. Each crafted field
+  // in a checksum-valid section must be rejected with the section named.
+  const std::vector<std::string> pristine = golden_extractor_lines();
+  ASSERT_EQ(pristine[0], "hdc-extractor v2");
+  std::size_t continuous = 0;
+  for (std::size_t i = 4; i < pristine.size(); ++i) {
+    if (token(pristine[i], 0) == "continuous") continuous = i;
+  }
+  ASSERT_NE(continuous, 0u) << "no continuous column";
+  const auto edited = [&pristine](std::size_t line, std::size_t tok,
+                                  const std::string& value) {
+    std::vector<std::string> lines = pristine;
+    lines[line] = with_token(lines[line], tok, value);
+    return lines;
+  };
+  const struct {
+    const char* what;
+    std::vector<std::string> lines;
+  } cases[] = {
+      {"huge dimensions", edited(1, 0, "1099511627776")},
+      {"negative dimensions", edited(1, 0, "-2048")},
+      {"dimensions not a multiple of 4", edited(1, 0, "258")},
+      {"dimensions x columns too large", edited(1, 0, "67108864")},
+      {"lo above hi", edited(continuous, 1, "40f0000000000000")},
+      {"NaN lo", edited(continuous, 1, kNaN)},
+      {"+Inf hi", edited(continuous, 2, kPosInf)},
+      {"unknown kind", edited(continuous, 0, "ordinal")},
+      {"zero columns", {pristine[0], pristine[1], pristine[2], "0"}},
+      {"too many columns", edited(3, 0, "1000000")},
+      {"v1 body", edited(0, 1, "v1")},
+  };
+  for (const auto& c : cases) {
+    std::istringstream in(craft_bundle({{"extractor", join_lines(c.lines)}}));
+    try {
+      (void)load_bundle(in);
+      ADD_FAILURE() << c.what << " accepted";
+    } catch (const std::runtime_error& e) {
+      EXPECT_NE(std::string(e.what()).find("section 'extractor'"), std::string::npos)
+          << c.what << ": " << e.what();
+    }
+  }
+}
+
+TEST(BundleCorrupt, HammingWidthMismatchRejected) {
+  // Each section is valid alone, but the hamming rows are 512 bits wide
+  // while the extractor encodes 256: every classify() would throw, so the
+  // load must.
+  const hdc::data::Dataset ds = hdc::data::make_sylhet({30, 40, 3});
+  hdc::core::ExtractorConfig wide;
+  wide.dimensions = 512;
+  wide.seed = 7;
+  hdc::core::HdcFeatureExtractor wide_extractor(wide);
+  wide_extractor.fit(ds);
+  hdc::core::HammingClassifier hamming;
+  hamming.fit(wide_extractor.transform(ds), ds.labels());
+  std::ostringstream hamming_body;
+  hamming.save(hamming_body);
+
+  std::istringstream in(craft_bundle(
+      {{"extractor", join_lines(golden_extractor_lines())},
+       {"hamming", hamming_body.str()}}));
+  try {
+    (void)load_bundle(in);
+    FAIL() << "hamming rows wider than the extractor accepted";
+  } catch (const std::runtime_error& e) {
+    const std::string what = e.what();
+    EXPECT_NE(what.find("512"), std::string::npos) << what;
+    EXPECT_NE(what.find("256"), std::string::npos) << what;
+  }
+}
+
 /// Raw body bytes of one named section, scanned straight out of an artifact
 /// (headers are `section ~name bytes checksum`, body follows the newline).
 std::string raw_section_body(const std::string& artifact,

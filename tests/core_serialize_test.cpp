@@ -1,78 +1,107 @@
-#include "core/serialize.hpp"
-
+// Section body codecs: the packed-rows token codec (hv::write_packed /
+// hv::read_packed) and the extractor and Hamming serializers behind the
+// bundle's `extractor` and `hamming` sections.
 #include <gtest/gtest.h>
 
 #include <sstream>
+#include <string>
+#include <vector>
 
 #include "core/bundle.hpp"
+#include "core/extractor.hpp"
+#include "core/hamming_classifier.hpp"
+#include "data/preprocess.hpp"
 #include "data/synthetic.hpp"
+#include "hv/search.hpp"
 #include "util/rng.hpp"
+#include "util/serde.hpp"
 
 namespace hdc::core {
 namespace {
 
+std::string save_rows(const std::vector<hv::BitVector>& vectors) {
+  std::ostringstream out;
+  util::serde::Writer writer(out);
+  hv::write_packed(writer, hv::PackedHVs::pack(vectors));
+  return out.str();
+}
+
+hv::PackedHVs load_rows(const std::string& text) {
+  std::istringstream in(text);
+  util::serde::Reader reader(in, "rows");
+  return hv::read_packed(reader, "rows");
+}
+
 TEST(SerializeBitVector, RoundTrip) {
   util::Rng rng(1);
   const hv::BitVector original = hv::BitVector::random(10000, rng);
-  std::stringstream stream;
-  write_bitvector(stream, original);
-  EXPECT_EQ(read_bitvector(stream), original);
+  const hv::PackedHVs loaded = load_rows(save_rows({original}));
+  ASSERT_EQ(loaded.rows(), 1u);
+  EXPECT_EQ(loaded.unpack_row(0), original);
 }
 
 TEST(SerializeBitVector, OddSizesRoundTrip) {
   util::Rng rng(2);
   for (const std::size_t bits : {1u, 63u, 64u, 65u, 127u, 1000u}) {
-    const hv::BitVector original = hv::BitVector::random(bits, rng);
-    std::stringstream stream;
-    write_bitvector(stream, original);
-    EXPECT_EQ(read_bitvector(stream), original) << bits;
+    const std::vector<hv::BitVector> original = {hv::BitVector::random(bits, rng),
+                                                 hv::BitVector::random(bits, rng)};
+    const hv::PackedHVs loaded = load_rows(save_rows(original));
+    ASSERT_EQ(loaded.rows(), 2u) << bits;
+    EXPECT_EQ(loaded.unpack_row(0), original[0]) << bits;
+    EXPECT_EQ(loaded.unpack_row(1), original[1]) << bits;
   }
 }
 
 TEST(SerializeBitVector, TruncatedInputThrows) {
   // Needs 2 words; the second is missing entirely.
-  std::istringstream stream("128 00000000deadbeef");
-  EXPECT_THROW((void)read_bitvector(stream), std::runtime_error);
+  EXPECT_THROW((void)load_rows("1 128\n2 00000000deadbeef"), std::runtime_error);
 }
 
 TEST(SerializeBitVector, OddLengthHexThrows) {
   // Words are fixed-width 16-hex-digit tokens; a short (odd-length) word is
   // a short read / hand-edited file, not something to zero-extend silently.
-  std::istringstream stream("64 deadbeef");
-  EXPECT_THROW((void)read_bitvector(stream), std::runtime_error);
-  std::istringstream fifteen("64 00000000deadbee");
-  EXPECT_THROW((void)read_bitvector(fifteen), std::runtime_error);
-  std::istringstream seventeen("64 000000000deadbeef");
-  EXPECT_THROW((void)read_bitvector(seventeen), std::runtime_error);
+  EXPECT_THROW((void)load_rows("1 64\n1 deadbeef"), std::runtime_error);
+  EXPECT_THROW((void)load_rows("1 64\n1 00000000deadbee"), std::runtime_error);
+  EXPECT_THROW((void)load_rows("1 64\n1 000000000deadbeef"), std::runtime_error);
 }
 
 TEST(SerializeBitVector, HexGarbageThrows) {
-  std::istringstream uppercase("64 00000000DEADBEEF");
-  EXPECT_THROW((void)read_bitvector(uppercase), std::runtime_error);
-  std::istringstream stray("64 0000000000g0beef");
-  EXPECT_THROW((void)read_bitvector(stray), std::runtime_error);
+  EXPECT_THROW((void)load_rows("1 64\n1 00000000DEADBEEF"), std::runtime_error);
+  EXPECT_THROW((void)load_rows("1 64\n1 0000000000g0beef"), std::runtime_error);
 }
 
 TEST(SerializeBitVector, NonzeroPaddingBitsThrow) {
-  // 60-bit vector: the top 4 bits of the single word must be zero.
-  std::istringstream padded("60 f000000000000001");
-  EXPECT_THROW((void)read_bitvector(padded), std::runtime_error);
-  std::istringstream clean("60 0000000000000001");
-  EXPECT_EQ(read_bitvector(clean).popcount(), 1u);
+  // 60-bit rows: the top 4 bits of the single word must be zero.
+  EXPECT_THROW((void)load_rows("1 60\n1 f000000000000001"), std::runtime_error);
+  EXPECT_EQ(load_rows("1 60\n1 0000000000000001").unpack_row(0).popcount(), 1u);
 }
 
 TEST(SerializeBitVector, TrailingDataThrows) {
-  std::istringstream stream("64 0000000000000001 0000000000000002");
-  EXPECT_THROW((void)read_bitvector(stream), std::runtime_error);
+  // A row listing more words than its width needs.
+  EXPECT_THROW((void)load_rows("1 64\n2 0000000000000001 0000000000000002"),
+               std::runtime_error);
 }
 
 TEST(SerializeBitVector, BadSizeThrows) {
-  std::istringstream negative("-8 0000000000000001");
-  EXPECT_THROW((void)read_bitvector(negative), std::runtime_error);
-  std::istringstream huge("999999999999 0000000000000001");
-  EXPECT_THROW((void)read_bitvector(huge), std::runtime_error);
-  std::istringstream garbage("sixty-four 0000000000000001");
-  EXPECT_THROW((void)read_bitvector(garbage), std::runtime_error);
+  EXPECT_THROW((void)load_rows("1 -8\n1 0000000000000001"), std::runtime_error);
+  EXPECT_THROW((void)load_rows("1 999999999999\n1 0000000000000001"),
+               std::runtime_error);
+  EXPECT_THROW((void)load_rows("1 sixty-four\n1 0000000000000001"),
+               std::runtime_error);
+  EXPECT_THROW((void)load_rows("999999999999 64\n1 0000000000000001"),
+               std::runtime_error);
+}
+
+HdcFeatureExtractor round_trip(const HdcFeatureExtractor& original) {
+  std::stringstream stream;
+  original.save(stream);
+  return HdcFeatureExtractor::load(stream);
+}
+
+HammingClassifier round_trip(const HammingClassifier& original) {
+  std::stringstream stream;
+  original.save(stream);
+  return HammingClassifier::load(stream);
 }
 
 TEST(SerializeExtractor, RoundTripPreservesEncoding) {
@@ -83,9 +112,7 @@ TEST(SerializeExtractor, RoundTripPreservesEncoding) {
   HdcFeatureExtractor original(config);
   original.fit(ds);
 
-  std::stringstream stream;
-  save_extractor(stream, original);
-  const HdcFeatureExtractor loaded = load_extractor(stream);
+  const HdcFeatureExtractor loaded = round_trip(original);
 
   ASSERT_TRUE(loaded.fitted());
   EXPECT_EQ(loaded.dimensions(), original.dimensions());
@@ -95,34 +122,59 @@ TEST(SerializeExtractor, RoundTripPreservesEncoding) {
   }
 }
 
+TEST(SerializeExtractor, FullRangeSeedRoundTrips) {
+  // util::mix_seed yields seeds across the whole uint64_t range; one above
+  // 2^63 must load back, not overflow a signed parse.
+  const data::Dataset ds = data::make_sylhet({20, 20, 5});
+  ExtractorConfig config;
+  config.dimensions = 512;
+  config.seed = 0xF000000000000000ULL;
+  HdcFeatureExtractor original(config);
+  original.fit(ds);
+
+  const HdcFeatureExtractor loaded = round_trip(original);
+
+  EXPECT_EQ(loaded.config().seed, config.seed);
+  for (std::size_t i = 0; i < 5; ++i) {
+    EXPECT_EQ(loaded.encode_row(ds.row(i)), original.encode_row(ds.row(i))) << i;
+  }
+}
+
 TEST(SerializeExtractor, PreservesColumnMetadata) {
   const data::Dataset ds = data::make_pima({40, 20, false, 0.05, 4});
   HdcFeatureExtractor original;
   original.fit(ds);
-  std::stringstream stream;
-  save_extractor(stream, original);
-  const HdcFeatureExtractor loaded = load_extractor(stream);
+  const HdcFeatureExtractor loaded = round_trip(original);
   const auto& columns = loaded.column_encodings();
   ASSERT_EQ(columns.size(), 8u);
   EXPECT_EQ(columns[1].name, "Glucose");
   EXPECT_EQ(columns[1].kind, data::ColumnKind::kContinuous);
-  EXPECT_DOUBLE_EQ(columns[1].lo, original.column_encodings()[1].lo);
+  // Doubles travel as their bit pattern: exact, not merely close.
+  EXPECT_EQ(columns[1].lo, original.column_encodings()[1].lo);
+  EXPECT_EQ(columns[1].hi, original.column_encodings()[1].hi);
 }
 
 TEST(SerializeExtractor, UnfittedSaveThrows) {
   const HdcFeatureExtractor extractor;
   std::ostringstream out;
-  EXPECT_THROW(save_extractor(out, extractor), std::invalid_argument);
+  EXPECT_THROW(extractor.save(out), std::invalid_argument);
 }
 
 TEST(SerializeExtractor, BadMagicThrows) {
   std::istringstream in("not-a-model\n");
-  EXPECT_THROW((void)load_extractor(in), std::runtime_error);
+  EXPECT_THROW((void)HdcFeatureExtractor::load(in), std::runtime_error);
 }
 
 TEST(SerializeExtractor, TruncatedThrows) {
-  std::istringstream in("hdc-extractor v1\n2000\n");
-  EXPECT_THROW((void)load_extractor(in), std::runtime_error);
+  std::istringstream in("hdc-extractor v2\n2000\n");
+  EXPECT_THROW((void)HdcFeatureExtractor::load(in), std::runtime_error);
+}
+
+TEST(SerializeExtractor, OldVersionThrows) {
+  // v1 bodies were decimal lines with the name unescaped at the end.
+  std::istringstream in(
+      "hdc-extractor v1\n2000\n777\n1\n1\n1\ncontinuous 0 10 Age\n");
+  EXPECT_THROW((void)HdcFeatureExtractor::load(in), std::runtime_error);
 }
 
 TEST(SerializeHamming, RoundTripPredictsIdentically) {
@@ -136,13 +188,31 @@ TEST(SerializeHamming, RoundTripPredictsIdentically) {
   HammingClassifier original;
   original.fit(vectors, labels);
 
-  std::stringstream stream;
-  save_hamming(stream, original);
-  const HammingClassifier loaded = load_hamming(stream);
+  const HammingClassifier loaded = round_trip(original);
 
   for (int q = 0; q < 10; ++q) {
     const hv::BitVector query = hv::BitVector::random(500, rng);
     EXPECT_EQ(loaded.predict(query), original.predict(query)) << q;
+  }
+}
+
+TEST(SerializeHamming, KRoundTrips) {
+  util::Rng rng(8);
+  std::vector<hv::BitVector> vectors;
+  std::vector<int> labels;
+  for (int i = 0; i < 40; ++i) {
+    vectors.push_back(hv::BitVector::random(256, rng));
+    labels.push_back(static_cast<int>(rng.below(2)));
+  }
+  HammingClassifier original(HammingMode::kNearestNeighbor, 3);
+  original.fit(vectors, labels);
+
+  const HammingClassifier loaded = round_trip(original);
+
+  EXPECT_EQ(loaded.k(), 3u);
+  for (int q = 0; q < 20; ++q) {
+    const hv::BitVector query = hv::BitVector::random(256, rng);
+    EXPECT_EQ(loaded.predict_score(query), original.predict_score(query)) << q;
   }
 }
 
@@ -156,9 +226,7 @@ TEST(SerializeHamming, PrototypeModeRoundTrip) {
   }
   HammingClassifier original(HammingMode::kPrototype);
   original.fit(vectors, labels);
-  std::stringstream stream;
-  save_hamming(stream, original);
-  const HammingClassifier loaded = load_hamming(stream);
+  const HammingClassifier loaded = round_trip(original);
   EXPECT_EQ(loaded.mode(), HammingMode::kPrototype);
   EXPECT_EQ(loaded.prototype(0), original.prototype(0));
   EXPECT_EQ(loaded.prototype(1), original.prototype(1));
@@ -167,27 +235,27 @@ TEST(SerializeHamming, PrototypeModeRoundTrip) {
 TEST(SerializeHamming, UnfittedSaveThrows) {
   const HammingClassifier model;
   std::ostringstream out;
-  EXPECT_THROW(save_hamming(out, model), std::invalid_argument);
+  EXPECT_THROW(model.save(out), std::invalid_argument);
 }
 
 TEST(SerializeHamming, BadInputThrows) {
   std::istringstream bad_magic("nope\n");
-  EXPECT_THROW((void)load_hamming(bad_magic), std::runtime_error);
-  std::istringstream bad_mode("hdc-hamming v2\nwarp\n1\n");
-  EXPECT_THROW((void)load_hamming(bad_mode), std::runtime_error);
-  std::istringstream empty_model("hdc-hamming v2\nnearest\n0\n");
-  EXPECT_THROW((void)load_hamming(empty_model), std::runtime_error);
+  EXPECT_THROW((void)HammingClassifier::load(bad_magic), std::runtime_error);
+  std::istringstream bad_mode("hdc-hamming v3\nwarp 1\n1 0\n1 64\n1 0000000000000001\n");
+  EXPECT_THROW((void)HammingClassifier::load(bad_mode), std::runtime_error);
+  std::istringstream empty_model("hdc-hamming v3\nnearest 1\n0\n0 64\n");
+  EXPECT_THROW((void)HammingClassifier::load(empty_model), std::runtime_error);
 }
 
 TEST(SerializeHamming, OldVersionMagicThrows) {
-  // v1 files used variable-width hex words; the strict v2 reader refuses the
-  // old magic instead of misparsing the body.
-  std::istringstream v1("hdc-hamming v1\nnearest\n1\n0\n64 deadbeef\n");
-  EXPECT_THROW((void)load_hamming(v1), std::runtime_error);
+  // v2 bodies were decimal lines with one "<bits> <words...>" line per
+  // vector; the v3 reader refuses the old version instead of misparsing it.
+  std::istringstream v2("hdc-hamming v2\nnearest\n1\n0\n64 00000000deadbeef\n");
+  EXPECT_THROW((void)HammingClassifier::load(v2), std::runtime_error);
 }
 
 TEST(SerializeHamming, ShortReadThrows) {
-  // A valid header whose last vector line got cut mid-word (the classic
+  // A valid header whose last row got cut mid-word (the classic
   // partial-download failure) must be a clean error, not a silent zero-fill.
   util::Rng rng(7);
   std::vector<hv::BitVector> vectors;
@@ -199,15 +267,94 @@ TEST(SerializeHamming, ShortReadThrows) {
   HammingClassifier model;
   model.fit(vectors, labels);
   std::ostringstream out;
-  save_hamming(out, model);
+  model.save(out);
   const std::string full = out.str();
-  // Chop inside the final hex word: odd-length token -> strict reader throws.
+  // Chop inside the final hex word: short token -> strict reader throws.
   std::istringstream truncated(full.substr(0, full.size() - 9));
-  EXPECT_THROW((void)load_hamming(truncated), std::runtime_error);
+  EXPECT_THROW((void)HammingClassifier::load(truncated), std::runtime_error);
 }
 
-// Files carry the extractor as a checksummed bundle section (core/bundle);
-// serialize is only the section body codec.
+TEST(SerializeHamming, BodyCorruptionsRejected) {
+  // Two 60-bit rows (so the last word has padding bits), labels {0, 1}.
+  const std::string pristine =
+      "hdc-hamming v3\n"
+      "nearest 1\n"
+      "2 0 1\n"
+      "2 60\n"
+      "1 0000000000000001\n"
+      "1 0000000000000002\n";
+  {
+    std::istringstream in(pristine);
+    const HammingClassifier loaded = HammingClassifier::load(in);
+    std::ostringstream resaved;
+    loaded.save(resaved);
+    ASSERT_EQ(resaved.str(), pristine);
+  }
+  const auto edit = [&pristine](const std::string& from, const std::string& to) {
+    std::string body = pristine;
+    const std::size_t at = body.find(from);
+    EXPECT_NE(at, std::string::npos) << from;
+    return body.replace(at, from.size(), to);
+  };
+  const struct {
+    const char* what;
+    std::string body;
+  } cases[] = {
+      {"truncated mid-word", pristine.substr(0, pristine.size() - 9)},
+      {"missing row", pristine.substr(0, pristine.rfind("1 0000000000000002"))},
+      {"15-digit word", edit("0000000000000002", "000000000000002")},
+      {"17-digit word", edit("0000000000000002", "00000000000000002")},
+      {"uppercase hex", edit("0000000000000002", "000000000000000A")},
+      {"stray character", edit("0000000000000002", "00000000000000g2")},
+      {"nonzero padding", edit("0000000000000002", "f000000000000002")},
+      {"extra word in a row",
+       edit("1 0000000000000002", "2 0000000000000002 0000000000000003")},
+      {"negative width", edit("2 60", "2 -60")},
+      {"huge width", edit("2 60", "2 999999999999")},
+      {"garbage width", edit("2 60", "2 sixty")},
+      {"more rows than labels", edit("2 60", "3 60")},
+      {"fewer rows than labels", edit("2 0 1\n", "3 0 1 1\n")},
+      {"label not 0/1", edit("2 0 1\n", "2 0 2\n")},
+      {"label past int", edit("2 0 1\n", "2 0 4294967297\n")},
+      {"k zero", edit("nearest 1", "nearest 0")},
+      {"old version", edit("v3", "v2")},
+  };
+  for (const auto& c : cases) {
+    std::istringstream in(c.body);
+    EXPECT_THROW((void)HammingClassifier::load(in), std::runtime_error) << c.what;
+  }
+}
+
+TEST(SerializeBundle, PimaAnnRoundTripPredictsIdentically) {
+  // Pima M through a whole bundle with the ANN index baked in (hdc_cli
+  // bundle --ann): the index attaches on load and every prediction matches
+  // the in-memory model.
+  const data::Dataset ds = data::impute_class_median(data::make_pima());
+  ExtractorConfig config;
+  config.dimensions = 2000;
+  ModelBundle bundle;
+  bundle.extractor.emplace(config).fit(ds);
+  const std::vector<hv::BitVector> encoded = bundle.extractor->transform(ds);
+  bundle.hamming.emplace().fit(encoded, ds.labels());
+  bundle.hamming->enable_ann();
+
+  std::stringstream stream;
+  save_bundle(stream, bundle);
+  const ModelBundle loaded = load_bundle(stream);
+
+  ASSERT_TRUE(loaded.extractor.has_value());
+  ASSERT_TRUE(loaded.hamming.has_value());
+  EXPECT_TRUE(loaded.hamming->ann_enabled());
+  for (std::size_t i = 0; i < ds.n_rows(); ++i) {
+    const hv::BitVector query = loaded.extractor->encode_row(ds.row(i));
+    ASSERT_EQ(query, encoded[i]) << i;
+    EXPECT_EQ(loaded.hamming->predict_score(query),
+              bundle.hamming->predict_score(query))
+        << i;
+  }
+}
+
+// Files carry the extractor as a checksummed bundle section (core/bundle).
 TEST(SerializeFiles, ExtractorFileRoundTrip) {
   const data::Dataset ds = data::make_sylhet({20, 20, 7});
   ModelBundle bundle;
