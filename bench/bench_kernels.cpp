@@ -2,6 +2,9 @@
 // popcount, majority bundling, and the end-to-end encode path, measured on
 // every SIMD tier this machine supports and emitted as machine-readable
 // JSON (BENCH_kernels.json) so the perf trajectory is tracked per kernel.
+// The row-to-bitplane transpose (BitMatrix::from_rows, portable, no tiers)
+// is timed once per size: 1 row (a served request), 768 rows (Pima) and
+// 4096 rows (a streamed shard), reported as ns per row.
 //
 // Throughput is reported as GB/s of hypervector words streamed through the
 // kernel plus a per-unit latency (ns/pair, ns/word-KiB, ns/bundle, rows/s).
@@ -19,6 +22,7 @@
 #include "core/extractor.hpp"
 #include "data/preprocess.hpp"
 #include "data/synthetic.hpp"
+#include "hv/bit_matrix.hpp"
 #include "hv/bitvector.hpp"
 #include "hv/search.hpp"
 #include "parallel/thread_pool.hpp"
@@ -52,6 +56,49 @@ struct TierResult {
   double majority_gbps = 0.0;
   double encode_rows_per_sec = 0.0;
 };
+
+struct FromRowsResult {
+  std::size_t rows = 0;
+  std::size_t calls = 0;
+  double ns_per_row = 0.0;
+};
+
+/// Best-of-`reps` time of BitMatrix::from_rows on `rows` random rows. Each
+/// rep transposes max(1, 256 / rows) fresh copies, so the one-row case is
+/// not timer-bound. The copies are made before the clock starts; each
+/// result is freed before the next call, as a served request frees its
+/// one-row matrix.
+FromRowsResult time_from_rows(std::size_t rows, std::size_t dim,
+                              std::size_t reps, hdc::util::Rng& rng) {
+  hdc::hv::PackedHVs source(dim, rows);
+  const std::uint64_t tail =
+      dim % 64 == 0 ? ~0ULL : (1ULL << (dim % 64)) - 1ULL;
+  for (std::size_t i = 0; i < rows; ++i) {
+    std::uint64_t* row = source.row(i);
+    for (std::size_t w = 0; w < source.words_per_row(); ++w) row[w] = rng();
+    row[source.words_per_row() - 1] &= tail;
+  }
+  FromRowsResult res;
+  res.rows = rows;
+  res.calls = std::max<std::size_t>(1, 256 / rows);
+  double best = 0.0;
+  for (std::size_t r = 0; r < reps; ++r) {
+    std::vector<hdc::hv::PackedHVs> inputs(res.calls, source);
+    std::uint64_t first_words = 0;
+    Timer timer;
+    for (auto& input : inputs) {
+      const hdc::hv::BitMatrix m = hdc::hv::BitMatrix::from_rows(std::move(input));
+      first_words += m.column(0)[0];
+    }
+    const double s = timer.seconds();
+    volatile std::uint64_t keep = first_words;  // the transposes stay live
+    (void)keep;
+    best = r == 0 ? s : std::min(best, s);
+  }
+  res.ns_per_row =
+      best * 1e9 / static_cast<double>(res.calls * res.rows);
+  return res;
+}
 
 }  // namespace
 
@@ -160,6 +207,13 @@ int main(int argc, char** argv) {
   }
   (void)sink;
 
+  std::vector<FromRowsResult> from_rows;
+  for (const std::size_t rows : {std::size_t{1}, db_rows, std::size_t{4096}}) {
+    from_rows.push_back(time_from_rows(rows, dim, reps, rng));
+    std::printf("# from_rows rows=%-5zu %10.1f ns/row\n", rows,
+                from_rows.back().ns_per_row);
+  }
+
   const TierResult& scalar = results.front();
   const TierResult& best = results.back();
 
@@ -200,6 +254,15 @@ int main(int argc, char** argv) {
       .field("majority", scalar.majority_ns_per_bundle / best.majority_ns_per_bundle)
       .field("encode", best.encode_rows_per_sec / scalar.encode_rows_per_sec)
       .end();
+  json.key("from_rows").array();
+  for (const FromRowsResult& r : from_rows) {
+    json.object()
+        .field("rows", r.rows)
+        .field("calls_per_rep", r.calls)
+        .field("ns_per_row", r.ns_per_row)
+        .end();
+  }
+  json.end();
   json.raw_field("manifest", hdc::bench::manifest_json(ds, "pima_m_synthetic",
                                                        manifest_config));
   json.end();

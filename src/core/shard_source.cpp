@@ -9,13 +9,6 @@ namespace hdc::core {
 
 namespace {
 
-/// Actual byte footprint of a packed shard: column bitplanes + the
-/// row-major mirror + the valid-row mask.
-std::size_t bit_matrix_bytes(const hv::BitMatrix& m) noexcept {
-  return 8 * (m.words_per_column() * m.cols() + m.rows() * m.words_per_row() +
-              m.words_per_column());
-}
-
 /// Byte footprint of the dense chunk that feeds the encoder (values +
 /// labels); alive only while the shard is being encoded.
 std::size_t chunk_bytes(const data::Dataset& ds) noexcept {
@@ -64,7 +57,7 @@ const hv::BitMatrix& EncodingShardSource::shard(std::size_t s) const {
   current_shard_ = s;
 
   obs::gauge("data.shards_resident").set(1);
-  const std::size_t resident = bit_matrix_bytes(current_) + chunk_bytes(chunk);
+  const std::size_t resident = current_.resident_bytes() + chunk_bytes(chunk);
   peak_resident_bytes_ = std::max(peak_resident_bytes_, resident);
   // The gauge holds the high-water mark so the exported value IS the peak.
   obs::Gauge& peak = obs::gauge("data.shard_bytes_peak");

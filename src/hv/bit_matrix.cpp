@@ -1,5 +1,6 @@
 #include "hv/bit_matrix.hpp"
 
+#include <algorithm>
 #include <bit>
 #include <cstring>
 #include <stdexcept>
@@ -24,6 +25,103 @@ RowMask RowMask::none(std::size_t rows) {
   return mask;
 }
 
+namespace {
+
+// Masks of the six swap stages of a 64x64 bit transpose (Hacker's Delight
+// 7-3, little-endian): stage s exchanges bit s of the row index with bit s
+// of the column index by swapping the bits of row k under mask << 2^s with
+// the bits of row k + 2^s under mask.
+constexpr std::uint64_t kStageMask[6] = {
+    0x5555555555555555ULL, 0x3333333333333333ULL, 0x0F0F0F0F0F0F0F0FULL,
+    0x00FF00FF00FF00FFULL, 0x0000FFFF0000FFFFULL, 0x00000000FFFFFFFFULL};
+
+/// One stage of transpose_block<LogLive>. While the stage's row pairs lie
+/// inside the live rows it swaps; past them the partner row is zero, so the
+/// swap reduces to splitting row k into rows k and k + 2^s.
+template <unsigned S, unsigned LogLive>
+inline void transpose_stage(std::uint64_t* a) noexcept {
+  constexpr unsigned kSpan = 1u << S;
+  constexpr std::uint64_t kMask = kStageMask[S];
+  if constexpr (S < LogLive) {
+    for (unsigned k = 0; k < (1u << LogLive); k += 2 * kSpan) {
+      for (unsigned i = k; i < k + kSpan; ++i) {
+        const std::uint64_t t = ((a[i] >> kSpan) ^ a[i + kSpan]) & kMask;
+        a[i] ^= t << kSpan;
+        a[i + kSpan] ^= t;
+      }
+    }
+  } else {
+    for (unsigned i = 0; i < kSpan; ++i) {
+      a[i + kSpan] = (a[i] >> kSpan) & kMask;
+      a[i] &= kMask;
+    }
+  }
+}
+
+/// Transposes the 64x64 bit block a[0..64) in place (bit c of a[r] becomes
+/// bit r of a[c]) when only rows [0, 2^LogLive) can be non-zero. Those rows
+/// are the only ones read; the stages commute, so the in-range swaps run
+/// first and a short block skips most of the work.
+template <unsigned LogLive>
+void transpose_block(std::uint64_t* a) noexcept {
+  transpose_stage<0, LogLive>(a);
+  transpose_stage<1, LogLive>(a);
+  transpose_stage<2, LogLive>(a);
+  transpose_stage<3, LogLive>(a);
+  transpose_stage<4, LogLive>(a);
+  transpose_stage<5, LogLive>(a);
+}
+
+/// Transposes a block whose first n_rows (1..64) words hold row words;
+/// the rest of a[] is scratch. On return a[c] is column c's plane word.
+void transpose_rows(std::uint64_t* a, std::size_t n_rows) noexcept {
+  const unsigned log_live = static_cast<unsigned>(std::bit_width(n_rows - 1));
+  for (std::size_t r = n_rows; r < (std::size_t{1} << log_live); ++r) a[r] = 0;
+  switch (log_live) {
+    case 0: return transpose_block<0>(a);
+    case 1: return transpose_block<1>(a);
+    case 2: return transpose_block<2>(a);
+    case 3: return transpose_block<3>(a);
+    case 4: return transpose_block<4>(a);
+    case 5: return transpose_block<5>(a);
+    default: return transpose_block<6>(a);
+  }
+}
+
+/// Byte value -> its eight bits as eight 0/1 words.
+struct ByteSpread {
+  std::uint64_t words[256][8];
+};
+
+constexpr ByteSpread make_byte_spread() {
+  ByteSpread table{};
+  for (unsigned v = 0; v < 256; ++v) {
+    for (unsigned t = 0; t < 8; ++t) table.words[v][t] = (v >> t) & 1U;
+  }
+  return table;
+}
+
+constexpr ByteSpread kByteSpread = make_byte_spread();
+
+/// The planes of a one-row matrix: plane word j is bit j of the row.
+void spread_row(const std::uint64_t* row, std::size_t cols,
+                std::uint64_t* planes) noexcept {
+  const auto byte_at = [row](std::size_t j) {
+    return static_cast<unsigned>(row[j / 64] >> (j % 64)) & 0xFFU;
+  };
+  const std::size_t full = cols - cols % 8;
+  for (std::size_t j = 0; j < full; j += 8) {
+    std::memcpy(planes + j, kByteSpread.words[byte_at(j)],
+                sizeof(kByteSpread.words[0]));
+  }
+  if (full != cols) {
+    std::memcpy(planes + full, kByteSpread.words[byte_at(full)],
+                (cols - full) * sizeof(std::uint64_t));
+  }
+}
+
+}  // namespace
+
 std::size_t RowMask::count() const noexcept {
   return simd::active().popcount(words_.data(), words_.size());
 }
@@ -33,19 +131,30 @@ BitMatrix BitMatrix::from_rows(PackedHVs rows) {
   m.rows_ = rows.rows();
   m.cols_ = rows.bits();
   m.wpc_ = (m.rows_ + 63) / 64;
-  m.planes_.assign(m.cols_ * m.wpc_, 0ULL);
   const std::size_t wpr = rows.words_per_row();
-  for (std::size_t i = 0; i < m.rows_; ++i) {
-    const std::uint64_t* row = rows.row(i);
-    const std::uint64_t row_bit = 1ULL << (i & 63);
-    const std::size_t row_word = i >> 6;
+  if (m.cols_ % 64 != 0) {
+    const std::uint64_t keep = (1ULL << (m.cols_ % 64)) - 1ULL;
+    for (std::size_t i = 0; i < m.rows_; ++i) rows.row(i)[wpr - 1] &= keep;
+  }
+  m.planes_.resize(m.cols_ * m.wpc_);
+  if (m.rows_ == 1) {
+    spread_row(rows.row(0), m.cols_, m.planes_.data());
+  } else {
+    // Row word w of every row block lands in the planes of columns
+    // [64w, 64w + 64): one contiguous stretch of 64 * wpc words per w.
+    alignas(64) std::uint64_t block[64];
     for (std::size_t w = 0; w < wpr; ++w) {
-      std::uint64_t bits = row[w];
-      while (bits != 0) {
-        const std::size_t j = w * 64 +
-                              static_cast<std::size_t>(std::countr_zero(bits));
-        m.planes_[j * m.wpc_ + row_word] |= row_bit;
-        bits &= bits - 1;
+      const std::size_t first_col = w * 64;
+      const std::size_t n_cols = std::min<std::size_t>(64, m.cols_ - first_col);
+      std::uint64_t* out = m.planes_.data() + first_col * m.wpc_;
+      for (std::size_t b = 0; b < m.wpc_; ++b) {
+        const std::size_t first_row = b * 64;
+        const std::size_t n_rows = std::min<std::size_t>(64, m.rows_ - first_row);
+        for (std::size_t r = 0; r < n_rows; ++r) {
+          block[r] = rows.row(first_row + r)[w];
+        }
+        transpose_rows(block, n_rows);
+        for (std::size_t c = 0; c < n_cols; ++c) out[c * m.wpc_ + b] = block[c];
       }
     }
   }
@@ -56,6 +165,12 @@ BitMatrix BitMatrix::from_rows(PackedHVs rows) {
 
 std::size_t BitMatrix::column_popcount(std::size_t j) const noexcept {
   return simd::active().popcount(column(j), wpc_);
+}
+
+std::size_t BitMatrix::resident_bytes() const noexcept {
+  return (planes_.size() + row_major_.rows() * row_major_.words_per_row() +
+          valid_.word_count()) *
+         sizeof(std::uint64_t);
 }
 
 void BitMatrix::unpack_row(std::size_t i, std::span<double> out) const {

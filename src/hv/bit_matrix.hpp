@@ -69,9 +69,12 @@ class BitMatrix {
  public:
   BitMatrix() = default;
 
-  /// Transpose a row-major packed array into column bitplanes. The argument
-  /// is retained (moved) as the row-major mirror, so callers hand over
-  /// ownership instead of paying a second copy.
+  /// Transpose a row-major packed array into column bitplanes, 64x64 bits
+  /// at a time. The argument is retained (moved) as the row-major mirror,
+  /// so callers hand over ownership instead of paying a second copy.
+  /// Padding rule: bits past bits() in a row's last word are ignored and
+  /// cleared in the mirror, so both views hold the same bits and only the
+  /// cols() planes are written.
   [[nodiscard]] static BitMatrix from_rows(PackedHVs rows);
 
   [[nodiscard]] std::size_t rows() const noexcept { return rows_; }
@@ -110,6 +113,9 @@ class BitMatrix {
   void unpack_row(std::size_t i, std::span<double> out) const;
   [[nodiscard]] std::vector<double> row_doubles(std::size_t i) const;
 
+  /// Bytes held by the planes, the row-major mirror and the validity mask.
+  [[nodiscard]] std::size_t resident_bytes() const noexcept;
+
   /// Materialised row subset (CV folds): rows re-indexed in `indices` order.
   [[nodiscard]] BitMatrix subset(std::span<const std::size_t> indices) const;
 
@@ -117,7 +123,7 @@ class BitMatrix {
   std::size_t rows_ = 0;
   std::size_t cols_ = 0;
   std::size_t wpc_ = 0;
-  PackedWords planes_;  // cols_ * wpc_ words, column-major
+  PlaneWords planes_;  // cols_ * wpc_ words, column-major
   PackedHVs row_major_;
   RowMask valid_;
 };

@@ -1,4 +1,4 @@
-// Allocator for the large packed bit buffers: PackedHVs row words and
+// Allocators for the large packed bit buffers: PackedHVs row words and
 // BitMatrix column planes.
 //
 // Blocks of at least kDirectMapBytes are mapped straight from the kernel
@@ -17,6 +17,7 @@
 #include <cstdint>
 #include <limits>
 #include <new>
+#include <utility>
 #include <vector>
 
 #if defined(__SANITIZE_ADDRESS__)
@@ -90,7 +91,32 @@ class PageAllocator {
   }
 };
 
-/// The word buffer type of PackedHVs and BitMatrix.
+/// The word buffer type of PackedHVs.
 using PackedWords = std::vector<std::uint64_t, PageAllocator<std::uint64_t>>;
+
+/// PageAllocator whose value-less construct() leaves the word
+/// uninitialised, so resize(n) costs no zero pass. Only for buffers whose
+/// producer writes every word before anything reads one.
+template <typename T>
+class UninitPageAllocator : public PageAllocator<T> {
+ public:
+  UninitPageAllocator() noexcept = default;
+  template <typename U>
+  UninitPageAllocator(const UninitPageAllocator<U>& /*other*/) noexcept {}
+
+  template <typename U>
+  void construct(U* p) noexcept {
+    ::new (static_cast<void*>(p)) U;
+  }
+  template <typename U, typename... Args>
+  void construct(U* p, Args&&... args) {
+    ::new (static_cast<void*>(p)) U(std::forward<Args>(args)...);
+  }
+};
+
+/// The word buffer type of BitMatrix planes (BitMatrix::from_rows writes
+/// every word).
+using PlaneWords =
+    std::vector<std::uint64_t, UninitPageAllocator<std::uint64_t>>;
 
 }  // namespace hdc::hv

@@ -77,11 +77,7 @@ std::uint64_t ShardedBitMatrix::fingerprint() const noexcept {
 
 std::size_t ShardedBitMatrix::resident_bytes() const noexcept {
   std::size_t bytes = 0;
-  for (const BitMatrix& shard : shards_) {
-    bytes += shard.cols() * shard.words_per_column() * sizeof(std::uint64_t);
-    bytes += shard.rows() * shard.words_per_row() * sizeof(std::uint64_t);
-    bytes += shard.valid().word_count() * sizeof(std::uint64_t);
-  }
+  for (const BitMatrix& shard : shards_) bytes += shard.resident_bytes();
   return bytes;
 }
 

@@ -87,9 +87,7 @@ class ShardedBitMatrix {
   /// cols(), so the fingerprint is invariant to how the rows were chunked.
   [[nodiscard]] std::uint64_t fingerprint() const noexcept;
 
-  /// Bytes held by the packed planes, row-major mirrors and validity masks
-  /// across all resident shards (measured from the containers, not
-  /// estimated).
+  /// Sum of the resident shards' BitMatrix::resident_bytes().
   [[nodiscard]] std::size_t resident_bytes() const noexcept;
 
   /// Materialize one unsharded BitMatrix with the same rows in the same
