@@ -4,7 +4,10 @@
 // JSON (BENCH_kernels.json) so the perf trajectory is tracked per kernel.
 // The row-to-bitplane transpose (BitMatrix::from_rows, portable, no tiers)
 // is timed once per size: 1 row (a served request), 768 rows (Pima) and
-// 4096 rows (a streamed shard), reported as ns per row.
+// 4096 rows (a streamed shard), reported as ns per row. The bundle's
+// packed-rows codec (hv::write_packed / read_packed, one binary word block)
+// is timed at 768 rows (Pima) and 16,384 rows, reported as MB/s of packed
+// words; the bench exits 1 if a round trip does not reproduce the rows.
 //
 // Throughput is reported as GB/s of hypervector words streamed through the
 // kernel plus a per-unit latency (ns/pair, ns/word-KiB, ns/bundle, rows/s).
@@ -15,6 +18,8 @@
 // --fast (smaller problem sizes for CI smoke).
 #include <algorithm>
 #include <cstdio>
+#include <cstring>
+#include <sstream>
 #include <string>
 #include <vector>
 
@@ -29,6 +34,7 @@
 #include "simd/dispatch.hpp"
 #include "util/cli.hpp"
 #include "util/rng.hpp"
+#include "util/serde.hpp"
 #include "util/timer.hpp"
 
 namespace {
@@ -63,6 +69,61 @@ struct FromRowsResult {
   double ns_per_row = 0.0;
 };
 
+/// `rows` random rows of `dim` bits, padding bits clear.
+hdc::hv::PackedHVs random_packed(std::size_t rows, std::size_t dim, hdc::util::Rng& rng) {
+  hdc::hv::PackedHVs packed(dim, rows);
+  const std::uint64_t tail =
+      dim % 64 == 0 ? ~0ULL : (1ULL << (dim % 64)) - 1ULL;
+  for (std::size_t i = 0; i < rows; ++i) {
+    std::uint64_t* row = packed.row(i);
+    for (std::size_t w = 0; w < packed.words_per_row(); ++w) row[w] = rng();
+    row[packed.words_per_row() - 1] &= tail;
+  }
+  return packed;
+}
+
+struct PackedCodecResult {
+  std::size_t rows = 0;
+  std::size_t body_bytes = 0;
+  double write_mb_per_sec = 0.0;
+  double read_mb_per_sec = 0.0;
+  bool roundtrip_ok = false;
+};
+
+/// Best-of-`reps` write_packed (into a fresh string stream) and read_packed
+/// (from a stream built before the clock starts) on `rows` random rows.
+/// MB/s counts the packed words, 8 bytes each.
+PackedCodecResult time_packed_codec(std::size_t rows, std::size_t dim,
+                                    std::size_t reps, hdc::util::Rng& rng) {
+  const hdc::hv::PackedHVs source = random_packed(rows, dim, rng);
+  std::string body;
+  const double write_s = best_of(reps, [&] {
+    std::ostringstream out;
+    hdc::util::serde::Writer writer(out);
+    hdc::hv::write_packed(writer, source);
+    body = std::move(out).str();
+  });
+  hdc::hv::PackedHVs loaded;
+  double read_s = 0.0;
+  for (std::size_t r = 0; r < reps; ++r) {
+    std::istringstream in(body);
+    hdc::util::serde::Reader reader(in, "bench_kernels");
+    Timer timer;
+    loaded = hdc::hv::read_packed(reader, "rows");
+    read_s = r == 0 ? timer.seconds() : std::min(read_s, timer.seconds());
+  }
+  const double mb = static_cast<double>(rows * source.words_per_row() * 8) / 1e6;
+  PackedCodecResult res;
+  res.rows = rows;
+  res.body_bytes = body.size();
+  res.write_mb_per_sec = mb / write_s;
+  res.read_mb_per_sec = mb / read_s;
+  res.roundtrip_ok = loaded.rows() == rows && loaded.bits() == dim &&
+                     std::memcmp(loaded.row(0), source.row(0),
+                                 rows * source.words_per_row() * 8) == 0;
+  return res;
+}
+
 /// Best-of-`reps` time of BitMatrix::from_rows on `rows` random rows. Each
 /// rep transposes max(1, 256 / rows) fresh copies, so the one-row case is
 /// not timer-bound. The copies are made before the clock starts; each
@@ -70,14 +131,7 @@ struct FromRowsResult {
 /// one-row matrix.
 FromRowsResult time_from_rows(std::size_t rows, std::size_t dim,
                               std::size_t reps, hdc::util::Rng& rng) {
-  hdc::hv::PackedHVs source(dim, rows);
-  const std::uint64_t tail =
-      dim % 64 == 0 ? ~0ULL : (1ULL << (dim % 64)) - 1ULL;
-  for (std::size_t i = 0; i < rows; ++i) {
-    std::uint64_t* row = source.row(i);
-    for (std::size_t w = 0; w < source.words_per_row(); ++w) row[w] = rng();
-    row[source.words_per_row() - 1] &= tail;
-  }
+  const hdc::hv::PackedHVs source = random_packed(rows, dim, rng);
   FromRowsResult res;
   res.rows = rows;
   res.calls = std::max<std::size_t>(1, 256 / rows);
@@ -214,6 +268,18 @@ int main(int argc, char** argv) {
                 from_rows.back().ns_per_row);
   }
 
+  std::vector<PackedCodecResult> packed_codec;
+  bool codec_ok = true;
+  for (const std::size_t rows : {db_rows, std::size_t{16384}}) {
+    packed_codec.push_back(time_packed_codec(rows, dim, reps, rng));
+    const PackedCodecResult& r = packed_codec.back();
+    codec_ok = codec_ok && r.roundtrip_ok;
+    std::printf("# packed_codec rows=%-5zu write=%8.1f MB/s  read=%8.1f MB/s  "
+                "body=%zu bytes%s\n",
+                rows, r.write_mb_per_sec, r.read_mb_per_sec, r.body_bytes,
+                r.roundtrip_ok ? "" : "  ROUND TRIP MISMATCH");
+  }
+
   const TierResult& scalar = results.front();
   const TierResult& best = results.back();
 
@@ -263,8 +329,19 @@ int main(int argc, char** argv) {
         .end();
   }
   json.end();
+  json.key("packed_codec").array();
+  for (const PackedCodecResult& r : packed_codec) {
+    json.object()
+        .field("rows", r.rows)
+        .field("body_bytes", r.body_bytes)
+        .field("write_mb_per_sec", r.write_mb_per_sec)
+        .field("read_mb_per_sec", r.read_mb_per_sec)
+        .field("roundtrip_ok", r.roundtrip_ok)
+        .end();
+  }
+  json.end();
   json.raw_field("manifest", hdc::bench::manifest_json(ds, "pima_m_synthetic",
                                                        manifest_config));
   json.end();
-  return json.write(out_path) ? 0 : 1;
+  return json.write(out_path) && codec_ok ? 0 : 1;
 }

@@ -237,14 +237,15 @@ ModelBundle load_bundle(std::istream& in) {
 }
 
 void save_bundle_file(const std::string& path, const ModelBundle& bundle) {
-  std::ofstream out(path);
+  // Binary: section bodies carry raw word blocks ('\n' and 0x1a included).
+  std::ofstream out(path, std::ios::binary);
   if (!out) throw std::runtime_error("save_bundle: cannot open " + path);
   save_bundle(out, bundle);
   if (!out) throw std::runtime_error("save_bundle: write failed for " + path);
 }
 
 ModelBundle load_bundle_file(const std::string& path) {
-  std::ifstream in(path);
+  std::ifstream in(path, std::ios::binary);
   if (!in) throw std::runtime_error("load_bundle: cannot open " + path);
   return load_bundle(in);
 }

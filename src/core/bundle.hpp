@@ -8,9 +8,10 @@
 //   ...
 //   end
 //
-// Each section body is one util::serde token stream, written and read by
-// its own type's serializer (HdcFeatureExtractor::save, HammingClassifier::
-// save, hv::ann::Index::save, the ml / nn / scaler / online / manifest
+// Each section body is one util::serde stream — tokens, plus binary word
+// blocks for packed hypervectors — written and read by its own type's
+// serializer (HdcFeatureExtractor::save, HammingClassifier::save,
+// hv::ann::Index::save, the ml / nn / scaler / online / manifest
 // serializers), with its own magic and version. The section
 // header carries the body's byte count and FNV-1a 64 checksum; the loader
 // verifies the checksum *before* parsing the body, so any corruption —

@@ -12,7 +12,7 @@ namespace hdc::core {
 
 namespace {
 constexpr const char* kHammingMagic = "hdc-hamming";
-constexpr const char* kHammingVersion = "v3";
+constexpr const char* kHammingVersion = "v4";
 }  // namespace
 
 void HammingClassifier::fit(std::vector<hv::BitVector> vectors,
@@ -65,7 +65,7 @@ void HammingClassifier::save(std::ostream& out) const {
 HammingClassifier HammingClassifier::load(std::istream& in) {
   util::serde::Reader r(in, "load hdc-hamming");
   r.expect(kHammingMagic, "magic");
-  r.expect(kHammingVersion, "format version");
+  r.expect_version(kHammingVersion);
   const std::string mode_name = r.token("mode");
   HammingMode mode = HammingMode::kNearestNeighbor;
   if (mode_name == "prototype") {

@@ -88,8 +88,8 @@ class HammingClassifier {
     return labels_;
   }
 
-  /// `hdc-hamming v3` token stream (util::serde): mode, k, labels and the
-  /// packed training rows (hv::write_packed). The bundle's `hamming` section.
+  /// `hdc-hamming v4` token stream (util::serde): mode, k, labels and the
+  /// packed training rows (hv::write_packed, one binary word block). The bundle's `hamming` section.
   /// save(load(save(x))) is byte-identical; load throws std::runtime_error
   /// on malformed input.
   void save(std::ostream& out) const;

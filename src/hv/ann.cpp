@@ -608,23 +608,23 @@ std::vector<std::vector<Neighbor>> Index::top_k(const PackedHVs& queries,
 void Index::save(std::ostream& out) const {
   if (empty()) throw std::logic_error("ann: save of an empty index");
   util::serde::Writer w(out);
-  w.tag("hv.ann").tag("v1").nl();
+  w.tag("hv.ann").tag("v2").nl();
   w.u64(bits_).u64(rows_).u64(config_.sketch_bits).u64(config_.cells)
       .u64(config_.nprobe).nl();
   w.u64(config_.lloyd_iterations).u64(config_.lloyd_sample)
       .f64(config_.rerank_fraction).u64(config_.min_rerank)
       .u64(config_.seed).nl();
   w.u64(fingerprint_).nl();
-  w.words(centroids_).nl();
+  w.word_block(centroids_).nl();
   w.vec_u64(offsets_).nl();
   w.vec_u64(members_).nl();
-  w.words(sketches_).nl();
+  w.word_block(sketches_).nl();
 }
 
 Index Index::load(std::istream& in) {
   util::serde::Reader r(in, "load hv.ann");
   r.expect("hv.ann", "index tag");
-  r.expect("v1", "format version");
+  r.expect_version("v2");
   Index index;
   index.bits_ = r.count("bits", 1ULL << 26);
   index.rows_ = r.count("rows", kMaxRows);
@@ -656,10 +656,17 @@ Index Index::load(std::istream& in) {
   }
   index.words_per_row_ = (index.bits_ + 63) / 64;
   index.sketch_words_ = (c.sketch_bits + 63) / 64;
+  // The word blocks are sized from these fields, so cap them before
+  // allocating (as read_packed caps its rows).
+  if (c.cells * index.words_per_row_ > kMaxPackedWords ||
+      index.rows_ * index.sketch_words_ > kMaxPackedWords) {
+    throw r.error("centroid or sketch words out of range");
+  }
 
-  index.centroids_ = r.read_words("centroids", c.cells * index.words_per_row_);
-  if (index.centroids_.size() != c.cells * index.words_per_row_) {
-    throw r.error("centroid word count mismatch");
+  index.centroids_.resize(c.cells * index.words_per_row_);
+  r.word_block("centroids", index.centroids_);
+  if (padding_bits_set(index.centroids_, index.bits_)) {
+    throw r.error("nonzero padding bits in a centroid");
   }
   index.offsets_ = r.vec_u64("cell offsets", c.cells + 1);
   if (index.offsets_.size() != c.cells + 1 || index.offsets_.front() != 0 ||
@@ -689,10 +696,10 @@ Index Index::load(std::istream& in) {
       }
     }
   }
-  index.sketches_ =
-      r.read_words("sketches", index.rows_ * index.sketch_words_);
-  if (index.sketches_.size() != index.rows_ * index.sketch_words_) {
-    throw r.error("sketch word count mismatch");
+  index.sketches_.resize(index.rows_ * index.sketch_words_);
+  r.word_block("sketches", index.sketches_);
+  if (padding_bits_set(index.sketches_, c.sketch_bits)) {
+    throw r.error("nonzero padding bits in a sketch");
   }
 
   // Sketch positions are a pure function of (seed, bits, sketch_bits);

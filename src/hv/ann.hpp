@@ -197,7 +197,8 @@ class Index {
       const PackedHVs& queries, const PackedHVs& database, std::size_t k,
       const SearchOptions& options = {}, SearchStats* stats = nullptr) const;
 
-  /// Serde token-stream round-trip (the bundle's `ann` section body).
+  /// Serde round-trip (the bundle's `ann` section body, `hv.ann v2`): the
+  /// centroids and sketches are util::serde word blocks, the rest tokens.
   /// save(load(save(x))) is byte-identical; load throws std::runtime_error
   /// on any malformed input.
   void save(std::ostream& out) const;

@@ -40,35 +40,36 @@ BitVector PackedHVs::unpack_row(std::size_t i) const {
 
 void write_packed(util::serde::Writer& out, const PackedHVs& rows) {
   out.u64(rows.rows()).u64(rows.bits()).nl();
-  for (std::size_t i = 0; i < rows.rows(); ++i) {
-    out.words({rows.row(i), rows.words_per_row()}).nl();
-  }
+  out.word_block({rows.row(0), rows.rows() * rows.words_per_row()}).nl();
 }
 
 PackedHVs read_packed(util::serde::Reader& in, const char* what,
                       std::uint64_t max_rows) {
-  constexpr std::uint64_t kMaxPackedWords = 1ULL << 30;
   const std::uint64_t rows = in.count(what, max_rows);
   const std::uint64_t bits = in.count(what, kMaxPackedBits);
   const std::uint64_t wpr = (bits + 63) / 64;
   if (rows * wpr > kMaxPackedWords) {
     throw in.error(std::string(what) + ": packed rows too large");
   }
+  PackedHVs packed(bits, rows);
+  const std::span<std::uint64_t> words{packed.row(0), rows * wpr};
+  in.word_block(what, words);
   // Padding bits past `bits` must stay zero (the PackedHVs invariant the
   // search kernels rely on).
-  const std::uint64_t pad_mask = bits % 64 == 0 ? 0 : ~0ULL << (bits % 64);
-  PackedHVs packed(bits, rows);
-  for (std::uint64_t i = 0; i < rows; ++i) {
-    if (in.count(what, wpr) != wpr) {
-      throw in.error(std::string(what) + ": packed row word-count mismatch");
-    }
-    std::uint64_t* dst = packed.row(i);
-    for (std::uint64_t w = 0; w < wpr; ++w) dst[w] = in.word(what);
-    if (wpr > 0 && (dst[wpr - 1] & pad_mask) != 0) {
-      throw in.error(std::string(what) + ": nonzero padding bits in packed row");
-    }
+  if (padding_bits_set(words, bits)) {
+    throw in.error(std::string(what) + ": nonzero padding bits in packed row");
   }
   return packed;
+}
+
+bool padding_bits_set(std::span<const std::uint64_t> words, std::size_t bits) noexcept {
+  if (bits % 64 == 0) return false;
+  const std::uint64_t pad_mask = ~0ULL << (bits % 64);
+  const std::size_t wpr = (bits + 63) / 64;
+  for (std::size_t last = wpr - 1; last < words.size(); last += wpr) {
+    if ((words[last] & pad_mask) != 0) return true;
+  }
+  return false;
 }
 
 std::size_t hamming_words(const std::uint64_t* a, const std::uint64_t* b,

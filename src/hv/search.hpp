@@ -70,23 +70,30 @@ class PackedHVs {
   PackedWords words_;  // large blocks mapped directly (hv/page_allocator.hpp)
 };
 
-/// Caps read_packed() applies to counts from an untrusted stream (with at
-/// most 2^30 words in all): a corrupted header throws before any allocation
-/// is attempted.
+/// Caps read_packed() applies to counts from an untrusted stream: a
+/// corrupted header throws before any allocation is attempted.
 inline constexpr std::uint64_t kMaxPackedRows = 1ULL << 24;
 inline constexpr std::uint64_t kMaxPackedBits = 1ULL << 26;
+inline constexpr std::uint64_t kMaxPackedWords = 1ULL << 30;
 
-/// Token codec for packed rows — the one format every bundle section that
-/// stores hypervectors uses (the hamming memory, KNN's training bits):
-/// "<rows> <bits>", then per row a length-prefixed list of hex16 words.
+/// Codec for packed rows — the one format every bundle section that stores
+/// hypervectors uses (the hamming memory, KNN's training bits):
+/// "<rows> <bits>", then all rows' words as one util::serde word block.
 void write_packed(util::serde::Writer& out, const PackedHVs& rows);
 
-/// Inverse of write_packed(). Throws (via `in`, naming `what`) when the row
-/// count exceeds `max_rows`, the width exceeds kMaxPackedBits, the total
-/// exceeds 2^30 words, a row has the wrong word count or a bad hex word, or
-/// a row sets a padding bit past `bits`.
+/// Inverse of write_packed(), reading the block straight into the rows.
+/// Throws (via `in`, naming `what`) when the row count exceeds `max_rows`,
+/// the width exceeds kMaxPackedBits, the total exceeds 2^30 words (all
+/// checked before allocating), the block's word count or checksum is wrong
+/// or it is cut short, or a row sets a padding bit past `bits`.
 [[nodiscard]] PackedHVs read_packed(util::serde::Reader& in, const char* what,
                                     std::uint64_t max_rows = kMaxPackedRows);
+
+/// True when any row of `words` (rows of (bits + 63) / 64 words, back to
+/// back) sets a bit past `bits`: the padding every PackedHVs row, ANN
+/// centroid and ANN sketch keeps zero.
+[[nodiscard]] bool padding_bits_set(std::span<const std::uint64_t> words,
+                                    std::size_t bits) noexcept;
 
 /// Hamming distance between two packed rows of `words` 64-bit words.
 [[nodiscard]] std::size_t hamming_words(const std::uint64_t* a, const std::uint64_t* b,

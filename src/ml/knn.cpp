@@ -145,7 +145,7 @@ void KnnClassifier::save_state(std::ostream& out) const {
     throw std::logic_error("KNN: save of unfitted model");
   }
   util::serde::Writer w(out);
-  w.tag("ml.knn").tag("v1").nl();
+  w.tag("ml.knn").tag("v2").nl();
   w.u64(config_.k).u64(config_.distance_weighted ? 1 : 0).nl();
   w.tag(packed ? "packed" : "dense").nl();
   if (packed) {
@@ -159,7 +159,7 @@ void KnnClassifier::save_state(std::ostream& out) const {
 void KnnClassifier::load_state(std::istream& in) {
   util::serde::Reader r(in, "load ml.knn");
   r.expect("ml.knn", "model tag");
-  r.expect("v1", "format version");
+  r.expect_version("v2");
   config_.k = r.u64("k");
   if (config_.k == 0) throw r.error("k must be positive");
   config_.distance_weighted = r.u64("distance_weighted") != 0;

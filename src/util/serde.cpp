@@ -24,6 +24,14 @@ constexpr char kHexDigits[] = "0123456789abcdef";
   return c <= 0x20 || c == '%' || c == '~' || c >= 0x7f;
 }
 
+// Word blocks are the words' own bytes; the format fixes little-endian.
+static_assert(std::endian::native == std::endian::little,
+              "serde word blocks assume a little-endian host");
+
+[[nodiscard]] std::string_view block_bytes(std::span<const std::uint64_t> words) noexcept {
+  return {reinterpret_cast<const char*>(words.data()), words.size_bytes()};
+}
+
 }  // namespace
 
 std::uint64_t fnv1a64(std::string_view bytes) noexcept {
@@ -156,12 +164,12 @@ Writer& Writer::vec_u64(std::span<const std::uint64_t> values) {
   return *this;
 }
 
-Writer& Writer::words(std::span<const std::uint64_t> values) {
+Writer& Writer::word_block(std::span<const std::uint64_t> values) {
+  const std::string_view bytes = block_bytes(values);
   u64(values.size());
-  for (const std::uint64_t v : values) {
-    sep();
-    out_ << hex16(v);
-  }
+  sep();
+  out_ << hex16(fnv1a64(bytes)) << '\n';
+  out_.write(bytes.data(), static_cast<std::streamsize>(bytes.size()));
   return *this;
 }
 
@@ -210,6 +218,14 @@ std::int64_t Reader::i64(const char* what) {
     throw error(std::string("bad signed integer for ") + what + " ('" + tok + "')");
   }
   return value;
+}
+
+void Reader::expect_version(std::string_view current) {
+  const std::string tok = token("format version");
+  if (tok != current) {
+    throw error("format version '" + tok + "' is not read by this build (it reads '" +
+                std::string(current) + "'); re-run `hdc_cli bundle` to rebuild the artifact");
+  }
 }
 
 std::uint64_t Reader::word(const char* what) {
@@ -317,12 +333,29 @@ std::vector<std::uint64_t> Reader::vec_u64(const char* what, std::uint64_t max) 
   return out;
 }
 
-std::vector<std::uint64_t> Reader::read_words(const char* what, std::uint64_t max) {
-  const std::uint64_t n = count(what, max);
-  std::vector<std::uint64_t> out;
-  out.reserve(n);
-  for (std::uint64_t i = 0; i < n; ++i) out.push_back(word(what));
-  return out;
+void Reader::word_block(const char* what, std::span<std::uint64_t> dst) {
+  const auto fail = [&](const std::string& message) {
+    return error(std::string("word block for ") + what + " " + message);
+  };
+  const std::uint64_t n = count(what, dst.size());
+  if (n != dst.size()) {
+    throw fail("has " + std::to_string(n) + " words, expected " +
+               std::to_string(dst.size()));
+  }
+  const std::string checksum = token(what);
+  // Not echoed when malformed: it may have run on into the words.
+  if (checksum.size() != 16) throw fail("has a malformed checksum");
+  if (in_.get() != '\n') throw fail("lacks its '\\n' separator");
+  const auto bytes = static_cast<std::streamsize>(dst.size_bytes());
+  in_.read(reinterpret_cast<char*>(dst.data()), bytes);
+  if (in_.gcount() != bytes) {
+    throw fail("truncated (" + std::to_string(in_.gcount()) + " of " +
+               std::to_string(bytes) + " bytes)");
+  }
+  const std::string actual = hex16(fnv1a64(block_bytes(dst)));
+  if (checksum != actual) {
+    throw fail("checksum mismatch (header " + checksum + ", block " + actual + ")");
+  }
 }
 
 }  // namespace hdc::util::serde

@@ -1,12 +1,16 @@
 // Token-stream serialization helpers for model persistence (core/bundle).
 //
-// The bundle format is line-oriented text built from whitespace-separated
-// tokens: integers in decimal, doubles as their 16-hex-digit IEEE-754 bit
-// pattern (exact round-trip, no locale / precision hazards), strings as a
-// '~'-prefixed percent-escaped token. The Reader is strict: every token is
-// validated in full (no silently ignored trailing characters) and every
-// failure throws std::runtime_error carrying the reader's context string and
-// the field name, so a corrupted bundle produces a diagnostic instead of UB.
+// A section body is whitespace-separated tokens: integers in decimal,
+// doubles as their 16-hex-digit IEEE-754 bit pattern (exact round-trip, no
+// locale / precision hazards), strings as a '~'-prefixed percent-escaped
+// token. Bulk 64-bit word arrays (packed hypervectors) are binary word
+// blocks instead: "<count> <fnv1a-hex16>", one '\n', then count × 8
+// little-endian bytes, so they load as one copy. The Reader is strict:
+// every token is validated in full (no silently ignored trailing
+// characters), every block is checked against its count and checksum, and
+// every failure throws std::runtime_error carrying the reader's context
+// string and the field name, so a corrupted bundle produces a diagnostic
+// instead of UB.
 #pragma once
 
 #include <cstdint>
@@ -49,8 +53,10 @@ class Writer {
   Writer& vec_int(std::span<const int> values);
   Writer& vec_u32(std::span<const std::uint32_t> values);
   Writer& vec_u64(std::span<const std::uint64_t> values);
-  /// Words as hex16 tokens (bit-exact, used for packed hypervector data).
-  Writer& words(std::span<const std::uint64_t> values);
+  /// Binary word block: "<count> <fnv1a-hex16>", one '\n', then the words
+  /// as count × 8 little-endian bytes. The checksum covers those bytes, so
+  /// the block is self-checking outside a bundle too.
+  Writer& word_block(std::span<const std::uint64_t> values);
 
  private:
   void sep();
@@ -76,6 +82,9 @@ class Reader {
   /// f64 that must be finite: a NaN or ±Inf throws "non-finite <what>".
   [[nodiscard]] double finite_f64(const char* what);
   [[nodiscard]] std::string str(const char* what);
+  /// Format version of a codec whose older bodies are not read: anything
+  /// but `current` throws, asking for the artifact to be rebuilt.
+  void expect_version(std::string_view current);
   /// u64 with an upper bound — guards container reserves against corrupted
   /// counts (throws instead of attempting a huge allocation).
   [[nodiscard]] std::uint64_t count(const char* what, std::uint64_t max);
@@ -89,8 +98,10 @@ class Reader {
   [[nodiscard]] std::vector<int> vec_int(const char* what, std::uint64_t max);
   [[nodiscard]] std::vector<std::uint32_t> vec_u32(const char* what, std::uint64_t max);
   [[nodiscard]] std::vector<std::uint64_t> vec_u64(const char* what, std::uint64_t max);
-  [[nodiscard]] std::vector<std::uint64_t> read_words(const char* what,
-                                                      std::uint64_t max);
+  /// Inverse of Writer::word_block, straight into `dst`: the block's count
+  /// must equal dst.size() (checked before any byte is read), and a missing
+  /// separator, a short read or a checksum mismatch throws.
+  void word_block(const char* what, std::span<std::uint64_t> dst);
 
   /// Build (not throw) a contextualised error for callers' own checks.
   [[nodiscard]] std::runtime_error error(const std::string& message) const;

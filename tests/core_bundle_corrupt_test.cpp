@@ -1,14 +1,19 @@
 // Deterministic corruption fuzzing for the bundle loader: truncations at
 // every offset stride, bit flips at seeded positions, version bumps, bad
-// checksums, duplicate / unknown sections, and plain garbage. The loader's
+// checksums, duplicate / unknown sections, mutations inside every binary
+// word block of the hamming and ann sections, and plain garbage. The loader's
 // contract under attack is narrow — either throw a descriptive
 // std::runtime_error, or (when the mutation is semantically invisible, e.g.
 // a dropped trailing newline) load a bundle that re-serializes byte-identical
 // to the pristine artifact. It must never crash, hang, or return a silently
 // different model; the suite is ASan/UBSan-clean under the sanitizer configs.
+#include <cctype>
 #include <cstddef>
+#include <cstdint>
 #include <sstream>
 #include <string>
+#include <string_view>
+#include <utility>
 #include <vector>
 
 #include <gtest/gtest.h>
@@ -757,6 +762,176 @@ TEST(BundleCorrupt, AnnFingerprintMismatchRejected) {
   } catch (const std::runtime_error& e) {
     EXPECT_NE(std::string(e.what()).find("fingerprint"), std::string::npos)
         << e.what();
+  }
+}
+
+/// One util::serde word block inside a section body: where its count
+/// token, checksum token and first data byte sit.
+struct WordBlock {
+  std::size_t count_at = 0;
+  std::uint64_t count = 0;
+  std::size_t checksum_at = 0;
+  std::size_t data_at = 0;
+};
+
+/// Every word block of `body`, found as a "<count> <hex16>\n" header whose
+/// next count × 8 bytes hash to that checksum.
+std::vector<WordBlock> find_word_blocks(const std::string& body) {
+  std::vector<WordBlock> blocks;
+  for (std::size_t nl = body.find('\n'); nl != std::string::npos;
+       nl = body.find('\n', nl + 1)) {
+    if (nl < 18 || body[nl - 17] != ' ') continue;
+    std::size_t count_at = nl - 17;
+    while (count_at > 0 && std::isdigit(static_cast<unsigned char>(body[count_at - 1]))) {
+      --count_at;
+    }
+    if (count_at == nl - 17 || nl - 17 - count_at > 12) continue;
+    const std::uint64_t count = std::stoull(body.substr(count_at, nl - 17 - count_at));
+    if (count > (body.size() - nl - 1) / 8) continue;
+    const std::string_view data(body.data() + nl + 1, count * 8);
+    if (hdc::util::serde::hex16(hdc::util::serde::fnv1a64(data)) != body.substr(nl - 16, 16)) {
+      continue;
+    }
+    blocks.push_back({count_at, count, nl - 16, nl + 1});
+    nl += count * 8;
+  }
+  return blocks;
+}
+
+/// `sections` with section `name`'s body replaced by `body`, crafted into
+/// a checksum-valid bundle, must be rejected with `name` in the message.
+void expect_body_rejected(std::vector<std::pair<std::string, std::string>> sections,
+                          const std::string& name, const std::string& body,
+                          const std::string& what) {
+  for (auto& section : sections) {
+    if (section.first == name) section.second = body;
+  }
+  std::istringstream in(craft_bundle(sections));
+  try {
+    (void)load_bundle(in);
+    ADD_FAILURE() << name << ": " << what << " accepted";
+  } catch (const std::runtime_error& e) {
+    EXPECT_NE(std::string(e.what()).find("section '" + name + "'"), std::string::npos)
+        << what << ": " << e.what();
+  }
+}
+
+TEST(BundleCorrupt, WordBlockMutationsRejected) {
+  // Inside a checksum-valid section, every word block of the hamming rows
+  // and of the ann centroids and sketches is truncated, given a count of
+  // ±1 or 2^40, a flipped word byte (block checksum mismatch), and a
+  // missing or extra separator byte. Each must be rejected by name.
+  const std::string& artifact = golden_ann_bundle();
+  const std::vector<std::pair<std::string, std::string>> sections = {
+      {"extractor", raw_section_body(artifact, "extractor")},
+      {"hamming", raw_section_body(artifact, "hamming")},
+      {"ann", raw_section_body(artifact, "ann")}};
+  {
+    std::istringstream in(craft_bundle(sections));
+    ASSERT_NO_THROW((void)load_bundle(in));
+  }
+  for (const auto& [name, expected_blocks] :
+       {std::pair<std::string, std::size_t>{"hamming", 1}, {"ann", 2}}) {
+    const std::string body = raw_section_body(artifact, name);
+    const std::vector<WordBlock> blocks = find_word_blocks(body);
+    ASSERT_EQ(blocks.size(), expected_blocks) << name;
+    for (std::size_t b = 0; b < blocks.size(); ++b) {
+      const WordBlock& block = blocks[b];
+      ASSERT_GT(block.count, 0u);
+      const std::string where = name + " block " + std::to_string(b) + ": ";
+      const std::size_t count_len = block.checksum_at - 1 - block.count_at;
+      const auto with_count = [&](std::uint64_t count) {
+        return std::string(body).replace(block.count_at, count_len, std::to_string(count));
+      };
+      std::string flipped = body;
+      const std::size_t mid = block.data_at + block.count * 4;
+      flipped[mid] = static_cast<char>(flipped[mid] ^ 0x40);
+      const struct {
+        const char* what;
+        std::string body;
+      } cases[] = {
+          {"truncated inside the block", body.substr(0, mid)},
+          {"truncated at the last byte", body.substr(0, block.data_at + block.count * 8 - 1)},
+          {"count - 1", with_count(block.count - 1)},
+          {"count + 1", with_count(block.count + 1)},
+          {"count 2^40", with_count(1ULL << 40)},
+          {"block checksum mismatch", flipped},
+          {"missing separator", std::string(body).erase(block.data_at - 1, 1)},
+          {"extra separator", std::string(body).insert(block.data_at, "\n")},
+      };
+      for (const auto& c : cases) expect_body_rejected(sections, name, c.body, where + c.what);
+    }
+  }
+}
+
+TEST(BundleCorrupt, WordBlockPaddingBitsRejected) {
+  // 260-bit rows and 100-bit sketches leave padding bits in every row of
+  // the hamming block and of both ann blocks. One set padding bit, under a
+  // recomputed (valid) block checksum, must be rejected by name.
+  const hdc::data::Dataset ds = hdc::data::make_sylhet({30, 40, 3});
+  hdc::core::ExtractorConfig config;
+  config.dimensions = 260;
+  config.seed = 7;
+  hdc::core::HdcFeatureExtractor extractor(config);
+  extractor.fit(ds);
+  hdc::core::HammingClassifier hamming;
+  hamming.fit(extractor.transform(ds), ds.labels());
+  hdc::hv::ann::Config ann_config;
+  ann_config.sketch_bits = 100;
+  hamming.enable_ann(ann_config);
+  std::ostringstream hamming_body;
+  std::ostringstream ann_body;
+  hamming.save(hamming_body);
+  hamming.ann_index()->save(ann_body);
+  const std::vector<std::pair<std::string, std::string>> sections = {
+      {"hamming", hamming_body.str()}, {"ann", ann_body.str()}};
+  {
+    std::istringstream in(craft_bundle(sections));
+    ASSERT_NO_THROW((void)load_bundle(in));
+  }
+  for (const auto& [name, row_bits] :
+       {std::pair<std::string, std::vector<std::size_t>>{"hamming", {260}},
+        {"ann", {260, 100}}}) {
+    const std::string& body = name == "hamming" ? sections[0].second : sections[1].second;
+    const std::vector<WordBlock> blocks = find_word_blocks(body);
+    ASSERT_EQ(blocks.size(), row_bits.size()) << name;
+    for (std::size_t b = 0; b < blocks.size(); ++b) {
+      // Top bit of the first row's last word: past `bits`, so padding.
+      std::string mutated = body;
+      const std::size_t last_word = (row_bits[b] + 63) / 64 - 1;
+      mutated[blocks[b].data_at + last_word * 8 + 7] |= static_cast<char>(0x80);
+      const std::string_view data(mutated.data() + blocks[b].data_at, blocks[b].count * 8);
+      mutated.replace(blocks[b].checksum_at, 16,
+                      hdc::util::serde::hex16(hdc::util::serde::fnv1a64(data)));
+      expect_body_rejected(sections, name, mutated,
+                           name + " block " + std::to_string(b) + ": padding bit");
+    }
+  }
+}
+
+TEST(BundleCorrupt, RetiredHexBodiesAskForARebuild) {
+  // Bodies from before the binary word blocks (hdc-hamming v3, hv.ann v1,
+  // ml.knn v1 stored packed words as hex tokens) are rejected with the
+  // section named and a pointer to rebuilding the artifact.
+  const std::string v3_hamming =
+      "hdc-hamming v3\nnearest 1\n2 0 1\n2 60\n1 0000000000000001\n1 0000000000000002\n";
+  std::string v1_ann = raw_section_body(golden_ann_bundle(), "ann");
+  ASSERT_EQ(v1_ann.rfind("hv.ann v2\n", 0), 0u);
+  v1_ann.replace(0, 9, "hv.ann v1");
+  std::string v1_knn = fitted_model_body("KNN");
+  ASSERT_EQ(v1_knn.rfind("ml.knn v2\n", 0), 0u);
+  v1_knn.replace(0, 9, "ml.knn v1");
+  for (const auto& [name, body] : std::vector<std::pair<std::string, std::string>>{
+           {"hamming", v3_hamming}, {"ann", v1_ann}, {"model:KNN", v1_knn}}) {
+    std::istringstream in(craft_bundle({{name, body}}));
+    try {
+      (void)load_bundle(in);
+      ADD_FAILURE() << name << " old body accepted";
+    } catch (const std::runtime_error& e) {
+      const std::string what = e.what();
+      EXPECT_NE(what.find("section '" + name + "'"), std::string::npos) << what;
+      EXPECT_NE(what.find("re-run `hdc_cli bundle`"), std::string::npos) << what;
+    }
   }
 }
 

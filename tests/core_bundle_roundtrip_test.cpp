@@ -282,6 +282,43 @@ TEST(BundleFullRoundTrip, AllSectionsSurvive) {
   }
 }
 
+TEST(BundleFullRoundTrip, WordBlockSectionsResaveByteIdentical) {
+  // Every section that stores packed words as binary blocks — hamming rows,
+  // ann centroids and sketches, KNN's packed training bits — next to the
+  // extractor: save -> load -> save gives the same bytes, through a stream
+  // and through a file.
+  const Golden& g = golden_pima();
+  ModelBundle bundle;
+  bundle.extractor = clone_extractor(g.extractor);
+  bundle.hamming.emplace().fit(g.vectors, g.ds.labels());
+  bundle.hamming->enable_ann();
+  auto knn = hdc::ml::make_model("KNN", kBudget);
+  knn->fit_bits(g.bits, g.ds.labels());
+  bundle.models.push_back(std::move(knn));
+
+  std::ostringstream first;
+  save_bundle(first, bundle);
+  for (const char* section : {"section ~extractor ", "section ~hamming ", "section ~ann ",
+                              "section ~model:KNN "}) {
+    EXPECT_NE(first.str().find(section), std::string::npos) << section;
+  }
+  std::istringstream stored(first.str());
+  const ModelBundle loaded = load_bundle(stored);
+  ASSERT_TRUE(loaded.hamming.has_value());
+  EXPECT_TRUE(loaded.hamming->ann_enabled());
+  std::ostringstream second;
+  save_bundle(second, loaded);
+  EXPECT_EQ(second.str(), first.str());
+
+  const std::string path = ::testing::TempDir() + "/word_blocks.bundle";
+  hdc::core::save_bundle_file(path, loaded);
+  std::ostringstream third;
+  save_bundle(third, hdc::core::load_bundle_file(path));
+  EXPECT_EQ(third.str(), first.str());
+  EXPECT_EQ(loaded.find_model("KNN")->predict_all_bits(g.bits),
+            bundle.find_model("KNN")->predict_all_bits(g.bits));
+}
+
 TEST(BundleFullRoundTrip, EmptyBundleSaveThrows) {
   const ModelBundle empty;
   std::ostringstream out;

@@ -1,8 +1,12 @@
-// Section body codecs: the packed-rows token codec (hv::write_packed /
-// hv::read_packed) and the extractor and Hamming serializers behind the
-// bundle's `extractor` and `hamming` sections.
+// Section body codecs: the packed-rows codec (hv::write_packed /
+// hv::read_packed, one util::serde word block) and the extractor and
+// Hamming serializers behind the bundle's `extractor` and `hamming`
+// sections. Corrupt bodies are generated with the Writer, so every block
+// case carries a valid checksum unless the case is about the checksum.
 #include <gtest/gtest.h>
 
+#include <cctype>
+#include <cstdint>
 #include <sstream>
 #include <string>
 #include <vector>
@@ -32,6 +36,26 @@ hv::PackedHVs load_rows(const std::string& text) {
   return hv::read_packed(reader, "rows");
 }
 
+/// A well-formed word block (valid count and checksum) over `words`,
+/// without a trailing separator.
+std::string block(const std::vector<std::uint64_t>& words) {
+  std::ostringstream out;
+  util::serde::Writer(out).word_block(words);
+  return out.str();
+}
+
+/// A packed-rows body: the "<rows> <bits>" header line, then one block.
+std::string rows_body(const std::string& header, const std::vector<std::uint64_t>& words) {
+  return header + "\n" + block(words) + "\n";
+}
+
+/// `body` with its first occurrence of `from` replaced by `to`.
+std::string edit(std::string body, const std::string& from, const std::string& to) {
+  const std::size_t at = body.find(from);
+  EXPECT_NE(at, std::string::npos) << from;
+  return at == std::string::npos ? body : body.replace(at, from.size(), to);
+}
+
 TEST(SerializeBitVector, RoundTrip) {
   util::Rng rng(1);
   const hv::BitVector original = hv::BitVector::random(10000, rng);
@@ -53,43 +77,71 @@ TEST(SerializeBitVector, OddSizesRoundTrip) {
 }
 
 TEST(SerializeBitVector, TruncatedInputThrows) {
-  // Needs 2 words; the second is missing entirely.
-  EXPECT_THROW((void)load_rows("1 128\n2 00000000deadbeef"), std::runtime_error);
+  // Needs 2 words; the block holds 1.
+  EXPECT_THROW((void)load_rows(rows_body("1 128", {0xdeadbeefULL})), std::runtime_error);
+  // A well-formed body cut inside its block, at every byte of the words.
+  util::Rng rng(3);
+  const std::string full = save_rows({hv::BitVector::random(128, rng)});
+  const std::size_t words_start = full.size() - 1 - 16;
+  for (std::size_t cut = words_start; cut < full.size() - 1; ++cut) {
+    EXPECT_THROW((void)load_rows(full.substr(0, cut)), std::runtime_error) << cut;
+  }
 }
 
-TEST(SerializeBitVector, OddLengthHexThrows) {
-  // Words are fixed-width 16-hex-digit tokens; a short (odd-length) word is
-  // a short read / hand-edited file, not something to zero-extend silently.
-  EXPECT_THROW((void)load_rows("1 64\n1 deadbeef"), std::runtime_error);
-  EXPECT_THROW((void)load_rows("1 64\n1 00000000deadbee"), std::runtime_error);
-  EXPECT_THROW((void)load_rows("1 64\n1 000000000deadbeef"), std::runtime_error);
+TEST(SerializeBitVector, BlockCountMismatchThrows) {
+  // The block's word count must be the header's rows × words per row: one
+  // short, one long and 2^40 are rejected before any word is read.
+  const std::string pristine = rows_body("2 64", {1, 2});
+  EXPECT_EQ(load_rows(pristine).row(1)[0], 2u);
+  EXPECT_THROW((void)load_rows(rows_body("2 64", {1})), std::runtime_error);
+  EXPECT_THROW((void)load_rows(rows_body("2 64", {1, 2, 3})), std::runtime_error);
+  EXPECT_THROW((void)load_rows(edit(pristine, "\n2 ", "\n1099511627776 ")),
+               std::runtime_error);
 }
 
-TEST(SerializeBitVector, HexGarbageThrows) {
-  EXPECT_THROW((void)load_rows("1 64\n1 00000000DEADBEEF"), std::runtime_error);
-  EXPECT_THROW((void)load_rows("1 64\n1 0000000000g0beef"), std::runtime_error);
+TEST(SerializeBitVector, BlockChecksumMismatchThrows) {
+  // The block is self-checking: a flipped word byte, a wrong or
+  // non-canonical checksum, and a missing or extra separator byte (which
+  // shift the words) are all rejected.
+  const std::vector<std::uint64_t> words = {0x0123456789abcdefULL, 0xfedcba9876543210ULL};
+  const std::string pristine = rows_body("2 64", words);
+  ASSERT_EQ(load_rows(pristine).row(0)[0], words[0]);
+  const std::size_t words_start = pristine.size() - 1 - 16;
+  const std::string checksum = pristine.substr(words_start - 17, 16);
+  std::string upper = checksum;
+  for (char& c : upper) c = static_cast<char>(std::toupper(static_cast<unsigned char>(c)));
+  std::vector<std::string> bad;
+  for (const std::size_t at : {words_start, words_start + 7, words_start + 15}) {
+    std::string flipped = pristine;
+    flipped[at] = static_cast<char>(flipped[at] ^ 0x10);
+    bad.push_back(flipped);
+  }
+  bad.push_back(edit(pristine, checksum, std::string(16, '0')));
+  if (upper != checksum) bad.push_back(edit(pristine, checksum, upper));
+  bad.push_back(std::string(pristine).erase(words_start - 1, 1));
+  bad.push_back(std::string(pristine).insert(words_start, "\n"));
+  for (std::size_t i = 0; i < bad.size(); ++i) {
+    EXPECT_THROW((void)load_rows(bad[i]), std::runtime_error) << i;
+  }
 }
 
 TEST(SerializeBitVector, NonzeroPaddingBitsThrow) {
-  // 60-bit rows: the top 4 bits of the single word must be zero.
-  EXPECT_THROW((void)load_rows("1 60\n1 f000000000000001"), std::runtime_error);
-  EXPECT_EQ(load_rows("1 60\n1 0000000000000001").unpack_row(0).popcount(), 1u);
+  // 60-bit rows: the top 4 bits of each row's single word must be zero.
+  EXPECT_THROW((void)load_rows(rows_body("1 60", {0xf000000000000001ULL})),
+               std::runtime_error);
+  EXPECT_THROW((void)load_rows(rows_body("2 60", {1, 1ULL << 60})), std::runtime_error);
+  EXPECT_EQ(load_rows(rows_body("1 60", {1})).unpack_row(0).popcount(), 1u);
 }
 
 TEST(SerializeBitVector, TrailingDataThrows) {
-  // A row listing more words than its width needs.
-  EXPECT_THROW((void)load_rows("1 64\n2 0000000000000001 0000000000000002"),
-               std::runtime_error);
+  // A block holding more words than the rows' width needs.
+  EXPECT_THROW((void)load_rows(rows_body("1 64", {1, 2})), std::runtime_error);
 }
 
 TEST(SerializeBitVector, BadSizeThrows) {
-  EXPECT_THROW((void)load_rows("1 -8\n1 0000000000000001"), std::runtime_error);
-  EXPECT_THROW((void)load_rows("1 999999999999\n1 0000000000000001"),
-               std::runtime_error);
-  EXPECT_THROW((void)load_rows("1 sixty-four\n1 0000000000000001"),
-               std::runtime_error);
-  EXPECT_THROW((void)load_rows("999999999999 64\n1 0000000000000001"),
-               std::runtime_error);
+  for (const char* header : {"1 -8", "1 999999999999", "1 sixty-four", "999999999999 64"}) {
+    EXPECT_THROW((void)load_rows(rows_body(header, {1})), std::runtime_error) << header;
+  }
 }
 
 HdcFeatureExtractor round_trip(const HdcFeatureExtractor& original) {
@@ -241,17 +293,27 @@ TEST(SerializeHamming, UnfittedSaveThrows) {
 TEST(SerializeHamming, BadInputThrows) {
   std::istringstream bad_magic("nope\n");
   EXPECT_THROW((void)HammingClassifier::load(bad_magic), std::runtime_error);
-  std::istringstream bad_mode("hdc-hamming v3\nwarp 1\n1 0\n1 64\n1 0000000000000001\n");
+  std::istringstream bad_mode("hdc-hamming v4\nwarp 1\n1 0\n" + rows_body("1 64", {1}));
   EXPECT_THROW((void)HammingClassifier::load(bad_mode), std::runtime_error);
-  std::istringstream empty_model("hdc-hamming v3\nnearest 1\n0\n0 64\n");
+  std::istringstream empty_model("hdc-hamming v4\nnearest 1\n0\n" + rows_body("0 64", {}));
   EXPECT_THROW((void)HammingClassifier::load(empty_model), std::runtime_error);
 }
 
 TEST(SerializeHamming, OldVersionMagicThrows) {
   // v2 bodies were decimal lines with one "<bits> <words...>" line per
-  // vector; the v3 reader refuses the old version instead of misparsing it.
-  std::istringstream v2("hdc-hamming v2\nnearest\n1\n0\n64 00000000deadbeef\n");
-  EXPECT_THROW((void)HammingClassifier::load(v2), std::runtime_error);
+  // vector, v3 bodies hex word lists; the v4 reader refuses both instead of
+  // misparsing them, and says how to get a readable artifact.
+  for (const char* old : {"hdc-hamming v2\nnearest\n1\n0\n64 00000000deadbeef\n",
+                          "hdc-hamming v3\nnearest 1\n1 0\n1 64\n1 00000000deadbeef\n"}) {
+    std::istringstream in(old);
+    try {
+      (void)HammingClassifier::load(in);
+      ADD_FAILURE() << old << " accepted";
+    } catch (const std::runtime_error& e) {
+      EXPECT_NE(std::string(e.what()).find("re-run `hdc_cli bundle`"), std::string::npos)
+          << e.what();
+    }
+  }
 }
 
 TEST(SerializeHamming, ShortReadThrows) {
@@ -269,20 +331,15 @@ TEST(SerializeHamming, ShortReadThrows) {
   std::ostringstream out;
   model.save(out);
   const std::string full = out.str();
-  // Chop inside the final hex word: short token -> strict reader throws.
-  std::istringstream truncated(full.substr(0, full.size() - 9));
+  // Chop inside the final word: the block's byte count comes up short.
+  std::istringstream truncated(full.substr(0, full.size() - 5));
   EXPECT_THROW((void)HammingClassifier::load(truncated), std::runtime_error);
 }
 
 TEST(SerializeHamming, BodyCorruptionsRejected) {
-  // Two 60-bit rows (so the last word has padding bits), labels {0, 1}.
-  const std::string pristine =
-      "hdc-hamming v3\n"
-      "nearest 1\n"
-      "2 0 1\n"
-      "2 60\n"
-      "1 0000000000000001\n"
-      "1 0000000000000002\n";
+  // Two 60-bit rows (so each row's word has padding bits), labels {0, 1}.
+  const std::string head = "hdc-hamming v4\nnearest 1\n2 0 1\n";
+  const std::string pristine = head + rows_body("2 60", {1, 2});
   {
     std::istringstream in(pristine);
     const HammingClassifier loaded = HammingClassifier::load(in);
@@ -290,34 +347,35 @@ TEST(SerializeHamming, BodyCorruptionsRejected) {
     loaded.save(resaved);
     ASSERT_EQ(resaved.str(), pristine);
   }
-  const auto edit = [&pristine](const std::string& from, const std::string& to) {
-    std::string body = pristine;
-    const std::size_t at = body.find(from);
-    EXPECT_NE(at, std::string::npos) << from;
-    return body.replace(at, from.size(), to);
-  };
+  const std::size_t words_start = pristine.size() - 1 - 16;
+  std::string flipped = pristine;
+  flipped[words_start + 8] = static_cast<char>(flipped[words_start + 8] ^ 0x02);
+  const std::string checksum = pristine.substr(words_start - 17, 16);
   const struct {
     const char* what;
     std::string body;
   } cases[] = {
-      {"truncated mid-word", pristine.substr(0, pristine.size() - 9)},
-      {"missing row", pristine.substr(0, pristine.rfind("1 0000000000000002"))},
-      {"15-digit word", edit("0000000000000002", "000000000000002")},
-      {"17-digit word", edit("0000000000000002", "00000000000000002")},
-      {"uppercase hex", edit("0000000000000002", "000000000000000A")},
-      {"stray character", edit("0000000000000002", "00000000000000g2")},
-      {"nonzero padding", edit("0000000000000002", "f000000000000002")},
-      {"extra word in a row",
-       edit("1 0000000000000002", "2 0000000000000002 0000000000000003")},
-      {"negative width", edit("2 60", "2 -60")},
-      {"huge width", edit("2 60", "2 999999999999")},
-      {"garbage width", edit("2 60", "2 sixty")},
-      {"more rows than labels", edit("2 60", "3 60")},
-      {"fewer rows than labels", edit("2 0 1\n", "3 0 1 1\n")},
-      {"label not 0/1", edit("2 0 1\n", "2 0 2\n")},
-      {"label past int", edit("2 0 1\n", "2 0 4294967297\n")},
-      {"k zero", edit("nearest 1", "nearest 0")},
-      {"old version", edit("v3", "v2")},
+      {"truncated mid-word", pristine.substr(0, pristine.size() - 5)},
+      {"missing row", head + rows_body("2 60", {1})},
+      {"block count one short", edit(pristine, "\n2 " + checksum, "\n1 " + checksum)},
+      {"block count one long", edit(pristine, "\n2 " + checksum, "\n3 " + checksum)},
+      {"block count 2^40", edit(pristine, "\n2 " + checksum, "\n1099511627776 " + checksum)},
+      {"flipped word byte", flipped},
+      {"zeroed block checksum", edit(pristine, checksum, std::string(16, '0'))},
+      {"short block checksum", edit(pristine, checksum, checksum.substr(1))},
+      {"missing separator", std::string(pristine).erase(words_start - 1, 1)},
+      {"extra separator", std::string(pristine).insert(words_start, "\n")},
+      {"nonzero padding", head + rows_body("2 60", {1, 0xf000000000000002ULL})},
+      {"extra word in the block", head + rows_body("2 60", {1, 2, 3})},
+      {"negative width", edit(pristine, "2 60", "2 -60")},
+      {"huge width", edit(pristine, "2 60", "2 999999999999")},
+      {"garbage width", edit(pristine, "2 60", "2 sixty")},
+      {"more rows than labels", edit(pristine, "2 60", "3 60")},
+      {"fewer rows than labels", edit(pristine, "2 0 1\n", "3 0 1 1\n")},
+      {"label not 0/1", edit(pristine, "2 0 1\n", "2 0 2\n")},
+      {"label past int", edit(pristine, "2 0 1\n", "2 0 4294967297\n")},
+      {"k zero", edit(pristine, "nearest 1", "nearest 0")},
+      {"old version", edit(pristine, "v4", "v3")},
   };
   for (const auto& c : cases) {
     std::istringstream in(c.body);

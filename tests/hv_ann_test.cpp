@@ -298,8 +298,9 @@ TEST(HvAnnTest, LoadRejectsCorruptedStreams) {
     std::istringstream in(bad);
     try {
       const ann::Index loaded = ann::Index::load(in);
-      // A mutation inside a hex word can survive parsing; it must then be
-      // caught by the fingerprint check against the real database.
+      // Word blocks carry their own checksum, so a mutation that survives
+      // parsing must be caught by the fingerprint check against the real
+      // database.
       try {
         loaded.check_database(db);
       } catch (const std::invalid_argument&) {
@@ -310,12 +311,12 @@ TEST(HvAnnTest, LoadRejectsCorruptedStreams) {
     }
   }
   ASSERT_GT(mutations, 0u);
-  // Structural tokens dominate the stream; the vast majority of single-char
-  // flips must be rejected outright.
+  // Tokens are validated in full and word blocks by their checksum; the
+  // vast majority of single-byte flips must be rejected outright.
   EXPECT_GE(rejected, mutations * 9 / 10);
 
-  // Truncations never parse (the last bytes are a hex word + newline, so
-  // cutting 4 bytes in always splits a token).
+  // Truncations never parse (the last bytes are the sketch block + newline,
+  // so cutting 4 bytes in always leaves the block short).
   for (const std::size_t keep : {0UL, 5UL, bytes.size() / 2, bytes.size() - 4}) {
     std::istringstream in(bytes.substr(0, keep));
     EXPECT_THROW((void)ann::Index::load(in), std::runtime_error) << keep;
