@@ -8,8 +8,8 @@
 #include <memory>
 
 #include "hv/encoders.hpp"
-#include "hv/item_memory.hpp"
 #include "hv/ops.hpp"
+#include "util/rng.hpp"
 
 int main() {
   constexpr std::size_t kDim = 10000;
@@ -46,9 +46,10 @@ int main() {
   std::printf("  d(alice, bob)    = %.3f   (different on every feature)\n\n",
               va.hamming_fraction(record.encode(bob)));
 
-  // --- 4. Binding and item memory: symbolic structure, beyond the paper. ---
-  hdc::hv::ItemMemory memory(kDim, /*seed=*/4);
-  const hdc::hv::BitVector role_age = memory.get("role:age");
+  // --- 4. Binding: symbolic structure, beyond the paper. ---
+  // A role is just a random hypervector, quasi-orthogonal to everything else.
+  hdc::util::Rng rng(/*seed=*/4);
+  const hdc::hv::BitVector role_age = hdc::hv::BitVector::random(kDim, rng);
   const hdc::hv::BitVector filler = age.encode(45.0);
   const hdc::hv::BitVector bound = hdc::hv::bind(role_age, filler);
   // Unbinding recovers the filler exactly (XOR is self-inverse).

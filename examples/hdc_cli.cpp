@@ -22,10 +22,9 @@
 // `grid` runs the paper's evaluation sweep (every zoo model under stratified
 // k-fold CV, per dataset) through the work-stealing task-graph scheduler and
 // shared fold-encoding cache: --threads N sets the worker count (default:
-// all cores), --serial runs the reference serial walk instead, --kfold K,
-// --models a,b,c restricts the zoo, --budget B scales boosted models. With
-// --trace-out the Chrome trace shows the grid.encode / grid.fit /
-// grid.reduce scheduler spans.
+// all cores), --kfold K, --models a,b,c restricts the zoo, --budget B
+// scales boosted models. With --trace-out the Chrome trace shows the
+// grid.encode / grid.fit / grid.reduce scheduler spans.
 //
 // `bundle` (or `train`) fits the extractor + Hamming classifier and, with
 // --models a,b,c / --with-nn, zoo models and the Sequential NN on the encoded
@@ -205,7 +204,6 @@ int cmd_grid(const std::vector<std::string>& csv_paths,
   hdc::core::GridConfig config;
   config.kfold = static_cast<std::size_t>(cli.get_int("--kfold", 10));
   config.threads = static_cast<std::size_t>(cli.get_int("--threads", 0));
-  config.scheduled = !cli.has_flag("--serial");
   config.experiment.extractor.dimensions =
       static_cast<std::size_t>(cli.get_int("--dim", 10000));
   config.experiment.extractor.seed = cli.get_uint("--seed", 2023);
@@ -231,22 +229,18 @@ int cmd_grid(const std::vector<std::string>& csv_paths,
   std::fputs(table.render().c_str(), stdout);
 
   const hdc::core::GridStats& st = result.stats;
-  if (config.scheduled) {
-    std::printf(
-        "# scheduler: workers=%zu tasks=%llu (encode=%zu fit=%zu reduce=%zu) "
-        "steals=%llu\n"
-        "# fold cache: hits=%llu misses=%llu evictions=%llu peak=%zu "
-        "dedup=%.1fx\n",
-        st.workers, static_cast<unsigned long long>(st.tasks_executed),
-        st.encode_tasks, st.model_tasks, st.reduce_tasks,
-        static_cast<unsigned long long>(st.steals),
-        static_cast<unsigned long long>(st.cache_hits),
-        static_cast<unsigned long long>(st.cache_misses),
-        static_cast<unsigned long long>(st.cache_evictions),
-        st.cache_peak_entries, st.dedup_ratio);
-  } else {
-    std::printf("# serial reference walk: %zu model fits\n", st.model_tasks);
-  }
+  std::printf(
+      "# scheduler: workers=%zu tasks=%llu (encode=%zu fit=%zu reduce=%zu) "
+      "steals=%llu\n"
+      "# fold cache: hits=%llu misses=%llu evictions=%llu peak=%zu "
+      "dedup=%.1fx\n",
+      st.workers, static_cast<unsigned long long>(st.tasks_executed),
+      st.encode_tasks, st.model_tasks, st.reduce_tasks,
+      static_cast<unsigned long long>(st.steals),
+      static_cast<unsigned long long>(st.cache_hits),
+      static_cast<unsigned long long>(st.cache_misses),
+      static_cast<unsigned long long>(st.cache_evictions),
+      st.cache_peak_entries, st.dedup_ratio);
   return 0;
 }
 
@@ -557,7 +551,7 @@ int main(int argc, char** argv) {
                  "NAME] [--coalesce] [--max-batch N] [--metrics-port P] "
                  "[--ann [--nprobe P]]\n"
                  "       hdc_cli grid <data.csv> [more.csv ...] [--kfold K] "
-                 "[--models a,b,c] [--threads N] [--serial] [--budget B] "
+                 "[--models a,b,c] [--threads N] [--budget B] "
                  "[--dim N] [--seed S]\n"
                  "observability (any command): [--metrics-out FILE] "
                  "[--metrics-interval MS] [--trace-out FILE] [--stacks-out "

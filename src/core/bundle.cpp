@@ -139,16 +139,6 @@ void save_bundle(std::ostream& out, const ModelBundle& bundle) {
       add("ann", [&](std::ostream& o) { ann->save(o); });
     }
   }
-  if (bundle.minmax_scaler && bundle.minmax_scaler->fitted()) {
-    add("scaler.minmax", [&](std::ostream& o) { bundle.minmax_scaler->save(o); });
-  }
-  if (bundle.standard_scaler && bundle.standard_scaler->fitted()) {
-    add("scaler.standard",
-        [&](std::ostream& o) { bundle.standard_scaler->save(o); });
-  }
-  if (bundle.online && bundle.online->fitted()) {
-    add("online", [&](std::ostream& o) { bundle.online->save(o); });
-  }
   if (bundle.nn) {
     add("nn", [&](std::ostream& o) { bundle.nn->save_state(o); });
   }
@@ -187,15 +177,6 @@ ModelBundle load_bundle(std::istream& in) {
         // Attached after the loop: section order in the file is not a
         // contract, and the index must verify against the hamming rows.
         ann_section = hv::ann::Index::load(body);
-      } else if (section.name == "scaler.minmax") {
-        bundle.minmax_scaler.emplace();
-        bundle.minmax_scaler->load(body);
-      } else if (section.name == "scaler.standard") {
-        bundle.standard_scaler.emplace();
-        bundle.standard_scaler->load(body);
-      } else if (section.name == "online") {
-        bundle.online.emplace();
-        bundle.online->load(body);
       } else if (section.name == "nn") {
         bundle.nn = std::make_unique<nn::Sequential>();
         bundle.nn->load_state(body);

@@ -11,19 +11,17 @@
 // Each section body is one util::serde stream — tokens, plus binary word
 // blocks for packed hypervectors — written and read by its own type's
 // serializer (HdcFeatureExtractor::save, HammingClassifier::save,
-// hv::ann::Index::save, the ml / nn / scaler / online / manifest
-// serializers), with its own magic and version. The section
-// header carries the body's byte count and FNV-1a 64 checksum; the loader
-// verifies the checksum *before* parsing the body, so any corruption —
-// truncation, bit flips, version skew — is reported as a diagnostic
-// std::runtime_error instead of reaching a parser as garbage.
+// hv::ann::Index::save, the ml / nn / manifest serializers), with its
+// own magic and version. The section header carries the body's byte count
+// and FNV-1a 64 checksum; the loader verifies the checksum *before* parsing
+// the body, so any corruption — truncation, bit flips, version skew — is
+// reported as a diagnostic std::runtime_error instead of reaching a parser
+// as garbage.
 //
 // Section names:
 //   extractor        fitted HdcFeatureExtractor
 //   hamming          fitted HammingClassifier
-//   scaler.minmax    fitted data::MinMaxScaler
-//   scaler.standard  fitted data::StandardScaler
-//   online           fitted OnlineHdClassifier (integer prototypes)
+//   ann              prebuilt hv::ann::Index over the hamming rows
 //   nn               fitted nn::Sequential
 //   model:<name>     fitted zoo model, <name> = ml::Classifier::name()
 //   manifest         core::RunManifest of the producing training run
@@ -42,8 +40,6 @@
 #include "core/extractor.hpp"
 #include "core/hamming_classifier.hpp"
 #include "core/manifest.hpp"
-#include "core/online.hpp"
-#include "data/preprocess.hpp"
 #include "ml/classifier.hpp"
 #include "nn/sequential.hpp"
 
@@ -54,9 +50,6 @@ namespace hdc::core {
 struct ModelBundle {
   std::optional<HdcFeatureExtractor> extractor;
   std::optional<HammingClassifier> hamming;
-  std::optional<data::MinMaxScaler> minmax_scaler;
-  std::optional<data::StandardScaler> standard_scaler;
-  std::optional<OnlineHdClassifier> online;
   std::unique_ptr<nn::Sequential> nn;
   /// Fitted zoo models, keyed by their Classifier::name().
   std::vector<std::unique_ptr<ml::Classifier>> models;

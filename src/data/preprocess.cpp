@@ -1,9 +1,5 @@
 #include "data/preprocess.hpp"
 
-#include "util/serde.hpp"
-
-#include <cmath>
-#include <stdexcept>
 #include <vector>
 
 namespace hdc::data {
@@ -57,114 +53,6 @@ Dataset impute_median(const Dataset& ds) {
     fill[1][j] = m;
   }
   return impute_with(ds, fill);
-}
-
-void MinMaxScaler::fit(const Dataset& ds) {
-  lo_.assign(ds.n_cols(), 0.0);
-  hi_.assign(ds.n_cols(), 1.0);
-  for (std::size_t j = 0; j < ds.n_cols(); ++j) {
-    const ColumnStats s = ds.column_stats(j);
-    if (s.present == 0) continue;
-    lo_[j] = s.min;
-    hi_[j] = s.max;
-  }
-}
-
-Dataset MinMaxScaler::transform(const Dataset& ds) const {
-  if (!fitted()) throw std::logic_error("MinMaxScaler: not fitted");
-  if (ds.n_cols() != lo_.size()) {
-    throw std::invalid_argument("MinMaxScaler: column count mismatch");
-  }
-  Dataset out(ds.columns());
-  std::vector<double> row(ds.n_cols());
-  for (std::size_t i = 0; i < ds.n_rows(); ++i) {
-    const auto src = ds.row(i);
-    for (std::size_t j = 0; j < ds.n_cols(); ++j) {
-      if (Dataset::is_missing(src[j])) {
-        row[j] = src[j];
-      } else {
-        const double span = hi_[j] - lo_[j];
-        row[j] = span > 0.0 ? (src[j] - lo_[j]) / span : 0.0;
-      }
-    }
-    out.add_row(row, ds.label(i));
-  }
-  return out;
-}
-
-void StandardScaler::fit(const Dataset& ds) {
-  mean_.assign(ds.n_cols(), 0.0);
-  stddev_.assign(ds.n_cols(), 1.0);
-  for (std::size_t j = 0; j < ds.n_cols(); ++j) {
-    double sum = 0.0;
-    double sum_sq = 0.0;
-    std::size_t n = 0;
-    for (std::size_t i = 0; i < ds.n_rows(); ++i) {
-      const double v = ds.value(i, j);
-      if (Dataset::is_missing(v)) continue;
-      sum += v;
-      sum_sq += v * v;
-      ++n;
-    }
-    if (n == 0) continue;
-    const double mean = sum / static_cast<double>(n);
-    const double var = sum_sq / static_cast<double>(n) - mean * mean;
-    mean_[j] = mean;
-    stddev_[j] = var > 0.0 ? std::sqrt(var) : 1.0;
-  }
-}
-
-Dataset StandardScaler::transform(const Dataset& ds) const {
-  if (!fitted()) throw std::logic_error("StandardScaler: not fitted");
-  if (ds.n_cols() != mean_.size()) {
-    throw std::invalid_argument("StandardScaler: column count mismatch");
-  }
-  Dataset out(ds.columns());
-  std::vector<double> row(ds.n_cols());
-  for (std::size_t i = 0; i < ds.n_rows(); ++i) {
-    const auto src = ds.row(i);
-    for (std::size_t j = 0; j < ds.n_cols(); ++j) {
-      row[j] = Dataset::is_missing(src[j]) ? src[j] : (src[j] - mean_[j]) / stddev_[j];
-    }
-    out.add_row(row, ds.label(i));
-  }
-  return out;
-}
-
-void MinMaxScaler::save(std::ostream& out) const {
-  if (!fitted()) throw std::logic_error("MinMaxScaler: save of unfitted scaler");
-  util::serde::Writer w(out);
-  w.tag("scaler.minmax").tag("v1").nl();
-  w.vec_f64(lo_).nl();
-  w.vec_f64(hi_).nl();
-}
-
-void MinMaxScaler::load(std::istream& in) {
-  util::serde::Reader r(in, "load scaler.minmax");
-  r.expect("scaler.minmax", "scaler tag");
-  r.expect("v1", "format version");
-  lo_ = r.vec_f64("lo", 1ULL << 24);
-  hi_ = r.vec_f64("hi", 1ULL << 24);
-  if (lo_.empty() || lo_.size() != hi_.size()) throw r.error("lo/hi arity mismatch");
-}
-
-void StandardScaler::save(std::ostream& out) const {
-  if (!fitted()) throw std::logic_error("StandardScaler: save of unfitted scaler");
-  util::serde::Writer w(out);
-  w.tag("scaler.standard").tag("v1").nl();
-  w.vec_f64(mean_).nl();
-  w.vec_f64(stddev_).nl();
-}
-
-void StandardScaler::load(std::istream& in) {
-  util::serde::Reader r(in, "load scaler.standard");
-  r.expect("scaler.standard", "scaler tag");
-  r.expect("v1", "format version");
-  mean_ = r.vec_f64("mean", 1ULL << 24);
-  stddev_ = r.vec_f64("stddev", 1ULL << 24);
-  if (mean_.empty() || mean_.size() != stddev_.size()) {
-    throw r.error("mean/stddev arity mismatch");
-  }
 }
 
 }  // namespace hdc::data

@@ -1,4 +1,4 @@
-// Missing-value policies and feature scalers.
+// Missing-value policies.
 //
 // The paper evaluates two cleanings of the Pima dataset:
 //  * Pima R — rows with any missing value removed;
@@ -8,8 +8,6 @@
 //    scores much higher on Pima M than on Pima R; our reproduction keeps
 //    this behaviour on purpose and documents it.
 #pragma once
-
-#include <iosfwd>
 
 #include "data/dataset.hpp"
 
@@ -26,39 +24,5 @@ namespace hdc::data {
 /// New dataset with each missing cell replaced by the overall column median
 /// (leakage-free variant, used by the ablation benches).
 [[nodiscard]] Dataset impute_median(const Dataset& ds);
-
-/// Min-max scaler fitted on one dataset (train) and applied to others.
-/// Missing values pass through unchanged.
-class MinMaxScaler {
- public:
-  void fit(const Dataset& ds);
-  [[nodiscard]] Dataset transform(const Dataset& ds) const;
-  [[nodiscard]] bool fitted() const noexcept { return !lo_.empty(); }
-
-  /// Persist / restore the fitted bounds (bundle sections). Load throws
-  /// std::runtime_error on malformed input; save throws std::logic_error
-  /// when unfitted.
-  void save(std::ostream& out) const;
-  void load(std::istream& in);
-
- private:
-  std::vector<double> lo_;
-  std::vector<double> hi_;
-};
-
-/// Z-score scaler (mean 0, stddev 1). Missing values pass through.
-class StandardScaler {
- public:
-  void fit(const Dataset& ds);
-  [[nodiscard]] Dataset transform(const Dataset& ds) const;
-  [[nodiscard]] bool fitted() const noexcept { return !mean_.empty(); }
-
-  void save(std::ostream& out) const;
-  void load(std::istream& in);
-
- private:
-  std::vector<double> mean_;
-  std::vector<double> stddev_;
-};
 
 }  // namespace hdc::data

@@ -1,6 +1,5 @@
 #include "eval/metrics.hpp"
 
-#include <algorithm>
 #include <stdexcept>
 
 namespace hdc::eval {
@@ -60,38 +59,6 @@ double accuracy(const std::vector<int>& y_true, const std::vector<int>& y_pred) 
     if (y_true[i] == y_pred[i]) ++hits;
   }
   return static_cast<double>(hits) / static_cast<double>(y_true.size());
-}
-
-double roc_auc(const std::vector<int>& y_true, const std::vector<double>& scores) {
-  if (y_true.size() != scores.size()) {
-    throw std::invalid_argument("roc_auc: size mismatch");
-  }
-  // Rank-sum (Mann-Whitney U) formulation with midranks for ties.
-  std::vector<std::size_t> order(y_true.size());
-  for (std::size_t i = 0; i < order.size(); ++i) order[i] = i;
-  std::sort(order.begin(), order.end(),
-            [&](std::size_t a, std::size_t b) { return scores[a] < scores[b]; });
-
-  double rank_sum_pos = 0.0;
-  std::size_t n_pos = 0;
-  std::size_t i = 0;
-  while (i < order.size()) {
-    std::size_t j = i;
-    while (j + 1 < order.size() && scores[order[j + 1]] == scores[order[i]]) ++j;
-    const double midrank = 0.5 * static_cast<double>(i + j) + 1.0;
-    for (std::size_t k = i; k <= j; ++k) {
-      if (y_true[order[k]] == 1) {
-        rank_sum_pos += midrank;
-        ++n_pos;
-      }
-    }
-    i = j + 1;
-  }
-  const std::size_t n_neg = y_true.size() - n_pos;
-  if (n_pos == 0 || n_neg == 0) return 0.5;
-  const double u = rank_sum_pos - 0.5 * static_cast<double>(n_pos) *
-                                      static_cast<double>(n_pos + 1);
-  return u / (static_cast<double>(n_pos) * static_cast<double>(n_neg));
 }
 
 }  // namespace hdc::eval

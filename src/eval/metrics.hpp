@@ -41,9 +41,4 @@ struct BinaryMetrics {
 [[nodiscard]] double accuracy(const std::vector<int>& y_true,
                               const std::vector<int>& y_pred);
 
-/// Area under the ROC curve from scores (probability of ranking a random
-/// positive above a random negative; ties count half).
-[[nodiscard]] double roc_auc(const std::vector<int>& y_true,
-                             const std::vector<double>& scores);
-
 }  // namespace hdc::eval

@@ -123,41 +123,7 @@ BitVector majority(std::span<const BitVector* const> inputs, TiePolicy tie,
   return out;
 }
 
-BitVector weighted_majority(std::span<const BitVector> inputs,
-                            std::span<const double> weights, TiePolicy tie,
-                            util::Rng* rng) {
-  check_inputs(inputs);
-  if (inputs.size() != weights.size()) {
-    throw std::invalid_argument("weighted_majority: weights arity mismatch");
-  }
-  double total = 0.0;
-  for (const double w : weights) {
-    if (w <= 0.0) throw std::invalid_argument("weighted_majority: non-positive weight");
-    total += w;
-  }
-  const std::size_t d = inputs.front().size();
-  BitVector out(d);
-  for (std::size_t i = 0; i < d; ++i) {
-    double ones = 0.0;
-    for (std::size_t k = 0; k < inputs.size(); ++k) {
-      if (inputs[k].get(i)) ones += weights[k];
-    }
-    const double twice = 2.0 * ones;
-    if (twice > total) {
-      out.set(i, true);
-    } else if (twice == total) {
-      out.set(i, resolve_tie(tie, rng));
-    }
-  }
-  return out;
-}
-
 BitVector bind(const BitVector& a, const BitVector& b) { return a ^ b; }
-
-double similarity(const BitVector& a, const BitVector& b) {
-  if (a.size() == 0) return 1.0;
-  return 1.0 - 2.0 * a.hamming_fraction(b);
-}
 
 void BitAccumulator::add(const BitVector& v) {
   if (v.size() != counts_.size()) {

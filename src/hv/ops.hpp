@@ -1,4 +1,4 @@
-// HDC vector-space operations: bundling (majority vote), binding, similarity.
+// HDC vector-space operations: bundling (majority vote) and binding.
 #pragma once
 
 #include <span>
@@ -33,19 +33,8 @@ enum class TiePolicy {
                                  TiePolicy tie = TiePolicy::kOne,
                                  util::Rng* rng = nullptr);
 
-/// Weighted majority: input i contributes `weights[i]` votes. Weights must be
-/// positive. Used by the ablation benches to emphasise feature subsets.
-[[nodiscard]] BitVector weighted_majority(std::span<const BitVector> inputs,
-                                          std::span<const double> weights,
-                                          TiePolicy tie = TiePolicy::kOne,
-                                          util::Rng* rng = nullptr);
-
 /// XOR binding of two vectors (role-filler binding). Self-inverse.
 [[nodiscard]] BitVector bind(const BitVector& a, const BitVector& b);
-
-/// Cosine-style similarity for binary vectors: 1 - 2*hamming/d, in [-1, 1].
-/// 1 means identical, 0 means orthogonal, -1 means complement.
-[[nodiscard]] double similarity(const BitVector& a, const BitVector& b);
 
 /// Sum per-bit counts of ones across vectors (the accumulator form of
 /// bundling, useful for class prototypes built incrementally).

@@ -214,12 +214,16 @@ void Sequential::load_state(std::istream& in) {
   }
   config_.max_epochs = r.u64("max_epochs");
   config_.patience = r.u64("patience");
-  config_.monitor = r.u64("monitor") == 0 ? EarlyStopMonitor::kTrainLoss
-                                          : EarlyStopMonitor::kValLoss;
-  config_.min_delta = r.f64("min_delta");
+  const std::uint64_t monitor = r.u64("monitor");
+  if (monitor > 1) {
+    throw r.error("monitor must be 0 or 1, got " + std::to_string(monitor));
+  }
+  config_.monitor =
+      monitor == 0 ? EarlyStopMonitor::kTrainLoss : EarlyStopMonitor::kValLoss;
+  config_.min_delta = r.finite_f64("min_delta");
   config_.batch_size = r.u64("batch_size");
-  config_.learning_rate = r.f64("learning_rate");
-  config_.internal_val_fraction = r.f64("internal_val_fraction");
+  config_.learning_rate = r.finite_f64("learning_rate");
+  config_.internal_val_fraction = r.finite_f64("internal_val_fraction");
   config_.seed = r.u64("seed");
   input_dim_ = r.count("input_dim", 1ULL << 24);
   if (input_dim_ == 0) throw r.error("zero input dimension");
@@ -239,7 +243,7 @@ void Sequential::load_state(std::istream& in) {
     if (rows * cols > (1ULL << 26)) throw r.error("matrix too large");
     Matrix m(rows, cols);
     for (std::size_t i = 0; i < rows; ++i) {
-      for (double& v : m.row(i)) v = r.f64(what);
+      for (double& v : m.row(i)) v = r.finite_f64(what);
     }
     return m;
   };

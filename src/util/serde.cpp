@@ -140,21 +140,9 @@ Writer& Writer::vec_f64(std::span<const double> values) {
   return *this;
 }
 
-Writer& Writer::vec_i64(std::span<const std::int64_t> values) {
-  u64(values.size());
-  for (const std::int64_t v : values) i64(v);
-  return *this;
-}
-
 Writer& Writer::vec_int(std::span<const int> values) {
   u64(values.size());
   for (const int v : values) i64(v);
-  return *this;
-}
-
-Writer& Writer::vec_u32(std::span<const std::uint32_t> values) {
-  u64(values.size());
-  for (const std::uint32_t v : values) u64(v);
   return *this;
 }
 
@@ -292,14 +280,6 @@ std::vector<double> Reader::vec_finite_f64(const char* what, std::uint64_t max) 
   return out;
 }
 
-std::vector<std::int64_t> Reader::vec_i64(const char* what, std::uint64_t max) {
-  const std::uint64_t n = count(what, max);
-  std::vector<std::int64_t> out;
-  out.reserve(n);
-  for (std::uint64_t i = 0; i < n; ++i) out.push_back(i64(what));
-  return out;
-}
-
 std::vector<int> Reader::vec_int(const char* what, std::uint64_t max) {
   const std::uint64_t n = count(what, max);
   std::vector<int> out;
@@ -311,16 +291,6 @@ std::vector<int> Reader::vec_int(const char* what, std::uint64_t max) {
       throw error(std::string("int out of range for ") + what);
     }
     out.push_back(static_cast<int>(value));
-  }
-  return out;
-}
-
-std::vector<std::uint32_t> Reader::vec_u32(const char* what, std::uint64_t max) {
-  const std::uint64_t n = count(what, max);
-  std::vector<std::uint32_t> out;
-  out.reserve(n);
-  for (std::uint64_t i = 0; i < n; ++i) {
-    out.push_back(static_cast<std::uint32_t>(u64(what)));
   }
   return out;
 }

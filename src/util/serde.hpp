@@ -49,9 +49,7 @@ class Writer {
 
   /// Length-prefixed vectors: "<n> v0 v1 ...".
   Writer& vec_f64(std::span<const double> values);
-  Writer& vec_i64(std::span<const std::int64_t> values);
   Writer& vec_int(std::span<const int> values);
-  Writer& vec_u32(std::span<const std::uint32_t> values);
   Writer& vec_u64(std::span<const std::uint64_t> values);
   /// Binary word block: "<count> <fnv1a-hex16>", one '\n', then the words
   /// as count × 8 little-endian bytes. The checksum covers those bytes, so
@@ -93,10 +91,8 @@ class Reader {
 
   [[nodiscard]] std::vector<double> vec_f64(const char* what, std::uint64_t max);
   [[nodiscard]] std::vector<double> vec_finite_f64(const char* what, std::uint64_t max);
-  [[nodiscard]] std::vector<std::int64_t> vec_i64(const char* what, std::uint64_t max);
   /// Each value must fit an int.
   [[nodiscard]] std::vector<int> vec_int(const char* what, std::uint64_t max);
-  [[nodiscard]] std::vector<std::uint32_t> vec_u32(const char* what, std::uint64_t max);
   [[nodiscard]] std::vector<std::uint64_t> vec_u64(const char* what, std::uint64_t max);
   /// Inverse of Writer::word_block, straight into `dst`: the block's count
   /// must equal dst.size() (checked before any byte is read), and a missing

@@ -1,8 +1,8 @@
 // Deterministic corruption fuzzing for the bundle loader: truncations at
 // every offset stride, bit flips at seeded positions, version bumps, bad
-// checksums, duplicate / unknown sections, mutations inside every binary
-// word block of the hamming and ann sections, and plain garbage. The loader's
-// contract under attack is narrow — either throw a descriptive
+// checksums, duplicate / unknown / retired sections, mutations inside every
+// binary word block of the hamming and ann sections, and plain garbage. The
+// loader's contract under attack is narrow — either throw a descriptive
 // std::runtime_error, or (when the mutation is semantically invisible, e.g.
 // a dropped trailing newline) load a bundle that re-serializes byte-identical
 // to the pristine artifact. It must never crash, hang, or return a silently
@@ -24,6 +24,7 @@
 #include "data/synthetic.hpp"
 #include "hv/ann.hpp"
 #include "ml/zoo.hpp"
+#include "nn/sequential.hpp"
 #include "util/rng.hpp"
 #include "util/serde.hpp"
 
@@ -245,14 +246,33 @@ TEST(BundleCorrupt, DuplicateSectionRejected) {
 }
 
 TEST(BundleCorrupt, UnknownSectionRejected) {
-  const std::string crafted = craft_bundle({{"mystery", "payload"}});
-  std::istringstream in(crafted);
-  try {
-    (void)load_bundle(in);
-    FAIL() << "unknown section accepted";
-  } catch (const std::runtime_error& e) {
-    EXPECT_NE(std::string(e.what()).find("mystery"), std::string::npos)
-        << e.what();
+  // A name the loader does not know, and the three retired section names
+  // (the integer-prototype online learner and the two feature scalers),
+  // each with a body their old serializers would have written: all are
+  // rejected by name, never skipped.
+  const auto scaler_body = [](const char* tag) {
+    std::ostringstream out;
+    hdc::util::serde::Writer w(out);
+    w.tag(tag).tag("v1").nl();
+    w.vec_f64(std::vector<double>{0.0, 1.0}).nl();
+    w.vec_f64(std::vector<double>{2.0, 3.0}).nl();
+    return out.str();
+  };
+  const std::vector<std::pair<std::string, std::string>> cases = {
+      {"mystery", "payload"},
+      {"online", "core.online v1\n3 1 7\n4\n1 -1 2 0\n0 3 -2 1\n"},
+      {"scaler.minmax", scaler_body("scaler.minmax")},
+      {"scaler.standard", scaler_body("scaler.standard")}};
+  for (const auto& [name, body] : cases) {
+    std::istringstream in(craft_bundle({{name, body}}));
+    try {
+      (void)load_bundle(in);
+      ADD_FAILURE() << "section '" << name << "' accepted";
+    } catch (const std::runtime_error& e) {
+      const std::string what = e.what();
+      EXPECT_NE(what.find("unknown section name"), std::string::npos) << what;
+      EXPECT_NE(what.find("section '" + name + "'"), std::string::npos) << what;
+    }
   }
 }
 
@@ -588,6 +608,57 @@ TEST(BundleCorrupt, LogisticNonFiniteWeightRejected) {
     const std::string what = e.what();
     EXPECT_NE(what.find("model:Logistic Regression"), std::string::npos) << what;
     EXPECT_NE(what.find("weights"), std::string::npos) << what;
+  }
+}
+
+TEST(BundleCorrupt, NnNonFiniteRejected) {
+  // nn.sequential line layout: tag; hidden widths; "max_epochs patience
+  // monitor min_delta batch_size learning_rate internal_val_fraction seed";
+  // input_dim; dense layer count; then per Dense layer a "rows cols" header
+  // and its weight rows, then a "1 cols" header and the bias row. A NaN
+  // weight, a +Inf bias, a NaN learning_rate and an out-of-range monitor in
+  // a checksum-valid section must each be rejected with the section and the
+  // field named, not loaded into a network that answers NaN.
+  const hdc::data::Dataset ds = hdc::data::make_sylhet({30, 40, 3});
+  hdc::core::ExtractorConfig config;
+  config.dimensions = 64;
+  config.seed = 7;
+  hdc::core::HdcFeatureExtractor extractor(config);
+  extractor.fit(ds);
+  hdc::nn::SequentialConfig nn_config;
+  nn_config.hidden = {4};
+  nn_config.max_epochs = 2;
+  hdc::nn::Sequential network(nn_config);
+  network.fit(extractor.transform_to_matrix(ds), ds.labels());
+  std::ostringstream saved;
+  network.save_state(saved);
+  const std::vector<std::string> pristine = body_lines(saved.str());
+  ASSERT_EQ(pristine[0], "nn.sequential v1");
+  const std::size_t weight_rows = std::stoul(token(pristine[5], 0));
+  const std::size_t bias_line = 7 + weight_rows;
+  ASSERT_EQ(token(pristine[bias_line - 1], 0), "1") << "bias header";
+
+  const struct {
+    std::size_t line;
+    std::size_t tok;
+    const char* value;
+    const char* field;
+  } cases[] = {{6, 0, kNaN, "dense weights"},
+               {bias_line, 0, kPosInf, "dense bias"},
+               {2, 5, kNaN, "learning_rate"},
+               {2, 2, "7", "monitor"}};
+  for (const auto& c : cases) {
+    std::vector<std::string> lines = pristine;
+    lines[c.line] = with_token(lines[c.line], c.tok, c.value);
+    std::istringstream in(craft_bundle({{"nn", join_lines(lines)}}));
+    try {
+      (void)load_bundle(in);
+      ADD_FAILURE() << c.field << " = " << c.value << " accepted";
+    } catch (const std::runtime_error& e) {
+      const std::string what = e.what();
+      EXPECT_NE(what.find("section 'nn'"), std::string::npos) << what;
+      EXPECT_NE(what.find(c.field), std::string::npos) << what;
+    }
   }
 }
 

@@ -1,11 +1,10 @@
 // Round-trip tests for the bundle format: every zoo model, the Sequential
-// NN, both scalers, the online classifier, and full multi-section bundles
-// are fitted on golden synthetic seeds, saved, loaded, and compared with
-// EXPECT_EQ — on re-serialized state (the save/load/save string oracle: any
-// lost or mutated field shows up as a byte diff) and on predict_all_bits
-// outputs. Models fitted through dense fit() and packed fit_bits() both
-// round-trip, and the suite runs under the mlkernel label configs
-// (sanitizers + HDC_DISABLE_SIMD).
+// NN and full multi-section bundles are fitted on golden synthetic seeds,
+// saved, loaded, and compared with EXPECT_EQ — on re-serialized state (the
+// save/load/save string oracle: any lost or mutated field shows up as a byte
+// diff) and on predict_all_bits outputs. Models fitted through dense fit()
+// and packed fit_bits() both round-trip, and the suite runs under the
+// mlkernel label configs (sanitizers + HDC_DISABLE_SIMD).
 #include <sstream>
 #include <string>
 #include <vector>
@@ -16,7 +15,6 @@
 #include "core/experiment.hpp"
 #include "core/extractor.hpp"
 #include "core/hamming_classifier.hpp"
-#include "core/online.hpp"
 #include "data/preprocess.hpp"
 #include "data/synthetic.hpp"
 #include "hv/bit_matrix.hpp"
@@ -168,59 +166,8 @@ TEST(BundleNnRoundTrip, SequentialWeightsAndPredictions) {
   }
 }
 
-TEST(BundleScalerRoundTrip, MinMaxAndStandard) {
-  const hdc::data::Dataset ds = golden_pima().ds;
-
-  hdc::data::MinMaxScaler minmax;
-  minmax.fit(ds);
-  std::stringstream mm_stream;
-  minmax.save(mm_stream);
-  hdc::data::MinMaxScaler minmax_loaded;
-  minmax_loaded.load(mm_stream);
-  const hdc::data::Dataset mm_a = minmax.transform(ds);
-  const hdc::data::Dataset mm_b = minmax_loaded.transform(ds);
-
-  hdc::data::StandardScaler standard;
-  standard.fit(ds);
-  std::stringstream std_stream;
-  standard.save(std_stream);
-  hdc::data::StandardScaler standard_loaded;
-  standard_loaded.load(std_stream);
-  const hdc::data::Dataset std_a = standard.transform(ds);
-  const hdc::data::Dataset std_b = standard_loaded.transform(ds);
-
-  for (std::size_t i = 0; i < ds.n_rows(); ++i) {
-    for (std::size_t j = 0; j < ds.n_cols(); ++j) {
-      EXPECT_EQ(mm_a.value(i, j), mm_b.value(i, j)) << i << "," << j;
-      EXPECT_EQ(std_a.value(i, j), std_b.value(i, j)) << i << "," << j;
-    }
-  }
-}
-
-TEST(BundleScalerRoundTrip, UnfittedSaveThrows) {
-  std::ostringstream out;
-  EXPECT_THROW(hdc::data::MinMaxScaler().save(out), std::logic_error);
-  EXPECT_THROW(hdc::data::StandardScaler().save(out), std::logic_error);
-}
-
-TEST(BundleOnlineRoundTrip, PrototypesAndPredictions) {
-  const Golden& g = golden_sylhet();
-  hdc::core::OnlineHdClassifier original;
-  original.fit(g.vectors, g.ds.labels());
-
-  std::stringstream stream;
-  original.save(stream);
-  hdc::core::OnlineHdClassifier loaded;
-  loaded.load(stream);
-
-  EXPECT_EQ(loaded.prototype(0), original.prototype(0));
-  EXPECT_EQ(loaded.prototype(1), original.prototype(1));
-  for (const hdc::hv::BitVector& v : g.vectors) {
-    EXPECT_EQ(loaded.predict(v), original.predict(v));
-  }
-}
-
-/// Full bundle: every section kind at once, through save/load/save.
+/// Full bundle: extractor, hamming, nn and two zoo models at once, through
+/// save/load/save.
 TEST(BundleFullRoundTrip, AllSectionsSurvive) {
   const Golden& g = golden_pima();
 
@@ -231,12 +178,6 @@ TEST(BundleFullRoundTrip, AllSectionsSurvive) {
     hamming.fit(g.vectors, g.ds.labels());
     bundle.hamming = std::move(hamming);
   }
-  bundle.minmax_scaler.emplace();
-  bundle.minmax_scaler->fit(g.ds);
-  bundle.standard_scaler.emplace();
-  bundle.standard_scaler->fit(g.ds);
-  bundle.online.emplace();
-  bundle.online->fit(g.vectors, g.ds.labels());
   {
     hdc::nn::SequentialConfig config;
     config.hidden = {8};
@@ -263,7 +204,6 @@ TEST(BundleFullRoundTrip, AllSectionsSurvive) {
 
   ASSERT_TRUE(loaded.extractor.has_value());
   ASSERT_TRUE(loaded.hamming.has_value());
-  ASSERT_TRUE(loaded.online.has_value());
   ASSERT_NE(loaded.nn, nullptr);
   ASSERT_EQ(loaded.model_names(),
             (std::vector<std::string>{"Logistic Regression", "Decision Tree"}));

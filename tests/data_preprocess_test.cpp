@@ -66,79 +66,5 @@ TEST(ImputeKeepsPresentValues, Intact) {
   EXPECT_DOUBLE_EQ(imputed.value(5, 1), 90.0);
 }
 
-TEST(MinMaxScaler, ScalesToUnitInterval) {
-  Dataset ds({{"x", ColumnKind::kContinuous}});
-  for (const double v : {0.0, 5.0, 10.0}) ds.add_row(std::vector<double>{v}, 0);
-  MinMaxScaler scaler;
-  scaler.fit(ds);
-  const Dataset out = scaler.transform(ds);
-  EXPECT_DOUBLE_EQ(out.value(0, 0), 0.0);
-  EXPECT_DOUBLE_EQ(out.value(1, 0), 0.5);
-  EXPECT_DOUBLE_EQ(out.value(2, 0), 1.0);
-}
-
-TEST(MinMaxScaler, TrainRangeAppliesToTest) {
-  Dataset train({{"x", ColumnKind::kContinuous}});
-  train.add_row(std::vector<double>{0.0}, 0);
-  train.add_row(std::vector<double>{10.0}, 1);
-  Dataset test({{"x", ColumnKind::kContinuous}});
-  test.add_row(std::vector<double>{20.0}, 0);  // outside the train range
-  MinMaxScaler scaler;
-  scaler.fit(train);
-  EXPECT_DOUBLE_EQ(scaler.transform(test).value(0, 0), 2.0);
-}
-
-TEST(MinMaxScaler, MissingPassesThrough) {
-  Dataset ds({{"x", ColumnKind::kContinuous}});
-  ds.add_row(std::vector<double>{0.0}, 0);
-  ds.add_row(std::vector<double>{kNaN}, 1);
-  ds.add_row(std::vector<double>{4.0}, 0);
-  MinMaxScaler scaler;
-  scaler.fit(ds);
-  EXPECT_TRUE(Dataset::is_missing(scaler.transform(ds).value(1, 0)));
-}
-
-TEST(MinMaxScaler, UnfittedThrows) {
-  const MinMaxScaler scaler;
-  EXPECT_THROW((void)scaler.transform(with_missing()), std::logic_error);
-}
-
-TEST(MinMaxScaler, ConstantColumnMapsToZero) {
-  Dataset ds({{"x", ColumnKind::kContinuous}});
-  ds.add_row(std::vector<double>{7.0}, 0);
-  ds.add_row(std::vector<double>{7.0}, 1);
-  MinMaxScaler scaler;
-  scaler.fit(ds);
-  EXPECT_DOUBLE_EQ(scaler.transform(ds).value(0, 0), 0.0);
-}
-
-TEST(StandardScaler, ZeroMeanUnitVariance) {
-  Dataset ds({{"x", ColumnKind::kContinuous}});
-  for (const double v : {2.0, 4.0, 6.0, 8.0}) ds.add_row(std::vector<double>{v}, 0);
-  StandardScaler scaler;
-  scaler.fit(ds);
-  const Dataset out = scaler.transform(ds);
-  double mean = 0.0;
-  double var = 0.0;
-  for (std::size_t i = 0; i < out.n_rows(); ++i) mean += out.value(i, 0);
-  mean /= 4.0;
-  for (std::size_t i = 0; i < out.n_rows(); ++i) {
-    var += (out.value(i, 0) - mean) * (out.value(i, 0) - mean);
-  }
-  var /= 4.0;
-  EXPECT_NEAR(mean, 0.0, 1e-12);
-  EXPECT_NEAR(var, 1.0, 1e-12);
-}
-
-TEST(StandardScaler, ColumnCountMismatchThrows) {
-  StandardScaler scaler;
-  Dataset one({{"x", ColumnKind::kContinuous}});
-  one.add_row(std::vector<double>{1.0}, 0);
-  scaler.fit(one);
-  Dataset two({{"x", ColumnKind::kContinuous}, {"y", ColumnKind::kContinuous}});
-  two.add_row(std::vector<double>{1.0, 2.0}, 0);
-  EXPECT_THROW((void)scaler.transform(two), std::invalid_argument);
-}
-
 }  // namespace
 }  // namespace hdc::data

@@ -93,41 +93,5 @@ TEST(Accuracy, SizeMismatchThrows) {
   EXPECT_THROW((void)accuracy({1}, {1, 0}), std::invalid_argument);
 }
 
-TEST(RocAuc, PerfectRankingIsOne) {
-  const std::vector<int> y = {0, 0, 1, 1};
-  const std::vector<double> s = {0.1, 0.2, 0.8, 0.9};
-  EXPECT_DOUBLE_EQ(roc_auc(y, s), 1.0);
-}
-
-TEST(RocAuc, ReversedRankingIsZero) {
-  const std::vector<int> y = {0, 0, 1, 1};
-  const std::vector<double> s = {0.9, 0.8, 0.2, 0.1};
-  EXPECT_DOUBLE_EQ(roc_auc(y, s), 0.0);
-}
-
-TEST(RocAuc, ConstantScoresAreHalf) {
-  const std::vector<int> y = {0, 1, 0, 1};
-  const std::vector<double> s = {0.5, 0.5, 0.5, 0.5};
-  EXPECT_DOUBLE_EQ(roc_auc(y, s), 0.5);
-}
-
-TEST(RocAuc, KnownMixedCase) {
-  // Positives at scores {0.9, 0.4}; negatives at {0.6, 0.1}.
-  // Pairs: (0.9 beats both) + (0.4 beats 0.1 only) = 3 of 4.
-  const std::vector<int> y = {1, 0, 1, 0};
-  const std::vector<double> s = {0.9, 0.6, 0.4, 0.1};
-  EXPECT_DOUBLE_EQ(roc_auc(y, s), 0.75);
-}
-
-TEST(RocAuc, SingleClassReturnsHalf) {
-  const std::vector<int> y = {1, 1};
-  const std::vector<double> s = {0.3, 0.7};
-  EXPECT_DOUBLE_EQ(roc_auc(y, s), 0.5);
-}
-
-TEST(RocAuc, SizeMismatchThrows) {
-  EXPECT_THROW((void)roc_auc({1}, {0.5, 0.5}), std::invalid_argument);
-}
-
 }  // namespace
 }  // namespace hdc::eval

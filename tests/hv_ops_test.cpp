@@ -116,28 +116,6 @@ TEST(Majority, DistanceToInputsShrinksWithFewerInputs) {
   EXPECT_LT(d3, d9);  // more inputs -> each input is further from the bundle
 }
 
-TEST(WeightedMajority, HeavyWeightDominates) {
-  const std::size_t dim = 1000;
-  const auto inputs = random_vectors(3, dim, 10);
-  const std::vector<double> weights = {10.0, 1.0, 1.0};
-  const BitVector m = weighted_majority(inputs, weights);
-  EXPECT_EQ(m, inputs[0]);  // weight 10 vs max 2 opposing votes
-}
-
-TEST(WeightedMajority, UniformWeightsMatchMajority) {
-  const auto inputs = random_vectors(5, 2000, 11);
-  const std::vector<double> weights(5, 2.5);
-  EXPECT_EQ(weighted_majority(inputs, weights), majority(inputs));
-}
-
-TEST(WeightedMajority, RejectsBadWeights) {
-  const auto inputs = random_vectors(2, 100, 12);
-  EXPECT_THROW((void)weighted_majority(inputs, std::vector<double>{1.0}),
-               std::invalid_argument);
-  EXPECT_THROW((void)weighted_majority(inputs, std::vector<double>{1.0, -1.0}),
-               std::invalid_argument);
-}
-
 TEST(Bind, XorSemantics) {
   util::Rng rng(13);
   const BitVector a = BitVector::random(1000, rng);
@@ -153,27 +131,6 @@ TEST(Bind, BoundVectorIsDissimilarToInputs) {
   const BitVector bound = bind(a, b);
   EXPECT_NEAR(bound.hamming_fraction(a), 0.5, 0.05);
   EXPECT_NEAR(bound.hamming_fraction(b), 0.5, 0.05);
-}
-
-TEST(Similarity, IdenticalIsOne) {
-  util::Rng rng(15);
-  const BitVector v = BitVector::random(1000, rng);
-  EXPECT_DOUBLE_EQ(similarity(v, v), 1.0);
-}
-
-TEST(Similarity, ComplementIsMinusOne) {
-  util::Rng rng(16);
-  BitVector v = BitVector::random(1000, rng);
-  BitVector w = v;
-  w.invert();
-  EXPECT_DOUBLE_EQ(similarity(v, w), -1.0);
-}
-
-TEST(Similarity, RandomPairNearZero) {
-  util::Rng rng(17);
-  const BitVector a = BitVector::random(10000, rng);
-  const BitVector b = BitVector::random(10000, rng);
-  EXPECT_NEAR(similarity(a, b), 0.0, 0.1);
 }
 
 TEST(BitAccumulator, MatchesBatchMajority) {
