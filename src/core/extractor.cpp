@@ -152,9 +152,17 @@ hv::PackedHVs HdcFeatureExtractor::transform_packed(const data::Dataset& ds,
 
 hv::BitMatrix HdcFeatureExtractor::transform_bits(const data::Dataset& ds,
                                                   parallel::ThreadPool* pool) const {
+  hv::BitMatrix out;
+  transform_bits_into(ds, out, pool);
+  return out;
+}
+
+void HdcFeatureExtractor::transform_bits_into(const data::Dataset& ds,
+                                              hv::BitMatrix& out,
+                                              parallel::ThreadPool* pool) const {
   if (!fitted()) throw std::logic_error("HdcFeatureExtractor: not fitted");
   const hv::BatchEncoder batch(*encoder_, {pool});
-  return batch.encode_bits(ds.n_rows(), make_row_fn(ds, config_, column_min_));
+  batch.encode_bits_into(ds.n_rows(), make_row_fn(ds, config_, column_min_), out);
 }
 
 hv::ShardedBitMatrix HdcFeatureExtractor::transform_bits_chunked(

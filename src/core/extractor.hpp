@@ -88,6 +88,12 @@ class HdcFeatureExtractor {
   [[nodiscard]] hv::BitMatrix transform_bits(
       const data::Dataset& ds, parallel::ThreadPool* pool = nullptr) const;
 
+  /// As transform_bits(), but into `out`, reusing its row and plane
+  /// buffers (hv::BatchEncoder::encode_bits_into) — the streamed build's
+  /// shard reload. Byte-identical to transform_bits(ds).
+  void transform_bits_into(const data::Dataset& ds, hv::BitMatrix& out,
+                           parallel::ThreadPool* pool = nullptr) const;
+
   /// As transform_bits(), but encoded shard-at-a-time into a
   /// ShardedBitMatrix (`shard_rows` rows per shard, 0 = one shard). Row i's
   /// encoding is identical regardless of shard geometry, so any chunking of

@@ -50,10 +50,11 @@ const hv::BitMatrix& EncodingShardSource::shard(std::size_t s) const {
     throw std::out_of_range("EncodingShardSource: shard index out of range");
   }
   if (s == current_shard_) return current_;
-  current_ = hv::BitMatrix();  // drop the previous shard before loading
   current_shard_ = static_cast<std::size_t>(-1);
   const data::Dataset chunk = chunks_->chunk(plan_[s].begin, plan_[s].end);
-  current_ = extractor_->transform_bits(chunk);
+  // Encoded into the previous shard's row and plane buffers: after the
+  // first load, a reload maps no fresh memory.
+  extractor_->transform_bits_into(chunk, current_);
   current_shard_ = s;
 
   obs::gauge("data.shards_resident").set(1);

@@ -2,11 +2,13 @@
 //
 // Bridges a data::ChunkedDataset (CSV stream, synthetic generator, or
 // in-memory view) and a fitted HdcFeatureExtractor into an ml::ShardSource:
-// each shard() call materializes one row-range chunk, encodes it to a packed
-// BitMatrix, and discards the previous shard — at no point is the full
-// cohort's dense matrix or bitplane set resident. Because row i's encoding
-// is a pure function of (row bytes, extractor), and every consumer merges
-// per-shard integer statistics, results are bit-identical at any shard size.
+// each shard() call materializes one row-range chunk and encodes it into the
+// previous shard's row and plane buffers, overwriting that shard. One
+// shard's buffers stay resident, sized for the largest shard loaded so far;
+// at no point is the full cohort's dense matrix or bitplane set resident.
+// Because row i's encoding is a pure function of (row bytes, extractor), and
+// every consumer merges per-shard integer statistics, results are
+// bit-identical at any shard size.
 //
 // Observability: each shard load updates the `data.shards_resident` gauge
 // and the `data.shard_bytes_peak` high-water gauge (measured from the actual

@@ -94,23 +94,46 @@ CsvStreamChunks::CsvStreamChunks(std::string path, CsvOptions options)
 Dataset CsvStreamChunks::chunk(std::size_t begin, std::size_t end) const {
   check_range(begin, end, "CsvStreamChunks");
   Dataset ds(columns_);
+  if (begin == end) return ds;
   std::ifstream in(path_);
   if (!in) throw std::runtime_error("CsvStreamChunks: cannot open " + path_);
+  const auto vanished = [this](std::size_t i) {
+    return std::runtime_error("CsvStreamChunks: line " +
+                              std::to_string(lines_[i]) +
+                              " vanished mid-stream in " + path_);
+  };
+  // A row that no longer starts where the prescan saw it means the file
+  // changed underneath; parsing on would read shifted bytes.
+  const auto moved = [this](std::size_t i) {
+    return std::runtime_error("CsvStreamChunks: line " +
+                              std::to_string(lines_[i]) + " of " + path_ +
+                              " no longer starts at byte " +
+                              std::to_string(offsets_[i]) +
+                              " where the prescan found it");
+  };
+  // One seek, then the rows in file order: a seek per row would discard the
+  // stream buffer and cost a fresh read() each. The seek lands on the
+  // newline before the first row (the header line always precedes it), so
+  // that row's start is checked like every other.
+  in.seekg(static_cast<std::streamoff>(offsets_[begin] - 1));
+  const int before = in.get();
+  if (before == std::ifstream::traits_type::eof()) throw vanished(begin);
+  if (before != '\n') throw moved(begin);
+  std::uint64_t pos = offsets_[begin];
   std::string line;
   std::vector<double> row;
-  for (std::size_t i = begin; i < end; ++i) {
-    in.clear();
-    in.seekg(static_cast<std::streamoff>(offsets_[i]));
-    if (!std::getline(in, line)) {
-      throw std::runtime_error("CsvStreamChunks: line " +
-                               std::to_string(lines_[i]) +
-                               " vanished mid-stream in " + path_);
-    }
+  for (std::size_t i = begin; i < end;) {
+    const std::uint64_t at = pos;
+    if (!std::getline(in, line)) throw vanished(i);
+    pos += line.size() + 1;
+    if (util::trim(line).empty()) continue;  // the prescan's blank-line rule
+    if (at != offsets_[i]) throw moved(i);
     // Re-validates the cell count, so a file rewritten behind our back with
     // a different column count fails with the offending row's line number.
     const int label = detail::parse_csv_row(line, header_, options_, lines_[i],
                                             "CsvStreamChunks", row);
     ds.add_row(row, label);
+    ++i;
   }
   return ds;
 }

@@ -86,10 +86,12 @@ class SyntheticCohortChunks final : public ChunkedDataset {
 /// validates every data line (cell-count mismatches get an error carrying
 /// the 1-based file line number), infers binary column kinds, and records
 /// one byte offset per data row — so chunk() is random access and only the
-/// requested rows are ever resident. chunk() re-reads from the recorded
-/// offsets and re-validates, so a file rewritten mid-stream with a different
-/// column count fails with the same row-numbered error instead of producing
-/// silently misaligned rows.
+/// requested rows are ever resident. chunk() seeks once to its first row's
+/// offset and reads the range in file order, skipping blank lines as the
+/// prescan does. Every row must still start at its recorded offset and
+/// re-validates, so a file rewritten mid-stream (rows shifted, or a
+/// different column count) fails with the offending row's 1-based line
+/// number instead of producing silently misaligned rows.
 class CsvStreamChunks final : public ChunkedDataset {
  public:
   explicit CsvStreamChunks(std::string path, CsvOptions options = {});

@@ -45,14 +45,4 @@ Dataset impute_class_median(const Dataset& ds) {
   return impute_with(ds, fill);
 }
 
-Dataset impute_median(const Dataset& ds) {
-  std::vector<std::vector<double>> fill(2, std::vector<double>(ds.n_cols(), 0.0));
-  for (std::size_t j = 0; j < ds.n_cols(); ++j) {
-    const double m = ds.column_stats(j).median;
-    fill[0][j] = m;
-    fill[1][j] = m;
-  }
-  return impute_with(ds, fill);
-}
-
 }  // namespace hdc::data

@@ -21,8 +21,4 @@ namespace hdc::data {
 /// Falls back to the overall column median when a class has no data.
 [[nodiscard]] Dataset impute_class_median(const Dataset& ds);
 
-/// New dataset with each missing cell replaced by the overall column median
-/// (leakage-free variant, used by the ablation benches).
-[[nodiscard]] Dataset impute_median(const Dataset& ds);
-
 }  // namespace hdc::data

@@ -2,6 +2,7 @@
 
 #include <algorithm>
 #include <stdexcept>
+#include <utility>
 
 #include "obs/metrics.hpp"
 #include "obs/trace.hpp"
@@ -73,7 +74,14 @@ std::vector<BitVector> BatchEncoder::encode_matrix(std::span<const double> value
 }
 
 PackedHVs BatchEncoder::encode_packed(std::size_t n_rows, const RowFn& row_of) const {
-  PackedHVs out(bits(), n_rows);
+  PackedHVs out;
+  fill_packed(n_rows, row_of, out);
+  return out;
+}
+
+void BatchEncoder::fill_packed(std::size_t n_rows, const RowFn& row_of,
+                               PackedHVs& out) const {
+  out.reshape(bits(), n_rows);
   parallel::parallel_for_chunks(
       0, n_rows,
       [&](std::size_t lo, std::size_t hi) {
@@ -96,11 +104,19 @@ PackedHVs BatchEncoder::encode_packed(std::size_t n_rows, const RowFn& row_of) c
         }
       },
       options_.pool);
-  return out;
 }
 
 BitMatrix BatchEncoder::encode_bits(std::size_t n_rows, const RowFn& row_of) const {
-  return BitMatrix::from_rows(encode_packed(n_rows, row_of));
+  BitMatrix out;
+  encode_bits_into(n_rows, row_of, out);
+  return out;
+}
+
+void BatchEncoder::encode_bits_into(std::size_t n_rows, const RowFn& row_of,
+                                    BitMatrix& out) const {
+  PackedHVs rows = out.release_rows();
+  fill_packed(n_rows, row_of, rows);
+  out.assign_rows(std::move(rows), options_.pool);
 }
 
 ShardedBitMatrix BatchEncoder::encode_bits_chunked(std::size_t n_rows,

@@ -60,6 +60,13 @@ class BatchEncoder {
   /// ever materialising a double design matrix.
   [[nodiscard]] BitMatrix encode_bits(std::size_t n_rows, const RowFn& row_of) const;
 
+  /// As encode_bits, but into `out`, whose row and plane buffers are reused
+  /// (BitMatrix::release_rows / assign_rows): a caller that re-encodes
+  /// same-sized batches maps no fresh memory after the first. The result
+  /// is byte-identical to encode_bits. If row_of throws, `out` is left empty.
+  void encode_bits_into(std::size_t n_rows, const RowFn& row_of,
+                        BitMatrix& out) const;
+
   /// As encode_bits, but emits one BitMatrix block per `shard_rows`-sized
   /// contiguous row range (shorter tail allowed; shard_rows == 0 = one
   /// shard). Row i is encoded identically regardless of which shard it
@@ -70,6 +77,9 @@ class BatchEncoder {
                                                      const RowFn& row_of) const;
 
  private:
+  /// Reshape `out` to n_rows x bits() (keeping its buffer) and encode into it.
+  void fill_packed(std::size_t n_rows, const RowFn& row_of, PackedHVs& out) const;
+
   const RecordEncoder* encoder_;
   BatchEncodeOptions options_;
 };

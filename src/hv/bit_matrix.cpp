@@ -6,6 +6,7 @@
 #include <stdexcept>
 #include <utility>
 
+#include "parallel/thread_pool.hpp"
 #include "simd/dispatch.hpp"
 
 namespace hdc::hv {
@@ -126,41 +127,63 @@ std::size_t RowMask::count() const noexcept {
   return simd::active().popcount(words_.data(), words_.size());
 }
 
-BitMatrix BitMatrix::from_rows(PackedHVs rows) {
+BitMatrix BitMatrix::from_rows(PackedHVs rows, parallel::ThreadPool* pool) {
   BitMatrix m;
-  m.rows_ = rows.rows();
-  m.cols_ = rows.bits();
-  m.wpc_ = (m.rows_ + 63) / 64;
-  const std::size_t wpr = rows.words_per_row();
-  if (m.cols_ % 64 != 0) {
-    const std::uint64_t keep = (1ULL << (m.cols_ % 64)) - 1ULL;
-    for (std::size_t i = 0; i < m.rows_; ++i) rows.row(i)[wpr - 1] &= keep;
-  }
-  m.planes_.resize(m.cols_ * m.wpc_);
-  if (m.rows_ == 1) {
-    spread_row(rows.row(0), m.cols_, m.planes_.data());
-  } else {
-    // Row word w of every row block lands in the planes of columns
-    // [64w, 64w + 64): one contiguous stretch of 64 * wpc words per w.
-    alignas(64) std::uint64_t block[64];
-    for (std::size_t w = 0; w < wpr; ++w) {
-      const std::size_t first_col = w * 64;
-      const std::size_t n_cols = std::min<std::size_t>(64, m.cols_ - first_col);
-      std::uint64_t* out = m.planes_.data() + first_col * m.wpc_;
-      for (std::size_t b = 0; b < m.wpc_; ++b) {
-        const std::size_t first_row = b * 64;
-        const std::size_t n_rows = std::min<std::size_t>(64, m.rows_ - first_row);
-        for (std::size_t r = 0; r < n_rows; ++r) {
-          block[r] = rows.row(first_row + r)[w];
-        }
-        transpose_rows(block, n_rows);
-        for (std::size_t c = 0; c < n_cols; ++c) out[c * m.wpc_ + b] = block[c];
-      }
-    }
-  }
-  m.row_major_ = std::move(rows);
-  m.valid_ = RowMask::all(m.rows_);
+  m.assign_rows(std::move(rows), pool);
   return m;
+}
+
+void BitMatrix::assign_rows(PackedHVs rows, parallel::ThreadPool* pool) {
+  rows_ = rows.rows();
+  cols_ = rows.bits();
+  wpc_ = (rows_ + 63) / 64;
+  const std::size_t wpr = rows.words_per_row();
+  if (cols_ % 64 != 0) {
+    const std::uint64_t keep = (1ULL << (cols_ % 64)) - 1ULL;
+    for (std::size_t i = 0; i < rows_; ++i) rows.row(i)[wpr - 1] &= keep;
+  }
+  planes_.resize(cols_ * wpc_);
+  if (rows_ == 1) {
+    spread_row(rows.row(0), cols_, planes_.data());
+  } else {
+    // Block (w, b) transposes row word w of row block b into word b of the
+    // planes of columns [64w, 64w + 64); no two blocks share a plane word.
+    const std::size_t wpc = wpc_;
+    const std::size_t cols = cols_;
+    const std::size_t total_rows = rows_;
+    std::uint64_t* planes = planes_.data();
+    parallel::parallel_for_chunks(
+        0, wpr * wpc,
+        [&rows, planes, wpc, cols, total_rows](std::size_t lo, std::size_t hi) {
+          alignas(64) std::uint64_t block[64];
+          for (std::size_t k = lo; k < hi; ++k) {
+            const std::size_t w = k / wpc;
+            const std::size_t b = k % wpc;
+            const std::size_t first_col = w * 64;
+            const std::size_t n_cols = std::min<std::size_t>(64, cols - first_col);
+            const std::size_t first_row = b * 64;
+            const std::size_t n_rows = std::min<std::size_t>(64, total_rows - first_row);
+            for (std::size_t r = 0; r < n_rows; ++r) {
+              block[r] = rows.row(first_row + r)[w];
+            }
+            transpose_rows(block, n_rows);
+            std::uint64_t* out = planes + first_col * wpc + b;
+            for (std::size_t c = 0; c < n_cols; ++c) out[c * wpc] = block[c];
+          }
+        },
+        pool);
+  }
+  row_major_ = std::move(rows);
+  valid_ = RowMask::all(rows_);
+}
+
+PackedHVs BitMatrix::release_rows() noexcept {
+  rows_ = 0;
+  cols_ = 0;
+  wpc_ = 0;
+  planes_.clear();
+  valid_ = RowMask();
+  return std::exchange(row_major_, PackedHVs());
 }
 
 std::size_t BitMatrix::column_popcount(std::size_t j) const noexcept {

@@ -63,19 +63,34 @@ class RowMask {
   std::vector<std::uint64_t> words_;
 };
 
-/// Column-major bitplane matrix with a row-major mirror. Immutable after
-/// construction: producers build a PackedHVs and transpose once.
+/// Column-major bitplane matrix with a row-major mirror. Read-only between
+/// builds: producers build a PackedHVs and transpose once, either into a
+/// new matrix (from_rows) or into an existing one whose buffers they reuse
+/// (release_rows, refill the rows, assign_rows).
 class BitMatrix {
  public:
   BitMatrix() = default;
 
-  /// Transpose a row-major packed array into column bitplanes, 64x64 bits
-  /// at a time. The argument is retained (moved) as the row-major mirror,
-  /// so callers hand over ownership instead of paying a second copy.
+  /// A new matrix holding `rows`: assign_rows on an empty matrix.
+  [[nodiscard]] static BitMatrix from_rows(PackedHVs rows,
+                                           parallel::ThreadPool* pool = nullptr);
+
+  /// Rows in: transpose a row-major packed array into column bitplanes,
+  /// 64x64 bits at a time, replacing whatever this matrix held. The planes
+  /// are rebuilt in the existing plane buffer, which is only reallocated
+  /// when it is too small. The row blocks are spread over `pool` (nullptr =
+  /// process-wide pool; run inline from inside a worker of that pool or
+  /// for one row); every block writes its own plane words, so the bits never
+  /// depend on the pool. The argument is retained (moved) as the row-major
+  /// mirror, so callers hand over ownership instead of paying a second copy.
   /// Padding rule: bits past bits() in a row's last word are ignored and
   /// cleared in the mirror, so both views hold the same bits and only the
   /// cols() planes are written.
-  [[nodiscard]] static BitMatrix from_rows(PackedHVs rows);
+  void assign_rows(PackedHVs rows, parallel::ThreadPool* pool = nullptr);
+
+  /// Rows out: hand back the row-major mirror and leave this matrix empty,
+  /// keeping the plane buffer's capacity for the next assign_rows.
+  [[nodiscard]] PackedHVs release_rows() noexcept;
 
   [[nodiscard]] std::size_t rows() const noexcept { return rows_; }
   [[nodiscard]] std::size_t cols() const noexcept { return cols_; }

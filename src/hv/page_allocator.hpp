@@ -114,7 +114,7 @@ class UninitPageAllocator : public PageAllocator<T> {
   }
 };
 
-/// The word buffer type of BitMatrix planes (BitMatrix::from_rows writes
+/// The word buffer type of BitMatrix planes (BitMatrix::assign_rows writes
 /// every word).
 using PlaneWords =
     std::vector<std::uint64_t, UninitPageAllocator<std::uint64_t>>;

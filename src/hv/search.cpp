@@ -16,6 +16,13 @@ PackedHVs::PackedHVs(std::size_t bits, std::size_t rows)
     : bits_(bits), words_per_row_((bits + 63) / 64), rows_(rows),
       words_(words_per_row_ * rows, 0ULL) {}
 
+void PackedHVs::reshape(std::size_t bits, std::size_t rows) {
+  bits_ = bits;
+  words_per_row_ = (bits + 63) / 64;
+  rows_ = rows;
+  words_.assign(words_per_row_ * rows, 0ULL);
+}
+
 PackedHVs PackedHVs::pack(std::span<const BitVector> vectors) {
   if (vectors.empty()) return {};
   PackedHVs out(vectors.front().size(), vectors.size());

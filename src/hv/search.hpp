@@ -42,6 +42,11 @@ class PackedHVs {
   /// All-zero matrix of `rows` hypervectors of `bits` dimensions.
   PackedHVs(std::size_t bits, std::size_t rows);
 
+  /// Become an all-zero matrix of `rows` hypervectors of `bits` dimensions,
+  /// as the constructor would, but keep the word buffer: nothing is
+  /// allocated or mapped while `rows` * words_per_row() fits its capacity.
+  void reshape(std::size_t bits, std::size_t rows);
+
   /// Pack a vector array (all inputs must share one dimensionality).
   [[nodiscard]] static PackedHVs pack(std::span<const BitVector> vectors);
 

@@ -1,6 +1,8 @@
 // ChunkedDataset backends: shard plans, chunk-invariance of the in-memory /
-// synthetic / streaming-CSV sources, and the streaming reader's row-numbered
-// rejection of files whose shape changes between prescan and chunk().
+// synthetic / streaming-CSV sources (including blank lines, CRLF endings and
+// a last row without a newline), and the streaming reader's row-numbered
+// rejection of files whose shape or row offsets change between prescan and
+// chunk().
 #include <gtest/gtest.h>
 
 #include <cstdio>
@@ -167,6 +169,88 @@ TEST_F(CsvStreamChunksTest, MidStreamRewriteFailsWithRowNumberedError) {
   } catch (const std::runtime_error& e) {
     EXPECT_NE(std::string(e.what()).find("line 17"), std::string::npos)
         << e.what();
+  }
+}
+
+// Each layout must chunk exactly like read_csv_file at every split: blank
+// lines are skipped by the same rule in both readers, and chunk() reads a
+// range in file order from one seek.
+TEST(CsvStreamChunks, AwkwardLayoutsChunkLikeReadCsvFile) {
+  struct Layout {
+    const char* name;
+    std::string text;
+  };
+  std::string blank_lines = "age,bmi,smoker,label\n\n";
+  std::string crlf = "age,bmi,smoker,label\r\n";
+  std::string no_final_newline = "age,bmi,smoker,label\n";
+  for (int i = 0; i < 11; ++i) {
+    const std::string cells = std::to_string(20 + i) + "," +
+                              std::to_string(18.5 + 0.25 * i) + "," +
+                              std::to_string(i % 2) + "," +
+                              std::to_string(i % 3 == 0 ? 1 : 0);
+    blank_lines += cells + (i % 4 == 1 ? "\n\n \n" : "\n");
+    crlf += cells + "\r\n";
+    no_final_newline += cells + (i == 10 ? "" : "\n");
+  }
+  blank_lines += "\n\n";
+  const Layout layouts[] = {{"blank lines", blank_lines},
+                            {"CRLF", crlf},
+                            {"no final newline", no_final_newline}};
+  const std::string path = ::testing::TempDir() + "/stream_layouts.csv";
+  for (const Layout& layout : layouts) {
+    SCOPED_TRACE(layout.name);
+    {
+      std::ofstream out(path, std::ios::binary);
+      out << layout.text;
+    }
+    const Dataset whole = hdc::data::read_csv_file(path);
+    ASSERT_EQ(whole.n_rows(), 11u);
+    const hdc::data::CsvStreamChunks chunks(path);
+    ASSERT_EQ(chunks.n_rows(), whole.n_rows());
+    for (const std::size_t k : {std::size_t{1}, std::size_t{3}, std::size_t{7},
+                                whole.n_rows()}) {
+      SCOPED_TRACE(testing::Message() << "shard_rows " << k);
+      for (const ChunkRange& range : make_shard_plan(whole.n_rows(), k)) {
+        const Dataset chunk = chunks.chunk(range.begin, range.end);
+        ASSERT_EQ(chunk.n_rows(), range.rows());
+        expect_rows_equal(whole, chunk, range.begin);
+      }
+    }
+  }
+  std::remove(path.c_str());
+}
+
+TEST_F(CsvStreamChunksTest, MidStreamShiftFailsWithRowNumberedError) {
+  const hdc::data::CsvStreamChunks chunks(path_);  // prescan sees 20 good rows
+  // Rewrite data row 2 (file line 3) with the same cell count but one byte
+  // longer ("022"), then one byte shorter ("2"): every later row starts a
+  // byte off its recorded offset. Shorter is the silent case for a reader
+  // that seeks per row: the offset lands on the row's second byte, and
+  // "0,20.5,0,0" parses as a well-formed row with the wrong age.
+  for (const char* age2 : {"022", "2"}) {
+    SCOPED_TRACE(age2);
+    {
+      std::ofstream out(path_);
+      out << "age,bmi,smoker,label\n";
+      for (int i = 0; i < 20; ++i) {
+        if (i == 2) {
+          out << age2;
+        } else {
+          out << 20 + i;
+        }
+        out << "," << 18.5 + 0.25 * i << "," << i % 2 << ","
+            << (i % 3 == 0 ? 1 : 0) << "\n";
+      }
+    }
+    EXPECT_NO_THROW((void)chunks.chunk(0, 3));  // rows before the shift
+    try {
+      (void)chunks.chunk(10, 20);
+      FAIL() << "chunk() parsed rows that moved since the prescan";
+    } catch (const std::runtime_error& e) {
+      // Data row 10 is file line 12.
+      EXPECT_NE(std::string(e.what()).find("line 12"), std::string::npos)
+          << e.what();
+    }
   }
 }
 

@@ -52,14 +52,6 @@ TEST(ImputeClassMedian, LeaksLabelInformation) {
   EXPECT_NE(imputed.value(1, 1), imputed.value(3, 1));
 }
 
-TEST(ImputeMedian, UsesOverallMedian) {
-  const Dataset imputed = impute_median(with_missing());
-  EXPECT_EQ(imputed.rows_with_missing(), 0u);
-  // Overall median of y over {10, 30, 80, 90} = 55.
-  EXPECT_DOUBLE_EQ(imputed.value(1, 1), 55.0);
-  EXPECT_DOUBLE_EQ(imputed.value(3, 1), 55.0);
-}
-
 TEST(ImputeKeepsPresentValues, Intact) {
   const Dataset imputed = impute_class_median(with_missing());
   EXPECT_DOUBLE_EQ(imputed.value(0, 1), 10.0);
