@@ -287,10 +287,9 @@ StreamedResult streamed_gates(std::size_t rows,
   // term (each container bounded from above, summed across phases, so the
   // measured peak can never legitimately exceed it): the largest resident
   // shard + the finished index + pre-compaction centroids, the Lloyd sample
-  // with its per-row cells and per-cell bit counters, the full assignment,
-  // and the pass-3 cursor/slot scratch.
+  // with its per-row cells, its cell-sorted member pointers and the cell
+  // offsets, the full assignment, and the pass-3 cursor/slot scratch.
   const ann::Config& resolved = reference.config();
-  const std::size_t bits_n = reference.bits();
   const std::size_t sample_rows = std::min(rows, resolved.lloyd_sample);
   const std::size_t max_shard_rows = (rows + 7) / 8;  // largest shard at 8 shards
   result.bytes_peak = stats.bytes_peak;          // from the 8-shard build
@@ -301,8 +300,8 @@ StreamedResult streamed_gates(std::size_t rows,
       resolved.cells * words * sizeof(std::uint64_t) +
       sample_rows * words * sizeof(std::uint64_t) +
       sample_rows * sizeof(std::uint32_t) +
-      resolved.cells * bits_n * sizeof(std::uint32_t) +
-      resolved.cells * sizeof(std::uint64_t) +
+      sample_rows * sizeof(const std::uint64_t*) +
+      (resolved.cells + 1) * sizeof(std::size_t) +
       rows * sizeof(std::uint32_t) +
       (resolved.cells + 1) * sizeof(std::uint64_t) +
       max_shard_rows * sizeof(std::uint64_t);

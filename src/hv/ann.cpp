@@ -1,7 +1,6 @@
 #include "hv/ann.hpp"
 
 #include <algorithm>
-#include <bit>
 #include <cmath>
 #include <mutex>
 #include <stdexcept>
@@ -135,6 +134,7 @@ Index Index::build_impl(
   // One kernel-table load per build pass (the hot loops below run the
   // hoisted pointer, not a per-call simd::active()).
   const auto hamming = simd::active().hamming;
+  const auto majority = simd::active().majority;
 
   const std::size_t words = (bits + 63) / 64;
 
@@ -247,17 +247,22 @@ Index Index::build_impl(
     return best_cell;
   };
 
-  // Lloyd refinement over the collected sample (assignments are
-  // embarrassingly parallel; accumulation is a serial pass, so results are
-  // thread-count-invariant by construction).
+  // Lloyd refinement over the collected sample. Assignments run over the
+  // pool per row; the update counting-sorts the sample by cell and takes
+  // each cell's new centroid as the word-parallel majority of its members,
+  // over the pool per cell. Each cell writes only its own centroid, so the
+  // result is thread-count-invariant by construction.
   {
+    // Bits past `bits` in the last word stay zero whatever the rows carry.
+    const std::uint64_t tail_mask =
+        index.bits_ % 64 == 0 ? ~0ULL : (1ULL << (index.bits_ % 64)) - 1;
     std::vector<std::uint32_t> sample_cell(sample_count);
-    std::vector<std::uint32_t> counts(c.cells * index.bits_);
-    std::vector<std::uint64_t> cell_sizes_lloyd(c.cells);
+    std::vector<const std::uint64_t*> member_rows(sample_count);
+    std::vector<std::size_t> cell_offsets(c.cells + 1);
     note_peak((centroids.size() + sample.size()) * sizeof(std::uint64_t) +
               sample_cell.size() * sizeof(std::uint32_t) +
-              counts.size() * sizeof(std::uint32_t) +
-              cell_sizes_lloyd.size() * sizeof(std::uint64_t));
+              member_rows.size() * sizeof(const std::uint64_t*) +
+              cell_offsets.size() * sizeof(std::size_t));
     for (std::size_t iter = 0; iter < c.lloyd_iterations; ++iter) {
       parallel::parallel_for(
           0, sample_count,
@@ -266,35 +271,35 @@ Index Index::build_impl(
                 nearest_cell(sample.data() + s * words, c.cells));
           },
           pool);
-      std::fill(counts.begin(), counts.end(), 0);
-      std::fill(cell_sizes_lloyd.begin(), cell_sizes_lloyd.end(), 0);
+      std::fill(cell_offsets.begin(), cell_offsets.end(), 0);
       for (std::size_t s = 0; s < sample_count; ++s) {
-        const std::size_t cell = sample_cell[s];
-        ++cell_sizes_lloyd[cell];
-        std::uint32_t* cell_counts = counts.data() + cell * index.bits_;
-        const std::uint64_t* row = sample.data() + s * words;
-        for (std::size_t w = 0; w < words; ++w) {
-          std::uint64_t word = row[w];
-          while (word != 0) {
-            const auto b = static_cast<std::size_t>(std::countr_zero(word));
-            ++cell_counts[w * 64 + b];
-            word &= word - 1;
-          }
-        }
+        ++cell_offsets[sample_cell[s] + 1];
       }
       for (std::size_t cell = 0; cell < c.cells; ++cell) {
-        const std::uint64_t size = cell_sizes_lloyd[cell];
-        if (size == 0) continue;  // empty cell keeps its previous centroid
-        std::uint64_t* centroid = centroids.data() + cell * words;
-        const std::uint32_t* cell_counts = counts.data() + cell * index.bits_;
-        std::fill_n(centroid, words, 0ULL);
-        for (std::size_t bit = 0; bit < index.bits_; ++bit) {
-          // Majority with ties -> 1, matching hv::TiePolicy::kOne.
-          if (2ULL * cell_counts[bit] >= size) {
-            centroid[bit >> 6] |= 1ULL << (bit & 63);
-          }
-        }
+        cell_offsets[cell + 1] += cell_offsets[cell];
       }
+      for (std::size_t s = 0; s < sample_count; ++s) {
+        // Each cell's offset advances as a cursor to the next cell's start;
+        // the loop below shifts the offsets back into place.
+        member_rows[cell_offsets[sample_cell[s]]++] = sample.data() + s * words;
+      }
+      for (std::size_t cell = c.cells; cell > 0; --cell) {
+        cell_offsets[cell] = cell_offsets[cell - 1];
+      }
+      cell_offsets[0] = 0;
+      parallel::parallel_for(
+          0, c.cells,
+          [&](std::size_t cell) {
+            const std::size_t size = cell_offsets[cell + 1] - cell_offsets[cell];
+            if (size == 0) return;  // empty cell keeps its previous centroid
+            // Majority with ties -> 1 (2 * count >= size), matching
+            // hv::TiePolicy::kOne.
+            std::uint64_t* centroid = centroids.data() + cell * words;
+            majority(member_rows.data() + cell_offsets[cell], size, words,
+                     centroid, /*tie_to_one=*/true);
+            centroid[words - 1] &= tail_mask;
+          },
+          pool);
     }
   }
   sample.clear();

@@ -266,6 +266,12 @@ void DecisionTree::fit_streamed(const ShardSource& src, std::span<const int> y,
   const simd::Kernels& kernels = simd::active();
   constexpr std::size_t kGroup = 256;  // open nodes per streaming pass
 
+  // The previous level's splits, indexed by parent node id. Their rows move
+  // to the children during the next histogram pass over each shard, so a
+  // level costs one shard pass, and splits no level evaluates never route.
+  std::vector<Split> splits;
+  std::vector<std::int32_t> split_of;
+
   while (!level.empty()) {
     std::vector<Eval> evals;
     for (std::size_t o = 0; o < level.size(); ++o) {
@@ -295,13 +301,17 @@ void DecisionTree::fit_streamed(const ShardSource& src, std::span<const int> y,
       std::size_t group_cells = 0;
       for (std::size_t e = g0; e < g1; ++e) group_cells += 2 * evals[e].candidates.size();
 
+      // The first group's pass routes the rows; later groups find them moved.
+      const bool route = g0 == 0 && !splits.empty();
+
       for (std::size_t s = 0; s < src.num_shards(); ++s) {
         const hv::BitMatrix& shard = src.shard(s);
         const std::size_t begin = src.shard_begin(s);
         const std::size_t rows = shard.rows();
         const std::size_t words = shard.words_per_column();
 
-        // Shard-local label plane, multiplicity bit-planes, per-node masks.
+        // Route step, then the shard-local label plane, multiplicity
+        // bit-planes and per-node masks.
         std::vector<std::uint64_t> labels_local(words, 0);
         std::vector<std::vector<std::uint64_t>> planes_local(
             k_planes, std::vector<std::uint64_t>(words, 0));
@@ -315,8 +325,17 @@ void DecisionTree::fit_streamed(const ShardSource& src, std::span<const int> y,
           for (std::size_t k = 0; k < k_planes; ++k) {
             if ((m >> k) & 1u) planes_local[k][i >> 6] |= bit;
           }
-          const std::int32_t id = node_of[row];
+          std::int32_t id = node_of[row];
           if (id < 0) continue;
+          if (route) {
+            const std::int32_t sp = split_of[static_cast<std::size_t>(id)];
+            if (sp >= 0) {
+              const Split& split = splits[static_cast<std::size_t>(sp)];
+              const std::uint64_t* col = shard.column(split.feature);
+              id = (col[i >> 6] >> (i & 63)) & 1ULL ? split.right : split.left;
+              node_of[row] = id;
+            }
+          }
           const std::int32_t slot = slot_of[static_cast<std::size_t>(id)];
           if (slot >= 0) masks[static_cast<std::size_t>(slot)][i >> 6] |= bit;
         }
@@ -351,7 +370,7 @@ void DecisionTree::fit_streamed(const ShardSource& src, std::span<const int> y,
     // Split decisions and child creation, in ascending node-id order — the
     // same deterministic sequence at any shard count.
     std::vector<Open> next;
-    std::vector<Split> splits;
+    splits.clear();
     for (Eval& eval : evals) {
       const Open& open = level[eval.open];
       const double n = static_cast<double>(open.n);
@@ -400,27 +419,10 @@ void DecisionTree::fit_streamed(const ShardSource& src, std::span<const int> y,
                         left_id, right_id});
     }
 
-    // Route pass: every row in a split node moves to its child.
-    if (!splits.empty()) {
-      std::vector<std::int32_t> split_of(nodes_.size(), -1);
-      for (std::size_t sp = 0; sp < splits.size(); ++sp) {
-        split_of[static_cast<std::size_t>(splits[sp].node_id)] =
-            static_cast<std::int32_t>(sp);
-      }
-      for (std::size_t s = 0; s < src.num_shards(); ++s) {
-        const hv::BitMatrix& shard = src.shard(s);
-        const std::size_t begin = src.shard_begin(s);
-        for (std::size_t i = 0; i < shard.rows(); ++i) {
-          const std::size_t row = begin + i;
-          const std::int32_t id = node_of[row];
-          if (id < 0) continue;
-          const std::int32_t sp = split_of[static_cast<std::size_t>(id)];
-          if (sp < 0) continue;
-          const Split& split = splits[static_cast<std::size_t>(sp)];
-          const std::uint64_t* col = shard.column(split.feature);
-          node_of[row] = (col[i >> 6] >> (i & 63)) & 1ULL ? split.right : split.left;
-        }
-      }
+    split_of.assign(nodes_.size(), -1);
+    for (std::size_t sp = 0; sp < splits.size(); ++sp) {
+      split_of[static_cast<std::size_t>(splits[sp].node_id)] =
+          static_cast<std::int32_t>(sp);
     }
     level = std::move(next);
   }

@@ -1,14 +1,16 @@
 // Property tests for the hv::ann coarse-filter / exact-rerank index: the
 // exact-fallback byte-identity contract, full-probe equality with the exact
-// kernels, seeded rebuild bit-identity, serde round-trips, corruption
-// rejection, fingerprint checks, and concurrent const queries (the ctest
-// `ann` label is part of the TSan set).
+// kernels, seeded rebuild bit-identity, a golden build hash on every SIMD
+// tier and pool size, serde round-trips, corruption rejection, fingerprint
+// checks, and concurrent const queries (the ctest `ann` label is part of
+// the TSan set).
 #include "hv/ann.hpp"
 
 #include <gtest/gtest.h>
 
 #include <algorithm>
 #include <sstream>
+#include <string>
 #include <thread>
 #include <vector>
 
@@ -16,8 +18,10 @@
 #include "hv/bitvector.hpp"
 #include "hv/search.hpp"
 #include "hv/sharded_bits.hpp"
+#include "parallel/thread_pool.hpp"
 #include "simd/dispatch.hpp"
 #include "util/rng.hpp"
+#include "util/serde.hpp"
 
 namespace {
 
@@ -224,6 +228,43 @@ TEST(HvAnnTest, ShardedBuildIsByteIdenticalAcrossShardCounts) {
     EXPECT_GE(stats.bytes_peak, stats.shard_bytes_max);
     EXPECT_GT(stats.shard_bytes_max, 0u);
   }
+}
+
+// The Lloyd update runs over the pool on whichever SIMD tier is active, and
+// the saved index must depend on neither. The golden FNV-1a of the save()
+// bytes was captured from the serial per-bit counting update (centroid bit
+// set where 2 * count >= cell size), so it also pins every later update to
+// that rule. Row 30 duplicates row 0, the first two initial centroids
+// (cells = 50 puts them at rows 0 and 30), so cell 1 starts empty and must
+// keep its previous centroid; 1000 bits leave a ragged last word, and the
+// 700-row Lloyd cap makes the sample strided.
+TEST(HvAnnTest, BuildIsByteIdenticalAcrossTiersAndPools) {
+  constexpr std::uint64_t kGoldenFnv = 0x802077ff18abffafULL;
+  PackedHVs db = clustered_rows(1500, 1000, 24, 0.06, 41);
+  std::copy_n(db.row(0), db.words_per_row(), db.row(30));
+  ann::Config config;
+  config.cells = 50;
+  config.lloyd_sample = 700;
+  const hdc::hv::ShardedBitMatrix halves = shard_packed(db, 750);
+  const hdc::hv::ShardedBitMatrixSource source(halves);
+
+  for (const hdc::simd::Tier tier : hdc::simd::supported_tiers()) {
+    hdc::simd::set_tier(tier);
+    for (const std::size_t workers : {1u, 4u}) {
+      hdc::parallel::ThreadPool pool(workers);
+      const std::string at = std::string(hdc::simd::tier_name(tier)) + " x" +
+                             std::to_string(workers);
+      EXPECT_EQ(hdc::util::serde::fnv1a64(
+                    serialized(ann::Index::build(db, config, &pool))),
+                kGoldenFnv)
+          << at;
+      EXPECT_EQ(hdc::util::serde::fnv1a64(serialized(
+                    ann::Index::build_sharded(source, config, &pool))),
+                kGoldenFnv)
+          << at << ", 2 shards";
+    }
+  }
+  hdc::simd::reset_tier();
 }
 
 TEST(HvAnnTest, ShardedBuildStatsReportedForInMemoryBuildToo) {

@@ -3,12 +3,15 @@
 // cohort under kShardSubsampleRows — to the same state and predictions as
 // its resident fit_bits; LR, NB, SVC and KNN are also checked one by one,
 // and DT, RF and LGBM at their own configs; the streamed-build manifest
-// records its shard geometry; and the ml.hist_merge_ops counter must
-// account for the merges.
+// records its shard geometry; the ml.hist_merge_ops counter must account
+// for the merges; and DT and RF load each shard once per tree level.
 #include <gtest/gtest.h>
 
+#include <algorithm>
 #include <functional>
 #include <memory>
+#include <numeric>
+#include <span>
 #include <sstream>
 #include <string>
 #include <vector>
@@ -264,6 +267,69 @@ TEST(ShardedFit, TreeAndForestMatchDenseFitBytes) {
   hdc::ml::RandomForest forest_sharded(config);
   static_cast<Classifier&>(forest_sharded).fit_shards(src);
   EXPECT_EQ(state_of(forest_sharded), state_of(forest_dense));
+}
+
+/// Forwards to another source and counts its shard() loads per shard.
+class CountingShardSource final : public hdc::ml::ShardSource {
+ public:
+  explicit CountingShardSource(const hdc::ml::ShardSource& inner)
+      : inner_(&inner), loads_(inner.num_shards(), 0) {}
+
+  [[nodiscard]] std::size_t rows() const override { return inner_->rows(); }
+  [[nodiscard]] std::size_t cols() const override { return inner_->cols(); }
+  [[nodiscard]] std::size_t num_shards() const override {
+    return inner_->num_shards();
+  }
+  [[nodiscard]] std::size_t shard_begin(std::size_t s) const override {
+    return inner_->shard_begin(s);
+  }
+  [[nodiscard]] const hdc::hv::BitMatrix& shard(std::size_t s) const override {
+    ++loads_[s];
+    return inner_->shard(s);
+  }
+  [[nodiscard]] std::span<const int> labels() const override {
+    return inner_->labels();
+  }
+
+  [[nodiscard]] const std::vector<std::size_t>& loads() const { return loads_; }
+  void reset() { std::fill(loads_.begin(), loads_.end(), 0); }
+
+ private:
+  const hdc::ml::ShardSource* inner_;
+  mutable std::vector<std::size_t> loads_;
+};
+
+// The level-wise tree builder routes a shard's rows to their children at
+// the start of the next level's histogram pass over that shard, so a level
+// with a split candidate loads each shard once, and the level below the
+// deepest split (which has no candidate at max_depth) loads nothing. Both
+// trees here reach their max_depth, so every level above it has a split.
+TEST(ShardedFit, TreeLevelsLoadEachShardOnce) {
+  const Fixture& f = fixture();
+  hdc::hv::ShardedBitMatrix thirds;
+  for (std::size_t begin = 0; begin < kRows; begin += kRows / 3) {
+    std::vector<std::size_t> rows(kRows / 3);
+    std::iota(rows.begin(), rows.end(), begin);
+    thirds.append_shard(f.whole.subset(rows));
+  }
+  const MaterializedShardSource inner(thirds, f.ds.labels());
+  CountingShardSource src(inner);
+  ASSERT_EQ(src.num_shards(), 3u);
+
+  hdc::ml::TreeConfig tree_config;
+  tree_config.max_depth = 6;
+  hdc::ml::DecisionTree tree(tree_config);
+  static_cast<Classifier&>(tree).fit_shards(src);
+  ASSERT_EQ(tree.depth(), 6u);
+  EXPECT_EQ(src.loads(), std::vector<std::size_t>(3, 6));
+
+  src.reset();
+  hdc::ml::ForestConfig forest_config;
+  forest_config.n_trees = 3;
+  forest_config.tree.max_depth = 4;
+  hdc::ml::RandomForest forest(forest_config);
+  static_cast<Classifier&>(forest).fit_shards(src);
+  EXPECT_EQ(src.loads(), std::vector<std::size_t>(3, 3 * 4));
 }
 
 // LGBM carries its per-column (g, h) sums across shards in ascending row
