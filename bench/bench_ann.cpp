@@ -6,7 +6,9 @@
 //   1. Golden recall gate: encode Pima M and Sylhet, build the index with
 //      default parameters, and measure tie-tolerant leave-one-out recall@1
 //      against the exact kernels. The bench exits non-zero when the minimum
-//      golden recall@1 drops below 0.999 (the ROADMAP acceptance gate).
+//      golden recall@1 drops below 0.999 (the ROADMAP acceptance gate). On
+//      Pima M (768 rows) the one-query exact and ANN p50 latencies are
+//      recorded side by side.
 //   2. Determinism gate: the `exact` fallback must match hv::nearest_neighbors
 //      result-for-result, a rebuild under the same seed must serialize
 //      byte-identically, and a save/load round-trip must serialize
@@ -17,6 +19,9 @@
 //      candidates-per-query, word-ops reduction vs the exact sweep, and
 //      per-query p50/p99 latency for both paths. At n >= 100k the measured
 //      word-ops reduction must be >= 5x or the bench exits non-zero.
+//      Per size the same queries also run as 64-query blocks (one top_k
+//      call each, `batch64_us_per_query`); their answers must equal the
+//      per-query calls (`batch_identical`) or the bench exits non-zero.
 //   4. Streamed-build gates: Index::build_sharded over the same rows split
 //      into {1, 4, 8} shards must serialize byte-identically to the
 //      in-memory build, and its measured peak resident bytes must stay
@@ -88,6 +93,8 @@ struct GoldenResult {
   double recall_at_1 = 0.0;
   double build_seconds = 0.0;
   bool exact_fallback_ok = false;
+  double exact_p50_us = 0.0;  // one-query serving latency, exact sweep
+  double ann_p50_us = 0.0;    // one-query serving latency, default index
 };
 
 GoldenResult golden_recall(const hdc::data::Dataset& ds,
@@ -124,6 +131,26 @@ GoldenResult golden_recall(const hdc::data::Dataset& ds,
   fallback.exact = true;
   fallback.exclude_same_index = true;
   result.exact_fallback_ok = index.nearest(packed, packed, fallback) == exact;
+
+  // Serving latency of one query at this database size (the database rows
+  // serve as the queries; the work per query does not depend on which).
+  std::vector<double> exact_us;
+  std::vector<double> ann_us;
+  for (std::size_t q = 0; q < packed.rows(); ++q) {
+    PackedHVs one(packed.bits(), 1);
+    std::memcpy(one.row(0), packed.row(q),
+                packed.words_per_row() * sizeof(std::uint64_t));
+    Timer t_exact;
+    (void)hdc::hv::nearest_neighbors(one, packed);
+    exact_us.push_back(t_exact.seconds() * 1e6);
+    Timer t_ann;
+    (void)index.nearest(one, packed);
+    ann_us.push_back(t_ann.seconds() * 1e6);
+  }
+  std::sort(exact_us.begin(), exact_us.end());
+  std::sort(ann_us.begin(), ann_us.end());
+  result.exact_p50_us = percentile(exact_us, 0.50);
+  result.ann_p50_us = percentile(ann_us, 0.50);
   return result;
 }
 
@@ -141,6 +168,8 @@ struct SizeResult {
   double exact_p99_us = 0.0;
   double ann_p50_us = 0.0;
   double ann_p99_us = 0.0;
+  double batch64_us_per_query = 0.0;  // blocked top_k, 64 queries per call
+  bool batch_identical = false;       // blocked answers == per-query answers
 };
 
 SizeResult sweep_size(std::size_t rows, std::size_t n_queries,
@@ -194,6 +223,31 @@ SizeResult sweep_size(std::size_t rows, std::size_t n_queries,
     totals.candidates += stats.candidates;
     totals.reranked += stats.reranked;
     totals.word_ops += stats.word_ops;
+  }
+
+  // The same queries as 64-query blocks: one top_k call per block must
+  // answer exactly as the per-query calls above.
+  constexpr std::size_t kBatch = 64;
+  double batch_seconds = 0.0;
+  result.batch_identical = true;
+  for (std::size_t first = 0; first < n_queries; first += kBatch) {
+    const std::size_t count = std::min(kBatch, n_queries - first);
+    PackedHVs block(queries.bits(), count);
+    std::memcpy(block.row(0), queries.row(first),
+                count * words * sizeof(std::uint64_t));
+    Timer t;
+    const auto lists = index.top_k(block, database, 5);
+    batch_seconds += t.seconds();
+    for (std::size_t i = 0; i < count; ++i) {
+      if (lists[i] != approx[first + i]) result.batch_identical = false;
+    }
+  }
+  result.batch64_us_per_query =
+      batch_seconds * 1e6 / static_cast<double>(n_queries);
+  if (!result.batch_identical) {
+    std::fprintf(stderr,
+                 "FATAL: blocked top_k differs from per-query calls at n=%zu\n",
+                 rows);
   }
 
   std::size_t hits_1 = 0;
@@ -388,6 +442,8 @@ int main(int argc, char** argv) {
   const double recall_at_1 = std::min(pima.recall_at_1, sylhet.recall_at_1);
   std::printf("# golden: pima_m recall@1=%.4f (n=%zu), sylhet recall@1=%.4f (n=%zu)\n",
               pima.recall_at_1, pima.rows, sylhet.recall_at_1, sylhet.rows);
+  std::printf("# golden pima_m one-query p50: exact=%.1fus ann=%.1fus\n",
+              pima.exact_p50_us, pima.ann_p50_us);
 
   // 2. Determinism gate: rebuild + round-trip byte identity on an encoded
   // golden set, exact fallback identity from the golden runs.
@@ -423,12 +479,16 @@ int main(int argc, char** argv) {
                                  setup.experiment.seed));
     const SizeResult& r = results.back();
     std::printf("# n=%zu: build=%.3fs recall@1=%.4f recall@5=%.4f "
-                "cand/q=%.0f word-ops x%.1f exact p50=%.0fus ann p50=%.0fus\n",
+                "cand/q=%.0f word-ops x%.1f exact p50=%.0fus ann p50=%.0fus "
+                "ann batch64=%.0fus/query\n",
                 r.rows, r.build_seconds, r.recall_at_1, r.recall_at_5,
                 r.candidates_per_query, r.word_ops_reduction, r.exact_p50_us,
-                r.ann_p50_us);
+                r.ann_p50_us, r.batch64_us_per_query);
   }
   const SizeResult& largest = results.back();
+  const bool batch_identical =
+      std::all_of(results.begin(), results.end(),
+                  [](const SizeResult& r) { return r.batch_identical; });
 
   // 4. Streamed-build identity + bounded-memory gates.
   const StreamedResult streamed = streamed_gates(
@@ -468,6 +528,7 @@ int main(int argc, char** argv) {
     exit_code = 1;
   }
   if (!streamed.identical || !streamed.within_budget) exit_code = 1;
+  if (!batch_identical) exit_code = 1;
   if (best_tier.speedup < 2.0) {
     std::fprintf(stderr,
                  "FATAL: sketch_scan speedup %.2fx on %s below the 2x gate\n",
@@ -483,7 +544,10 @@ int main(int argc, char** argv) {
       .field("golden_pima_m_recall_at_1", pima.recall_at_1)
       .field("golden_sylhet_recall_at_1", sylhet.recall_at_1)
       .field("golden_rows", std::vector<std::size_t>{pima.rows, sylhet.rows})
+      .field("golden_pima_m_exact_p50_us", pima.exact_p50_us)
+      .field("golden_pima_m_ann_p50_us", pima.ann_p50_us)
       .field("determinism_ok", determinism_ok)
+      .field("batch_identical", batch_identical)
       .field("rows_max", largest.rows)
       .field("word_ops_reduction", largest.word_ops_reduction);
   json.key("sizes").array();
@@ -502,6 +566,8 @@ int main(int argc, char** argv) {
         .field("exact_p99_us", r.exact_p99_us)
         .field("ann_p50_us", r.ann_p50_us)
         .field("ann_p99_us", r.ann_p99_us)
+        .field("batch64_us_per_query", r.batch64_us_per_query)
+        .field("batch_identical", r.batch_identical)
         .end();
   }
   json.end()

@@ -101,47 +101,61 @@ int HammingClassifier::predict(const hv::BitVector& query,
 
 double HammingClassifier::predict_score(const hv::BitVector& query,
                                         hv::ann::SearchStats* stats) const {
+  std::vector<hv::ann::SearchStats> per_query;
+  const double score = predict_scores(hv::PackedHVs::pack({&query, 1}), nullptr,
+                                      stats != nullptr ? &per_query : nullptr)
+                           .front();
+  if (stats != nullptr && !per_query.empty()) *stats = per_query.front();
+  return score;
+}
+
+std::vector<double> HammingClassifier::predict_scores(
+    const hv::PackedHVs& queries, parallel::ThreadPool* pool,
+    std::vector<hv::ann::SearchStats>* stats) const {
   if (!fitted()) throw std::logic_error("HammingClassifier: not fitted");
+  std::vector<double> scores;
+  scores.reserve(queries.rows());
   if (mode_ == HammingMode::kPrototype) {
-    const double d0 = query.hamming_fraction(prototypes_[0]);
-    const double d1 = query.hamming_fraction(prototypes_[1]);
-    const double total = d0 + d1;
-    return total > 0.0 ? d0 / total : 0.5;  // closer to prototype 1 -> > 0.5
+    for (std::size_t i = 0; i < queries.rows(); ++i) {
+      const hv::BitVector query = queries.unpack_row(i);
+      const double d0 = query.hamming_fraction(prototypes_[0]);
+      const double d1 = query.hamming_fraction(prototypes_[1]);
+      const double total = d0 + d1;
+      // Closer to prototype 1 -> > 0.5.
+      scores.push_back(total > 0.0 ? d0 / total : 0.5);
+    }
+    return scores;
   }
   // k-NN vote (k = 1 gives the paper's model: score 1 iff the nearest
   // neighbour is positive). Distance ties resolve toward the earliest
   // training row; both kernels guarantee (distance, index) ordering, and
   // the ANN path preserves it over its reranked candidate set.
   const std::size_t k = std::min(k_, labels_.size());
-  const hv::PackedHVs packed_query = hv::PackedHVs::pack({&query, 1});
+  std::vector<std::vector<hv::Neighbor>> nearest;
   if (ann_) {
     hv::ann::SearchOptions options;
     options.nprobe = ann_nprobe_;
+    options.pool = pool;
+    nearest = ann_->top_k(queries, packed_, k, options, nullptr, stats);
+  } else {
+    hv::SearchOptions options;
+    options.pool = pool;
     if (k == 1) {
-      const std::vector<hv::Neighbor> nearest =
-          ann_->nearest(packed_query, packed_, options, stats);
-      return labels_[nearest.front().index] == 1 ? 1.0 : 0.0;
+      for (const hv::Neighbor& n : hv::nearest_neighbors(queries, packed_, options)) {
+        nearest.push_back({n});
+      }
+    } else {
+      nearest = hv::top_k_neighbors(queries, packed_, k, options);
     }
-    const std::vector<std::vector<hv::Neighbor>> nearest =
-        ann_->top_k(packed_query, packed_, k, options, stats);
+  }
+  for (const std::vector<hv::Neighbor>& list : nearest) {
     std::size_t positive_votes = 0;
-    for (const hv::Neighbor& n : nearest.front()) {
+    for (const hv::Neighbor& n : list) {
       positive_votes += labels_[n.index] == 1 ? 1 : 0;
     }
-    return static_cast<double>(positive_votes) / static_cast<double>(k);
+    scores.push_back(static_cast<double>(positive_votes) / static_cast<double>(k));
   }
-  if (k == 1) {
-    const std::vector<hv::Neighbor> nearest =
-        hv::nearest_neighbors(packed_query, packed_);
-    return labels_[nearest.front().index] == 1 ? 1.0 : 0.0;
-  }
-  const std::vector<std::vector<hv::Neighbor>> nearest =
-      hv::top_k_neighbors(packed_query, packed_, k);
-  std::size_t positive_votes = 0;
-  for (const hv::Neighbor& n : nearest.front()) {
-    positive_votes += labels_[n.index] == 1 ? 1 : 0;
-  }
-  return static_cast<double>(positive_votes) / static_cast<double>(k);
+  return scores;
 }
 
 void HammingClassifier::enable_ann(const hv::ann::Config& config) {

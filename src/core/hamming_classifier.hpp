@@ -51,9 +51,19 @@ class HammingClassifier {
   [[nodiscard]] int predict(const hv::BitVector& query,
                             hv::ann::SearchStats* stats = nullptr) const;
 
-  /// Distance-ratio score in [0,1]; > 0.5 favours the positive class.
+  /// Distance-ratio score in [0,1]; > 0.5 favours the positive class. The
+  /// one-row case of predict_scores().
   [[nodiscard]] double predict_score(const hv::BitVector& query,
                                      hv::ann::SearchStats* stats = nullptr) const;
+
+  /// predict_score() of every row of `queries` through one search call, so
+  /// the ANN path reranks them as query blocks. `pool` runs the search
+  /// (nullptr = process-wide pool); results never depend on it. When the
+  /// index path answered, a non-null `stats` receives one entry per query
+  /// row (untouched on the exact and prototype paths).
+  [[nodiscard]] std::vector<double> predict_scores(
+      const hv::PackedHVs& queries, parallel::ThreadPool* pool = nullptr,
+      std::vector<hv::ann::SearchStats>* stats = nullptr) const;
 
   /// Build (or rebuild) an approximate-NN index over the stored training
   /// vectors; k-NN queries then route through it. Prototype mode has no

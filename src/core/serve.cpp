@@ -118,43 +118,49 @@ void ServeEngine::release_scratch(std::unique_ptr<Scratch> scratch) {
   scratch_pool_.push_back(std::move(scratch));
 }
 
-int ServeEngine::predict_encoded(const hv::BitVector& encoded) const {
-  switch (kind_) {
-    case PredictorKind::kHamming: {
-      if (bundle_.hamming->ann_enabled()) {
-        hv::ann::SearchStats stats;
-        const int prediction = bundle_.hamming->predict(encoded, &stats);
-        if (obs::enabled() && stats.queries > 0) {
-          obs::counter("serve.ann.candidates").add(stats.candidates);
-          obs::counter("serve.ann.probes").add(stats.probes);
-          if (stats.candidates > 0) {
-            obs::histogram("serve.ann.rerank_fraction", kFractionBounds)
-                .record(static_cast<double>(stats.reranked) /
-                        static_cast<double>(stats.candidates));
-          }
-        }
-        return prediction;
-      }
-      return bundle_.hamming->predict(encoded);
-    }
-    case PredictorKind::kNn: {
-      // Per-row evaluation in both serve paths, so batching cannot change
-      // the answer.
-      std::vector<double> dense(encoded.size());
-      for (std::size_t i = 0; i < dense.size(); ++i) {
-        dense[i] = encoded.get(i) ? 1.0 : 0.0;
-      }
-      return bundle_.nn->predict_proba(dense) >= 0.5 ? 1 : 0;
-    }
-    case PredictorKind::kMl:
-      break;
+std::vector<int> ServeEngine::predict_packed(hv::PackedHVs rows) const {
+  if (kind_ == PredictorKind::kMl) {
+    return ml_model_->predict_all_bits(hv::BitMatrix::from_rows(std::move(rows)));
   }
-  // Single request through the same packed row-independent kernel the
-  // coalesced path uses — bit-identical by construction.
-  hv::PackedHVs packed(encoded.size(), 1);
-  packed.set_row(0, encoded);
-  return ml_model_->predict_all_bits(hv::BitMatrix::from_rows(std::move(packed)))
-      .front();
+  // Hamming: one search call for every row, on the engine's pool, so the
+  // ANN path reranks the rows as query blocks.
+  std::vector<hv::ann::SearchStats> stats;
+  const std::vector<double> scores = bundle_.hamming->predict_scores(
+      rows, config_.pool, bundle_.hamming->ann_enabled() ? &stats : nullptr);
+  if (obs::enabled() && !stats.empty()) {
+    std::uint64_t candidates = 0;
+    std::uint64_t probes = 0;
+    for (const hv::ann::SearchStats& one : stats) {
+      candidates += one.candidates;
+      probes += one.probes;
+      if (one.candidates > 0) {
+        obs::histogram("serve.ann.rerank_fraction", kFractionBounds)
+            .record(static_cast<double>(one.reranked) /
+                    static_cast<double>(one.candidates));
+      }
+    }
+    obs::counter("serve.ann.candidates").add(candidates);
+    obs::counter("serve.ann.probes").add(probes);
+  }
+  std::vector<int> predictions;
+  predictions.reserve(scores.size());
+  for (const double score : scores) predictions.push_back(score >= 0.5 ? 1 : 0);
+  return predictions;
+}
+
+int ServeEngine::predict_encoded(const hv::BitVector& encoded) const {
+  if (kind_ == PredictorKind::kNn) {
+    // Per-row evaluation in both serve paths, so batching cannot change
+    // the answer.
+    std::vector<double> dense(encoded.size());
+    for (std::size_t i = 0; i < dense.size(); ++i) {
+      dense[i] = encoded.get(i) ? 1.0 : 0.0;
+    }
+    return bundle_.nn->predict_proba(dense) >= 0.5 ? 1 : 0;
+  }
+  // A single request through the same row-independent batch path the
+  // coalesced drain uses — bit-identical by construction.
+  return predict_packed(hv::PackedHVs::pack({&encoded, 1})).front();
 }
 
 int ServeEngine::classify(std::span<const double> row) {
@@ -239,16 +245,12 @@ void ServeEngine::drain() {
     }
     release_scratch(std::move(scratch));
 
-    if (kind_ == PredictorKind::kMl && !encoded.empty()) {
-      // The coalescing payoff: one packed predict for the whole sweep.
+    if (kind_ != PredictorKind::kNn && !encoded.empty()) {
+      // The coalescing payoff: one packed predict (zoo) or one blocked
+      // search (Hamming) for the whole sweep.
       std::vector<int> predictions;
       try {
-        hv::PackedHVs packed(encoded.front().size(), encoded.size());
-        for (std::size_t i = 0; i < encoded.size(); ++i) {
-          packed.set_row(i, encoded[i]);
-        }
-        predictions =
-            ml_model_->predict_all_bits(hv::BitMatrix::from_rows(std::move(packed)));
+        predictions = predict_packed(hv::PackedHVs::pack(encoded));
       } catch (...) {
         for (const std::size_t i : valid) {
           batch[i].result.set_exception(std::current_exception());

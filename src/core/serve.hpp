@@ -6,19 +6,25 @@
 //    scratch-reusing single-row encoder (no per-request allocation after
 //    warm-up) and answer from the selected predictor.
 //  * submit(row) — request-coalescing queue: concurrent single-record
-//    requests are batched by a drain task on the shared ThreadPool and
-//    answered through one packed predict_all_bits call per sweep.
+//    requests are batched by a drain task on the configured ThreadPool and
+//    answered with one call per sweep: one packed predict_all_bits for a zoo
+//    model, one HammingClassifier::predict_scores search for the Hamming
+//    predictor (the ANN index reranks the sweep as query blocks, on the
+//    engine's pool, never the process-wide one).
 //
 // Both paths produce bit-identical predictions for every row regardless of
 // batch grouping or thread interleaving: zoo models answer each request via
-// the packed row-independent predict_all_bits kernels, the Hamming and
-// Sequential-NN predictors are evaluated per row, and the encoder is
-// deterministic by construction. core_serve_test and bench_serve assert the
-// contract.
+// the packed row-independent predict_all_bits kernels, a Hamming search
+// answers every query row independently of the others in its block (classify
+// is a block of one), the Sequential-NN predictor is evaluated per row, and
+// the encoder is deterministic by construction. core_serve_test and
+// bench_serve assert the contract.
 //
 // Observability: serve.requests / serve.batches counters, a
-// serve.batch_size histogram, a serve.queue_depth gauge, and spans around
-// the classify / drain hot paths.
+// serve.batch_size histogram, a serve.queue_depth gauge, spans around the
+// classify / drain hot paths, and on the ANN path serve.ann.candidates /
+// serve.ann.probes counters plus one serve.ann.rerank_fraction sample per
+// request, identical for both paths.
 #pragma once
 
 #include <atomic>
@@ -106,6 +112,10 @@ class ServeEngine {
 
   /// Predict one encoded record (already validated).
   [[nodiscard]] int predict_encoded(const hv::BitVector& encoded) const;
+
+  /// Predict packed encoded records through the zoo model or the Hamming
+  /// predictor (not the Sequential NN): one call for all rows.
+  [[nodiscard]] std::vector<int> predict_packed(hv::PackedHVs rows) const;
 
   /// Drain-task body: repeatedly swallow up to max_batch queued requests
   /// and answer them with one packed predict, until the queue is empty.

@@ -1,6 +1,7 @@
 #include "hv/ann.hpp"
 
 #include <algorithm>
+#include <bit>
 #include <cmath>
 #include <mutex>
 #include <stdexcept>
@@ -56,19 +57,46 @@ std::uint64_t fingerprint_words(const std::uint64_t* words, std::size_t n,
   return h;
 }
 
-struct SketchCandidate {
-  std::size_t sketch_distance;
-  std::uint64_t row;
-};
-
-bool sketch_less(const SketchCandidate& a, const SketchCandidate& b) noexcept {
-  return a.sketch_distance != b.sketch_distance
-             ? a.sketch_distance < b.sketch_distance
-             : a.row < b.row;
-}
+/// Queries searched as one block: their rerank pairs share one row-ordered
+/// pass over the database.
+constexpr std::size_t kQueryBlock = 64;
+constexpr unsigned kQuerySlotBits = 6;  // a pair's query slot in its block
+static_assert(kQueryBlock == std::size_t{1} << kQuerySlotBits);
+/// Digit width of the radix sort that orders a block's pairs by row.
+constexpr unsigned kRowRadixBits = 8;
 
 bool neighbor_less(const Neighbor& a, const Neighbor& b) noexcept {
   return a.distance != b.distance ? a.distance < b.distance : a.index < b.index;
+}
+
+/// Orders `row << kQuerySlotBits | slot` pairs by row: an LSD radix sort
+/// over `passes` digits of the row bits. Stable, so a row's pairs keep
+/// their order. `scratch` and `counts` are caller-owned buffers reused
+/// across calls.
+void sort_pairs_by_row(std::vector<std::uint64_t>& pairs,
+                       std::vector<std::uint64_t>& scratch,
+                       std::vector<std::size_t>& counts, std::size_t passes) {
+  counts.resize(std::size_t{1} << kRowRadixBits);
+  const std::uint64_t digit_mask = counts.size() - 1;
+  for (std::size_t pass = 0; pass < passes; ++pass) {
+    const unsigned shift =
+        kQuerySlotBits + static_cast<unsigned>(pass) * kRowRadixBits;
+    std::fill(counts.begin(), counts.end(), 0);
+    for (const std::uint64_t pair : pairs) {
+      ++counts[(pair >> shift) & digit_mask];
+    }
+    std::size_t sum = 0;
+    for (std::size_t& count : counts) {
+      const std::size_t c = count;
+      count = sum;
+      sum += c;
+    }
+    scratch.resize(pairs.size());
+    for (const std::uint64_t pair : pairs) {
+      scratch[counts[(pair >> shift) & digit_mask]++] = pair;
+    }
+    pairs.swap(scratch);
+  }
 }
 
 }  // namespace
@@ -77,9 +105,7 @@ void Index::sketch_row(const std::uint64_t* words, std::uint64_t* out) const {
   std::fill(out, out + sketch_words_, 0ULL);
   for (std::size_t s = 0; s < positions_.size(); ++s) {
     const std::uint32_t bit = positions_[s];
-    if ((words[bit >> 6] >> (bit & 63)) & 1ULL) {
-      out[s >> 6] |= 1ULL << (s & 63);
-    }
+    out[s >> 6] |= ((words[bit >> 6] >> (bit & 63)) & 1ULL) << (s & 63);
   }
 }
 
@@ -436,11 +462,10 @@ std::vector<Neighbor> Index::nearest(const PackedHVs& queries,
   return out;
 }
 
-std::vector<std::vector<Neighbor>> Index::top_k(const PackedHVs& queries,
-                                                const PackedHVs& database,
-                                                std::size_t k,
-                                                const SearchOptions& options,
-                                                SearchStats* stats) const {
+std::vector<std::vector<Neighbor>> Index::top_k(
+    const PackedHVs& queries, const PackedHVs& database, std::size_t k,
+    const SearchOptions& options, SearchStats* stats,
+    std::vector<SearchStats>* per_query) const {
   if (k == 0) throw std::invalid_argument("ann: k must be >= 1");
   if (options.exact) {
     // Fallback contract: byte-identical to the exact tiled kernels.
@@ -474,13 +499,29 @@ std::vector<std::vector<Neighbor>> Index::top_k(const PackedHVs& queries,
   const std::size_t nprobe = std::clamp<std::size_t>(
       options.nprobe != 0 ? options.nprobe : config_.nprobe, 1, n_cells);
   const std::size_t words = words_per_row_;
+  // Sketch distances lie in [0, sketch_bits]; the excluded row is parked one
+  // past the last bucket so no threshold ever reaches it.
+  const std::size_t max_sketch = config_.sketch_bits;
+  const std::uint32_t excluded_mark = static_cast<std::uint32_t>(max_sketch + 1);
+  const std::size_t row_radix_passes =
+      (static_cast<std::size_t>(std::bit_width(rows_ - 1)) + kRowRadixBits - 1) /
+      kRowRadixBits;
 
   std::vector<std::vector<Neighbor>> out(queries.rows());
+  if (per_query != nullptr) per_query->assign(queries.rows(), SearchStats{});
   SearchStats totals;
   std::mutex totals_mutex;
-  // One kernel-table load per query pass, shared by every chunk (the per-row
-  // loops below never re-resolve the dispatch table).
+  // One kernel-table load per call, shared by every chunk (the per-row loops
+  // below never re-resolve the dispatch table).
   const simd::Kernels& kernels = simd::active();
+
+  // Keeps `list` the k smallest neighbours by (distance, index), sorted.
+  const auto offer = [k](std::vector<Neighbor>& list, const Neighbor& cand) {
+    if (list.size() == k && !neighbor_less(cand, list.back())) return;
+    list.insert(std::upper_bound(list.begin(), list.end(), cand, neighbor_less),
+                cand);
+    if (list.size() > k) list.pop_back();
+  };
 
   parallel::parallel_for_chunks(
       0, queries.rows(),
@@ -489,103 +530,175 @@ std::vector<std::vector<Neighbor>> Index::top_k(const PackedHVs& queries,
         const auto hamming = kernels.hamming;
         const auto sketch_scan = kernels.sketch_scan;
         SearchStats local;
-        std::vector<SketchCandidate> candidates;
-        std::vector<std::size_t> cell_order(n_cells);
-        std::vector<std::size_t> cell_distance(n_cells);
+        std::vector<std::uint64_t> cell_keys(n_cells);  // distance << 32 | cell
         std::vector<std::uint64_t> query_sketch(sketch_words_);
-        std::vector<std::uint32_t> sketch_distance;
-        std::vector<Neighbor> reranked;
-        for (std::size_t q = q_lo; q < q_hi; ++q) {
-          const std::uint64_t* qrow = queries.row(q);
-          // 1. Rank all cells by exact centroid distance (ties -> lowest
-          // cell id via stable sort over ascending ids).
-          for (std::size_t cell = 0; cell < n_cells; ++cell) {
-            cell_order[cell] = cell;
-            cell_distance[cell] =
-                hamming(qrow, centroids_.data() + cell * words, words);
-          }
-          local.word_ops += n_cells * words;
-          std::stable_sort(cell_order.begin(), cell_order.end(),
-                           [&](std::size_t a, std::size_t b) {
-                             return cell_distance[a] < cell_distance[b];
-                           });
+        std::vector<std::uint32_t> sketch_distance;     // probed rows, cell order
+        std::vector<std::uint32_t> histogram(max_sketch + 1);
+        std::vector<std::uint64_t> ties;
+        // The block's rerank pairs, row << kQuerySlotBits | query slot.
+        std::vector<std::uint64_t> pairs;
+        std::vector<std::uint64_t> pairs_swap;
+        std::vector<std::size_t> digit_counts;
 
-          // 2. Sketch-scan the members of the nprobe closest cells. Each
-          // cell's sketches are one contiguous span, so the whole cell goes
-          // through the batched sketch_scan kernel in one call.
-          sketch_row(qrow, query_sketch.data());
-          candidates.clear();
-          std::uint64_t scanned = 0;
-          for (std::size_t p = 0; p < nprobe; ++p) {
-            const std::size_t cell = cell_order[p];
-            const std::uint64_t lo = offsets_[cell];
-            const std::uint64_t hi = offsets_[cell + 1];
-            const std::size_t span_rows = static_cast<std::size_t>(hi - lo);
-            sketch_distance.resize(span_rows);
-            sketch_scan(query_sketch.data(),
-                        sketches_.data() + lo * sketch_words_, span_rows,
-                        sketch_words_, sketch_distance.data());
-            ++local.sketch_blocks;
-            scanned += span_rows;
-            for (std::uint64_t m = lo; m < hi; ++m) {
-              const std::uint64_t row = members_[m];
-              if (options.exclude_same_index && row == q) continue;
-              candidates.push_back(SketchCandidate{
-                  static_cast<std::size_t>(sketch_distance[m - lo]), row});
+        for (std::size_t b_lo = q_lo; b_lo < q_hi; b_lo += kQueryBlock) {
+          const std::size_t b_hi = std::min(b_lo + kQueryBlock, q_hi);
+          pairs.clear();
+          for (std::size_t q = b_lo; q < b_hi; ++q) {
+            const std::uint64_t* qrow = queries.row(q);
+            SearchStats one;
+            one.queries = 1;
+            // 1. Rank the cells by exact centroid distance; the probe set is
+            // the nprobe smallest (distance, cell id) keys.
+            for (std::size_t cell = 0; cell < n_cells; ++cell) {
+              cell_keys[cell] =
+                  static_cast<std::uint64_t>(
+                      hamming(qrow, centroids_.data() + cell * words, words))
+                      << 32 |
+                  cell;
             }
-          }
-          local.probes += nprobe;
-          local.candidates += candidates.size();
-          local.word_ops += scanned * sketch_words_;
+            one.word_ops += n_cells * words;
+            if (nprobe < n_cells) {
+              std::nth_element(cell_keys.begin(),
+                               cell_keys.begin() +
+                                   static_cast<std::ptrdiff_t>(nprobe - 1),
+                               cell_keys.end());
+            }
 
-          std::vector<Neighbor>& result = out[q];
-          if (candidates.empty()) {
-            // Degenerate probe set (e.g. leave-one-out removed the only
-            // member): answer exactly over the whole database.
-            result.reserve(std::min(k, rows_));
-            for (std::size_t j = 0; j < rows_; ++j) {
-              if (options.exclude_same_index && j == q) continue;
-              const Neighbor cand{j, hamming(qrow, database.row(j), words)};
-              if (result.size() == k && !neighbor_less(cand, result.back())) {
-                continue;
+            // 2. Sketch-scan the probed cells into one buffer. Each cell's
+            // sketches are one contiguous span, so the whole cell goes
+            // through the batched sketch_scan kernel in one call.
+            sketch_row(qrow, query_sketch.data());
+            std::size_t scanned = 0;
+            for (std::size_t p = 0; p < nprobe; ++p) {
+              const std::size_t cell = cell_keys[p] & 0xffffffffULL;
+              scanned += static_cast<std::size_t>(offsets_[cell + 1] -
+                                                  offsets_[cell]);
+            }
+            sketch_distance.resize(scanned);
+            std::fill(histogram.begin(), histogram.end(), 0U);
+            std::size_t at = 0;
+            std::size_t candidates = scanned;
+            for (std::size_t p = 0; p < nprobe; ++p) {
+              const std::size_t cell = cell_keys[p] & 0xffffffffULL;
+              const std::uint64_t lo = offsets_[cell];
+              const std::uint64_t hi = offsets_[cell + 1];
+              const std::size_t span_rows = static_cast<std::size_t>(hi - lo);
+              std::uint32_t* dist = sketch_distance.data() + at;
+              sketch_scan(query_sketch.data(),
+                          sketches_.data() + lo * sketch_words_, span_rows,
+                          sketch_words_, dist);
+              for (std::size_t i = 0; i < span_rows; ++i) ++histogram[dist[i]];
+              if (options.exclude_same_index) {
+                // Members ascend within a cell, so the query's own row is
+                // found by binary search.
+                const auto first = members_.begin() + static_cast<std::ptrdiff_t>(lo);
+                const auto last = members_.begin() + static_cast<std::ptrdiff_t>(hi);
+                const auto self = std::lower_bound(first, last, q);
+                if (self != last && *self == q) {
+                  std::uint32_t& d = dist[self - first];
+                  --histogram[d];
+                  d = excluded_mark;
+                  --candidates;
+                }
               }
-              auto pos = std::upper_bound(result.begin(), result.end(), cand,
-                                          neighbor_less);
-              result.insert(pos, cand);
-              if (result.size() > k) result.pop_back();
+              at += span_rows;
             }
-            local.reranked += rows_;
-            local.word_ops += rows_ * words;
-            ++local.queries;
-            continue;
+            one.probes = nprobe;
+            one.sketch_blocks = nprobe;
+            one.candidates = candidates;
+            one.word_ops += scanned * sketch_words_;
+
+            if (candidates == 0) {
+              // Degenerate probe set (e.g. leave-one-out removed the only
+              // member): answer exactly over the whole database.
+              std::vector<Neighbor>& result = out[q];
+              result.reserve(std::min(k, rows_));
+              for (std::size_t j = 0; j < rows_; ++j) {
+                if (options.exclude_same_index && j == q) continue;
+                offer(result, Neighbor{j, hamming(qrow, database.row(j), words)});
+              }
+              one.reranked = rows_;
+              one.word_ops += rows_ * words;
+            } else {
+              // 3. The rerank set is the `rerank` smallest (sketch distance,
+              // row) candidates: every row below the threshold distance,
+              // then the lowest rows among the ties at it.
+              std::size_t rerank = std::max(
+                  {config_.min_rerank, k,
+                   static_cast<std::size_t>(std::ceil(
+                       config_.rerank_fraction *
+                       static_cast<double>(candidates)))});
+              rerank = std::min(rerank, candidates);
+              std::size_t threshold = 0;
+              std::size_t below = 0;
+              while (below + histogram[threshold] < rerank) {
+                below += histogram[threshold++];
+              }
+              const std::size_t slot = q - b_lo;
+              // Branch-free emission: every member is written, and the
+              // cursor only advances past the ones that qualify.
+              std::size_t n_pairs = pairs.size();
+              pairs.resize(n_pairs + scanned);
+              ties.resize(scanned);
+              std::size_t n_ties = 0;
+              at = 0;
+              for (std::size_t p = 0; p < nprobe; ++p) {
+                const std::size_t cell = cell_keys[p] & 0xffffffffULL;
+                for (std::uint64_t m = offsets_[cell]; m < offsets_[cell + 1];
+                     ++m) {
+                  const std::uint32_t d = sketch_distance[at++];
+                  const std::uint64_t row = members_[m];
+                  pairs[n_pairs] = row << kQuerySlotBits | slot;
+                  n_pairs += d < threshold ? 1 : 0;
+                  ties[n_ties] = row;
+                  n_ties += d == threshold ? 1 : 0;
+                }
+              }
+              const std::size_t need = rerank - below;
+              if (need < n_ties) {
+                std::nth_element(ties.begin(),
+                                 ties.begin() + static_cast<std::ptrdiff_t>(need),
+                                 ties.begin() + static_cast<std::ptrdiff_t>(n_ties));
+              }
+              for (std::size_t i = 0; i < need; ++i) {
+                pairs[n_pairs++] = ties[i] << kQuerySlotBits | slot;
+              }
+              pairs.resize(n_pairs);
+              one.reranked = rerank;
+              one.word_ops += rerank * words;
+              out[q].reserve(std::min(k, rerank));
+            }
+            local.queries += one.queries;
+            local.probes += one.probes;
+            local.candidates += one.candidates;
+            local.reranked += one.reranked;
+            local.word_ops += one.word_ops;
+            local.sketch_blocks += one.sketch_blocks;
+            if (per_query != nullptr) (*per_query)[q] = one;
           }
 
-          // 3. Exact rerank of the sketch-filtered survivors.
-          std::size_t rerank = std::max(
-              {config_.min_rerank, k,
-               static_cast<std::size_t>(std::ceil(
-                   config_.rerank_fraction *
-                   static_cast<double>(candidates.size())))});
-          rerank = std::min(rerank, candidates.size());
-          if (rerank < candidates.size()) {
-            std::nth_element(candidates.begin(),
-                             candidates.begin() +
-                                 static_cast<std::ptrdiff_t>(rerank - 1),
-                             candidates.end(), sketch_less);
+          // 4. Order the block's pairs by database row.
+          sort_pairs_by_row(pairs, pairs_swap, digit_counts, row_radix_passes);
+
+          // 5. Exact rerank: each database row is read once and scored
+          // against every query of the block that selected it, while the
+          // next row's words are prefetched.
+          for (std::size_t i = 0; i < pairs.size();) {
+            const std::uint64_t row = pairs[i] >> kQuerySlotBits;
+            std::size_t end = i + 1;
+            while (end < pairs.size() && pairs[end] >> kQuerySlotBits == row) {
+              ++end;
+            }
+            if (end < pairs.size()) {
+              const std::uint64_t* next = database.row(pairs[end] >> kQuerySlotBits);
+              for (std::size_t w = 0; w < words; w += 8) __builtin_prefetch(next + w);
+            }
+            const std::uint64_t* drow = database.row(row);
+            for (; i < end; ++i) {
+              const std::size_t q = b_lo + (pairs[i] & (kQueryBlock - 1));
+              offer(out[q], Neighbor{row, hamming(queries.row(q), drow, words)});
+            }
           }
-          reranked.clear();
-          reranked.reserve(rerank);
-          for (std::size_t i = 0; i < rerank; ++i) {
-            const std::uint64_t row = candidates[i].row;
-            reranked.push_back(
-                Neighbor{row, hamming(qrow, database.row(row), words)});
-          }
-          std::sort(reranked.begin(), reranked.end(), neighbor_less);
-          if (reranked.size() > k) reranked.resize(k);
-          result = reranked;
-          local.reranked += rerank;
-          local.word_ops += rerank * words;
-          ++local.queries;
         }
         if (obs::enabled()) {
           AnnMetrics& metrics = AnnMetrics::get();

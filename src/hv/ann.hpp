@@ -20,7 +20,9 @@
 //   3. exact rerank — the surviving candidates are scored with the same
 //      full-width Hamming kernel the exact sweep uses, so every returned
 //      distance is exact; approximation can only come from a candidate set
-//      that misses the true neighbour.
+//      that misses the true neighbour. A block of up to 64 queries shares
+//      one row-ordered rerank pass, so a database row wanted by several
+//      queries of the block is read once.
 //
 // `SearchOptions::exact` bypasses all of it and routes to the hv/search
 // kernels, byte-identical to nearest_neighbors / top_k_neighbors (the
@@ -193,9 +195,18 @@ class Index {
                                               SearchStats* stats = nullptr) const;
 
   /// Approximate k nearest rows per query, sorted by (distance, index).
+  /// Queries are searched in blocks of up to 64: each query ranks the cells,
+  /// sketch-scans its probed cells and picks its rerank set by a
+  /// sketch-distance histogram (everything below the threshold distance,
+  /// then the lowest rows among the ties at it); the block's (row, query)
+  /// pairs are then sorted by row, so each database row is read once for
+  /// every query of the block that reranks it. Answers and stats do not
+  /// depend on how queries are grouped. When `per_query` is non-null it is
+  /// resized to one SearchStats per query row (`stats` holds their sum).
   [[nodiscard]] std::vector<std::vector<Neighbor>> top_k(
       const PackedHVs& queries, const PackedHVs& database, std::size_t k,
-      const SearchOptions& options = {}, SearchStats* stats = nullptr) const;
+      const SearchOptions& options = {}, SearchStats* stats = nullptr,
+      std::vector<SearchStats>* per_query = nullptr) const;
 
   /// Serde round-trip (the bundle's `ann` section body, `hv.ann v2`): the
   /// centroids and sketches are util::serde word blocks, the rest tokens.

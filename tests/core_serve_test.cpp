@@ -19,6 +19,7 @@
 #include "core/hamming_classifier.hpp"
 #include "core/serve.hpp"
 #include "data/synthetic.hpp"
+#include "hv/ann.hpp"
 #include "hv/bit_matrix.hpp"
 #include "ml/zoo.hpp"
 #include "obs/metrics.hpp"
@@ -279,6 +280,102 @@ TEST(ServeEngineTest, BatchSizeAndRerankFractionLandInFiniteBuckets) {
   // (on fraction bounds, not the seconds ladder).
   EXPECT_GE(batch->bounds.back(), 64.0);
   EXPECT_EQ(fraction->bounds.back(), 1.0);
+}
+
+/// A bundle whose Hamming predictor carries an ANN index that really
+/// filters: 2,000 cohort rows and a rerank floor of 8, so each query reranks
+/// a strict subset of its candidates.
+const std::string& ann_artifact() {
+  static const std::string artifact = [] {
+    const hdc::data::Dataset train = hdc::data::make_synthetic_cohort(2000, 5);
+    hdc::core::ExtractorConfig config;
+    config.dimensions = 1024;
+    ModelBundle bundle;
+    bundle.extractor.emplace(config);
+    bundle.extractor->fit(train);
+    hdc::core::HammingClassifier hamming;
+    hamming.fit(bundle.extractor->transform(train), train.labels());
+    hdc::hv::ann::Config ann_config;
+    ann_config.min_rerank = 8;
+    hamming.attach_ann(
+        hdc::hv::ann::Index::build(hamming.packed_vectors(), ann_config));
+    bundle.hamming = std::move(hamming);
+    std::ostringstream saved;
+    hdc::core::save_bundle(saved, bundle);
+    return saved.str();
+  }();
+  return artifact;
+}
+
+struct AnnServeCounts {
+  std::vector<int> answers;
+  std::uint64_t candidates = 0;
+  std::uint64_t probes = 0;
+  std::uint64_t rerank_samples = 0;
+};
+
+AnnServeCounts ann_counts(std::vector<int> answers) {
+  const hdc::obs::MetricsSnapshot snapshot = hdc::obs::snapshot();
+  AnnServeCounts counts;
+  counts.answers = std::move(answers);
+  counts.candidates = snapshot.counter_value("serve.ann.candidates");
+  counts.probes = snapshot.counter_value("serve.ann.probes");
+  const hdc::obs::HistogramSample* fraction =
+      snapshot.histogram("serve.ann.rerank_fraction");
+  counts.rerank_samples = fraction != nullptr ? fraction->count : 0;
+  return counts;
+}
+
+// The drain answers a sweep's Hamming rows with one blocked ANN search; the
+// answers and the per-request ANN accounting must be exactly what per-row
+// classify() produces for the same rows, with obs on and off.
+TEST(ServeEngineTest, CoalescedAnnMatchesSync) {
+  constexpr std::size_t kBurst = 64;
+  const hdc::data::Dataset queries = hdc::data::make_synthetic_cohort(3 * kBurst, 6);
+  for (const bool obs_on : {false, true}) {
+    SCOPED_TRACE(obs_on ? "obs on" : "obs off");
+    hdc::parallel::ThreadPool pool(1);
+    ServeConfig config;
+    config.model = "hamming";
+    config.ann = true;
+    config.pool = &pool;
+    std::istringstream in(ann_artifact());
+    ServeEngine engine(hdc::core::load_bundle(in), config);
+    ASSERT_TRUE(engine.bundle().hamming->ann_enabled());
+
+    hdc::obs::reset_metrics();
+    hdc::obs::set_enabled(obs_on);
+    std::vector<int> sync_answers;
+    for (std::size_t i = 0; i < queries.n_rows(); ++i) {
+      sync_answers.push_back(engine.classify(queries.row(i)));
+    }
+    const AnnServeCounts sync = ann_counts(std::move(sync_answers));
+
+    hdc::obs::reset_metrics();
+    std::vector<int> burst_answers;
+    for (std::size_t first = 0; first < queries.n_rows(); first += kBurst) {
+      std::vector<std::future<int>> futures;
+      for (std::size_t i = first; i < first + kBurst; ++i) {
+        futures.push_back(engine.submit(row_copy(queries, i)));
+      }
+      for (std::future<int>& f : futures) burst_answers.push_back(f.get());
+    }
+    const AnnServeCounts burst = ann_counts(std::move(burst_answers));
+    hdc::obs::set_enabled(false);
+
+    EXPECT_EQ(burst.answers, sync.answers);
+    EXPECT_EQ(burst.candidates, sync.candidates);
+    EXPECT_EQ(burst.probes, sync.probes);
+    EXPECT_EQ(burst.rerank_samples, sync.rerank_samples);
+    if (obs_on) {
+      EXPECT_GT(sync.candidates, 0u);
+      EXPECT_GT(sync.probes, 0u);
+      EXPECT_EQ(sync.rerank_samples, queries.n_rows());  // one per request
+    } else {
+      EXPECT_EQ(sync.candidates, 0u);
+      EXPECT_EQ(sync.rerank_samples, 0u);
+    }
+  }
 }
 
 TEST(ServeEngineTest, DefaultPredictorPrefersHamming) {

@@ -9,6 +9,7 @@
 #include <gtest/gtest.h>
 
 #include <algorithm>
+#include <cmath>
 #include <sstream>
 #include <string>
 #include <thread>
@@ -406,6 +407,308 @@ TEST(HvAnnTest, ConcurrentQueriesAreRaceFreeAndIdentical) {
     for (std::thread& thread : threads) thread.join();
   }
   for (const auto& result : results) EXPECT_EQ(result, reference);
+}
+
+// -- Per-query oracle ---------------------------------------------------------
+//
+// The search as it ran before query blocking: one query at a time, the
+// rerank set picked by nth_element over (sketch distance, row), reranked
+// rows sorted by (distance, index). It reads the index back from its save()
+// body, so it shares no search code with Index::top_k.
+
+struct IndexParts {
+  std::size_t bits = 0;
+  std::size_t words = 0;
+  std::size_t rows = 0;
+  std::size_t sketch_words = 0;
+  std::size_t nprobe = 0;
+  std::size_t min_rerank = 0;
+  double rerank_fraction = 0.0;
+  std::vector<std::uint32_t> positions;
+  std::vector<std::uint64_t> centroids;
+  std::vector<std::uint64_t> offsets;
+  std::vector<std::uint64_t> members;
+  std::vector<std::uint64_t> sketches;
+};
+
+IndexParts read_parts(const ann::Index& index) {
+  std::istringstream in(serialized(index));
+  hdc::util::serde::Reader r(in, "oracle");
+  r.expect("hv.ann", "tag");
+  r.expect_version("v2");
+  IndexParts parts;
+  parts.bits = r.u64("bits");
+  parts.rows = r.u64("rows");
+  const std::size_t sketch_bits = r.u64("sketch_bits");
+  const std::size_t cells = r.u64("cells");
+  parts.nprobe = r.u64("nprobe");
+  (void)r.u64("lloyd_iterations");
+  (void)r.u64("lloyd_sample");
+  parts.rerank_fraction = r.f64("rerank_fraction");
+  parts.min_rerank = r.u64("min_rerank");
+  const std::uint64_t seed = r.u64("seed");
+  (void)r.u64("fingerprint");
+  parts.words = (parts.bits + 63) / 64;
+  parts.sketch_words = (sketch_bits + 63) / 64;
+  parts.centroids.resize(cells * parts.words);
+  r.word_block("centroids", parts.centroids);
+  parts.offsets = r.vec_u64("offsets", cells + 1);
+  parts.members = r.vec_u64("members", parts.rows);
+  parts.sketches.resize(parts.rows * parts.sketch_words);
+  r.word_block("sketches", parts.sketches);
+  constexpr std::uint64_t kSketchSeedStream = 0x534b4554ULL;  // "SKET"
+  hdc::util::Rng rng(hdc::util::mix_seed(seed, kSketchSeedStream));
+  std::vector<std::size_t> sampled =
+      rng.sample_without_replacement(parts.bits, sketch_bits);
+  std::sort(sampled.begin(), sampled.end());
+  parts.positions.assign(sampled.begin(), sampled.end());
+  return parts;
+}
+
+bool neighbor_less(const Neighbor& a, const Neighbor& b) {
+  return a.distance != b.distance ? a.distance < b.distance : a.index < b.index;
+}
+
+std::vector<std::vector<Neighbor>> oracle_top_k(const IndexParts& ix,
+                                                const PackedHVs& queries,
+                                                const PackedHVs& database,
+                                                std::size_t k,
+                                                bool exclude_same_index,
+                                                ann::SearchStats& stats) {
+  struct SketchCandidate {
+    std::size_t sketch_distance;
+    std::uint64_t row;
+  };
+  const auto sketch_less = [](const SketchCandidate& a,
+                              const SketchCandidate& b) {
+    return a.sketch_distance != b.sketch_distance
+               ? a.sketch_distance < b.sketch_distance
+               : a.row < b.row;
+  };
+  const auto hamming = hdc::simd::active().hamming;
+  const std::size_t n_cells = ix.offsets.size() - 1;
+  const std::size_t nprobe = ix.nprobe;
+  const std::size_t words = ix.words;
+  std::vector<std::vector<Neighbor>> out(queries.rows());
+  stats = {};
+  std::vector<std::size_t> cell_order(n_cells);
+  std::vector<std::size_t> cell_distance(n_cells);
+  std::vector<std::uint64_t> query_sketch(ix.sketch_words);
+  for (std::size_t q = 0; q < queries.rows(); ++q) {
+    const std::uint64_t* qrow = queries.row(q);
+    for (std::size_t cell = 0; cell < n_cells; ++cell) {
+      cell_order[cell] = cell;
+      cell_distance[cell] =
+          hamming(qrow, ix.centroids.data() + cell * words, words);
+    }
+    stats.word_ops += n_cells * words;
+    std::stable_sort(cell_order.begin(), cell_order.end(),
+                     [&](std::size_t a, std::size_t b) {
+                       return cell_distance[a] < cell_distance[b];
+                     });
+    std::fill(query_sketch.begin(), query_sketch.end(), 0ULL);
+    for (std::size_t s = 0; s < ix.positions.size(); ++s) {
+      const std::uint32_t bit = ix.positions[s];
+      if ((qrow[bit >> 6] >> (bit & 63)) & 1ULL) {
+        query_sketch[s >> 6] |= 1ULL << (s & 63);
+      }
+    }
+    std::vector<SketchCandidate> candidates;
+    std::uint64_t scanned = 0;
+    for (std::size_t p = 0; p < nprobe; ++p) {
+      const std::size_t cell = cell_order[p];
+      for (std::uint64_t m = ix.offsets[cell]; m < ix.offsets[cell + 1]; ++m) {
+        ++scanned;
+        const std::uint64_t row = ix.members[m];
+        if (exclude_same_index && row == q) continue;
+        candidates.push_back(SketchCandidate{
+            hamming(query_sketch.data(),
+                    ix.sketches.data() + m * ix.sketch_words, ix.sketch_words),
+            row});
+      }
+    }
+    stats.probes += nprobe;
+    stats.sketch_blocks += nprobe;
+    stats.candidates += candidates.size();
+    stats.word_ops += scanned * ix.sketch_words;
+    ++stats.queries;
+    std::vector<Neighbor>& result = out[q];
+    if (candidates.empty()) {
+      for (std::size_t j = 0; j < ix.rows; ++j) {
+        if (exclude_same_index && j == q) continue;
+        result.push_back(Neighbor{j, hamming(qrow, database.row(j), words)});
+      }
+      std::sort(result.begin(), result.end(), neighbor_less);
+      if (result.size() > k) result.resize(k);
+      stats.reranked += ix.rows;
+      stats.word_ops += ix.rows * words;
+      continue;
+    }
+    std::size_t rerank = std::max(
+        {ix.min_rerank, k,
+         static_cast<std::size_t>(std::ceil(
+             ix.rerank_fraction * static_cast<double>(candidates.size())))});
+    rerank = std::min(rerank, candidates.size());
+    if (rerank < candidates.size()) {
+      std::nth_element(candidates.begin(),
+                       candidates.begin() + static_cast<std::ptrdiff_t>(rerank - 1),
+                       candidates.end(), sketch_less);
+    }
+    for (std::size_t i = 0; i < rerank; ++i) {
+      const std::uint64_t row = candidates[i].row;
+      result.push_back(Neighbor{row, hamming(qrow, database.row(row), words)});
+    }
+    std::sort(result.begin(), result.end(), neighbor_less);
+    if (result.size() > k) result.resize(k);
+    stats.reranked += rerank;
+    stats.word_ops += rerank * words;
+  }
+  return out;
+}
+
+void expect_stats_eq(const ann::SearchStats& got, const ann::SearchStats& want,
+                     const std::string& at) {
+  EXPECT_EQ(got.queries, want.queries) << at;
+  EXPECT_EQ(got.probes, want.probes) << at;
+  EXPECT_EQ(got.candidates, want.candidates) << at;
+  EXPECT_EQ(got.reranked, want.reranked) << at;
+  EXPECT_EQ(got.word_ops, want.word_ops) << at;
+  EXPECT_EQ(got.sketch_blocks, want.sketch_blocks) << at;
+}
+
+PackedHVs first_rows(const PackedHVs& rows, std::size_t n) {
+  PackedHVs out(rows.bits(), n);
+  std::copy_n(rows.row(0), n * rows.words_per_row(), out.row(0));
+  return out;
+}
+
+/// Clustered rows where every third row repeats an earlier one, so many
+/// candidates share a sketch distance (ties at the histogram threshold) and
+/// an exact distance (ties broken by row index).
+PackedHVs rows_with_duplicates(std::size_t rows, std::size_t bits,
+                               std::uint64_t seed) {
+  PackedHVs db = clustered_rows(rows, bits, 6, 0.04, seed);
+  for (std::size_t i = 2; i < rows; i += 3) {
+    std::copy_n(db.row(i / 2), db.words_per_row(), db.row(i));
+  }
+  return db;
+}
+
+// Blocked top_k against the per-query oracle over query counts on both
+// sides of the 64-query block, k, leave-one-out, every SIMD tier and pool
+// sizes 1 and 4 (4 workers split 300 queries into chunks that are not
+// block multiples).
+TEST(HvAnnTest, BlockedTopKMatchesPerQueryOracle) {
+  const PackedHVs db = rows_with_duplicates(600, 700, 51);
+  const PackedHVs all_queries = clustered_rows(300, 700, 6, 0.06, 52);
+  ann::Config config;
+  config.min_rerank = 4;  // a real sketch selection on a small database
+  const ann::Index index = ann::Index::build(db, config);
+  const IndexParts parts = read_parts(index);
+
+  for (const hdc::simd::Tier tier : hdc::simd::supported_tiers()) {
+    hdc::simd::set_tier(tier);
+    for (const std::size_t workers : {1u, 4u}) {
+      hdc::parallel::ThreadPool pool(workers);
+      for (const std::size_t n_queries : {1u, 2u, 63u, 64u, 65u, 300u}) {
+        for (const std::size_t k : {1u, 5u}) {
+          for (const bool exclude : {false, true}) {
+            const std::string at =
+                std::string(hdc::simd::tier_name(tier)) + " x" +
+                std::to_string(workers) + " Q=" + std::to_string(n_queries) +
+                " k=" + std::to_string(k) + (exclude ? " loo" : "");
+            // Leave-one-out needs queries == database: search a database
+            // of the first Q rows with its own index.
+            const PackedHVs queries = exclude ? first_rows(db, n_queries)
+                                              : first_rows(all_queries, n_queries);
+            const ann::Index loo_index =
+                exclude ? ann::Index::build(queries, config) : ann::Index();
+            const ann::Index& searched = exclude ? loo_index : index;
+            const IndexParts loo_parts =
+                exclude ? read_parts(loo_index) : IndexParts{};
+            const PackedHVs& database = exclude ? queries : db;
+
+            ann::SearchOptions options;
+            options.pool = &pool;
+            options.exclude_same_index = exclude;
+            ann::SearchStats got_stats;
+            std::vector<ann::SearchStats> per_query;
+            const auto got = searched.top_k(queries, database, k, options,
+                                            &got_stats, &per_query);
+            ann::SearchStats want_stats;
+            const auto want = oracle_top_k(exclude ? loo_parts : parts, queries,
+                                           database, k, exclude, want_stats);
+            ASSERT_EQ(got, want) << at;
+            expect_stats_eq(got_stats, want_stats, at);
+            ASSERT_EQ(per_query.size(), n_queries) << at;
+            ann::SearchStats summed;
+            for (const ann::SearchStats& one : per_query) {
+              EXPECT_EQ(one.queries, 1u) << at;
+              summed.queries += one.queries;
+              summed.probes += one.probes;
+              summed.candidates += one.candidates;
+              summed.reranked += one.reranked;
+              summed.word_ops += one.word_ops;
+              summed.sketch_blocks += one.sketch_blocks;
+            }
+            expect_stats_eq(summed, want_stats, at + " per-query sum");
+          }
+        }
+      }
+    }
+  }
+  hdc::simd::reset_tier();
+}
+
+// Ties at the threshold sketch distance: with min_rerank 1 and a database
+// made of a few rows repeated many times, almost every candidate ties, and
+// the rerank set must be the lowest rows among them.
+TEST(HvAnnTest, HistogramSelectTakesLowestRowsAmongThresholdTies) {
+  const PackedHVs base = random_rows(8, 320, 53);
+  PackedHVs db(base.bits(), 400);
+  for (std::size_t i = 0; i < db.rows(); ++i) {
+    std::copy_n(base.row((i * 7) % base.rows()), base.words_per_row(), db.row(i));
+  }
+  const PackedHVs queries = random_rows(70, 320, 54);
+  ann::Config config;
+  config.cells = 4;
+  config.min_rerank = 1;
+  config.rerank_fraction = 0.1;
+  const ann::Index index = ann::Index::build(db, config);
+  const IndexParts parts = read_parts(index);
+  for (const std::size_t k : {1u, 5u}) {
+    ann::SearchStats got_stats;
+    ann::SearchStats want_stats;
+    const auto got = index.top_k(queries, db, k, {}, &got_stats);
+    EXPECT_EQ(got, oracle_top_k(parts, queries, db, k, false, want_stats));
+    expect_stats_eq(got_stats, want_stats, "k=" + std::to_string(k));
+  }
+}
+
+// Leave-one-out over one-row cells probed one at a time: every query's only
+// candidate is itself, so each falls back to the exact whole-database scan.
+TEST(HvAnnTest, EmptyCandidateSetFallsBackToExactScan) {
+  const PackedHVs db = random_rows(40, 256, 55);
+  ann::Config config;
+  config.cells = db.rows();
+  config.nprobe = 1;
+  const ann::Index index = ann::Index::build(db, config);
+  ASSERT_EQ(index.cells(), db.rows());
+
+  ann::SearchOptions options;
+  options.exclude_same_index = true;
+  for (const std::size_t k : {1u, 5u}) {
+    ann::SearchStats stats;
+    const auto got = index.top_k(db, db, k, options, &stats);
+    EXPECT_EQ(stats.candidates, 0u);
+    EXPECT_EQ(stats.reranked, db.rows() * db.rows());
+    ann::SearchStats want_stats;
+    EXPECT_EQ(got, oracle_top_k(read_parts(index), db, db, k, true, want_stats));
+    expect_stats_eq(stats, want_stats, "k=" + std::to_string(k));
+    hdc::hv::SearchOptions exact;
+    exact.exclude_same_index = true;
+    EXPECT_EQ(got, hdc::hv::top_k_neighbors(db, db, k, exact));
+  }
 }
 
 }  // namespace
