@@ -1,11 +1,12 @@
 // Experiment-grid scheduler bench: the paper's 2-dataset x 9-model x k-fold
-// sweep run serially (the PR 1-4 driver: re-encode per model, one core) and
-// through the work-stealing TaskGraph + fold-encoding cache at 1 / 2 / N
-// threads. Emits BENCH_grid.json so future PRs have a scheduling-perf
-// trajectory to compare against.
+// sweep run as a serial reference (one one-worker run_grid per model, so
+// every fold is re-encoded once per model on one core) and as one run_grid
+// over the whole zoo — the work-stealing TaskGraph + fold-encoding cache —
+// at 1 / 2 / N threads. Emits BENCH_grid.json, a scheduling-perf trajectory
+// for later changes to compare against.
 //
 // Two gates run inside the bench:
-//   - determinism: every scheduled run's metrics must be bit-identical to
+//   - determinism: every whole-zoo run's metrics must be bit-identical to
 //     the serial reference, or the bench exits non-zero;
 //   - speedup: serial / best-scheduled wall must reach 4x on hardware that
 //     can show it (>= 4 cores, full fidelity). Machines that cannot measure
@@ -21,6 +22,7 @@
 
 #include "bench_common.hpp"
 #include "core/grid.hpp"
+#include "ml/zoo.hpp"
 #include "parallel/thread_pool.hpp"
 #include "util/cli.hpp"
 #include "util/timer.hpp"
@@ -86,21 +88,31 @@ int main(int argc, char** argv) {
   std::printf("# bench_grid: datasets=2 models=9 kfold=%zu hw_threads=%zu\n",
               config.kfold, hw_threads);
 
-  // Serial reference: the pre-grid driver (kfold_cv_accuracy per cell,
-  // re-encoding every fold once per model).
-  config.scheduled = false;
+  // Serial reference: one one-worker run_grid per model, so every fold is
+  // re-encoded once per model on one core, as the pre-grid driver did.
+  const std::vector<hdc::ml::ZooEntry> zoo = hdc::ml::paper_model_zoo();
   GridResult serial;
   double serial_seconds = 0.0;
   for (std::size_t r = 0; r < reps; ++r) {
+    GridResult run;
+    run.datasets.resize(datasets.size());
     Timer timer;
-    serial = hdc::core::run_grid(datasets, config);
+    for (const hdc::ml::ZooEntry& entry : zoo) {
+      hdc::core::GridConfig cell = config;
+      cell.models = {entry.name};
+      cell.threads = 1;
+      GridResult one = hdc::core::run_grid(datasets, cell);
+      for (std::size_t d = 0; d < datasets.size(); ++d) {
+        run.datasets[d].models.push_back(std::move(one.datasets[d].models.front()));
+      }
+    }
     const double s = timer.seconds();
     serial_seconds = r == 0 ? s : std::min(serial_seconds, s);
+    serial = std::move(run);
   }
   std::printf("# serial: %.3fs (%zu model fits, re-encode per model)\n",
-              serial_seconds, serial.stats.model_tasks);
+              serial_seconds, datasets.size() * zoo.size() * config.kfold);
 
-  config.scheduled = true;
   std::vector<ThreadSample> samples;
   bool determinism_ok = true;
   for (const std::size_t t : thread_counts) {

@@ -62,26 +62,6 @@ double fold_accuracy(const ml::Classifier& model, const FoldData& fold) {
                         : model.accuracy(fold.test_X, fold.test_y);
 }
 
-eval::CvResult kfold_cv_accuracy(const data::Dataset& ds,
-                                 const std::string& model_name, InputMode mode,
-                                 std::size_t k, const ExperimentConfig& config) {
-  return eval::kfold_run(
-      ds.labels(), k, config.seed,
-      [&](std::span<const std::size_t> train, std::span<const std::size_t> test) {
-        obs::Span fold_span("experiment.fold");
-        obs::counter("experiment.folds").increment();
-        const FoldData fold = materialize_fold(ds, train, test, mode, config,
-                                               /*allow_packed=*/true);
-        const auto model = ml::make_model(model_name, config.model_budget);
-        {
-          obs::Span fit_span("experiment.fit");
-          fit_fold_model(*model, fold);
-        }
-        obs::Span eval_span("experiment.eval");
-        return fold_accuracy(*model, fold);
-      });
-}
-
 eval::BinaryMetrics holdout_metrics(const data::Dataset& ds,
                                     const std::string& model_name, InputMode mode,
                                     double test_fraction,

@@ -1,6 +1,8 @@
-// Experiment drivers reproducing the paper's evaluation protocols. Each
-// bench binary is a thin wrapper over these functions; the unit tests also
-// exercise them on reduced configurations.
+// Experiment drivers reproducing the paper's evaluation protocols: the
+// per-fold building blocks the k-fold grid (core/grid) schedules, the
+// Table IV/V holdout, the Table II Hamming LOO and the Sequential NN
+// protocol. Each bench binary is a thin wrapper over these functions and
+// run_grid; the unit tests also exercise them on reduced configurations.
 #pragma once
 
 #include <cstdint>
@@ -11,7 +13,6 @@
 #include "core/extractor.hpp"
 #include "core/manifest.hpp"
 #include "data/dataset.hpp"
-#include "eval/cross_validation.hpp"
 #include "eval/metrics.hpp"
 #include "hv/bit_matrix.hpp"
 #include "ml/classifier.hpp"
@@ -37,9 +38,9 @@ struct ExperimentConfig {
 
 /// Materialised (X, y) for one fold's train/test rows, in raw or
 /// hypervector space. Packed hypervector folds carry bit-packed matrices
-/// instead of dense doubles (train_X/test_X stay empty). Shared between the
-/// per-model CV drivers below and the grid runner's fold-encoding cache
-/// (core/grid), which must produce bit-identical folds.
+/// instead of dense doubles (train_X/test_X stay empty). The grid runner's
+/// fold-encoding cache (core/grid) holds these, and the holdout and NN
+/// protocols below build them the same way.
 struct FoldData {
   ml::Matrix train_X;
   ml::Labels train_y;
@@ -67,13 +68,6 @@ void fit_fold_model(ml::Classifier& model, const FoldData& fold);
 /// Test-set accuracy of a fitted model on `fold`'s representation.
 [[nodiscard]] double fold_accuracy(const ml::Classifier& model,
                                    const FoldData& fold);
-
-/// Paper Table III protocol: stratified 10-fold CV accuracy of a zoo model.
-/// In hypervector mode the extractor is re-fit on each fold's training rows.
-[[nodiscard]] eval::CvResult kfold_cv_accuracy(const data::Dataset& ds,
-                                               const std::string& model_name,
-                                               InputMode mode, std::size_t k,
-                                               const ExperimentConfig& config);
 
 /// Paper Table IV/V protocol: stratified 90/10 holdout, full test metrics.
 [[nodiscard]] eval::BinaryMetrics holdout_metrics(const data::Dataset& ds,

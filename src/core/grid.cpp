@@ -26,33 +26,6 @@ std::vector<std::string> model_names(const GridConfig& config) {
   return names;
 }
 
-GridResult run_grid_serial(std::span<const GridDatasetSpec> datasets,
-                           const GridConfig& config,
-                           const std::vector<std::string>& models) {
-  GridResult result;
-  result.stats.workers = 1;
-  result.stats.model_tasks = datasets.size() * models.size() * config.kfold;
-  for (const GridDatasetSpec& spec : datasets) {
-    GridDatasetResult ds_result;
-    ds_result.dataset = spec.name;
-    for (const std::string& model : models) {
-      GridModelResult cell;
-      cell.model = model;
-      cell.cv = kfold_cv_accuracy(*spec.data, model, config.mode, config.kfold,
-                                  config.experiment);
-      ds_result.models.push_back(std::move(cell));
-    }
-    if (config.nn_repeats > 0) {
-      ds_result.has_nn = true;
-      ds_result.nn = nn_protocol(*spec.data, config.mode, config.nn_repeats,
-                                 config.experiment, config.nn);
-      ++result.stats.nn_tasks;
-    }
-    result.datasets.push_back(std::move(ds_result));
-  }
-  return result;
-}
-
 /// Per-dataset fold partitions, fixed before the graph runs so every task
 /// reads immutable index vectors.
 struct DatasetFolds {
@@ -72,8 +45,7 @@ GridResult run_grid_scheduled(std::span<const GridDatasetSpec> datasets,
   FoldEncodingCache cache;
   const std::size_t k = config.kfold;
 
-  // Fold partitions are a pure function of (labels, k, seed) — exactly the
-  // StratifiedKFold the serial kfold_run() builds per model.
+  // Fold partitions are a pure function of (labels, k, seed).
   std::vector<DatasetFolds> folds(datasets.size());
   for (std::size_t d = 0; d < datasets.size(); ++d) {
     const data::StratifiedKFold kf(datasets[d].data->labels(), k,
@@ -209,6 +181,9 @@ GridResult run_grid_scheduled(std::span<const GridDatasetSpec> datasets,
 GridResult run_grid(std::span<const GridDatasetSpec> datasets,
                     const GridConfig& config) {
   if (config.kfold < 2) throw std::invalid_argument("run_grid: kfold < 2");
+  if (!config.scheduled) {
+    throw std::invalid_argument("run_grid: scheduled = false is not supported");
+  }
   for (const GridDatasetSpec& spec : datasets) {
     if (spec.data == nullptr) {
       throw std::invalid_argument("run_grid: null dataset " + spec.name);
@@ -220,9 +195,7 @@ GridResult run_grid(std::span<const GridDatasetSpec> datasets,
   for (const std::string& model : models) {
     (void)ml::make_model(model, config.experiment.model_budget);
   }
-  GridResult result = config.scheduled
-                          ? run_grid_scheduled(datasets, config, models)
-                          : run_grid_serial(datasets, config, models);
+  GridResult result = run_grid_scheduled(datasets, config, models);
   // Provenance over the whole sweep (after the run, so the embedded obs
   // snapshot includes the grid's own counters).
   if (!datasets.empty()) {

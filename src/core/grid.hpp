@@ -1,12 +1,11 @@
 // Experiment-grid runner: the paper's full evaluation sweep as one DAG.
 //
-// Tables III–V evaluate 2 datasets × the 9-model zoo (+ the 2×32 ReLU
-// Sequential NN) under stratified 10-fold CV, re-fitting the HDC extractor
-// on every fold's training rows. Run serially (run_grid with
-// scheduled=false — the PR 1–4 driver), that walk re-encodes each fold once
-// per model and keeps at most one core busy.
-//
-// The scheduled path expresses the same protocol as a parallel::TaskGraph:
+// Tables III–V evaluate the datasets × the 9-model zoo (+ the 2×32 ReLU
+// Sequential NN) under stratified k-fold CV, re-fitting the HDC extractor
+// on every fold's training rows. run_grid is the library's only k-fold
+// driver: Table III, bench_grid, `hdc_cli grid` and the e2ebench
+// `grid_paper` workload all call it. It expresses the protocol as a
+// parallel::TaskGraph:
 //
 //   encode(dataset d, fold f)            one task per (d, f); materialises
 //        |                               the fold via materialize_fold()
@@ -23,11 +22,10 @@
 // protocol is its own repeated-holdout loop, not k-fold).
 //
 // Determinism: every task derives its randomness from seeds fixed at graph
-// construction (the same ExperimentConfig-derived streams the serial driver
-// uses), tasks only communicate through their dependency edges, and reduces
-// read fold scores from a pre-indexed array in fold order — so the grid's
-// metrics are EXPECT_EQ-identical to the serial path for every worker
-// count.
+// construction, tasks only communicate through their dependency edges, and
+// reduces read fold scores from a pre-indexed array in fold order — so the
+// grid's metrics are identical for every worker count. The tests hold them
+// EXPECT_EQ against a serial walk of the same folds (tests/cv_oracle.hpp).
 #pragma once
 
 #include <cstddef>
@@ -55,10 +53,11 @@ struct GridConfig {
   std::size_t kfold = 10;
   InputMode mode = InputMode::kHypervectors;
   ExperimentConfig experiment;
-  /// Worker count for the scheduled path (its dedicated pool + task-graph
-  /// width). 0 = hardware_threads(). Ignored by the serial path.
+  /// Worker count (the grid's dedicated pool + task-graph width).
+  /// 0 = hardware_threads().
   std::size_t threads = 0;
-  /// false = the serial reference walk (kfold_cv_accuracy per cell).
+  /// Must stay true: run_grid throws std::invalid_argument on false. The
+  /// field remains only because e2ebench/grid_workload.cpp assigns it.
   bool scheduled = true;
   /// Sequential-NN repeats per dataset; 0 skips the NN rows.
   std::size_t nn_repeats = 0;
@@ -103,10 +102,10 @@ struct GridResult {
   RunManifest manifest;
 };
 
-/// Run the grid over `datasets`. The scheduled path runs on a dedicated
-/// pool of config.threads workers; the serial path ignores threads and
-/// reproduces the pre-grid driver exactly. Metrics are identical between
-/// the two paths and across worker counts.
+/// Run the grid over `datasets` on a dedicated pool of config.threads
+/// workers. Metrics are identical across worker counts. Throws
+/// std::invalid_argument on kfold < 2, a null dataset, an unknown model
+/// name or scheduled == false, before any task runs.
 [[nodiscard]] GridResult run_grid(std::span<const GridDatasetSpec> datasets,
                                   const GridConfig& config);
 

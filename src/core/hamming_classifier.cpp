@@ -188,12 +188,6 @@ const hv::BitVector& HammingClassifier::prototype(int label) const {
   return prototypes_[static_cast<std::size_t>(label)];
 }
 
-std::vector<int> hamming_loo_predictions(const std::vector<hv::BitVector>& vectors,
-                                         const std::vector<int>& labels,
-                                         parallel::ThreadPool* pool) {
-  return eval::hamming_loocv(vectors, labels, pool).predictions;
-}
-
 eval::BinaryMetrics hamming_loo_metrics(const std::vector<hv::BitVector>& vectors,
                                         const std::vector<int>& labels,
                                         parallel::ThreadPool* pool) {

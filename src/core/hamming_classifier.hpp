@@ -120,13 +120,8 @@ class HammingClassifier {
 
 /// Leave-one-out evaluation of the 1-NN Hamming model over a full dataset of
 /// hypervectors (the paper's validation protocol): each vector is classified
-/// by its nearest *other* vector. Runs through the blocked all-pairs kernel
-/// in hv/search; results are identical for any `pool` / thread count.
-[[nodiscard]] std::vector<int> hamming_loo_predictions(
-    const std::vector<hv::BitVector>& vectors, const std::vector<int>& labels,
-    parallel::ThreadPool* pool = nullptr);
-
-/// Convenience: LOO predictions -> full metrics.
+/// by its nearest *other* vector, and the metrics are scored over all rows.
+/// Runs eval::hamming_loocv; results are identical for any `pool`.
 [[nodiscard]] eval::BinaryMetrics hamming_loo_metrics(
     const std::vector<hv::BitVector>& vectors, const std::vector<int>& labels,
     parallel::ThreadPool* pool = nullptr);

@@ -55,9 +55,4 @@ class StratifiedKFold {
   std::vector<std::vector<std::size_t>> folds_;
 };
 
-/// Leave-one-out: fold i tests on row i and trains on the rest.
-[[nodiscard]] inline std::size_t loo_folds(const Dataset& ds) noexcept {
-  return ds.n_rows();
-}
-
 }  // namespace hdc::data

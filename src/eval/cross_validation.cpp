@@ -3,7 +3,6 @@
 #include <cmath>
 #include <stdexcept>
 
-#include "data/split.hpp"
 #include "hv/search.hpp"
 
 namespace hdc::eval {
@@ -22,21 +21,6 @@ CvResult summarize_folds(std::vector<double> fold_accuracy) {
   }
   result.stddev_accuracy = std::sqrt(var / k);
   return result;
-}
-
-CvResult kfold_run(
-    const std::vector<int>& labels, std::size_t k, std::uint64_t seed,
-    const std::function<double(std::span<const std::size_t>,
-                               std::span<const std::size_t>)>& run_fold) {
-  const data::StratifiedKFold folds(labels, k, seed);
-  std::vector<double> fold_accuracy;
-  fold_accuracy.reserve(k);
-  for (std::size_t f = 0; f < k; ++f) {
-    const std::vector<std::size_t> train = folds.fold_train(f);
-    const std::vector<std::size_t>& test = folds.fold_test(f);
-    fold_accuracy.push_back(run_fold(train, test));
-  }
-  return summarize_folds(std::move(fold_accuracy));
 }
 
 LoocvResult hamming_loocv(const std::vector<hv::BitVector>& vectors,

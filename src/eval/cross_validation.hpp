@@ -1,13 +1,8 @@
-// Cross-validation drivers.
-//
-// The generic `kfold_run` hands each fold's train/test index sets to a
-// caller-provided runner, which lets the HDC experiments re-fit the feature
+// Cross-validation results and the Hamming leave-one-out driver. The k-fold
+// protocol itself runs in core/grid (run_grid), which re-fits the feature
 // extractor on each fold's training rows (no encoding leakage across folds).
 #pragma once
 
-#include <cstdint>
-#include <functional>
-#include <span>
 #include <vector>
 
 #include "eval/metrics.hpp"
@@ -26,17 +21,9 @@ struct CvResult {
 };
 
 /// Aggregate per-fold scores into a CvResult (population stddev), summing in
-/// the order given. kfold_run() and the grid runner's reduce tasks
-/// (core/grid) both go through this, so their statistics are bit-identical
-/// for the same fold scores.
+/// the order given. The grid runner's reduce tasks (core/grid) go through
+/// this, so equal fold scores always give bit-identical statistics.
 [[nodiscard]] CvResult summarize_folds(std::vector<double> fold_accuracy);
-
-/// Stratified k-fold; `run_fold(train_indices, test_indices)` returns the
-/// fold's accuracy (or any score to aggregate).
-[[nodiscard]] CvResult kfold_run(
-    const std::vector<int>& labels, std::size_t k, std::uint64_t seed,
-    const std::function<double(std::span<const std::size_t>,
-                               std::span<const std::size_t>)>& run_fold);
 
 struct LoocvResult {
   std::vector<int> predictions;  // per-row 1-NN label among all other rows

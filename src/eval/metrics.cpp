@@ -4,6 +4,8 @@
 
 namespace hdc::eval {
 
+namespace {
+
 ConfusionMatrix confusion_matrix(const std::vector<int>& y_true,
                                  const std::vector<int>& y_pred) {
   if (y_true.size() != y_pred.size()) {
@@ -25,11 +27,9 @@ ConfusionMatrix confusion_matrix(const std::vector<int>& y_true,
   return cm;
 }
 
-namespace {
 double ratio(std::size_t num, std::size_t den) noexcept {
   return den == 0 ? 0.0 : static_cast<double>(num) / static_cast<double>(den);
 }
-}  // namespace
 
 BinaryMetrics metrics_from_confusion(const ConfusionMatrix& cm) {
   BinaryMetrics m;
@@ -43,6 +43,8 @@ BinaryMetrics metrics_from_confusion(const ConfusionMatrix& cm) {
              : 0.0;
   return m;
 }
+
+}  // namespace
 
 BinaryMetrics compute_metrics(const std::vector<int>& y_true,
                               const std::vector<int>& y_pred) {

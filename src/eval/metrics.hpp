@@ -26,14 +26,8 @@ struct BinaryMetrics {
   double f1 = 0.0;           // harmonic mean of precision and recall
 };
 
-/// Tally a confusion matrix; labels/predictions must be 0/1 and same length.
-[[nodiscard]] ConfusionMatrix confusion_matrix(const std::vector<int>& y_true,
-                                               const std::vector<int>& y_pred);
-
-/// Derive all metrics from a confusion matrix (0/0 ratios evaluate to 0).
-[[nodiscard]] BinaryMetrics metrics_from_confusion(const ConfusionMatrix& cm);
-
-/// Convenience: confusion + derived metrics in one call.
+/// Tally the confusion matrix and derive every metric from it (0/0 ratios
+/// evaluate to 0). Labels and predictions must be 0/1 and the same length.
 [[nodiscard]] BinaryMetrics compute_metrics(const std::vector<int>& y_true,
                                             const std::vector<int>& y_pred);
 

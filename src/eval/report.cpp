@@ -4,9 +4,13 @@
 
 namespace hdc::eval {
 
+namespace {
+
 std::string format_ratio(double value) { return util::format_double(value, 3); }
 
 std::string format_pct(double fraction) { return util::format_percent(fraction, 2); }
+
+}  // namespace
 
 std::vector<std::string> metric_cells(const BinaryMetrics& m) {
   return {format_ratio(m.precision), format_ratio(m.recall),

@@ -8,14 +8,9 @@
 
 namespace hdc::eval {
 
-/// "0.829" style three-decimal ratio.
-[[nodiscard]] std::string format_ratio(double value);
-
+/// Cells in the paper's Table IV/V column order: precision, recall,
+/// specificity, F1 as "0.829" style three-decimal ratios, then accuracy as a
 /// "79.66%" style percentage with two decimals.
-[[nodiscard]] std::string format_pct(double fraction);
-
-/// Cells in the paper's Table IV/V column order:
-/// precision, recall, specificity, F1, accuracy%.
 [[nodiscard]] std::vector<std::string> metric_cells(const BinaryMetrics& m);
 
 /// Interleave feature/HD metric cells the way Tables IV and V do:

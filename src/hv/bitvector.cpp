@@ -49,11 +49,6 @@ BitVector& BitVector::operator&=(const BitVector& other) {
   return *this;
 }
 
-void BitVector::invert() noexcept {
-  for (std::uint64_t& w : words_) w = ~w;
-  clear_padding();
-}
-
 BitVector BitVector::rotated(std::size_t k) const {
   BitVector out(bits_);
   if (bits_ == 0) return out;
@@ -72,20 +67,15 @@ BitVector BitVector::random(std::size_t bits, util::Rng& rng) {
   return out;
 }
 
-BitVector BitVector::random_with_ones(std::size_t bits, std::size_t ones,
-                                      util::Rng& rng) {
-  if (ones > bits) throw std::invalid_argument("BitVector: ones > bits");
-  BitVector out(bits);
-  // Floyd's algorithm would need a set; with ones ~ bits/2 a partial
-  // Fisher-Yates over indices is simpler and still O(bits).
-  const std::vector<std::size_t> idx = rng.sample_without_replacement(bits, ones);
-  for (const std::size_t i : idx) out.set(i, true);
-  return out;
-}
-
 BitVector BitVector::random_balanced(std::size_t bits, util::Rng& rng) {
   if (bits % 2 != 0) throw std::invalid_argument("BitVector: odd size for balanced seed");
-  return random_with_ones(bits, bits / 2, rng);
+  BitVector out(bits);
+  // Floyd's algorithm would need a set; with bits/2 ones a partial
+  // Fisher-Yates over indices is simpler and still O(bits).
+  for (const std::size_t i : rng.sample_without_replacement(bits, bits / 2)) {
+    out.set(i, true);
+  }
+  return out;
 }
 
 BitVector BitVector::with_flipped(std::size_t flip_zeros, std::size_t flip_ones,

@@ -55,11 +55,6 @@ class BitVector {
   /// Number of set bits.
   [[nodiscard]] std::size_t popcount() const noexcept;
 
-  /// Fraction of set bits in [0, 1].
-  [[nodiscard]] double density() const noexcept {
-    return bits_ == 0 ? 0.0 : static_cast<double>(popcount()) / static_cast<double>(bits_);
-  }
-
   /// Hamming distance (number of differing bits). Requires equal size.
   [[nodiscard]] std::size_t hamming(const BitVector& other) const;
 
@@ -80,9 +75,6 @@ class BitVector {
     return a;
   }
 
-  /// Flip all bits (complement); trailing padding stays zero.
-  void invert() noexcept;
-
   /// Cyclic rotation by k positions (the HDC "permute" operation).
   [[nodiscard]] BitVector rotated(std::size_t k) const;
 
@@ -91,12 +83,8 @@ class BitVector {
   /// Uniformly random vector: each bit i.i.d. Bernoulli(0.5).
   [[nodiscard]] static BitVector random(std::size_t bits, util::Rng& rng);
 
-  /// Random vector with exactly `ones` set bits (the paper's "partially
-  /// dense" seed has bits/2 ones).
-  [[nodiscard]] static BitVector random_with_ones(std::size_t bits, std::size_t ones,
-                                                  util::Rng& rng);
-
-  /// Exactly balanced random seed: bits/2 ones (bits must be even).
+  /// Exactly balanced random seed: bits/2 ones (bits must be even), the
+  /// paper's "partially dense" seed.
   [[nodiscard]] static BitVector random_balanced(std::size_t bits, util::Rng& rng);
 
   /// Copy with `flip_zeros` randomly chosen 0-bits set and `flip_ones`

@@ -142,9 +142,6 @@ class CategoricalEncoder final : public FeatureEncoder {
   void encode_into(double value, BitVector& out) const override;
   [[nodiscard]] std::optional<std::uint64_t> memo_key(double value) const override;
 
-  /// Number of memoised categories (for tests).
-  [[nodiscard]] std::size_t item_memory_size() const;
-
  private:
   /// Vector for a category, generated and cached on first use. The returned
   /// reference stays valid for the encoder's lifetime (node-based map).

@@ -79,11 +79,6 @@ bool padding_bits_set(std::span<const std::uint64_t> words, std::size_t bits) no
   return false;
 }
 
-std::size_t hamming_words(const std::uint64_t* a, const std::uint64_t* b,
-                          std::size_t words) noexcept {
-  return simd::active().hamming(a, b, words);
-}
-
 namespace {
 
 /// Registry handles resolved once per process. Counts are derived
@@ -217,19 +212,6 @@ std::vector<std::vector<Neighbor>> top_k_neighbors(const PackedHVs& queries,
                 if (list.size() > k) list.pop_back();
               });
   return best;
-}
-
-std::vector<std::size_t> distance_matrix(const PackedHVs& queries,
-                                         const PackedHVs& database,
-                                         const SearchOptions& options) {
-  check_search_inputs(queries, database, options);
-  std::vector<std::size_t> out(queries.rows() * database.rows(),
-                               queries.bits() + 1);
-  tiled_sweep(queries, database, options,
-              [&](std::size_t q, std::size_t j, std::size_t d) {
-                out[q * database.rows() + j] = d;
-              });
-  return out;
 }
 
 std::vector<Neighbor> nearest_neighbors(std::span<const BitVector> queries,

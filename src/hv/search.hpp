@@ -100,10 +100,6 @@ void write_packed(util::serde::Writer& out, const PackedHVs& rows);
 [[nodiscard]] bool padding_bits_set(std::span<const std::uint64_t> words,
                                     std::size_t bits) noexcept;
 
-/// Hamming distance between two packed rows of `words` 64-bit words.
-[[nodiscard]] std::size_t hamming_words(const std::uint64_t* a, const std::uint64_t* b,
-                                        std::size_t words) noexcept;
-
 struct Neighbor {
   std::size_t index = 0;     // database row
   std::size_t distance = 0;  // Hamming distance in bits
@@ -132,13 +128,6 @@ struct SearchOptions {
 [[nodiscard]] std::vector<std::vector<Neighbor>> top_k_neighbors(
     const PackedHVs& queries, const PackedHVs& database, std::size_t k,
     const SearchOptions& options = {});
-
-/// Full distance matrix, row-major: out[q * database.rows() + j].
-/// (exclude_same_index entries are set to queries.bits() + 1, an impossible
-/// distance, so callers can still argmin over rows.)
-[[nodiscard]] std::vector<std::size_t> distance_matrix(const PackedHVs& queries,
-                                                       const PackedHVs& database,
-                                                       const SearchOptions& options = {});
 
 /// Span conveniences: pack and search in one call.
 [[nodiscard]] std::vector<Neighbor> nearest_neighbors(std::span<const BitVector> queries,

@@ -1,11 +1,9 @@
 #include "ml/knn.hpp"
 
 #include <algorithm>
-#include <cmath>
 #include <stdexcept>
 
 #include "ml/sharded.hpp"
-#include "simd/dispatch.hpp"
 
 namespace hdc::ml {
 
@@ -16,15 +14,13 @@ KnnClassifier::KnnClassifier(KnnConfig config) : config_(config) {
 void KnnClassifier::fit(const Matrix& X, const Labels& y) {
   validate_training_data(X, y);
   train_X_ = X;
-  train_bits_ = hv::BitMatrix();
+  train_bits_ = hv::PackedHVs();
   train_y_ = y;
 }
 
 void KnnClassifier::fit_bits(const hv::BitMatrix& X, const Labels& y) {
   validate_training_bits(X, y);
-  train_bits_ = X;
-  train_X_.clear();
-  train_y_ = y;
+  store_packed(X.row_major(), y);
 }
 
 void KnnClassifier::fit_shards(const ShardSource& src) {
@@ -33,111 +29,89 @@ void KnnClassifier::fit_shards(const ShardSource& src) {
   fit_bits(gather_rows(src, all), gather_labels(src.labels(), all));
 }
 
-double KnnClassifier::vote(std::vector<std::pair<double, int>>& dist) const {
-  const std::size_t k = std::min(config_.k, dist.size());
-  std::nth_element(dist.begin(), dist.begin() + static_cast<std::ptrdiff_t>(k - 1),
-                   dist.end());
-  double votes_pos = 0.0;
-  double votes_total = 0.0;
-  for (std::size_t i = 0; i < k; ++i) {
-    const double w = config_.distance_weighted
-                         ? 1.0 / (std::sqrt(dist[i].first) + 1e-12)
-                         : 1.0;
-    votes_total += w;
-    if (dist[i].second == 1) votes_pos += w;
+void KnnClassifier::store_packed(const hv::PackedHVs& rows, const Labels& y) {
+  hv::PackedHVs sorted(rows.bits(), rows.rows());
+  Labels sorted_y;
+  sorted_y.reserve(y.size());
+  const std::size_t words = rows.words_per_row();
+  for (const int label : {0, 1}) {
+    for (std::size_t i = 0; i < rows.rows(); ++i) {
+      if (y[i] != label) continue;
+      std::copy(rows.row(i), rows.row(i) + words, sorted.row(sorted_y.size()));
+      sorted_y.push_back(label);
+    }
   }
-  return votes_total > 0.0 ? votes_pos / votes_total : 0.0;
+  train_bits_ = std::move(sorted);
+  train_X_.clear();
+  train_y_ = std::move(sorted_y);
+}
+
+std::vector<double> KnnClassifier::packed_votes(const hv::PackedHVs& queries) const {
+  const std::vector<std::vector<hv::Neighbor>> nearest =
+      hv::top_k_neighbors(queries, train_bits_, config_.k);
+  std::vector<double> out;
+  out.reserve(nearest.size());
+  for (const std::vector<hv::Neighbor>& list : nearest) {
+    std::size_t positive = 0;
+    for (const hv::Neighbor& n : list) positive += train_y_[n.index] == 1 ? 1 : 0;
+    out.push_back(static_cast<double>(positive) / static_cast<double>(list.size()));
+  }
+  return out;
 }
 
 double KnnClassifier::predict_proba(std::span<const double> x) const {
   const bool packed = !train_bits_.empty();
   if (!packed && train_X_.empty()) throw std::logic_error("KNN: not fitted");
-  const std::size_t d = packed ? train_bits_.cols() : train_X_.front().size();
-  if (x.size() != d) {
-    throw std::invalid_argument("KNN: query arity mismatch");
+  const std::size_t d = packed ? train_bits_.bits() : train_X_.front().size();
+  if (x.size() != d) throw std::invalid_argument("KNN: query arity mismatch");
+  if (packed &&
+      std::all_of(x.begin(), x.end(), [](double v) { return v == 0.0 || v == 1.0; })) {
+    // Binary query vs binary rows: squared Euclidean distance counts
+    // mismatching coordinates by exact +1.0 steps, i.e. it IS the Hamming
+    // distance, so the engine's neighbours carry the dense loop's pairs.
+    hv::PackedHVs query(d, 1);
+    for (std::size_t j = 0; j < d; ++j) {
+      if (x[j] == 1.0) query.row(0)[j / 64] |= 1ULL << (j % 64);
+    }
+    return packed_votes(query).front();
   }
-
+  // Any other query: the k smallest (squared distance, label) pairs. Packed
+  // rows expand to exact 0.0/1.0 on the fly, in the dense coordinate order.
   const std::size_t n = packed ? train_bits_.rows() : train_X_.size();
   std::vector<std::pair<double, int>> dist;
   dist.reserve(n);
-  if (packed) {
-    bool binary_query = true;
-    for (const double v : x) {
-      if (v != 0.0 && v != 1.0) {
-        binary_query = false;
-        break;
-      }
+  for (std::size_t i = 0; i < n; ++i) {
+    double d2 = 0.0;
+    for (std::size_t j = 0; j < d; ++j) {
+      const double value =
+          packed ? static_cast<double>((train_bits_.row(i)[j / 64] >> (j % 64)) & 1u)
+                 : train_X_[i][j];
+      const double diff = value - x[j];
+      d2 += diff * diff;
     }
-    if (binary_query) {
-      // Binary query vs binary rows: squared Euclidean distance counts
-      // mismatching coordinates by exact +1.0 steps, i.e. it IS the Hamming
-      // distance (both sides integer-exact), so the (d2, label) pairs match
-      // the dense loop bit for bit.
-      const std::size_t words = train_bits_.words_per_row();
-      std::vector<std::uint64_t> q(words, 0);
-      for (std::size_t j = 0; j < d; ++j) {
-        if (x[j] == 1.0) q[j / 64] |= 1ULL << (j % 64);
-      }
-      const simd::Kernels& kernels = simd::active();
-      for (std::size_t i = 0; i < n; ++i) {
-        const std::size_t h = kernels.hamming(train_bits_.row_bits(i), q.data(), words);
-        dist.emplace_back(static_cast<double>(h), train_y_[i]);
-      }
-    } else {
-      // Arbitrary query: expand row bits to exact 0.0/1.0 on the fly and run
-      // the dense accumulation in the same coordinate order.
-      for (std::size_t i = 0; i < n; ++i) {
-        const std::uint64_t* row = train_bits_.row_bits(i);
-        double d2 = 0.0;
-        for (std::size_t j = 0; j < d; ++j) {
-          const double value = (row[j / 64] >> (j % 64)) & 1u ? 1.0 : 0.0;
-          const double diff = value - x[j];
-          d2 += diff * diff;
-        }
-        dist.emplace_back(d2, train_y_[i]);
-      }
-    }
-  } else {
-    // Partial selection of the k smallest squared distances.
-    for (std::size_t i = 0; i < n; ++i) {
-      const auto& row = train_X_[i];
-      double d2 = 0.0;
-      for (std::size_t j = 0; j < x.size(); ++j) {
-        const double diff = row[j] - x[j];
-        d2 += diff * diff;
-      }
-      dist.emplace_back(d2, train_y_[i]);
-    }
+    dist.emplace_back(d2, train_y_[i]);
   }
-  return vote(dist);
+  const std::size_t k = std::min(config_.k, n);
+  std::nth_element(dist.begin(), dist.begin() + static_cast<std::ptrdiff_t>(k - 1),
+                   dist.end());
+  std::size_t positive = 0;
+  for (std::size_t i = 0; i < k; ++i) positive += dist[i].second == 1 ? 1 : 0;
+  return static_cast<double>(positive) / static_cast<double>(k);
 }
 
 std::vector<int> KnnClassifier::predict_all_bits(const hv::BitMatrix& X) const {
   if (train_bits_.empty()) {
     return Classifier::predict_all_bits(X);  // dense-fitted model: expand rows
   }
-  if (X.cols() != train_bits_.cols()) {
+  if (X.cols() != train_bits_.bits()) {
     throw std::invalid_argument("KNN: query arity mismatch");
   }
-  const std::size_t n = train_bits_.rows();
-  const std::size_t words = train_bits_.words_per_row();
-  const simd::Kernels& kernels = simd::active();
   std::vector<int> out;
+  if (X.rows() == 0) return out;
   out.reserve(X.rows());
-  std::vector<std::pair<double, int>> dist;
-  for (std::size_t q = 0; q < X.rows(); ++q) {
-    dist.clear();
-    dist.reserve(n);
-    const std::uint64_t* qbits = X.row_bits(q);
-    for (std::size_t i = 0; i < n; ++i) {
-      const std::size_t h = kernels.hamming(train_bits_.row_bits(i), qbits, words);
-      dist.emplace_back(static_cast<double>(h), train_y_[i]);
-    }
-    out.push_back(vote(dist) >= 0.5 ? 1 : 0);
-  }
+  for (const double p : packed_votes(X.row_major())) out.push_back(p >= 0.5 ? 1 : 0);
   return out;
 }
-
 
 void KnnClassifier::save_state(std::ostream& out) const {
   const bool packed = !train_bits_.empty();
@@ -146,10 +120,12 @@ void KnnClassifier::save_state(std::ostream& out) const {
   }
   util::serde::Writer w(out);
   w.tag("ml.knn").tag("v2").nl();
-  w.u64(config_.k).u64(config_.distance_weighted ? 1 : 0).nl();
+  // The second field once selected distance-weighted voting; it stays in
+  // the v2 body and is always 0.
+  w.u64(config_.k).u64(0).nl();
   w.tag(packed ? "packed" : "dense").nl();
   if (packed) {
-    hv::write_packed(w, train_bits_.row_major());
+    hv::write_packed(w, train_bits_);
   } else {
     write_matrix(w, train_X_);
   }
@@ -162,26 +138,28 @@ void KnnClassifier::load_state(std::istream& in) {
   r.expect_version("v2");
   config_.k = r.u64("k");
   if (config_.k == 0) throw r.error("k must be positive");
-  config_.distance_weighted = r.u64("distance_weighted") != 0;
+  if (r.u64("distance_weighted") != 0) {
+    throw r.error("distance_weighted must be 0 (distance-weighted voting is not supported)");
+  }
   const std::string store = r.token("training store kind");
-  std::size_t n = 0;
-  if (store == "packed") {
-    train_bits_ = hv::BitMatrix::from_rows(hv::read_packed(r, "training bits"));
-    train_X_.clear();
-    n = train_bits_.rows();
-  } else if (store == "dense") {
-    train_X_ = read_matrix(r, "training matrix");
-    train_bits_ = hv::BitMatrix();
-    n = train_X_.size();
-  } else {
+  const bool packed = store == "packed";
+  if (!packed && store != "dense") {
     throw r.error("unknown training store kind '" + store + "'");
   }
+  hv::PackedHVs rows;
+  if (packed) rows = hv::read_packed(r, "training bits");
+  train_X_ = packed ? Matrix() : read_matrix(r, "training matrix");
+  const std::size_t n = packed ? rows.rows() : train_X_.size();
+  train_bits_ = hv::PackedHVs();
   train_y_ = r.vec_int("training labels", 1ULL << 24);
   if (n == 0) throw r.error("empty training set");
   if (train_y_.size() != n) throw r.error("label count mismatch");
   for (const int y : train_y_) {
     if (y != 0 && y != 1) throw r.error("labels must be 0/1");
   }
+  // Bodies saved before the store was label-ordered keep their rows in
+  // fit order; ordering them here leaves every vote unchanged.
+  if (packed) store_packed(rows, train_y_);
 }
 
 }  // namespace hdc::ml

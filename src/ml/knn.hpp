@@ -1,20 +1,22 @@
 // K-nearest-neighbours classifier (Euclidean distance, majority vote).
 //
-// fit_bits() (hypervector features) retains the rows bit-packed, and squared
-// Euclidean distance is answered as a Hamming distance through the simd
-// dispatch table — for 0/1 data the two are the same exact integer, so
-// neighbour sets and votes are bit-identical to the dense path.
+// fit_bits() (hypervector features) retains the rows bit-packed, and 0/1
+// queries are answered by the shared Hamming engine (hv::top_k_neighbors):
+// for 0/1 data squared Euclidean distance is the same exact integer as the
+// Hamming distance. The dense vote takes the k smallest (distance, label)
+// pairs; the packed store keeps label-0 rows first, so the engine's
+// (distance, index) order picks the same pairs and every vote is
+// bit-identical to the dense path.
 #pragma once
 
 #include "hv/bit_matrix.hpp"
+#include "hv/search.hpp"
 #include "ml/classifier.hpp"
 
 namespace hdc::ml {
 
 struct KnnConfig {
   std::size_t k = 5;  // scikit-learn default
-  /// If true, neighbours vote with weight 1/distance (ties toward closer).
-  bool distance_weighted = false;
 };
 
 class KnnClassifier final : public Classifier {
@@ -36,11 +38,15 @@ class KnnClassifier final : public Classifier {
   void load_state(std::istream& in) override;
 
  private:
-  [[nodiscard]] double vote(std::vector<std::pair<double, int>>& dist) const;
+  /// Keep `rows` as the packed store: label-0 rows first, each class in its
+  /// original order, with train_y_ permuted to match.
+  void store_packed(const hv::PackedHVs& rows, const Labels& y);
+  /// Fraction of label-1 rows among the k nearest packed rows of each query.
+  [[nodiscard]] std::vector<double> packed_votes(const hv::PackedHVs& queries) const;
 
   KnnConfig config_;
-  Matrix train_X_;             // dense store (non-binary training data)
-  hv::BitMatrix train_bits_;   // packed store (binary training data)
+  Matrix train_X_;            // dense store (non-binary training data)
+  hv::PackedHVs train_bits_;  // packed store (binary training data)
   Labels train_y_;
 };
 

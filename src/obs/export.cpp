@@ -122,37 +122,6 @@ std::string to_json(const MetricsSnapshot& snapshot) {
   return out;
 }
 
-std::string to_text(const MetricsSnapshot& snapshot) {
-  std::string out;
-  char line[160];
-  for (const CounterSample& c : snapshot.counters) {
-    std::snprintf(line, sizeof(line), "counter    %-36s %20" PRIu64 "\n",
-                  c.name.c_str(), c.value);
-    out += line;
-  }
-  for (const GaugeSample& g : snapshot.gauges) {
-    std::snprintf(line, sizeof(line),
-                  "gauge      %-36s %20" PRId64 "  (max %" PRId64 ")\n",
-                  g.name.c_str(), g.value, g.max);
-    out += line;
-  }
-  for (const HistogramSample& h : snapshot.histograms) {
-    const double mean = h.count > 0 ? h.sum / static_cast<double>(h.count) : 0.0;
-    std::snprintf(line, sizeof(line),
-                  "histogram  %-36s count=%-10" PRIu64 " sum=%-12.6g mean=%.6g\n",
-                  h.name.c_str(), h.count, h.sum, mean);
-    out += line;
-  }
-  for (const WindowedSample& w : snapshot.windowed) {
-    std::snprintf(line, sizeof(line),
-                  "windowed   %-36s count=%-10" PRIu64
-                  " p50=%-10.4g p90=%-10.4g p99=%.4g\n",
-                  w.name.c_str(), w.window_count, w.p50, w.p90, w.p99);
-    out += line;
-  }
-  return out;
-}
-
 bool write_metrics_json(const std::string& path) {
   const std::string json = to_json(snapshot());
   std::FILE* file = std::fopen(path.c_str(), "w");

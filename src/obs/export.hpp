@@ -1,6 +1,5 @@
-// Serialisation of metrics snapshots: JSON (machine-readable, embedded in
-// bench artefacts / written by --metrics-out) and plain-text tables (human
-// inspection, log flushes).
+// Serialisation of metrics snapshots as JSON (machine-readable, embedded in
+// bench artefacts / written by --metrics-out).
 #pragma once
 
 #include <string>
@@ -14,9 +13,6 @@ namespace hdc::obs {
 /// bounds, per-bucket counts, total count, and sum; windowed sketches carry
 /// p50/p90/p99 plus their bucket bounds and counts.
 [[nodiscard]] std::string to_json(const MetricsSnapshot& snapshot);
-
-/// Aligned plain-text table (one instrument per line).
-[[nodiscard]] std::string to_text(const MetricsSnapshot& snapshot);
 
 /// Snapshot the global registry and write to_json() to `path`; false on I/O
 /// failure. Logs a structured info line on success.

@@ -1006,6 +1006,27 @@ TEST(BundleCorrupt, RetiredHexBodiesAskForARebuild) {
   }
 }
 
+TEST(BundleCorrupt, KnnWeightedVotingFlagRejected) {
+  // The ml.knn v2 body still carries the retired distance-weighted flag
+  // after k; it is always written as 0, and a 1 there is refused with the
+  // section and the field named, never loaded as an unweighted model.
+  std::string body = fitted_model_body("KNN");
+  const std::string header = "ml.knn v2\n";
+  ASSERT_EQ(body.rfind(header, 0), 0u);
+  const std::size_t line_end = body.find('\n', header.size());
+  ASSERT_EQ(body.substr(line_end - 2, 2), " 0");
+  body[line_end - 1] = '1';
+  std::istringstream in(craft_bundle({{"model:KNN", body}}));
+  try {
+    (void)load_bundle(in);
+    ADD_FAILURE() << "weighted KNN body accepted";
+  } catch (const std::runtime_error& e) {
+    const std::string what = e.what();
+    EXPECT_NE(what.find("section 'model:KNN'"), std::string::npos) << what;
+    EXPECT_NE(what.find("distance-weighted"), std::string::npos) << what;
+  }
+}
+
 TEST(BundleCorrupt, RandomGarbageNeverCrashes) {
   hdc::util::Rng rng(404);
   for (int trial = 0; trial < 50; ++trial) {

@@ -5,6 +5,7 @@
 
 #include "core/experiment.hpp"
 #include "core/extractor.hpp"
+#include "core/grid.hpp"
 #include "data/preprocess.hpp"
 #include "data/synthetic.hpp"
 #include "parallel/thread_pool.hpp"
@@ -60,10 +61,13 @@ TEST(Determinism, HammingLooStableAcrossRuns) {
 
 TEST(Determinism, FullKfoldPipelineStable) {
   const data::Dataset ds = data::make_sylhet({40, 60, 4});
-  const auto a = kfold_cv_accuracy(ds, "Random Forest", InputMode::kHypervectors, 4,
-                                   tiny_config());
-  const auto b = kfold_cv_accuracy(ds, "Random Forest", InputMode::kHypervectors, 4,
-                                   tiny_config());
+  const std::vector<GridDatasetSpec> specs = {{"sylhet", &ds}};
+  GridConfig config;
+  config.models = {"Random Forest"};
+  config.kfold = 4;
+  config.experiment = tiny_config();
+  const auto a = run_grid(specs, config).datasets.front().models.front().cv;
+  const auto b = run_grid(specs, config).datasets.front().models.front().cv;
   EXPECT_EQ(a.fold_accuracy, b.fold_accuracy);
 }
 

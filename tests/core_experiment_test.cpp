@@ -2,6 +2,8 @@
 
 #include <gtest/gtest.h>
 
+#include "core/grid.hpp"
+
 #include "data/preprocess.hpp"
 #include "data/synthetic.hpp"
 
@@ -17,30 +19,39 @@ ExperimentConfig fast_config() {
 
 data::Dataset small_sylhet() { return data::make_sylhet({60, 90, 31}); }
 
+/// Stratified k-fold CV of one model on one dataset, through run_grid.
+eval::CvResult kfold_cv(const data::Dataset& ds, const std::string& model,
+                        InputMode mode, std::size_t k) {
+  const std::vector<GridDatasetSpec> specs = {{"ds", &ds}};
+  GridConfig config;
+  config.models = {model};
+  config.kfold = k;
+  config.mode = mode;
+  config.experiment = fast_config();
+  return run_grid(specs, config).datasets.front().models.front().cv;
+}
+
 TEST(Experiment, InputModeNames) {
   EXPECT_EQ(to_string(InputMode::kRawFeatures), "Features");
   EXPECT_EQ(to_string(InputMode::kHypervectors), "Hypervectors");
 }
 
 TEST(Experiment, KfoldRawFeaturesBeatsChance) {
-  const auto cv = kfold_cv_accuracy(small_sylhet(), "Decision Tree",
-                                    InputMode::kRawFeatures, 5, fast_config());
+  const auto cv = kfold_cv(small_sylhet(), "Decision Tree", InputMode::kRawFeatures, 5);
   EXPECT_EQ(cv.fold_accuracy.size(), 5u);
   EXPECT_GT(cv.mean_accuracy, 0.75);
 }
 
 TEST(Experiment, KfoldHypervectorsBeatsChance) {
-  const auto cv = kfold_cv_accuracy(small_sylhet(), "Logistic Regression",
-                                    InputMode::kHypervectors, 5, fast_config());
+  const auto cv =
+      kfold_cv(small_sylhet(), "Logistic Regression", InputMode::kHypervectors, 5);
   EXPECT_GT(cv.mean_accuracy, 0.75);
 }
 
 TEST(Experiment, KfoldIsDeterministic) {
   const data::Dataset ds = small_sylhet();
-  const auto a = kfold_cv_accuracy(ds, "KNN", InputMode::kRawFeatures, 5,
-                                   fast_config());
-  const auto b = kfold_cv_accuracy(ds, "KNN", InputMode::kRawFeatures, 5,
-                                   fast_config());
+  const auto a = kfold_cv(ds, "KNN", InputMode::kRawFeatures, 5);
+  const auto b = kfold_cv(ds, "KNN", InputMode::kRawFeatures, 5);
   EXPECT_EQ(a.fold_accuracy, b.fold_accuracy);
 }
 
@@ -83,8 +94,7 @@ TEST(Experiment, NnProtocolZeroRepeatsThrows) {
 }
 
 TEST(Experiment, UnknownModelNamePropagates) {
-  EXPECT_THROW((void)kfold_cv_accuracy(small_sylhet(), "NoSuchModel",
-                                       InputMode::kRawFeatures, 5, fast_config()),
+  EXPECT_THROW((void)kfold_cv(small_sylhet(), "NoSuchModel", InputMode::kRawFeatures, 5),
                std::invalid_argument);
 }
 
@@ -94,10 +104,8 @@ TEST(Experiment, PimaMEasierThanPimaR) {
   const data::Dataset raw = data::make_pima({250, 134, true, 0.05, 33});
   const data::Dataset pima_r = data::remove_missing_rows(raw);
   const data::Dataset pima_m = data::impute_class_median(raw);
-  const auto cv_r = kfold_cv_accuracy(pima_r, "KNN", InputMode::kRawFeatures, 5,
-                                      fast_config());
-  const auto cv_m = kfold_cv_accuracy(pima_m, "KNN", InputMode::kRawFeatures, 5,
-                                      fast_config());
+  const auto cv_r = kfold_cv(pima_r, "KNN", InputMode::kRawFeatures, 5);
+  const auto cv_m = kfold_cv(pima_m, "KNN", InputMode::kRawFeatures, 5);
   EXPECT_GT(cv_m.mean_accuracy + 0.03, cv_r.mean_accuracy);
 }
 

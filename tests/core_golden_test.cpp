@@ -7,6 +7,8 @@
 #include <gtest/gtest.h>
 
 #include <cstdint>
+#include <tuple>
+#include <vector>
 
 #include "core/experiment.hpp"
 #include "core/extractor.hpp"
@@ -44,9 +46,16 @@ void expect_matches_confusion(const eval::BinaryMetrics& m, std::size_t tp,
   EXPECT_EQ(m.confusion.fp, fp);
   EXPECT_EQ(m.confusion.fn, fn);
   // The derived metrics must equal, bit-for-bit, what the metrics module
-  // computes from the golden confusion counts.
-  const eval::BinaryMetrics expected =
-      eval::metrics_from_confusion({tp, tn, fp, fn});
+  // computes from label vectors holding the golden confusion counts.
+  std::vector<int> y_true;
+  std::vector<int> y_pred;
+  for (const auto& [n, truth, prediction] :
+       {std::tuple{tp, 1, 1}, std::tuple{tn, 0, 0}, std::tuple{fp, 0, 1},
+        std::tuple{fn, 1, 0}}) {
+    y_true.insert(y_true.end(), n, truth);
+    y_pred.insert(y_pred.end(), n, prediction);
+  }
+  const eval::BinaryMetrics expected = eval::compute_metrics(y_true, y_pred);
   EXPECT_DOUBLE_EQ(m.accuracy, expected.accuracy);
   EXPECT_DOUBLE_EQ(m.precision, expected.precision);
   EXPECT_DOUBLE_EQ(m.recall, expected.recall);

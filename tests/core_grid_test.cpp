@@ -7,6 +7,7 @@
 #include <vector>
 
 #include "core/fold_cache.hpp"
+#include "cv_oracle.hpp"
 #include "data/synthetic.hpp"
 #include "parallel/thread_pool.hpp"
 
@@ -76,10 +77,8 @@ TEST(Grid, ScheduledMatchesSerialAtEveryThreadCount) {
   const auto ds = specs(pima, sylhet);
 
   GridConfig config = fast_grid();
-  config.scheduled = false;
-  const GridResult serial = run_grid(ds, config);
+  const GridResult serial = oracle::serial_grid(ds, config);
 
-  config.scheduled = true;
   config.threads = 1;
   const GridResult one = run_grid(ds, config);
 
@@ -95,17 +94,17 @@ TEST(Grid, ScheduledMatchesSerialAtEveryThreadCount) {
 }
 
 TEST(Grid, SerialCellMatchesKfoldDriver) {
-  // The serial grid path must be the PR 1-4 driver verbatim: one cell equals
-  // a direct kfold_cv_accuracy call with the same inputs.
+  // A one-model grid on one worker is the serial per-model walk: its cell
+  // equals the oracle's fold-by-fold CV of the same model.
   const data::Dataset sylhet = small_sylhet();
   GridConfig config = fast_grid();
-  config.scheduled = false;
+  config.threads = 1;
   config.models = {"Logistic Regression"};
   const std::vector<GridDatasetSpec> ds = {{"sylhet", &sylhet}};
   const GridResult grid = run_grid(ds, config);
   const eval::CvResult direct =
-      kfold_cv_accuracy(sylhet, "Logistic Regression", config.mode,
-                        config.kfold, config.experiment);
+      oracle::serial_kfold_cv(sylhet, "Logistic Regression", config.mode,
+                              config.kfold, config.experiment);
   ASSERT_EQ(grid.datasets.size(), 1u);
   ASSERT_EQ(grid.datasets[0].models.size(), 1u);
   EXPECT_EQ(grid.datasets[0].models[0].cv.fold_accuracy, direct.fold_accuracy);
@@ -182,9 +181,7 @@ TEST(Grid, NnProtocolTaskMatchesSerial) {
   config.nn.max_epochs = 60;
   config.nn.patience = 5;
 
-  config.scheduled = false;
-  const GridResult serial = run_grid(ds, config);
-  config.scheduled = true;
+  const GridResult serial = oracle::serial_grid(ds, config);
   config.threads = 2;
   const GridResult sched = run_grid(ds, config);
 
@@ -202,13 +199,21 @@ TEST(Grid, RejectsBadInputs) {
   config = fast_grid();
   const std::vector<GridDatasetSpec> null_ds = {{"missing", nullptr}};
   EXPECT_THROW((void)run_grid(null_ds, config), std::invalid_argument);
-  // Unknown model names must throw from the calling thread in both modes —
-  // scheduled tasks are not allowed to throw, so validation happens eagerly.
+  // Unknown model names must throw from the calling thread — scheduled
+  // tasks are not allowed to throw, so validation happens eagerly.
   config = fast_grid();
   config.models = {"KNN", "no-such-model"};
-  config.scheduled = true;
   config.threads = 2;
   EXPECT_THROW((void)run_grid(ds, config), std::invalid_argument);
+}
+
+TEST(Grid, RejectsUnscheduledConfig) {
+  // The serial walk lives only in the tests (cv_oracle.hpp); asking
+  // run_grid for it is an error, not a silent scheduled run.
+  const data::Dataset sylhet = small_sylhet();
+  const std::vector<GridDatasetSpec> ds = {{"sylhet", &sylhet}};
+  GridConfig config = fast_grid();
+  config.models = {"KNN"};
   config.scheduled = false;
   EXPECT_THROW((void)run_grid(ds, config), std::invalid_argument);
 }

@@ -4,6 +4,7 @@
 
 #include "core/extractor.hpp"
 #include "data/synthetic.hpp"
+#include "eval/cross_validation.hpp"
 #include "util/rng.hpp"
 
 namespace hdc::core {
@@ -104,7 +105,7 @@ TEST(HammingClassifier, UnfittedThrows) {
 
 TEST(HammingLoo, PerfectOnWellSeparatedClusters) {
   const Clustered c = make_clusters(12, 2000, 80, 9);
-  const auto predictions = hamming_loo_predictions(c.vectors, c.labels);
+  const auto predictions = eval::hamming_loocv(c.vectors, c.labels).predictions;
   ASSERT_EQ(predictions.size(), c.vectors.size());
   for (std::size_t i = 0; i < predictions.size(); ++i) {
     EXPECT_EQ(predictions[i], c.labels[i]);
@@ -127,12 +128,12 @@ TEST(HammingLoo, DoesNotUseSelfMatch) {
   util::Rng rng(11);
   const hv::BitVector a = hv::BitVector::random_balanced(1000, rng);
   hv::BitVector b = a;
-  b.invert();  // far from a
+  for (std::size_t i = 0; i < b.size(); ++i) b.flip(i);  // complement: far from a
   // One lone positive close to the negative cluster: its nearest *other*
   // vector is negative, so LOO must misclassify it.
   const std::vector<hv::BitVector> vectors = {a, a.with_flipped(5, 5, rng), b};
   const std::vector<int> labels = {0, 0, 1};
-  const auto predictions = hamming_loo_predictions(vectors, labels);
+  const auto predictions = eval::hamming_loocv(vectors, labels).predictions;
   EXPECT_EQ(predictions[2], 0);  // forced error proves no self-match
   EXPECT_EQ(predictions[0], 0);
   EXPECT_EQ(predictions[1], 0);
@@ -142,7 +143,7 @@ TEST(HammingLoo, RequiresAtLeastTwoVectors) {
   util::Rng rng(12);
   const std::vector<hv::BitVector> one = {hv::BitVector::random(100, rng)};
   const std::vector<int> labels = {0};
-  EXPECT_THROW((void)hamming_loo_predictions(one, labels), std::invalid_argument);
+  EXPECT_THROW((void)eval::hamming_loocv(one, labels), std::invalid_argument);
 }
 
 TEST(HammingClassifier, KnnVoteFractionScore) {

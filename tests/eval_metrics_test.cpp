@@ -5,10 +5,26 @@
 namespace hdc::eval {
 namespace {
 
+/// compute_metrics over label vectors holding exactly these confusion counts.
+BinaryMetrics metrics_for(std::size_t tp, std::size_t tn, std::size_t fp,
+                          std::size_t fn) {
+  std::vector<int> y_true;
+  std::vector<int> y_pred;
+  const auto add = [&](std::size_t n, int truth, int prediction) {
+    y_true.insert(y_true.end(), n, truth);
+    y_pred.insert(y_pred.end(), n, prediction);
+  };
+  add(tp, 1, 1);
+  add(tn, 0, 0);
+  add(fp, 0, 1);
+  add(fn, 1, 0);
+  return compute_metrics(y_true, y_pred);
+}
+
 TEST(ConfusionMatrix, TalliesAllFourCells) {
   const std::vector<int> y_true = {1, 1, 0, 0, 1, 0};
   const std::vector<int> y_pred = {1, 0, 0, 1, 1, 0};
-  const ConfusionMatrix cm = confusion_matrix(y_true, y_pred);
+  const ConfusionMatrix cm = compute_metrics(y_true, y_pred).confusion;
   EXPECT_EQ(cm.tp, 2u);
   EXPECT_EQ(cm.fn, 1u);
   EXPECT_EQ(cm.tn, 2u);
@@ -17,12 +33,12 @@ TEST(ConfusionMatrix, TalliesAllFourCells) {
 }
 
 TEST(ConfusionMatrix, SizeMismatchThrows) {
-  EXPECT_THROW((void)confusion_matrix({1}, {1, 0}), std::invalid_argument);
+  EXPECT_THROW((void)compute_metrics({1}, {1, 0}), std::invalid_argument);
 }
 
 TEST(ConfusionMatrix, BadLabelsThrow) {
-  EXPECT_THROW((void)confusion_matrix({2}, {1}), std::invalid_argument);
-  EXPECT_THROW((void)confusion_matrix({1}, {-1}), std::invalid_argument);
+  EXPECT_THROW((void)compute_metrics({2}, {1}), std::invalid_argument);
+  EXPECT_THROW((void)compute_metrics({1}, {-1}), std::invalid_argument);
 }
 
 TEST(Metrics, PerfectPrediction) {
@@ -36,12 +52,7 @@ TEST(Metrics, PerfectPrediction) {
 }
 
 TEST(Metrics, KnownValues) {
-  ConfusionMatrix cm;
-  cm.tp = 40;
-  cm.fn = 10;
-  cm.tn = 30;
-  cm.fp = 20;
-  const BinaryMetrics m = metrics_from_confusion(cm);
+  const BinaryMetrics m = metrics_for(40, 30, 20, 10);
   EXPECT_DOUBLE_EQ(m.accuracy, 0.7);
   EXPECT_DOUBLE_EQ(m.precision, 40.0 / 60.0);
   EXPECT_DOUBLE_EQ(m.recall, 0.8);
@@ -51,8 +62,7 @@ TEST(Metrics, KnownValues) {
 }
 
 TEST(Metrics, DegenerateZeroDenominators) {
-  ConfusionMatrix cm;  // all zeros
-  const BinaryMetrics m = metrics_from_confusion(cm);
+  const BinaryMetrics m = metrics_for(0, 0, 0, 0);
   EXPECT_DOUBLE_EQ(m.accuracy, 0.0);
   EXPECT_DOUBLE_EQ(m.precision, 0.0);
   EXPECT_DOUBLE_EQ(m.f1, 0.0);
@@ -73,8 +83,7 @@ TEST(Metrics, AccuracyIdentity) {
     for (std::size_t tn : {1u, 4u}) {
       for (std::size_t fp : {0u, 2u}) {
         for (std::size_t fn : {1u, 5u}) {
-          ConfusionMatrix cm{tp, tn, fp, fn};
-          const BinaryMetrics m = metrics_from_confusion(cm);
+          const BinaryMetrics m = metrics_for(tp, tn, fp, fn);
           EXPECT_DOUBLE_EQ(m.accuracy,
                            static_cast<double>(tp + tn) /
                                static_cast<double>(tp + tn + fp + fn));

@@ -147,12 +147,15 @@ TEST_P(SearchPropertySweep, DistanceMatrixMatchesNaiveLoop) {
   util::Rng rng(GetParam().seed + 6);
   const auto queries = random_vectors(GetParam().queries, GetParam().dim, rng);
   const auto database = random_vectors(GetParam().database, GetParam().dim, rng);
-  const auto matrix =
-      distance_matrix(PackedHVs::pack(queries), PackedHVs::pack(database));
-  ASSERT_EQ(matrix.size(), queries.size() * database.size());
+  // With k = every row, top_k_neighbors reports each query's distance to
+  // every database row once: the full distance matrix.
+  const auto all = top_k_neighbors(PackedHVs::pack(queries), PackedHVs::pack(database),
+                                   database.size());
+  ASSERT_EQ(all.size(), queries.size());
   for (std::size_t q = 0; q < queries.size(); ++q) {
-    for (std::size_t j = 0; j < database.size(); ++j) {
-      EXPECT_EQ(matrix[q * database.size() + j], queries[q].hamming(database[j]));
+    ASSERT_EQ(all[q].size(), database.size());
+    for (const Neighbor& n : all[q]) {
+      EXPECT_EQ(n.distance, queries[q].hamming(database[n.index]));
     }
   }
 }
@@ -177,8 +180,10 @@ TEST_P(SearchPropertySweep, BindPreservesDistance) {
   const BitVector c = BitVector::random(GetParam().dim, rng);
   EXPECT_EQ((a ^ c).hamming(b ^ c), a.hamming(b));
   const std::vector<BitVector> bound = {a ^ c, b ^ c};
-  const auto matrix = distance_matrix(PackedHVs::pack(bound), PackedHVs::pack(bound));
-  EXPECT_EQ(matrix[1], a.hamming(b));
+  SearchOptions loo;
+  loo.exclude_same_index = true;
+  const auto nearest = nearest_neighbors(PackedHVs::pack(bound), PackedHVs::pack(bound), loo);
+  EXPECT_EQ(nearest[0].distance, a.hamming(b));
 }
 
 TEST(SearchValidation, RejectsBadInputs) {
@@ -217,7 +222,9 @@ TEST(BundlingDensity, StaysInMajorityVoteEnvelope) {
           0.5 + (tie == TiePolicy::kOne ? 0.5 : -0.5) * tie_mass;
       const double tolerance =
           6.0 * std::sqrt(expected * (1.0 - expected) / static_cast<double>(dim));
-      EXPECT_NEAR(majority(inputs, tie).density(), expected, tolerance)
+      const double density =
+          static_cast<double>(majority(inputs, tie).popcount()) / static_cast<double>(dim);
+      EXPECT_NEAR(density, expected, tolerance)
           << "m=" << m << " tie=" << static_cast<int>(tie);
     }
   }

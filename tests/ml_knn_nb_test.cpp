@@ -34,20 +34,6 @@ TEST(Knn, ProbaIsNeighborFraction) {
   EXPECT_NEAR(model.predict_proba(q), 2.0 / 3.0, 1e-9);
 }
 
-TEST(Knn, DistanceWeightingPrefersCloser) {
-  Matrix X = {{0.0}, {1.0}, {1.1}};
-  Labels y = {1, 0, 0};
-  KnnConfig config;
-  config.k = 3;
-  config.distance_weighted = true;
-  KnnClassifier model(config);
-  model.fit(X, y);
-  // Query at 0.01: the positive neighbour is ~100x closer, so its weight
-  // dominates the two farther negatives.
-  const std::vector<double> q = {0.01};
-  EXPECT_EQ(model.predict(q), 1);
-}
-
 TEST(Knn, KLargerThanDataIsClamped) {
   Matrix X = {{0.0}, {1.0}};
   Labels y = {0, 1};

@@ -17,6 +17,8 @@
 
 #include "core/experiment.hpp"
 #include "core/extractor.hpp"
+#include "core/grid.hpp"
+#include "cv_oracle.hpp"
 #include "core/hybrid.hpp"
 #include "data/preprocess.hpp"
 #include "data/synthetic.hpp"
@@ -33,8 +35,10 @@
 #include "ml/svm.hpp"
 #include "ml/tree.hpp"
 #include "ml/zoo.hpp"
+#include "parallel/thread_pool.hpp"
 #include "simd/dispatch.hpp"
 #include "util/rng.hpp"
+#include "util/serde.hpp"
 
 namespace {
 
@@ -244,14 +248,9 @@ TEST(PackedParity, NaiveBayes) {
 }
 
 TEST(PackedParity, KnnPima) {
-  const Encoded data = encode_pima();
-  for (const bool weighted : {false, true}) {
-    hdc::ml::KnnConfig config;
-    config.distance_weighted = weighted;
-    expect_parity(
-        data, [&] { return std::make_unique<hdc::ml::KnnClassifier>(config); },
-        [](const hdc::ml::Classifier&, const hdc::ml::Classifier&) {});
-  }
+  expect_parity(
+      encode_pima(), [] { return std::make_unique<hdc::ml::KnnClassifier>(); },
+      [](const hdc::ml::Classifier&, const hdc::ml::Classifier&) {});
 }
 
 // ---------------------------------------------------------------------------
@@ -410,47 +409,180 @@ TEST(PackedParity, RaggedRowCounts) {
 }
 
 // ---------------------------------------------------------------------------
-// KNN vs hv/search regression (the satellite: one Hamming implementation)
+// KNN through hv::top_k_neighbors: tie oracle
 // ---------------------------------------------------------------------------
 
-TEST(PackedKnn, MatchesSearchEngineNeighbors) {
-  const Encoded data = encode_pima(1000);
-  const std::size_t n_db = 500;
-  const std::size_t n_q = data.bits.rows() - n_db;
-
-  std::vector<std::size_t> db_idx(n_db);
-  for (std::size_t i = 0; i < n_db; ++i) db_idx[i] = i;
-  std::vector<std::size_t> q_idx(n_q);
-  for (std::size_t i = 0; i < n_q; ++i) q_idx[i] = n_db + i;
-  const BitMatrix db = data.bits.subset(db_idx);
-  const BitMatrix queries = data.bits.subset(q_idx);
-  const Labels db_y(data.y.begin(), data.y.begin() + static_cast<std::ptrdiff_t>(n_db));
-
-  hdc::ml::KnnConfig config;
-  config.k = 1;
-  hdc::ml::KnnClassifier knn(config);
-  knn.fit_bits(db, db_y);
-  const std::vector<int> pred = knn.predict_all_bits(queries);
-
-  const std::vector<hdc::hv::Neighbor> nearest =
-      hdc::hv::nearest_neighbors(queries.row_major(), db.row_major());
-  const std::vector<std::size_t> dmat =
-      hdc::hv::distance_matrix(queries.row_major(), db.row_major());
-
-  std::size_t compared = 0;
-  for (std::size_t q = 0; q < n_q; ++q) {
-    // k=1 KNN picks *a* minimum-distance row; the search engine picks the
-    // lowest-index one. Compare labels only where the minimum is unique.
-    const std::size_t best = nearest[q].distance;
-    std::size_t min_count = 0;
-    for (std::size_t j = 0; j < n_db; ++j) {
-      if (dmat[q * n_db + j] == best) ++min_count;
-    }
-    if (min_count != 1) continue;
-    ++compared;
-    EXPECT_EQ(pred[q], db_y[nearest[q].index]) << "query " << q;
+/// The dense vote, as KNN ran it before its packed path moved onto the
+/// shared search engine: the k smallest (squared distance, label) pairs by
+/// nth_element, and the label-1 fraction among them.
+double oracle_vote(std::vector<std::pair<double, int>> dist, std::size_t k) {
+  k = std::min(k, dist.size());
+  std::nth_element(dist.begin(), dist.begin() + static_cast<std::ptrdiff_t>(k - 1),
+                   dist.end());
+  double votes_pos = 0.0;
+  double votes_total = 0.0;
+  for (std::size_t i = 0; i < k; ++i) {
+    votes_total += 1.0;
+    if (dist[i].second == 1) votes_pos += 1.0;
   }
-  EXPECT_GT(compared, n_q / 2) << "tie-skip removed too many queries";
+  return votes_total > 0.0 ? votes_pos / votes_total : 0.0;
+}
+
+/// Oracle votes of every query row `x` against the dense rows `db`.
+std::vector<double> oracle_votes(const Matrix& db, const Labels& y, const Matrix& queries,
+                                 std::size_t k) {
+  std::vector<double> out;
+  for (const std::vector<double>& x : queries) {
+    std::vector<std::pair<double, int>> dist;
+    for (std::size_t i = 0; i < db.size(); ++i) {
+      double d2 = 0.0;
+      for (std::size_t j = 0; j < x.size(); ++j) {
+        const double diff = db[i][j] - x[j];
+        d2 += diff * diff;
+      }
+      dist.emplace_back(d2, y[i]);
+    }
+    out.push_back(oracle_vote(std::move(dist), k));
+  }
+  return out;
+}
+
+/// A KNN body in the row order fit_bits() kept before the store was
+/// label-ordered: rows exactly as given.
+std::string unsorted_knn_body(const BitMatrix& bits, const Labels& y, std::size_t k) {
+  std::ostringstream out;
+  hdc::util::serde::Writer w(out);
+  w.tag("ml.knn").tag("v2").nl();
+  w.u64(k).u64(0).nl();
+  w.tag("packed").nl();
+  hdc::hv::write_packed(w, bits.row_major());
+  w.vec_int(y).nl();
+  return out.str();
+}
+
+// 128-bit rows drawn from 8 patterns with both labels on every pattern, and
+// label 1 first in row order, so the k-th nearest distance is nearly always
+// tied across labels. The (distance, label) oracle breaks those ties toward
+// label 0; the engine breaks them by row index. KNN must give the oracle's
+// vote after every way in: fit_bits, fit_shards at 1 and 3 shards, and
+// load_state of a body in the old unsorted row order — on every SIMD tier.
+TEST(PackedKnn, TiedVotesMatchLabelOrderOracle) {
+  constexpr std::size_t kBits = 128;
+  constexpr std::size_t kPatterns = 8;
+  constexpr std::size_t kRows = 48;
+  hdc::util::Rng rng(2727);
+  std::vector<hdc::hv::BitVector> patterns;
+  for (std::size_t p = 0; p < kPatterns; ++p) {
+    patterns.push_back(hdc::hv::BitVector::random(kBits, rng));
+  }
+  std::vector<hdc::hv::BitVector> rows;
+  Labels y;
+  for (std::size_t i = 0; i < kRows; ++i) {
+    hdc::hv::BitVector row = patterns[i % kPatterns];
+    if (i >= 2 * kPatterns && rng.bernoulli(0.5)) row.flip(rng.below(kBits));
+    rows.push_back(std::move(row));
+    y.push_back(i < kPatterns ? 1 : (i < 2 * kPatterns ? 0 : (rng.bernoulli(0.5) ? 1 : 0)));
+  }
+  // Queries: the patterns, patterns one flip away, and random rows; 300 of
+  // them, so one predict_all_bits call spans several engine chunks.
+  std::vector<hdc::hv::BitVector> query_rows;
+  for (std::size_t q = 0; q < 300; ++q) {
+    if (q % 3 == 2) {
+      query_rows.push_back(hdc::hv::BitVector::random(kBits, rng));
+      continue;
+    }
+    query_rows.push_back(patterns[q % kPatterns]);
+    if (q % 3 == 1) query_rows.back().flip(rng.below(kBits));
+  }
+  const BitMatrix db = BitMatrix::from_rows(hdc::hv::PackedHVs::pack(rows));
+  const BitMatrix queries = BitMatrix::from_rows(hdc::hv::PackedHVs::pack(query_rows));
+  Matrix db_dense;
+  for (std::size_t i = 0; i < db.rows(); ++i) db_dense.push_back(db.row_doubles(i));
+  Matrix q_dense;
+  Matrix q_fractional;  // not 0/1: predict_proba runs the dense loop
+  for (std::size_t q = 0; q < queries.rows(); ++q) {
+    q_dense.push_back(queries.row_doubles(q));
+    q_fractional.push_back(q_dense.back());
+    q_fractional.back()[q % kBits] = 0.5;
+  }
+
+  // The same label-partitioned rows the classifier stores, searched with
+  // explicit 1- and 4-worker pools: the engine's (distance, index) order
+  // must pick the oracle's (distance, label) pairs at any worker count.
+  std::vector<std::size_t> by_label;
+  for (const int label : {0, 1}) {
+    for (std::size_t i = 0; i < kRows; ++i) {
+      if (y[i] == label) by_label.push_back(i);
+    }
+  }
+  const BitMatrix sorted_db = db.subset(by_label);
+  Labels sorted_y;
+  for (const std::size_t i : by_label) sorted_y.push_back(y[i]);
+  hdc::parallel::ThreadPool one(1);
+  hdc::parallel::ThreadPool four(4);
+
+  const hdc::simd::Tier initial = hdc::simd::active_tier();
+  for (const hdc::simd::Tier tier : hdc::simd::supported_tiers()) {
+    hdc::simd::set_tier(tier);
+    for (const std::size_t k : {std::size_t{1}, std::size_t{2}, std::size_t{5},
+                                std::size_t{7}, kRows + 3}) {
+      const std::string where =
+          std::string("tier=") + hdc::simd::tier_name(tier) + " k=" + std::to_string(k);
+      const std::vector<double> expected = oracle_votes(db_dense, y, q_dense, k);
+      const std::vector<double> expected_fractional =
+          oracle_votes(db_dense, y, q_fractional, k);
+      std::vector<int> expected_pred;
+      for (const double v : expected) expected_pred.push_back(v >= 0.5 ? 1 : 0);
+
+      for (hdc::parallel::ThreadPool* pool : {&one, &four}) {
+        hdc::hv::SearchOptions options;
+        options.pool = pool;
+        const auto nearest =
+            hdc::hv::top_k_neighbors(queries.row_major(), sorted_db.row_major(), k, options);
+        for (std::size_t q = 0; q < nearest.size(); ++q) {
+          std::size_t positive = 0;
+          for (const hdc::hv::Neighbor& n : nearest[q]) {
+            positive += sorted_y[n.index] == 1 ? 1 : 0;
+          }
+          EXPECT_EQ(static_cast<double>(positive) / static_cast<double>(nearest[q].size()),
+                    expected[q])
+              << where << " workers=" << pool->size() << " query " << q;
+        }
+      }
+
+      hdc::ml::KnnConfig config;
+      config.k = k;
+      hdc::ml::KnnClassifier fitted(config);
+      fitted.fit_bits(db, y);
+      hdc::ml::KnnClassifier one_shard(config);
+      one_shard.fit_shards(hdc::ml::MaterializedShardSource(shard_by(db, kRows), y));
+      hdc::ml::KnnClassifier three_shards(config);
+      three_shards.fit_shards(hdc::ml::MaterializedShardSource(shard_by(db, kRows / 3), y));
+      hdc::ml::KnnClassifier loaded(config);
+      std::istringstream body(unsorted_knn_body(db, y, k));
+      loaded.load_state(body);
+      // Saved again, the old body differs only in row order: it now equals
+      // the label-ordered body of a fresh fit.
+      EXPECT_EQ(state_of(loaded), state_of(fitted)) << where;
+
+      const std::pair<const char*, const hdc::ml::KnnClassifier*> models[] = {
+          {"fit_bits", &fitted}, {"fit_shards/1", &one_shard},
+          {"fit_shards/3", &three_shards}, {"load_state", &loaded}};
+      for (const auto& [route, model] : models) {
+        EXPECT_EQ(model->predict_all_bits(queries), expected_pred) << where << " " << route;
+        for (std::size_t q = 0; q < queries.rows(); q += 7) {
+          EXPECT_EQ(model->predict_proba(q_dense[q]), expected[q])
+              << where << " " << route << " query " << q;
+          EXPECT_EQ(model->predict_proba(q_fractional[q]), expected_fractional[q])
+              << where << " " << route << " fractional query " << q;
+          const BitMatrix lone = queries.subset(std::vector<std::size_t>{q});
+          EXPECT_EQ(model->predict_all_bits(lone).front(), expected_pred[q])
+              << where << " " << route << " lone query " << q;
+        }
+      }
+    }
+  }
+  hdc::simd::set_tier(initial);
 }
 
 // ---------------------------------------------------------------------------
@@ -469,20 +601,18 @@ TEST(PackedPipeline, KfoldAccuracyIdenticalPackedVsDense) {
   config.extractor.dimensions = 600;
   const hdc::core::InputMode mode = hdc::core::InputMode::kHypervectors;
 
-  // The driver hands every fold to fit_bits; the oracle re-runs the same
+  // The grid hands every fold to fit_bits; the oracle re-runs the same
   // folds on dense doubles (allow_packed=false) through fit().
+  const std::vector<hdc::core::GridDatasetSpec> specs = {{"pima_m", &ds}};
+  hdc::core::GridConfig grid;
+  grid.models = {"Decision Tree"};
+  grid.kfold = 5;
+  grid.mode = mode;
+  grid.experiment = config;
   const hdc::eval::CvResult packed =
-      hdc::core::kfold_cv_accuracy(ds, "Decision Tree", mode, 5, config);
-  const hdc::eval::CvResult dense = hdc::eval::kfold_run(
-      ds.labels(), 5, config.seed,
-      [&](std::span<const std::size_t> train, std::span<const std::size_t> test) {
-        const hdc::core::FoldData fold = hdc::core::materialize_fold(
-            ds, train, test, mode, config, /*allow_packed=*/false);
-        EXPECT_FALSE(fold.train_bits.has_value());
-        const auto model = hdc::ml::make_model("Decision Tree", config.model_budget);
-        hdc::core::fit_fold_model(*model, fold);
-        return hdc::core::fold_accuracy(*model, fold);
-      });
+      hdc::core::run_grid(specs, grid).datasets.front().models.front().cv;
+  const hdc::eval::CvResult dense = hdc::oracle::serial_kfold_cv(
+      ds, "Decision Tree", mode, 5, config, /*allow_packed=*/false);
 
   EXPECT_EQ(packed.fold_accuracy, dense.fold_accuracy);
   EXPECT_EQ(packed.mean_accuracy, dense.mean_accuracy);
