@@ -7,7 +7,12 @@
 // 4096 rows (a streamed shard), reported as ns per row. The bundle's
 // packed-rows codec (hv::write_packed / read_packed, one binary word block)
 // is timed at 768 rows (Pima) and 16,384 rows, reported as MB/s of packed
-// words; the bench exits 1 if a round trip does not reproduce the rows.
+// words, and so is a whole-bundle load (core::load_bundle of a hamming
+// section plus its ANN index over the same rows, as serve start-up loads
+// it); the bench exits 1 if a round trip does not reproduce the rows. The
+// bundle checksum, FNV-1a 64, is timed over a 16 MB buffer as one chain and
+// as the three chains a bundle load runs over each word block (section,
+// block, ANN fingerprint) in one pass.
 //
 // Throughput is reported as GB/s of hypervector words streamed through the
 // kernel plus a per-unit latency (ns/pair, ns/word-KiB, ns/bundle, rows/s).
@@ -17,6 +22,7 @@
 // --pairs P (default 200000), --out PATH (default BENCH_kernels.json),
 // --fast (smaller problem sizes for CI smoke).
 #include <algorithm>
+#include <array>
 #include <cstdio>
 #include <cstring>
 #include <sstream>
@@ -24,7 +30,9 @@
 #include <vector>
 
 #include "bench_common.hpp"
+#include "core/bundle.hpp"
 #include "core/extractor.hpp"
+#include "core/hamming_classifier.hpp"
 #include "data/preprocess.hpp"
 #include "data/synthetic.hpp"
 #include "hv/bit_matrix.hpp"
@@ -87,12 +95,52 @@ struct PackedCodecResult {
   std::size_t body_bytes = 0;
   double write_mb_per_sec = 0.0;
   double read_mb_per_sec = 0.0;
+  std::size_t bundle_bytes = 0;
+  double bundle_load_mb_per_sec = 0.0;
   bool roundtrip_ok = false;
 };
 
+/// Best-of-`reps` load_bundle (from a stream built before the clock
+/// starts) of a bundle holding `rows` as a hamming section plus its ANN
+/// index; fills the bundle fields of `res` and returns whether the loaded
+/// rows equal `rows`.
+bool time_bundle_load(const hdc::hv::PackedHVs& rows, std::size_t reps,
+                      PackedCodecResult& res) {
+  hdc::core::ModelBundle bundle;
+  {
+    std::vector<hdc::hv::BitVector> vectors;
+    std::vector<int> labels;
+    for (std::size_t i = 0; i < rows.rows(); ++i) {
+      vectors.push_back(rows.unpack_row(i));
+      labels.push_back(static_cast<int>(i % 2));
+    }
+    bundle.hamming.emplace();
+    bundle.hamming->fit(std::move(vectors), std::move(labels));
+    bundle.hamming->enable_ann();
+  }
+  std::ostringstream out;
+  hdc::core::save_bundle(out, bundle);
+  const std::string saved = std::move(out).str();
+  double load_s = 0.0;
+  bool same = true;
+  for (std::size_t r = 0; r < reps; ++r) {
+    std::istringstream in(saved);
+    Timer timer;
+    const hdc::core::ModelBundle loaded = hdc::core::load_bundle(in);
+    load_s = r == 0 ? timer.seconds() : std::min(load_s, timer.seconds());
+    const hdc::hv::PackedHVs& got = loaded.hamming->packed_vectors();
+    same = same && got.rows() == rows.rows() &&
+           std::memcmp(got.row(0), rows.row(0), rows.rows() * rows.words_per_row() * 8) == 0;
+  }
+  res.bundle_bytes = saved.size();
+  res.bundle_load_mb_per_sec =
+      static_cast<double>(rows.rows() * rows.words_per_row() * 8) / 1e6 / load_s;
+  return same;
+}
+
 /// Best-of-`reps` write_packed (into a fresh string stream) and read_packed
-/// (from a stream built before the clock starts) on `rows` random rows.
-/// MB/s counts the packed words, 8 bytes each.
+/// (from a stream built before the clock starts) on `rows` random rows,
+/// then the bundle load. MB/s counts the packed words, 8 bytes each.
 PackedCodecResult time_packed_codec(std::size_t rows, std::size_t dim,
                                     std::size_t reps, hdc::util::Rng& rng) {
   const hdc::hv::PackedHVs source = random_packed(rows, dim, rng);
@@ -121,6 +169,35 @@ PackedCodecResult time_packed_codec(std::size_t rows, std::size_t dim,
   res.roundtrip_ok = loaded.rows() == rows && loaded.bits() == dim &&
                      std::memcmp(loaded.row(0), source.row(0),
                                  rows * source.words_per_row() * 8) == 0;
+  res.roundtrip_ok = time_bundle_load(source, reps, res) && res.roundtrip_ok;
+  return res;
+}
+
+struct FnvResult {
+  std::size_t bytes = 0;
+  double one_chain_mb_per_sec = 0.0;
+  double three_chains_mb_per_sec = 0.0;
+};
+
+/// Best-of-`reps` FNV-1a 64 over `bytes` random bytes, as one chain and as
+/// three chains in one pass. MB/s counts the buffer's bytes once.
+FnvResult time_fnv1a(std::size_t bytes, std::size_t reps, hdc::util::Rng& rng) {
+  std::string buffer(bytes, '\0');
+  for (char& c : buffer) c = static_cast<char>(rng());
+  volatile std::uint64_t sink = 0;
+  std::array<std::uint64_t, 3> chains{};
+  const auto run = [&](std::size_t n) {
+    return best_of(reps, [&] {
+      chains.fill(hdc::util::serde::kFnv1a64Basis);
+      hdc::util::serde::fnv1a64_update(buffer, {chains.data(), n});
+      sink = chains[0] ^ chains[n - 1];
+    });
+  };
+  FnvResult res;
+  res.bytes = bytes;
+  res.one_chain_mb_per_sec = static_cast<double>(bytes) / 1e6 / run(1);
+  res.three_chains_mb_per_sec = static_cast<double>(bytes) / 1e6 / run(3);
+  (void)sink;
   return res;
 }
 
@@ -275,10 +352,15 @@ int main(int argc, char** argv) {
     const PackedCodecResult& r = packed_codec.back();
     codec_ok = codec_ok && r.roundtrip_ok;
     std::printf("# packed_codec rows=%-5zu write=%8.1f MB/s  read=%8.1f MB/s  "
-                "body=%zu bytes%s\n",
+                "body=%zu bytes  bundle load=%8.1f MB/s%s\n",
                 rows, r.write_mb_per_sec, r.read_mb_per_sec, r.body_bytes,
+                r.bundle_load_mb_per_sec,
                 r.roundtrip_ok ? "" : "  ROUND TRIP MISMATCH");
   }
+
+  const FnvResult fnv = time_fnv1a(fast ? std::size_t{1} << 22 : std::size_t{1} << 24, reps, rng);
+  std::printf("# fnv1a bytes=%zu one chain=%8.1f MB/s  three chains=%8.1f MB/s\n",
+              fnv.bytes, fnv.one_chain_mb_per_sec, fnv.three_chains_mb_per_sec);
 
   const TierResult& scalar = results.front();
   const TierResult& best = results.back();
@@ -336,10 +418,17 @@ int main(int argc, char** argv) {
         .field("body_bytes", r.body_bytes)
         .field("write_mb_per_sec", r.write_mb_per_sec)
         .field("read_mb_per_sec", r.read_mb_per_sec)
+        .field("bundle_bytes", r.bundle_bytes)
+        .field("bundle_load_mb_per_sec", r.bundle_load_mb_per_sec)
         .field("roundtrip_ok", r.roundtrip_ok)
         .end();
   }
   json.end();
+  json.key("fnv1a").object()
+      .field("bytes", fnv.bytes)
+      .field("one_chain_mb_per_sec", fnv.one_chain_mb_per_sec)
+      .field("three_chains_mb_per_sec", fnv.three_chains_mb_per_sec)
+      .end();
   json.raw_field("manifest", hdc::bench::manifest_json(ds, "pima_m_synthetic",
                                                        manifest_config));
   json.end();

@@ -13,10 +13,15 @@
 // serializer (HdcFeatureExtractor::save, HammingClassifier::save,
 // hv::ann::Index::save, the ml / nn / manifest serializers), with its
 // own magic and version. The section header carries the body's byte count
-// and FNV-1a 64 checksum; the loader verifies the checksum *before* parsing
-// the body, so any corruption — truncation, bit flips, version skew — is
-// reported as a diagnostic std::runtime_error instead of reaching a parser
-// as garbage.
+// and FNV-1a 64 checksum. The loader parses each body straight from the
+// stream while hashing it, into a staged member; it commits that member to
+// the bundle only after the section's checksum and framing hold. A parser
+// error is reported only after the whole file's framing and checksums
+// have held, so any corruption — truncation, bit flips, version skew — is
+// diagnosed as the damage it is, with a std::runtime_error. The saver
+// serializes each body twice, once to measure its byte count and checksum
+// and once straight into the output, so no body is held as a string
+// (DESIGN §7.5).
 //
 // Section names:
 //   extractor        fitted HdcFeatureExtractor
@@ -64,11 +69,15 @@ struct ModelBundle {
   [[nodiscard]] std::vector<std::string> model_names() const;
 };
 
-/// Serialize the engaged members of `bundle`. Throws std::logic_error when
-/// nothing is engaged (an empty bundle is almost certainly a caller bug).
+/// Serialize the engaged members of `bundle`, each section measured first
+/// and then written straight into `out`. Throws std::logic_error when
+/// nothing is engaged (an empty bundle is almost certainly a caller bug),
+/// or when a section's second serialization differs in length from its
+/// first.
 void save_bundle(std::ostream& out, const ModelBundle& bundle);
 
-/// Parse + checksum-verify a bundle. Throws std::runtime_error with a
+/// Parse + checksum-verify a bundle, streaming each section from `in`
+/// (no section body is held whole). Throws std::runtime_error with a
 /// section-qualified message on any malformed input.
 [[nodiscard]] ModelBundle load_bundle(std::istream& in);
 

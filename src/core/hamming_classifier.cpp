@@ -34,6 +34,7 @@ void HammingClassifier::store(hv::PackedHVs rows, std::vector<int> labels) {
   }
   packed_ = std::move(rows);
   labels_ = std::move(labels);
+  rows_fingerprint_.reset();
   ann_.reset();  // any attached index was built over the previous database
 
   if (mode_ == HammingMode::kPrototype) {
@@ -78,7 +79,8 @@ HammingClassifier HammingClassifier::load(std::istream& in) {
   std::vector<int> labels = r.vec_int("labels", hv::kMaxPackedRows);
   // Capped at the label count, so a corrupted row count cannot allocate
   // more rows than the body has labels for.
-  hv::PackedHVs rows = hv::read_packed(r, "rows", labels.size());
+  std::uint64_t fingerprint = 0;
+  hv::PackedHVs rows = hv::read_packed(r, "rows", labels.size(), &fingerprint);
   if (rows.rows() != labels.size()) {
     throw r.error("row count " + std::to_string(rows.rows()) +
                   " does not match label count " + std::to_string(labels.size()));
@@ -91,6 +93,7 @@ HammingClassifier HammingClassifier::load(std::istream& in) {
     // No rows, a label outside {0, 1}, or a prototype-mode class missing.
     throw r.error(e.what());
   }
+  model.rows_fingerprint_ = fingerprint;
   return model;
 }
 
@@ -174,7 +177,12 @@ void HammingClassifier::attach_ann(hv::ann::Index index) {
     throw std::logic_error(
         "HammingClassifier: ANN needs kNearestNeighbor mode");
   }
-  index.check_database(packed_);  // throws on fingerprint/shape mismatch
+  // Throws on a fingerprint or shape mismatch.
+  if (rows_fingerprint_) {
+    index.check_database(packed_, *rows_fingerprint_);
+  } else {
+    index.check_database(packed_);
+  }
   ann_ = std::move(index);
 }
 

@@ -72,7 +72,9 @@ class HammingClassifier {
 
   /// Adopt a prebuilt index (bundle load path — avoids paying the build at
   /// serve start-up). The index fingerprint must match the stored training
-  /// vectors; throws std::invalid_argument otherwise.
+  /// vectors; throws std::invalid_argument otherwise. A loaded model
+  /// compares the fingerprint load() took while reading its rows; a fitted
+  /// one hashes its rows here.
   void attach_ann(hv::ann::Index index);
 
   void disable_ann() noexcept { ann_.reset(); }
@@ -112,6 +114,8 @@ class HammingClassifier {
   HammingMode mode_;
   std::size_t k_ = 1;
   hv::PackedHVs packed_;  // the training vectors, packed for the search kernel
+  /// hv::packed_fingerprint(packed_), when load() took it in passing.
+  std::optional<std::uint64_t> rows_fingerprint_;
   std::vector<int> labels_;
   hv::BitVector prototypes_[2];
   std::optional<hv::ann::Index> ann_;  // opt-in sub-linear k-NN path

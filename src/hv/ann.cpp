@@ -40,23 +40,6 @@ struct AnnMetrics {
   }
 };
 
-/// Platform-stable FNV-1a 64 over little-endian word bytes plus the shape,
-/// so a fingerprint written on one machine verifies on any other.
-std::uint64_t fingerprint_words(const std::uint64_t* words, std::size_t n,
-                                std::size_t bits, std::size_t rows) noexcept {
-  std::uint64_t h = 0xcbf29ce484222325ULL;
-  const auto eat = [&h](std::uint64_t value) {
-    for (int b = 0; b < 8; ++b) {
-      h ^= (value >> (8 * b)) & 0xffULL;
-      h *= 0x100000001b3ULL;
-    }
-  };
-  eat(bits);
-  eat(rows);
-  for (std::size_t i = 0; i < n; ++i) eat(words[i]);
-  return h;
-}
-
 /// Queries searched as one block: their rerank pairs share one row-ordered
 /// pass over the database.
 constexpr std::size_t kQueryBlock = 64;
@@ -213,17 +196,9 @@ Index Index::build_impl(
   // invariant to where the shard boundaries fall.
   const std::size_t stride = (n + c.lloyd_sample - 1) / c.lloyd_sample;
   const std::size_t sample_count = (n + stride - 1) / stride;
-  std::vector<std::uint64_t> centroids(c.cells * words);
+  PackedWords centroids(c.cells * words);
   std::vector<std::uint64_t> sample(sample_count * words);
-  std::uint64_t fp = 0xcbf29ce484222325ULL;
-  const auto eat = [&fp](std::uint64_t value) {
-    for (int b = 0; b < 8; ++b) {
-      fp ^= (value >> (8 * b)) & 0xffULL;
-      fp *= 0x100000001b3ULL;
-    }
-  };
-  eat(index.bits_);
-  eat(n);
+  std::uint64_t fp = packed_fingerprint_prefix(index.bits_, n);
   std::size_t next_centroid = 0;
   std::size_t next_sample = 0;
   std::size_t seen = 0;
@@ -236,7 +211,10 @@ Index Index::build_impl(
     }
     note_peak((centroids.size() + sample.size()) * sizeof(std::uint64_t));
     const std::size_t end = shard.begin + shard.rows;
-    for (std::size_t w = 0; w < shard.rows * words; ++w) eat(shard.words[w]);
+    util::serde::fnv1a64_update(
+        {reinterpret_cast<const char*>(shard.words),
+         shard.rows * words * sizeof(std::uint64_t)},
+        {&fp, 1});
     while (next_centroid < c.cells &&
            next_centroid * n / c.cells < end) {
       const std::size_t row = next_centroid * n / c.cells;
@@ -437,13 +415,16 @@ Index Index::build_impl(
 }
 
 void Index::check_database(const PackedHVs& database) const {
+  check_database(database, packed_fingerprint(database));
+}
+
+void Index::check_database(const PackedHVs& database,
+                           std::uint64_t database_fingerprint) const {
   if (empty()) throw std::logic_error("ann: index is empty");
   if (database.rows() != rows_ || database.bits() != bits_) {
     throw std::invalid_argument("ann: database shape does not match the index");
   }
-  const std::uint64_t fp = fingerprint_words(
-      database.row(0), rows_ * words_per_row_, bits_, rows_);
-  if (fp != fingerprint_) {
+  if (database_fingerprint != fingerprint_) {
     throw std::invalid_argument(
         "ann: database fingerprint mismatch (index was built over different "
         "vectors)");
@@ -781,6 +762,7 @@ Index Index::load(std::istream& in) {
     throw r.error("centroid or sketch words out of range");
   }
 
+  r.expect_room("centroids", c.cells * index.words_per_row_);
   index.centroids_.resize(c.cells * index.words_per_row_);
   r.word_block("centroids", index.centroids_);
   if (padding_bits_set(index.centroids_, index.bits_)) {
@@ -814,6 +796,7 @@ Index Index::load(std::istream& in) {
       }
     }
   }
+  r.expect_room("sketches", index.rows_ * index.sketch_words_);
   index.sketches_.resize(index.rows_ * index.sketch_words_);
   r.word_block("sketches", index.sketches_);
   if (padding_bits_set(index.sketches_, c.sketch_bits)) {

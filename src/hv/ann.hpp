@@ -181,9 +181,14 @@ class Index {
   }
 
   /// Throws std::invalid_argument unless `database` has the fingerprint the
-  /// index was built over. O(rows * words) — called at attach/load time, not
+  /// index was built over. O(rows * words) — called at attach time, not
   /// per query.
   void check_database(const PackedHVs& database) const;
+  /// The same check against `database_fingerprint`, the caller's
+  /// packed_fingerprint(database) (bundle load takes it while reading the
+  /// rows), so the rows are not hashed again.
+  void check_database(const PackedHVs& database,
+                      std::uint64_t database_fingerprint) const;
 
   /// Approximate nearest database row per query (exact distances, ties ->
   /// lowest database index among the reranked candidates). `database` must
@@ -218,6 +223,8 @@ class Index {
   bool operator==(const Index&) const noexcept = default;
 
  private:
+  friend struct IndexLayout;  // read access for the layout tests
+
   /// Shared build core: both entry points present their input as a stream
   /// of `num_shards` row-major shard views (build() as one whole-database
   /// shard), so streamed and in-memory builds run the identical arithmetic.
@@ -236,10 +243,13 @@ class Index {
   std::size_t sketch_words_ = 0;         // ceil(sketch_bits / 64)
   std::uint64_t fingerprint_ = 0;
   std::vector<std::uint32_t> positions_; // sampled bit positions (from seed)
-  std::vector<std::uint64_t> centroids_; // cells * words_per_row_
+  // The two arrays the scan reads row by row are PackedWords: from 128 KB
+  // up they are mapped, so they start on a page whatever was allocated
+  // before them.
+  PackedWords centroids_;                // cells * words_per_row_
   std::vector<std::uint64_t> offsets_;   // cells + 1, prefix sums into members_
   std::vector<std::uint64_t> members_;   // rows_ database indices, cell-grouped
-  std::vector<std::uint64_t> sketches_;  // rows_ * sketch_words_, member order
+  PackedWords sketches_;                 // rows_ * sketch_words_, member order
 };
 
 }  // namespace hdc::hv::ann

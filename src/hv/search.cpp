@@ -1,6 +1,7 @@
 #include "hv/search.hpp"
 
 #include <algorithm>
+#include <bit>
 #include <stdexcept>
 
 #include "obs/metrics.hpp"
@@ -51,22 +52,44 @@ void write_packed(util::serde::Writer& out, const PackedHVs& rows) {
 }
 
 PackedHVs read_packed(util::serde::Reader& in, const char* what,
-                      std::uint64_t max_rows) {
+                      std::uint64_t max_rows, std::uint64_t* fingerprint) {
   const std::uint64_t rows = in.count(what, max_rows);
   const std::uint64_t bits = in.count(what, kMaxPackedBits);
   const std::uint64_t wpr = (bits + 63) / 64;
   if (rows * wpr > kMaxPackedWords) {
     throw in.error(std::string(what) + ": packed rows too large");
   }
+  in.expect_room(what, rows * wpr);
   PackedHVs packed(bits, rows);
   const std::span<std::uint64_t> words{packed.row(0), rows * wpr};
-  in.word_block(what, words);
+  if (fingerprint != nullptr) *fingerprint = packed_fingerprint_prefix(bits, rows);
+  in.word_block(what, words, fingerprint);
   // Padding bits past `bits` must stay zero (the PackedHVs invariant the
   // search kernels rely on).
   if (padding_bits_set(words, bits)) {
     throw in.error(std::string(what) + ": nonzero padding bits in packed row");
   }
   return packed;
+}
+
+static_assert(std::endian::native == std::endian::little,
+              "packed fingerprints hash the words' little-endian bytes");
+
+std::uint64_t packed_fingerprint_prefix(std::uint64_t bits, std::uint64_t rows) noexcept {
+  const std::uint64_t shape[2] = {bits, rows};
+  std::uint64_t h = util::serde::kFnv1a64Basis;
+  util::serde::fnv1a64_update(
+      {reinterpret_cast<const char*>(shape), sizeof(shape)}, {&h, 1});
+  return h;
+}
+
+std::uint64_t packed_fingerprint(const PackedHVs& rows) noexcept {
+  std::uint64_t h = packed_fingerprint_prefix(rows.bits(), rows.rows());
+  util::serde::fnv1a64_update(
+      {reinterpret_cast<const char*>(rows.row(0)),
+       rows.rows() * rows.words_per_row() * sizeof(std::uint64_t)},
+      {&h, 1});
+  return h;
 }
 
 bool padding_bits_set(std::span<const std::uint64_t> words, std::size_t bits) noexcept {

@@ -88,11 +88,23 @@ void write_packed(util::serde::Writer& out, const PackedHVs& rows);
 
 /// Inverse of write_packed(), reading the block straight into the rows.
 /// Throws (via `in`, naming `what`) when the row count exceeds `max_rows`,
-/// the width exceeds kMaxPackedBits, the total exceeds 2^30 words (all
-/// checked before allocating), the block's word count or checksum is wrong
-/// or it is cut short, or a row sets a padding bit past `bits`.
+/// the width exceeds kMaxPackedBits, the total exceeds 2^30 words or the
+/// words left in the stream (all checked before allocating), the block's
+/// word count or checksum is wrong or it is cut short, or a row sets a
+/// padding bit past `bits`. A non-null `fingerprint` receives
+/// packed_fingerprint() of the rows, hashed in the same pass as the block.
 [[nodiscard]] PackedHVs read_packed(util::serde::Reader& in, const char* what,
-                                    std::uint64_t max_rows = kMaxPackedRows);
+                                    std::uint64_t max_rows = kMaxPackedRows,
+                                    std::uint64_t* fingerprint = nullptr);
+
+/// FNV-1a 64 state after the (bits, rows) shape prefix of a packed-rows
+/// fingerprint, each as 8 little-endian bytes; the words' bytes follow.
+[[nodiscard]] std::uint64_t packed_fingerprint_prefix(std::uint64_t bits,
+                                                      std::uint64_t rows) noexcept;
+
+/// FNV-1a 64 over the shape prefix and then every word's little-endian
+/// bytes: platform-stable, and what an ANN index records of its database.
+[[nodiscard]] std::uint64_t packed_fingerprint(const PackedHVs& rows) noexcept;
 
 /// True when any row of `words` (rows of (bits + 63) / 64 words, back to
 /// back) sets a bit past `bits`: the padding every PackedHVs row, ANN

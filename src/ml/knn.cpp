@@ -7,6 +7,21 @@
 
 namespace hdc::ml {
 
+namespace {
+
+/// Slot of every row in the packed store: label-0 rows first, each class in
+/// its original order. Labels must be 0/1.
+std::vector<std::size_t> label_slots(std::span<const int> y) {
+  std::size_t next[2] = {0, static_cast<std::size_t>(std::count(y.begin(), y.end(), 0))};
+  std::vector<std::size_t> slots(y.size());
+  for (std::size_t i = 0; i < y.size(); ++i) {
+    slots[i] = next[static_cast<std::size_t>(y[i])]++;
+  }
+  return slots;
+}
+
+}  // namespace
+
 KnnClassifier::KnnClassifier(KnnConfig config) : config_(config) {
   if (config_.k == 0) throw std::invalid_argument("KNN: k must be positive");
 }
@@ -20,30 +35,37 @@ void KnnClassifier::fit(const Matrix& X, const Labels& y) {
 
 void KnnClassifier::fit_bits(const hv::BitMatrix& X, const Labels& y) {
   validate_training_bits(X, y);
-  store_packed(X.row_major(), y);
+  fit_shards(SingleShardSource(X, y));
 }
 
 void KnnClassifier::fit_shards(const ShardSource& src) {
-  std::vector<std::size_t> all(src.rows());
-  for (std::size_t i = 0; i < all.size(); ++i) all[i] = i;
-  fit_bits(gather_rows(src, all), gather_labels(src.labels(), all));
-}
-
-void KnnClassifier::store_packed(const hv::PackedHVs& rows, const Labels& y) {
-  hv::PackedHVs sorted(rows.bits(), rows.rows());
-  Labels sorted_y;
-  sorted_y.reserve(y.size());
-  const std::size_t words = rows.words_per_row();
-  for (const int label : {0, 1}) {
-    for (std::size_t i = 0; i < rows.rows(); ++i) {
-      if (y[i] != label) continue;
-      std::copy(rows.row(i), rows.row(i) + words, sorted.row(sorted_y.size()));
-      sorted_y.push_back(label);
+  const std::span<const int> y = src.labels();
+  if (src.rows() == 0 || src.cols() == 0) {
+    throw std::invalid_argument("fit: empty training set");
+  }
+  if (y.size() != src.rows()) throw std::invalid_argument("fit: X/y size mismatch");
+  for (const int label : y) {
+    if (label != 0 && label != 1) throw std::invalid_argument("fit: labels must be 0/1");
+  }
+  // Each shard's rows go straight to their label-ordered slots.
+  const std::vector<std::size_t> slots = label_slots(y);
+  hv::PackedHVs sorted(src.cols(), src.rows());
+  for (std::size_t s = 0; s < src.num_shards(); ++s) {
+    const hv::BitMatrix& shard = src.shard(s);
+    const std::size_t begin = src.shard_begin(s);
+    for (std::size_t r = 0; r < shard.rows(); ++r) {
+      std::copy_n(shard.row_bits(r), shard.words_per_row(), sorted.row(slots[begin + r]));
     }
   }
+  adopt_packed(std::move(sorted), y);
+}
+
+void KnnClassifier::adopt_packed(hv::PackedHVs sorted, std::span<const int> y) {
+  const auto zeros = static_cast<std::size_t>(std::count(y.begin(), y.end(), 0));
   train_bits_ = std::move(sorted);
   train_X_.clear();
-  train_y_ = std::move(sorted_y);
+  train_y_.assign(y.size(), 1);
+  std::fill_n(train_y_.begin(), zeros, 0);
 }
 
 std::vector<double> KnnClassifier::packed_votes(const hv::PackedHVs& queries) const {
@@ -159,7 +181,14 @@ void KnnClassifier::load_state(std::istream& in) {
   }
   // Bodies saved before the store was label-ordered keep their rows in
   // fit order; ordering them here leaves every vote unchanged.
-  if (packed) store_packed(rows, train_y_);
+  if (packed) {
+    const std::vector<std::size_t> slots = label_slots(train_y_);
+    hv::PackedHVs sorted(rows.bits(), rows.rows());
+    for (std::size_t i = 0; i < rows.rows(); ++i) {
+      std::copy_n(rows.row(i), rows.words_per_row(), sorted.row(slots[i]));
+    }
+    adopt_packed(std::move(sorted), train_y_);
+  }
 }
 
 }  // namespace hdc::ml

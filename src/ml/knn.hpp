@@ -25,10 +25,11 @@ class KnnClassifier final : public Classifier {
 
   void fit(const Matrix& X, const Labels& y) override;
   void fit_bits(const hv::BitMatrix& X, const Labels& y) override;
-  /// k-NN *is* its training set, so the sharded fit concatenates every
-  /// shard's rows in global order and stores them packed — trivially
+  /// k-NN *is* its training set, so the sharded fit copies every shard's
+  /// rows straight into the label-ordered packed store — trivially
   /// shard-count invariant, but inherently O(n) resident (excluded from
-  /// the out-of-core streaming phase for that reason).
+  /// the out-of-core streaming phase for that reason). fit_bits() is this
+  /// over a single shard.
   void fit_shards(const ShardSource& src) override;
   [[nodiscard]] double predict_proba(std::span<const double> x) const override;
   [[nodiscard]] std::vector<int> predict_all_bits(const hv::BitMatrix& X) const override;
@@ -38,9 +39,9 @@ class KnnClassifier final : public Classifier {
   void load_state(std::istream& in) override;
 
  private:
-  /// Keep `rows` as the packed store: label-0 rows first, each class in its
-  /// original order, with train_y_ permuted to match.
-  void store_packed(const hv::PackedHVs& rows, const Labels& y);
+  /// Keep `sorted` (the rows with label-0 rows first, each class in its
+  /// original order) as the packed store, and the labels in that order.
+  void adopt_packed(hv::PackedHVs sorted, std::span<const int> y);
   /// Fraction of label-1 rows among the k nearest packed rows of each query.
   [[nodiscard]] std::vector<double> packed_votes(const hv::PackedHVs& queries) const;
 

@@ -1,8 +1,11 @@
 #include "util/serde.hpp"
 
+#include <algorithm>
+#include <array>
 #include <bit>
 #include <charconv>
 #include <cmath>
+#include <cstring>
 #include <istream>
 #include <limits>
 #include <ostream>
@@ -32,15 +35,46 @@ static_assert(std::endian::native == std::endian::little,
   return {reinterpret_cast<const char*>(words.data()), words.size_bytes()};
 }
 
+constexpr std::uint64_t kFnv1a64Prime = 0x100000001b3ULL;
+
+/// N FNV-1a chains over the same bytes, interleaved so their multiplies
+/// overlap.
+template <std::size_t N>
+void fnv1a64_chains(std::string_view bytes, std::uint64_t* chains) noexcept {
+  std::array<std::uint64_t, N> h;
+  std::copy_n(chains, N, h.begin());
+  for (const char c : bytes) {
+    for (std::uint64_t& state : h) {
+      state ^= static_cast<unsigned char>(c);
+      state *= kFnv1a64Prime;
+    }
+  }
+  std::copy_n(h.begin(), N, chains);
+}
+
+/// SectionSource's pull buffer for token bytes, and the largest piece
+/// read_hashed() reads before hashing it (small enough to hash from cache).
+constexpr std::uint64_t kSourceBufferBytes = std::uint64_t{64} << 10;
+constexpr std::uint64_t kDirectChunkBytes = std::uint64_t{256} << 10;
+constexpr std::size_t kSinkBufferBytes = std::size_t{4} << 10;
+
 }  // namespace
 
 std::uint64_t fnv1a64(std::string_view bytes) noexcept {
-  std::uint64_t hash = 0xcbf29ce484222325ULL;
-  for (const char c : bytes) {
-    hash ^= static_cast<unsigned char>(c);
-    hash *= 0x100000001b3ULL;
-  }
+  std::uint64_t hash = kFnv1a64Basis;
+  fnv1a64_chains<1>(bytes, &hash);
   return hash;
+}
+
+void fnv1a64_update(std::string_view bytes, std::span<std::uint64_t> chains) noexcept {
+  std::size_t c = 0;
+  for (; c + 4 <= chains.size(); c += 4) fnv1a64_chains<4>(bytes, chains.data() + c);
+  switch (chains.size() - c) {
+    case 3: fnv1a64_chains<3>(bytes, chains.data() + c); break;
+    case 2: fnv1a64_chains<2>(bytes, chains.data() + c); break;
+    case 1: fnv1a64_chains<1>(bytes, chains.data() + c); break;
+    default: break;
+  }
 }
 
 std::string hex16(std::uint64_t value) {
@@ -154,9 +188,12 @@ Writer& Writer::vec_u64(std::span<const std::uint64_t> values) {
 
 Writer& Writer::word_block(std::span<const std::uint64_t> values) {
   const std::string_view bytes = block_bytes(values);
+  auto* const sink = dynamic_cast<SectionSink*>(out_.rdbuf());
+  const std::uint64_t checksum =
+      sink != nullptr ? sink->block_checksum(bytes) : fnv1a64(bytes);
   u64(values.size());
   sep();
-  out_ << hex16(fnv1a64(bytes)) << '\n';
+  out_ << hex16(checksum) << '\n';
   out_.write(bytes.data(), static_cast<std::streamsize>(bytes.size()));
   return *this;
 }
@@ -303,7 +340,17 @@ std::vector<std::uint64_t> Reader::vec_u64(const char* what, std::uint64_t max) 
   return out;
 }
 
-void Reader::word_block(const char* what, std::span<std::uint64_t> dst) {
+void Reader::expect_room(const char* what, std::uint64_t words) {
+  const auto* const section = dynamic_cast<const SectionSource*>(in_.rdbuf());
+  if (section != nullptr && words > section->remaining() / sizeof(std::uint64_t)) {
+    throw error(std::string("word block for ") + what + " of " +
+                std::to_string(words) + " words overruns its section (" +
+                std::to_string(section->remaining()) + " bytes left)");
+  }
+}
+
+void Reader::word_block(const char* what, std::span<std::uint64_t> dst,
+                        std::uint64_t* chain) {
   const auto fail = [&](const std::string& message) {
     return error(std::string("word block for ") + what + " " + message);
   };
@@ -317,15 +364,180 @@ void Reader::word_block(const char* what, std::span<std::uint64_t> dst) {
   if (checksum.size() != 16) throw fail("has a malformed checksum");
   if (in_.get() != '\n') throw fail("lacks its '\\n' separator");
   const auto bytes = static_cast<std::streamsize>(dst.size_bytes());
-  in_.read(reinterpret_cast<char*>(dst.data()), bytes);
-  if (in_.gcount() != bytes) {
-    throw fail("truncated (" + std::to_string(in_.gcount()) + " of " +
+  char* const out = reinterpret_cast<char*>(dst.data());
+  // The block's own chain, then the caller's.
+  std::array<std::uint64_t, 2> chains = {kFnv1a64Basis, chain != nullptr ? *chain : 0};
+  const std::span<std::uint64_t> active(chains.data(), chain != nullptr ? 2 : 1);
+  std::streamsize got = 0;
+  if (auto* const section = dynamic_cast<SectionSource*>(in_.rdbuf())) {
+    // Straight from the file, one hash pass for the section and the block.
+    got = section->read_hashed(out, bytes, active);
+  } else {
+    in_.read(out, bytes);
+    got = in_.gcount();
+    fnv1a64_update({out, static_cast<std::size_t>(got)}, active);
+  }
+  if (got != bytes) {
+    throw fail("truncated (" + std::to_string(got) + " of " +
                std::to_string(bytes) + " bytes)");
   }
-  const std::string actual = hex16(fnv1a64(block_bytes(dst)));
+  const std::string actual = hex16(chains[0]);
   if (checksum != actual) {
     throw fail("checksum mismatch (header " + checksum + ", block " + actual + ")");
   }
+  if (chain != nullptr) *chain = chains[1];
 }
+
+// -- SectionSource --------------------------------------------------------
+
+SectionSource::SectionSource(std::streambuf& source, std::uint64_t bytes)
+    : source_(source),
+      unread_(bytes),
+      buffer_(new char[std::clamp<std::uint64_t>(bytes, 1, kSourceBufferBytes)]) {
+  setg(buffer_.get(), buffer_.get(), buffer_.get());
+}
+
+std::uint64_t SectionSource::remaining() const noexcept {
+  return unread_ + static_cast<std::uint64_t>(egptr() - gptr());
+}
+
+SectionSource::int_type SectionSource::underflow() {
+  if (gptr() < egptr()) return traits_type::to_int_type(*gptr());
+  if (unread_ == 0 || truncated_) return traits_type::eof();
+  const std::streamsize got = source_.sgetn(
+      buffer_.get(),
+      static_cast<std::streamsize>(std::min(unread_, kSourceBufferBytes)));
+  if (got <= 0) {
+    truncated_ = true;
+    return traits_type::eof();
+  }
+  fnv1a64_update({buffer_.get(), static_cast<std::size_t>(got)}, {&hash_, 1});
+  unread_ -= static_cast<std::uint64_t>(got);
+  setg(buffer_.get(), buffer_.get(), buffer_.get() + got);
+  return traits_type::to_int_type(*gptr());
+}
+
+std::streamsize SectionSource::read_hashed(char* dst, std::streamsize n,
+                                           std::span<std::uint64_t> chains) {
+  if (chains.size() > 3) {
+    throw std::invalid_argument("SectionSource::read_hashed: at most three chains");
+  }
+  // Bytes already buffered are in the section chain; only `chains` take them.
+  const std::streamsize buffered = std::min<std::streamsize>(n, egptr() - gptr());
+  std::streamsize done = 0;
+  if (buffered > 0) {
+    std::memcpy(dst, gptr(), static_cast<std::size_t>(buffered));
+    fnv1a64_update({dst, static_cast<std::size_t>(buffered)}, chains);
+    gbump(static_cast<int>(buffered));
+    done = buffered;
+  }
+  // The rest straight from the source into `dst`, one piece at a time so
+  // the section chain and `chains` hash each piece while it is in cache.
+  std::array<std::uint64_t, 4> all{};
+  all[0] = hash_;
+  std::copy(chains.begin(), chains.end(), all.begin() + 1);
+  const std::span<std::uint64_t> fused(all.data(), chains.size() + 1);
+  while (done < n && unread_ > 0 && !truncated_) {
+    const std::uint64_t want = std::min(
+        {static_cast<std::uint64_t>(n - done), unread_, kDirectChunkBytes});
+    const std::streamsize got =
+        source_.sgetn(dst + done, static_cast<std::streamsize>(want));
+    if (got <= 0) {
+      truncated_ = true;
+      break;
+    }
+    fnv1a64_update({dst + done, static_cast<std::size_t>(got)}, fused);
+    unread_ -= static_cast<std::uint64_t>(got);
+    done += got;
+  }
+  hash_ = all[0];
+  std::copy_n(all.begin() + 1, chains.size(), chains.begin());
+  return done;
+}
+
+bool SectionSource::drain() {
+  setg(buffer_.get(), buffer_.get(), buffer_.get());  // already hashed
+  while (unread_ > 0 && !truncated_) {
+    const std::streamsize got = source_.sgetn(
+        buffer_.get(),
+        static_cast<std::streamsize>(std::min(unread_, kSourceBufferBytes)));
+    if (got <= 0) {
+      truncated_ = true;
+      break;
+    }
+    fnv1a64_update({buffer_.get(), static_cast<std::size_t>(got)}, {&hash_, 1});
+    unread_ -= static_cast<std::uint64_t>(got);
+  }
+  return !truncated_;
+}
+
+// -- SectionSink ----------------------------------------------------------
+
+SectionSink::SectionSink() : buffer_(new char[kSinkBufferBytes]) {
+  setp(buffer_.get(), buffer_.get() + kSinkBufferBytes);
+}
+
+void SectionSink::write_to(std::streambuf& out) {
+  flush_buffer();
+  out_ = &out;
+  bytes_ = 0;
+  next_block_ = 0;
+}
+
+std::uint64_t SectionSink::bytes() const noexcept {
+  return bytes_ + static_cast<std::uint64_t>(pptr() - pbase());
+}
+
+std::uint64_t SectionSink::block_checksum(std::string_view block) {
+  if (out_ == nullptr) return block_checksums_.emplace_back(fnv1a64(block));
+  if (next_block_ == block_checksums_.size()) {
+    throw std::logic_error(
+        "SectionSink: the writing pass has more word blocks than the measuring pass");
+  }
+  return block_checksums_[next_block_++];
+}
+
+bool SectionSink::emit(const char* s, std::size_t n) {
+  bytes_ += n;
+  if (out_ == nullptr) {
+    fnv1a64_update({s, n}, {&hash_, 1});
+    return true;
+  }
+  return out_->sputn(s, static_cast<std::streamsize>(n)) ==
+         static_cast<std::streamsize>(n);
+}
+
+bool SectionSink::flush_buffer() {
+  const auto pending = static_cast<std::size_t>(pptr() - pbase());
+  setp(buffer_.get(), buffer_.get() + kSinkBufferBytes);
+  return pending == 0 || emit(buffer_.get(), pending);
+}
+
+SectionSink::int_type SectionSink::overflow(int_type c) {
+  if (!flush_buffer()) return traits_type::eof();
+  if (!traits_type::eq_int_type(c, traits_type::eof())) {
+    *pptr() = traits_type::to_char_type(c);
+    pbump(1);
+  }
+  return traits_type::not_eof(c);
+}
+
+std::streamsize SectionSink::xsputn(const char* s, std::streamsize n) {
+  if (n <= epptr() - pptr()) {
+    std::memcpy(pptr(), s, static_cast<std::size_t>(n));
+    pbump(static_cast<int>(n));
+    return n;
+  }
+  if (!flush_buffer()) return 0;
+  if (n < static_cast<std::streamsize>(kSinkBufferBytes)) {
+    std::memcpy(pptr(), s, static_cast<std::size_t>(n));
+    pbump(static_cast<int>(n));
+    return n;
+  }
+  // A word block: hashed or forwarded in place, never copied.
+  return emit(s, static_cast<std::size_t>(n)) ? n : 0;
+}
+
+int SectionSink::sync() { return flush_buffer() ? 0 : -1; }
 
 }  // namespace hdc::util::serde

@@ -10,6 +10,7 @@
 
 #include <algorithm>
 #include <cmath>
+#include <memory>
 #include <sstream>
 #include <string>
 #include <thread>
@@ -23,6 +24,20 @@
 #include "simd/dispatch.hpp"
 #include "util/rng.hpp"
 #include "util/serde.hpp"
+
+namespace hdc::hv::ann {
+
+/// Read access to an index's scan arrays (a friend of Index).
+struct IndexLayout {
+  static const std::uint64_t* centroids(const Index& index) {
+    return index.centroids_.data();
+  }
+  static const std::uint64_t* sketches(const Index& index) {
+    return index.sketches_.data();
+  }
+};
+
+}  // namespace hdc::hv::ann
 
 namespace {
 
@@ -708,6 +723,26 @@ TEST(HvAnnTest, EmptyCandidateSetFallsBackToExactScan) {
     hdc::hv::SearchOptions exact;
     exact.exclude_same_index = true;
     EXPECT_EQ(got, hdc::hv::top_k_neighbors(db, db, k, exact));
+  }
+}
+
+TEST(HvAnnTest, ScanArraysAreCacheLineAligned) {
+  // Centroids and sketches of a serve-sized index are blocks of 128 KB and
+  // up, which PackedWords maps, so they start on a page (and so on a
+  // 64-byte line) after a build and after a load, whatever odd-sized block
+  // was allocated just before.
+  const auto aligned = [](const std::uint64_t* p) {
+    return reinterpret_cast<std::uintptr_t>(p) % 64 == 0;
+  };
+  const PackedHVs db = random_rows(16384, 10000, 3);
+  const auto skew = std::make_unique<char[]>(24);
+  const ann::Index built = ann::Index::build(db);
+  std::istringstream in(serialized(built));
+  const auto skew_again = std::make_unique<char[]>(40);
+  const ann::Index loaded = ann::Index::load(in);
+  for (const ann::Index* index : {&built, &loaded}) {
+    EXPECT_TRUE(aligned(ann::IndexLayout::centroids(*index)));
+    EXPECT_TRUE(aligned(ann::IndexLayout::sketches(*index)));
   }
 }
 
