@@ -1,9 +1,9 @@
-// Experiment-grid scheduler bench: the paper's 2-dataset x 9-model x k-fold
-// sweep run as a serial reference (one one-worker run_grid per model, so
-// every fold is re-encoded once per model on one core) and as one run_grid
-// over the whole zoo — the work-stealing TaskGraph + fold-encoding cache —
-// at 1 / 2 / N threads. Emits BENCH_grid.json, a scheduling-perf trajectory
-// for later changes to compare against.
+// Experiment-grid bench: the paper's 2-dataset x 9-model x k-fold sweep run
+// as a serial reference (one one-worker run_grid per model, so every fold is
+// re-encoded once per model on one core) and as one run_grid over the whole
+// zoo — each fold encoded once and shared by its model tasks on the grid's
+// thread pool — at 1 / 2 / N threads. Emits BENCH_grid.json, a
+// scheduling-perf trajectory for later changes to compare against.
 //
 // Two gates run inside the bench:
 //   - determinism: every whole-zoo run's metrics must be bit-identical to
@@ -68,7 +68,7 @@ int main(int argc, char** argv) {
   const std::string out_path = cli.get_string("--out", "BENCH_grid.json");
 
   // The grid proper: Pima M + Sylhet over the full zoo. The Sequential NN
-  // rows are excluded so the bench times exactly the DAG the cache dedups.
+  // rows are excluded so the bench times exactly the k-fold sweep.
   const std::vector<hdc::core::GridDatasetSpec> datasets = {
       {"pima_m", &setup.pima_m}, {"sylhet", &setup.sylhet}};
   hdc::core::GridConfig config;
@@ -134,11 +134,10 @@ int main(int argc, char** argv) {
     }
     const auto& st = sample.result.stats;
     std::printf(
-        "# threads=%zu wall=%.3fs speedup=%.2fx dedup=%.1f steals=%llu "
-        "(encode=%zu fit=%zu reduce=%zu)\n",
+        "# threads=%zu wall=%.3fs speedup=%.2fx dedup=%.1f "
+        "(encode=%zu fit=%zu)\n",
         t, sample.seconds, serial_seconds / sample.seconds, st.dedup_ratio,
-        static_cast<unsigned long long>(st.steals), st.encode_tasks,
-        st.model_tasks, st.reduce_tasks);
+        st.encode_tasks, st.model_tasks);
     samples.push_back(std::move(sample));
   }
   if (!determinism_ok) return 1;
@@ -195,11 +194,7 @@ int main(int argc, char** argv) {
         .field("seconds", s.seconds)
         .field("speedup_vs_serial", serial_seconds / s.seconds)
         .field("tasks_executed", st.tasks_executed)
-        .field("steals", st.steals)
         .field("cache_hits", st.cache_hits)
-        .field("cache_misses", st.cache_misses)
-        .field("cache_evictions", st.cache_evictions)
-        .field("cache_peak_entries", st.cache_peak_entries)
         .end();
   }
   json.end();

@@ -20,11 +20,11 @@
 // (default: last), --dim / --seed control the encoding.
 //
 // `grid` runs the paper's evaluation sweep (every zoo model under stratified
-// k-fold CV, per dataset) through the work-stealing task-graph scheduler and
-// shared fold-encoding cache: --threads N sets the worker count (default:
-// all cores), --kfold K, --models a,b,c restricts the zoo, --budget B
-// scales boosted models. With --trace-out the Chrome trace shows the
-// grid.encode / grid.fit / grid.reduce scheduler spans.
+// k-fold CV, per dataset) on one thread pool, encoding each fold once for
+// every model: --threads N sets the worker count (default: all cores),
+// --kfold K, --models a,b,c restricts the zoo, --budget B scales boosted
+// models. With --trace-out the Chrome trace shows the grid.encode /
+// grid.fit spans.
 //
 // `bundle` (or `train`) fits the extractor + Hamming classifier and, with
 // --models a,b,c / --with-nn, zoo models and the Sequential NN on the encoded
@@ -230,17 +230,10 @@ int cmd_grid(const std::vector<std::string>& csv_paths,
 
   const hdc::core::GridStats& st = result.stats;
   std::printf(
-      "# scheduler: workers=%zu tasks=%llu (encode=%zu fit=%zu reduce=%zu) "
-      "steals=%llu\n"
-      "# fold cache: hits=%llu misses=%llu evictions=%llu peak=%zu "
+      "# grid: workers=%zu tasks=%llu (fit=%zu nn=%zu) folds encoded=%zu "
       "dedup=%.1fx\n",
       st.workers, static_cast<unsigned long long>(st.tasks_executed),
-      st.encode_tasks, st.model_tasks, st.reduce_tasks,
-      static_cast<unsigned long long>(st.steals),
-      static_cast<unsigned long long>(st.cache_hits),
-      static_cast<unsigned long long>(st.cache_misses),
-      static_cast<unsigned long long>(st.cache_evictions),
-      st.cache_peak_entries, st.dedup_ratio);
+      st.model_tasks, st.nn_tasks, st.encode_tasks, st.dedup_ratio);
   return 0;
 }
 

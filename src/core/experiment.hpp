@@ -38,9 +38,9 @@ struct ExperimentConfig {
 
 /// Materialised (X, y) for one fold's train/test rows, in raw or
 /// hypervector space. Packed hypervector folds carry bit-packed matrices
-/// instead of dense doubles (train_X/test_X stay empty). The grid runner's
-/// fold-encoding cache (core/grid) holds these, and the holdout and NN
-/// protocols below build them the same way.
+/// instead of dense doubles (train_X/test_X stay empty). The grid runner
+/// (core/grid) shares one per fold across its model tasks, and the holdout
+/// and NN protocols below build them the same way.
 struct FoldData {
   ml::Matrix train_X;
   ml::Labels train_y;

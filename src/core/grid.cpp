@@ -1,16 +1,17 @@
 #include "core/grid.hpp"
 
 #include <algorithm>
+#include <atomic>
 #include <memory>
+#include <mutex>
 #include <stdexcept>
 #include <utility>
 
-#include "core/fold_cache.hpp"
 #include "core/manifest.hpp"
 #include "data/split.hpp"
 #include "ml/zoo.hpp"
 #include "obs/metrics.hpp"
-#include "parallel/task_graph.hpp"
+#include "obs/trace.hpp"
 #include "parallel/thread_pool.hpp"
 
 namespace hdc::core {
@@ -26,23 +27,24 @@ std::vector<std::string> model_names(const GridConfig& config) {
   return names;
 }
 
-/// Per-dataset fold partitions, fixed before the graph runs so every task
+/// Per-dataset fold partitions, fixed before any task runs so every task
 /// reads immutable index vectors.
 struct DatasetFolds {
   std::vector<std::vector<std::size_t>> train;  // kfold entries
   std::vector<std::vector<std::size_t>> test;
 };
 
-GridResult run_grid_scheduled(std::span<const GridDatasetSpec> datasets,
-                              const GridConfig& config,
-                              const std::vector<std::string>& models) {
-  using parallel::TaskGraph;
+/// One (dataset, fold)'s encoding, shared by that fold's model tasks: the
+/// first to run materialises it, the last to finish drops it.
+struct FoldSlot {
+  std::once_flag once;
+  std::shared_ptr<const FoldData> fold;
+  std::atomic<std::size_t> users{0};
+};
 
-  const std::size_t workers =
-      config.threads == 0 ? parallel::hardware_threads() : config.threads;
-  parallel::ThreadPool pool(workers);
-  TaskGraph graph;
-  FoldEncodingCache cache;
+GridResult run_grid_on_pool(std::span<const GridDatasetSpec> datasets,
+                            const GridConfig& config,
+                            const std::vector<std::string>& models) {
   const std::size_t k = config.kfold;
 
   // Fold partitions are a pure function of (labels, k, seed).
@@ -56,89 +58,30 @@ GridResult run_grid_scheduled(std::span<const GridDatasetSpec> datasets,
     }
   }
 
-  // Result slots, pre-sized so tasks write disjoint cells with no locking.
-  // scores[d][m][f]; cvs[d][m]; nns[d].
+  // Pre-sized so tasks write disjoint cells with no locking:
+  // slots[d * k + f]; scores[d][m][f]; nns[d].
+  std::vector<FoldSlot> slots(datasets.size() * k);
+  for (FoldSlot& slot : slots) slot.users.store(models.size());
   std::vector<std::vector<std::vector<double>>> scores(
       datasets.size(), std::vector<std::vector<double>>(
                            models.size(), std::vector<double>(k, 0.0)));
-  std::vector<std::vector<eval::CvResult>> cvs(
-      datasets.size(), std::vector<eval::CvResult>(models.size()));
   std::vector<NnProtocolResult> nns(datasets.size());
+
+  // Declared after everything its tasks reference, so that on any exit its
+  // destructor drains and joins the workers before that state is destroyed.
+  const std::size_t workers =
+      config.threads == 0 ? parallel::hardware_threads() : config.threads;
+  parallel::ThreadPool pool(workers);
 
   GridResult result;
   result.stats.workers = workers;
 
-  const auto fold_key = [&](std::size_t d, std::size_t f) {
-    FoldKey key;
-    key.dataset = datasets[d].name;
-    key.cv_seed = config.experiment.seed;
-    key.fold = static_cast<std::uint32_t>(f);
-    key.dimensions = config.experiment.extractor.dimensions;
-    key.extractor_seed = config.experiment.extractor.seed;
-    key.mode = config.mode;
-    return key;
-  };
-
-  // encode(d, f) tasks: each fold is materialised once and shared.
-  std::vector<std::vector<TaskGraph::TaskId>> encode_ids(datasets.size());
-  for (std::size_t d = 0; d < datasets.size(); ++d) {
-    for (std::size_t f = 0; f < k; ++f) {
-      encode_ids[d].push_back(graph.add("grid.encode", [&, d, f] {
-        obs::counter("experiment.folds").increment();
-        cache.put(fold_key(d, f),
-                  std::make_shared<const FoldData>(materialize_fold(
-                      *datasets[d].data, folds[d].train[f], folds[d].test[f],
-                      config.mode, config.experiment, /*allow_packed=*/true)),
-                  models.size());
-      }));
-      ++result.stats.encode_tasks;
-    }
-  }
-
-  // fit/eval(d, m, f) tasks, fanned out over the shared encodings.
-  std::vector<std::vector<std::vector<TaskGraph::TaskId>>> model_ids(
-      datasets.size(),
-      std::vector<std::vector<TaskGraph::TaskId>>(models.size()));
-  for (std::size_t d = 0; d < datasets.size(); ++d) {
-    for (std::size_t m = 0; m < models.size(); ++m) {
-      for (std::size_t f = 0; f < k; ++f) {
-        const auto body = [&, d, m, f] {
-          const FoldKey key = fold_key(d, f);
-          const std::shared_ptr<const FoldData> fold = cache.acquire(key);
-          // The encode task this one depends on put the entry, and it is
-          // only evicted after this task's release().
-          if (fold == nullptr) {
-            throw std::logic_error("run_grid: fold missing from the cache");
-          }
-          const auto model =
-              ml::make_model(models[m], config.experiment.model_budget);
-          fit_fold_model(*model, *fold);
-          scores[d][m][f] = fold_accuracy(*model, *fold);
-          cache.release(key);
-        };
-        model_ids[d][m].push_back(
-            graph.add("grid.fit", body, {encode_ids[d][f]}));
-        ++result.stats.model_tasks;
-      }
-    }
-  }
-
-  // reduce(d, m) tasks: aggregate fold scores in fold order.
-  for (std::size_t d = 0; d < datasets.size(); ++d) {
-    for (std::size_t m = 0; m < models.size(); ++m) {
-      graph.add(
-          "grid.reduce",
-          [&, d, m] { cvs[d][m] = eval::summarize_folds(scores[d][m]); },
-          std::span<const TaskGraph::TaskId>(model_ids[d][m]));
-      ++result.stats.reduce_tasks;
-    }
-  }
-
-  // nn(d) tasks: the Sequential NN repeated-holdout protocol, one per
-  // dataset (its repeats share early-stopping state, so it stays one task).
+  // nn(d) first: the Sequential NN protocol is one long task per dataset
+  // (its repeats share early-stopping state), so it starts before the folds.
   if (config.nn_repeats > 0) {
     for (std::size_t d = 0; d < datasets.size(); ++d) {
-      graph.add("grid.nn", [&, d] {
+      pool.submit([&, d] {
+        obs::Span span("grid.nn");
         nns[d] = nn_protocol(*datasets[d].data, config.mode, config.nn_repeats,
                              config.experiment, config.nn);
       });
@@ -146,26 +89,51 @@ GridResult run_grid_scheduled(std::span<const GridDatasetSpec> datasets,
     }
   }
 
-  graph.run(&pool);
+  // fit(d, f, m) in (d, f, m) order, so a fold's model tasks run together
+  // and few folds are resident at once.
+  for (std::size_t d = 0; d < datasets.size(); ++d) {
+    for (std::size_t f = 0; f < k; ++f) {
+      for (std::size_t m = 0; m < models.size(); ++m) {
+        pool.submit([&, d, f, m] {
+          FoldSlot& slot = slots[d * k + f];
+          std::call_once(slot.once, [&] {
+            obs::Span span("grid.encode");
+            obs::counter("experiment.folds").increment();
+            slot.fold = std::make_shared<const FoldData>(materialize_fold(
+                *datasets[d].data, folds[d].train[f], folds[d].test[f],
+                config.mode, config.experiment, /*allow_packed=*/true));
+          });
+          {
+            obs::Span span("grid.fit");
+            const auto model =
+                ml::make_model(models[m], config.experiment.model_budget);
+            fit_fold_model(*model, *slot.fold);
+            scores[d][m][f] = fold_accuracy(*model, *slot.fold);
+          }
+          if (slot.users.fetch_sub(1) == 1) slot.fold.reset();
+        });
+        ++result.stats.model_tasks;
+      }
+    }
+  }
+  result.stats.encode_tasks = slots.size();
 
-  const FoldEncodingCache::Stats cache_stats = cache.stats();
-  result.stats.cache_hits = cache_stats.hits;
-  result.stats.cache_misses = cache_stats.misses;
-  result.stats.cache_evictions = cache_stats.evictions;
-  result.stats.cache_peak_entries = cache_stats.peak_entries;
+  pool.wait_idle();
+
+  result.stats.cache_hits = result.stats.model_tasks;
   result.stats.dedup_ratio =
-      result.stats.encode_tasks == 0
-          ? 0.0
-          : static_cast<double>(cache_stats.hits) /
-                static_cast<double>(result.stats.encode_tasks);
-  result.stats.tasks_executed = graph.executed();
-  result.stats.steals = graph.steals();
+      slots.empty() ? 0.0
+                    : static_cast<double>(result.stats.model_tasks) /
+                          static_cast<double>(slots.size());
+  result.stats.tasks_executed = pool.tasks_completed();
 
+  // Reduce on the calling thread, each cell's scores in fold order.
   for (std::size_t d = 0; d < datasets.size(); ++d) {
     GridDatasetResult ds_result;
     ds_result.dataset = datasets[d].name;
     for (std::size_t m = 0; m < models.size(); ++m) {
-      ds_result.models.push_back({models[m], std::move(cvs[d][m])});
+      ds_result.models.push_back(
+          {models[m], eval::summarize_folds(std::move(scores[d][m]))});
     }
     if (config.nn_repeats > 0) {
       ds_result.has_nn = true;
@@ -191,11 +159,11 @@ GridResult run_grid(std::span<const GridDatasetSpec> datasets,
   }
   const std::vector<std::string> models = model_names(config);
   // Resolve every name eagerly: make_model throws on unknown names, and a
-  // throw from inside a scheduled task would take down the pool instead.
+  // throw from inside a pool task would terminate the process instead.
   for (const std::string& model : models) {
     (void)ml::make_model(model, config.experiment.model_budget);
   }
-  GridResult result = run_grid_scheduled(datasets, config, models);
+  GridResult result = run_grid_on_pool(datasets, config, models);
   // Provenance over the whole sweep (after the run, so the embedded obs
   // snapshot includes the grid's own counters).
   if (!datasets.empty()) {

@@ -2,17 +2,14 @@
 //
 // The out-of-core pipeline encodes a cohort shard-at-a-time; each shard is
 // an ordinary BitMatrix over a contiguous, ascending global row range.
-// ShardedBitMatrix owns the blocks and answers the whole-matrix questions
-// the sharded ML paths need — merged column popcounts, per-shard masked
-// popcounts, a chunking-invariant fingerprint — without ever concatenating
-// the bitplanes. Popcounts are integers, so the merged statistics are
-// *exactly* equal to what a single unsharded BitMatrix would report; that
-// is the foundation of the 1-shard vs N-shard bit-identity gate.
+// ShardedBitMatrix owns the blocks, serves them to the streamed consumers
+// through ShardedBitMatrixSource, and fingerprints the rows the same way
+// however they were chunked — the 1-shard vs N-shard bit-identity gate —
+// without ever concatenating the bitplanes.
 #pragma once
 
 #include <cstddef>
 #include <cstdint>
-#include <span>
 #include <vector>
 
 #include "hv/bit_matrix.hpp"
@@ -71,17 +68,6 @@ class ShardedBitMatrix {
     return shards_[s];
   }
 
-  /// Ones-count of column j over all rows: integer sum of per-shard
-  /// popcounts, exactly equal to the unsharded value.
-  [[nodiscard]] std::size_t column_popcount(std::size_t j) const noexcept;
-  [[nodiscard]] std::size_t shard_column_popcount(std::size_t s,
-                                                  std::size_t j) const noexcept;
-
-  /// Ones-count of column j restricted to the rows selected by per-shard
-  /// masks (masks.size() == num_shards(), masks[s] over shard s's rows).
-  [[nodiscard]] std::size_t masked_column_popcount(
-      std::size_t j, std::span<const RowMask> masks) const;
-
   /// FNV-1a over (rows, cols, then every row's row-major words in global
   /// row order). Padding bits are zero and words_per_row depends only on
   /// cols(), so the fingerprint is invariant to how the rows were chunked.
@@ -89,10 +75,6 @@ class ShardedBitMatrix {
 
   /// Sum of the resident shards' BitMatrix::resident_bytes().
   [[nodiscard]] std::size_t resident_bytes() const noexcept;
-
-  /// Materialize one unsharded BitMatrix with the same rows in the same
-  /// order (test/bridge path — costs the full concatenated footprint).
-  [[nodiscard]] BitMatrix concatenate() const;
 
  private:
   std::size_t rows_ = 0;

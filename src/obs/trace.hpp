@@ -11,8 +11,8 @@
 //
 // Causality across threads: every active Span gets a process-unique id and
 // records the id of the span it was opened under (same thread, or adopted
-// from another thread via ContextGuard). ThreadPool / TaskGraph capture
-// current_span_context() at submit time and re-enter it on the worker, so a
+// from another thread via ContextGuard). ThreadPool::submit captures
+// current_span_context() at submit time and re-enters it on the worker, so a
 // task's spans parent back to the code that scheduled it; flow_begin() /
 // flow_end() additionally emit Chrome flow events ("ph":"s"/"f") drawing
 // submit→execute arrows in the viewer. collapsed_stacks() folds the same

@@ -81,8 +81,8 @@ void ThreadPool::wait_idle() {
   if (t_current_pool == this) {
     throw std::logic_error(
         "ThreadPool::wait_idle() called from inside a worker of the same "
-        "pool: this deadlocks once every worker waits. Use "
-        "parallel::TaskGraph for blocking dependencies inside tasks.");
+        "pool: this deadlocks once every worker waits. Wait from the "
+        "thread that submitted the tasks.");
   }
   std::unique_lock<std::mutex> lock(mutex_);
   cv_idle_.wait(lock, [this] { return in_flight_ == 0; });

@@ -43,9 +43,8 @@ class ThreadPool {
   /// Calling this from inside a worker of the *same* pool throws
   /// std::logic_error instead of deadlocking: the waiting worker would
   /// occupy the very slot the queued tasks need (with every worker waiting,
-  /// the pool stalls forever). Code that must block on other tasks from
-  /// inside a task should use parallel::TaskGraph, whose wait() cooperatively
-  /// executes pending work instead of sleeping.
+  /// the pool stalls forever). Wait from the thread that submitted the work,
+  /// or run a dependent step inside the task that finishes last.
   void wait_idle();
 
   /// The pool whose worker loop is running on the calling thread, or

@@ -3,12 +3,12 @@
 #include <gtest/gtest.h>
 
 #include <cstddef>
-#include <memory>
+#include <cstdint>
 #include <vector>
 
-#include "core/fold_cache.hpp"
 #include "cv_oracle.hpp"
 #include "data/synthetic.hpp"
+#include "obs/metrics.hpp"
 #include "parallel/thread_pool.hpp"
 
 namespace hdc::core {
@@ -16,8 +16,7 @@ namespace {
 
 // Reduced-but-complete grid: both paper datasets, the full nine-model zoo,
 // 5-fold CV at dim 1000 — small enough for CI, wide enough that the
-// scheduler actually interleaves encode / fit / reduce tasks across
-// datasets.
+// pool actually interleaves fold encodes and fits across datasets.
 
 data::Dataset small_pima() {
   data::PimaConfig config;
@@ -113,38 +112,6 @@ TEST(Grid, SerialCellMatchesKfoldDriver) {
             direct.stddev_accuracy);
 }
 
-TEST(FoldCache, MissesUnknownKeysAndEvictsOnLastRelease) {
-  // The grid treats a miss after the fold's encode task as a logic error, so
-  // the cache must answer nullptr only for keys nobody put (or already
-  // evicted), and keep an entry until its last expected user releases it.
-  FoldEncodingCache cache;
-  FoldKey key;
-  key.dataset = "pima";
-  key.fold = 3;
-  FoldKey other = key;
-  other.fold = 4;
-
-  EXPECT_EQ(cache.acquire(key), nullptr);
-  cache.put(key, std::make_shared<const FoldData>(), 2);
-  cache.put(other, std::make_shared<const FoldData>(), 0);  // no users: no-op
-  EXPECT_EQ(cache.size(), 1u);
-  EXPECT_EQ(cache.acquire(other), nullptr);
-
-  EXPECT_NE(cache.acquire(key), nullptr);
-  cache.release(key);
-  EXPECT_NE(cache.acquire(key), nullptr);
-  cache.release(key);
-  EXPECT_EQ(cache.size(), 0u);
-  EXPECT_EQ(cache.acquire(key), nullptr);
-
-  const FoldEncodingCache::Stats stats = cache.stats();
-  EXPECT_EQ(stats.hits, 2u);
-  EXPECT_EQ(stats.misses, 3u);
-  EXPECT_EQ(stats.insertions, 1u);
-  EXPECT_EQ(stats.evictions, 1u);
-  EXPECT_EQ(stats.peak_entries, 1u);
-}
-
 TEST(Grid, StatsReflectDagShapeAndDedup) {
   const data::Dataset pima = small_pima();
   const data::Dataset sylhet = small_sylhet();
@@ -157,19 +124,48 @@ TEST(Grid, StatsReflectDagShapeAndDedup) {
   EXPECT_EQ(n_models, 9u);  // the paper zoo
   EXPECT_EQ(r.stats.encode_tasks, 2u * config.kfold);
   EXPECT_EQ(r.stats.model_tasks, 2u * n_models * config.kfold);
-  EXPECT_EQ(r.stats.reduce_tasks, 2u * n_models);
-  EXPECT_EQ(r.stats.tasks_executed, r.stats.encode_tasks +
-                                        r.stats.model_tasks +
-                                        r.stats.reduce_tasks);
+  EXPECT_EQ(r.stats.nn_tasks, 0u);
+  // One pool task per (dataset, fold, model); the reduce runs on the caller.
+  EXPECT_EQ(r.stats.tasks_executed, r.stats.model_tasks);
   EXPECT_EQ(r.stats.workers, 2u);
 
-  // Every model task hits the shared encoding: one encode serves ~zoo-many
-  // consumers, so the dedup ratio equals the model count.
+  // Every model task reads its fold's shared encoding: one encode serves
+  // zoo-many consumers, so the dedup ratio equals the model count.
   EXPECT_EQ(r.stats.cache_hits, r.stats.model_tasks);
   EXPECT_DOUBLE_EQ(r.stats.dedup_ratio, static_cast<double>(n_models));
-  // Ref-counted eviction: every entry died when its last consumer released.
-  EXPECT_EQ(r.stats.cache_evictions, r.stats.encode_tasks);
-  EXPECT_LE(r.stats.cache_peak_entries, r.stats.encode_tasks);
+  EXPECT_EQ(r.stats.cache_misses, 0u);
+  EXPECT_EQ(r.stats.steals, 0u);
+}
+
+TEST(Grid, EachFoldIsMaterialisedOnce) {
+  // However the pool interleaves a fold's model tasks, only the first one
+  // to run encodes it: the experiment.folds counter moves by datasets x k.
+  const data::Dataset pima = small_pima();
+  const data::Dataset sylhet = small_sylhet();
+  const auto ds = specs(pima, sylhet);
+  GridConfig config = fast_grid();
+  config.models = {"KNN", "Logistic Regression", "Decision Tree"};
+  config.nn.max_epochs = 5;
+  config.nn.patience = 2;
+
+  const bool was_enabled = obs::enabled();
+  obs::set_enabled(true);
+  const obs::Counter& folds = obs::counter("experiment.folds");
+  for (const std::size_t nn_repeats : {std::size_t{0}, std::size_t{1}}) {
+    for (const std::size_t threads :
+         {std::size_t{1}, std::size_t{2}, std::size_t{4}}) {
+      config.nn_repeats = nn_repeats;
+      config.threads = threads;
+      const std::uint64_t before = folds.value();
+      const GridResult r = run_grid(ds, config);
+      EXPECT_EQ(folds.value() - before, ds.size() * config.kfold)
+          << threads << " workers, nn_repeats " << nn_repeats;
+      EXPECT_EQ(r.stats.encode_tasks, ds.size() * config.kfold);
+      EXPECT_EQ(r.stats.tasks_executed,
+                r.stats.model_tasks + r.stats.nn_tasks);
+    }
+  }
+  obs::set_enabled(was_enabled);
 }
 
 TEST(Grid, NnProtocolTaskMatchesSerial) {

@@ -1,5 +1,5 @@
 // Serial walk of the paper's k-fold protocol: the oracle core::run_grid's
-// scheduled DAG is checked against.
+// pool tasks are checked against.
 //
 // One model, one fold at a time, every fold re-encoded for every model:
 // StratifiedKFold -> materialize_fold -> fit_fold_model -> fold_accuracy ->

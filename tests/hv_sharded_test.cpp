@@ -1,11 +1,9 @@
 // ShardedBitMatrix: the chunked encode must be byte-identical to the
 // unsharded encode for every chunking (including ragged word-boundary shard
-// sizes), merged popcounts must be exact integers, and the fingerprint must
-// be chunking-invariant but data-sensitive.
+// sizes), and the fingerprint must be chunking-invariant but data-sensitive.
 #include <gtest/gtest.h>
 
 #include <cstring>
-#include <vector>
 
 #include "core/extractor.hpp"
 #include "data/synthetic.hpp"
@@ -95,48 +93,6 @@ TEST(ShardedEncode, FingerprintIsDataSensitive) {
   const hdc::data::Dataset fewer =
       hdc::data::make_synthetic_cohort(kRows - 1, 5);
   EXPECT_NE(e.extractor.transform_bits_chunked(fewer, 64).fingerprint(), base);
-}
-
-TEST(ShardedEncode, MergedColumnPopcountsAreExact) {
-  const Encoded& e = encoded();
-  const ShardedBitMatrix sharded = e.extractor.transform_bits_chunked(e.ds, 65);
-  for (std::size_t j = 0; j < kDim; ++j) {
-    EXPECT_EQ(sharded.column_popcount(j), e.whole.column_popcount(j))
-        << "column " << j;
-  }
-}
-
-TEST(ShardedEncode, MaskedPopcountWithFullMasksEqualsColumnPopcount) {
-  const Encoded& e = encoded();
-  const ShardedBitMatrix sharded = e.extractor.transform_bits_chunked(e.ds, 64);
-  std::vector<hdc::hv::RowMask> masks;
-  for (std::size_t s = 0; s < sharded.num_shards(); ++s) {
-    masks.push_back(hdc::hv::RowMask::all(sharded.shard_rows(s)));
-  }
-  for (const std::size_t j : {std::size_t{0}, kDim / 2, kDim - 1}) {
-    EXPECT_EQ(sharded.masked_column_popcount(j, masks),
-              sharded.column_popcount(j));
-  }
-  // Empty masks select nothing.
-  for (hdc::hv::RowMask& mask : masks) {
-    mask = hdc::hv::RowMask::none(mask.rows());
-  }
-  EXPECT_EQ(sharded.masked_column_popcount(0, masks), 0u);
-}
-
-TEST(ShardedEncode, ConcatenateRebuildsTheUnshardedMatrix) {
-  const Encoded& e = encoded();
-  const ShardedBitMatrix sharded = e.extractor.transform_bits_chunked(e.ds, 65);
-  const BitMatrix concat = sharded.concatenate();
-  ASSERT_EQ(concat.rows(), e.whole.rows());
-  ASSERT_EQ(concat.cols(), e.whole.cols());
-  for (std::size_t j = 0; j < kDim; ++j) {
-    EXPECT_EQ(std::memcmp(concat.column(j), e.whole.column(j),
-                          e.whole.words_per_column() * sizeof(std::uint64_t)),
-              0)
-        << "column " << j;
-  }
-  EXPECT_GT(sharded.resident_bytes(), 0u);
 }
 
 TEST(ShardedEncode, ShardGeometry) {

@@ -6,12 +6,9 @@
 #include <chrono>
 #include <cstdint>
 #include <latch>
-#include <numeric>
 #include <stdexcept>
 #include <thread>
 #include <vector>
-
-#include "parallel/task_graph.hpp"
 
 namespace hdc::parallel {
 namespace {
@@ -221,201 +218,6 @@ TEST(ParallelFor, DoesNotWaitForUnrelatedTasks) {
   caller.join();
   pool.wait_idle();
   for (std::size_t i = 0; i < kN; ++i) EXPECT_EQ(visits[i].load(), 1) << i;
-}
-
-TEST(TaskGraph, EmptyGraphRuns) {
-  ThreadPool pool(2);
-  TaskGraph graph;
-  graph.run(&pool);
-  EXPECT_EQ(graph.task_count(), 0u);
-  EXPECT_EQ(graph.executed(), 0u);
-}
-
-TEST(TaskGraph, ExecutesEveryTaskExactlyOnce) {
-  ThreadPool pool(4);
-  TaskGraph graph;
-  constexpr std::size_t kN = 300;
-  std::vector<std::atomic<int>> runs(kN);
-  for (std::size_t i = 0; i < kN; ++i) {
-    graph.add("test.task", [&runs, i] { runs[i].fetch_add(1); });
-  }
-  graph.run(&pool);
-  for (std::size_t i = 0; i < kN; ++i) EXPECT_EQ(runs[i].load(), 1) << i;
-  EXPECT_EQ(graph.executed(), kN);
-  EXPECT_EQ(graph.task_count(), kN);
-}
-
-TEST(TaskGraph, DependencyOrderRespected) {
-  ThreadPool pool(4);
-  TaskGraph graph;
-  std::atomic<bool> a_done{false};
-  std::atomic<bool> b_done{false};
-  std::atomic<bool> order_ok{true};
-  const auto a = graph.add("test.a", [&] { a_done.store(true); });
-  const auto b = graph.add(
-      "test.b",
-      [&] {
-        if (!a_done.load()) order_ok.store(false);
-        b_done.store(true);
-      },
-      {a});
-  const auto c = graph.add(
-      "test.c",
-      [&] {
-        if (!a_done.load() || !b_done.load()) order_ok.store(false);
-      },
-      {a, b});
-  graph.run(&pool);
-  EXPECT_TRUE(order_ok.load());
-  EXPECT_TRUE(graph.done(a));
-  EXPECT_TRUE(graph.done(b));
-  EXPECT_TRUE(graph.done(c));
-}
-
-TEST(TaskGraph, DiamondJoinSeesBothBranches) {
-  ThreadPool pool(4);
-  TaskGraph graph;
-  std::atomic<int> left{0};
-  std::atomic<int> right{0};
-  std::atomic<int> joined{-1};
-  const auto top = graph.add("test.top", [] {});
-  const auto l = graph.add("test.left", [&] { left.store(3); }, {top});
-  const auto r = graph.add("test.right", [&] { right.store(4); }, {top});
-  graph.add("test.join", [&] { joined.store(left.load() + right.load()); },
-            {l, r});
-  graph.run(&pool);
-  EXPECT_EQ(joined.load(), 7);
-}
-
-TEST(TaskGraph, FanOutFanIn) {
-  ThreadPool pool(4);
-  TaskGraph graph;
-  constexpr std::size_t kWidth = 64;
-  std::vector<double> cell(kWidth, 0.0);
-  std::vector<TaskGraph::TaskId> ids;
-  for (std::size_t i = 0; i < kWidth; ++i) {
-    ids.push_back(graph.add("test.cell", [&cell, i] {
-      cell[i] = static_cast<double>(i) * 0.5;
-    }));
-  }
-  double total = -1.0;
-  graph.add(
-      "test.reduce",
-      [&] { total = std::accumulate(cell.begin(), cell.end(), 0.0); },
-      std::span<const TaskGraph::TaskId>(ids));
-  graph.run(&pool);
-  EXPECT_DOUBLE_EQ(total, 0.5 * (kWidth - 1) * kWidth / 2.0);
-}
-
-TEST(TaskGraph, SingleWorkerPoolRunsWholeGraphOnCaller) {
-  ThreadPool pool(1);
-  TaskGraph graph;
-  const std::thread::id caller = std::this_thread::get_id();
-  std::atomic<bool> all_on_caller{true};
-  for (int i = 0; i < 50; ++i) {
-    graph.add("test.task", [&] {
-      if (std::this_thread::get_id() != caller) all_on_caller.store(false);
-    });
-  }
-  graph.run(&pool);
-  EXPECT_TRUE(all_on_caller.load());
-  EXPECT_EQ(graph.executed(), 50u);
-  EXPECT_EQ(graph.steals(), 0u);  // nothing to steal from
-}
-
-TEST(TaskGraph, AddAndCooperativeWaitInsideTask) {
-  // A running task may submit follow-up work and wait on it; the waiting
-  // worker executes pending tasks instead of sleeping, so even a
-  // single-worker pool cannot deadlock.
-  ThreadPool pool(1);
-  TaskGraph graph;
-  std::atomic<int> value{0};
-  graph.add("test.outer", [&] {
-    const auto inner = graph.add("test.inner", [&] { value.store(41); });
-    graph.wait(inner);
-    value.fetch_add(1);
-  });
-  graph.run(&pool);
-  EXPECT_EQ(value.load(), 42);
-  EXPECT_EQ(graph.executed(), 2u);
-}
-
-TEST(TaskGraph, NestedAddChainCompletes) {
-  ThreadPool pool(2);
-  TaskGraph graph;
-  std::atomic<int> depth{0};
-  std::function<void()> spawn = [&] {
-    if (depth.fetch_add(1) < 9) graph.add("test.chain", spawn);
-  };
-  graph.add("test.chain", spawn);
-  graph.run(&pool);  // run() blocks until tasks added mid-run finish too
-  EXPECT_EQ(depth.load(), 10);
-  EXPECT_EQ(graph.executed(), 10u);
-}
-
-TEST(TaskGraph, StealsUnderContention) {
-  // Seeding is round-robin, so with 2 workers the even-indexed tasks land on
-  // worker 0 (the caller). The last-added even task sleeps; own-deque pops
-  // are LIFO, so the caller picks it up first and worker 1 — after draining
-  // its own odd-indexed tasks — must steal the caller's remaining ones.
-  ThreadPool pool(2);
-  TaskGraph graph;
-  std::atomic<int> count{0};
-  constexpr int kFast = 200;
-  for (int i = 0; i < kFast; ++i) {
-    graph.add("test.fast", [&] { count.fetch_add(1); });
-  }
-  graph.add("test.slow", [&] {
-    std::this_thread::sleep_for(std::chrono::milliseconds(100));
-    count.fetch_add(1);
-  });
-  graph.run(&pool);
-  EXPECT_EQ(count.load(), kFast + 1);
-  EXPECT_EQ(graph.executed(), static_cast<std::uint64_t>(kFast) + 1);
-  EXPECT_GT(graph.steals(), 0u);
-  EXPECT_LE(graph.steals(), graph.executed());
-}
-
-TEST(TaskGraph, ResultsIndependentOfWorkerCount) {
-  const auto compute = [](std::size_t workers) {
-    ThreadPool pool(workers);
-    TaskGraph graph;
-    constexpr std::size_t kCells = 12;
-    std::vector<double> cell(kCells, 0.0);
-    std::vector<TaskGraph::TaskId> ids;
-    for (std::size_t i = 0; i < kCells; ++i) {
-      ids.push_back(graph.add("test.cell", [&cell, i] {
-        double v = static_cast<double>(i + 1);
-        for (int r = 0; r < 2000; ++r) v = v * 1.0000001 + 0.03125;
-        cell[i] = v;
-      }));
-    }
-    double total = 0.0;
-    graph.add(
-        "test.reduce",
-        [&] {
-          for (const double v : cell) total += v;  // fixed fold order
-        },
-        std::span<const TaskGraph::TaskId>(ids));
-    graph.run(&pool);
-    return total;
-  };
-  const double serial = compute(1);
-  EXPECT_EQ(serial, compute(2));  // bit-identical, not just close
-  EXPECT_EQ(serial, compute(4));
-}
-
-TEST(TaskGraph, RunTwiceWithFreshTasks) {
-  ThreadPool pool(2);
-  TaskGraph graph;
-  std::atomic<int> count{0};
-  graph.add("test.first", [&] { count.fetch_add(1); });
-  graph.run(&pool);
-  EXPECT_EQ(count.load(), 1);
-  graph.add("test.second", [&] { count.fetch_add(1); });
-  graph.run(&pool);
-  EXPECT_EQ(count.load(), 2);
-  EXPECT_EQ(graph.executed(), 2u);
 }
 
 }  // namespace
